@@ -5,7 +5,8 @@
 //  1. Kernel GFLOP/s for the blocked/packed GEMM vs. the seed's scalar
 //     loops (gemm_*_ref), over paper-relevant shapes: the 256^3 headline
 //     plus the actual layer shapes of the Fig. 5 MNIST CNN at batch 10
-//     (conv forward slabs, conv dW/dcol gradients, dense layers).
+//     (conv forward slabs, conv dW/dcol gradients, dense layers) and of
+//     the per-client MLPs the FL engines train (small-GEMM path).
 //
 //  2. End-to-end wall-clock of one CNN local-training step
 //     (mnist_cnn.train_batch on a [10,1,28,28] batch) against a faithful
@@ -380,6 +381,22 @@ int main(int argc, char** argv) {
       {"conv2_dcol", Kind::kTN, 288, 64, slab2},
       {"dense1_fwd", Kind::kNN, batch, 9216, 128},
       {"dense1_dw", Kind::kTN, 9216, batch, 128},
+      // Per-client MLP training steps (all on the small path):
+      // scale_1m_churn's MLP-16 (6x6 inputs, 4 classes) and hier4_ckpt's
+      // MLP-48 (8x8 inputs, 10 classes).  dx1 is the input gradient that
+      // train_batch no longer computes, kept as an nt data point.
+      {"mlp16_fwd1", Kind::kNN, batch, 36, 16},
+      {"mlp16_fwd2", Kind::kNN, batch, 16, 4},
+      {"mlp16_dw1", Kind::kTN, 36, batch, 16},
+      {"mlp16_dw2", Kind::kTN, 16, batch, 4},
+      {"mlp16_dx2", Kind::kNT, batch, 4, 16},
+      {"mlp16_dx1", Kind::kNT, batch, 16, 36},
+      {"mlp48_fwd1", Kind::kNN, batch, 64, 48},
+      {"mlp48_fwd2", Kind::kNN, batch, 48, 10},
+      {"mlp48_dw1", Kind::kTN, 64, batch, 48},
+      {"mlp48_dw2", Kind::kTN, 48, batch, 10},
+      {"mlp48_dx2", Kind::kNT, batch, 10, 48},
+      {"mlp48_dx1", Kind::kNT, batch, 48, 64},
   };
 
   util::Rng rng(42);

@@ -40,7 +40,10 @@ Tensor Conv2D::forward(const Tensor& x, const PassContext& ctx) {
                                 std::to_string(in_channels_) + ",H,W], got " +
                                 tensor::shape_to_string(x.shape()));
   }
-  if (ctx.training) cached_input_ = x;
+  if (ctx.training) {
+    cached_input_ = x;
+    need_input_grad_ = ctx.need_input_grad;
+  }
 
   const tensor::ConvGeometry g = geometry_for(x);
   const std::int64_t batch = x.dim(0);
@@ -106,7 +109,8 @@ Tensor Conv2D::backward(const Tensor& dy) {
   const std::int64_t rows = g.col_rows();
   const std::int64_t image_size = g.image_size();
 
-  Tensor dx(x.shape(), 0.0f);
+  Tensor dx;
+  if (need_input_grad_) dx = Tensor(x.shape(), 0.0f);
   for (std::int64_t b0 = 0; b0 < batch; b0 += kMaxSlabImages) {
     const std::int64_t nb = std::min(kMaxSlabImages, batch - b0);
     const std::int64_t slab_cols = nb * spatial;
@@ -153,6 +157,7 @@ Tensor Conv2D::backward(const Tensor& dy) {
     // dW += dY_t [OC, nb*S] * columns[R, nb*S]^T — one slab-wide gemm_nt.
     tensor::gemm_nt_raw(dy_t, columns, dweight_.data(), oc, slab_cols, rows,
                         /*accumulate=*/true);
+    if (!need_input_grad_) continue;
 
     // dcol[R, nb*S] = W^T [R, OC] * dY_t [OC, nb*S]; then scatter per image.
     float* dcolumns =

@@ -12,6 +12,10 @@
 // allocates nothing here.  Slabs are capped at kMaxSlabImages images per
 // GEMM so huge evaluation batches cannot balloon memory; training batches
 // fit in one slab.
+//
+// A training forward whose PassContext clears need_input_grad makes
+// backward skip the column-gradient GEMM, col2im and the zeroed dX, and
+// return an empty tensor.
 #pragma once
 
 #include "nn/layer.h"
@@ -57,6 +61,7 @@ class Conv2D final : public Layer {
   std::int64_t stride_;
   bool same_pad_;
   bool fused_relu_ = false;
+  bool need_input_grad_ = true;  // from the last training forward's ctx
 
   Tensor weight_;   // [OC, C*K*K]
   Tensor bias_;     // [OC]

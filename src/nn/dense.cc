@@ -21,7 +21,10 @@ Tensor Dense::forward(const Tensor& x, const PassContext& ctx) {
                                 std::to_string(in_features()) + "], got " +
                                 tensor::shape_to_string(x.shape()));
   }
-  if (ctx.training) cached_input_ = x;
+  if (ctx.training) {
+    cached_input_ = x;
+    need_input_grad_ = ctx.need_input_grad;
+  }
   Tensor y({x.dim(0), out_features()});
   tensor::Epilogue epilogue;
   epilogue.bias_n = bias_.data();
@@ -50,6 +53,7 @@ Tensor Dense::backward(const Tensor& dy) {
   tensor::column_sums(*dy_eff, col_sum);
   tensor::axpy(1.0f, col_sum, dbias_);
 
+  if (!need_input_grad_) return {};
   Tensor dx({dy.dim(0), in_features()});
   tensor::gemm_nt(*dy_eff, weight_, dx);
   return dx;

@@ -3,7 +3,9 @@
 // The bias add rides in the GEMM epilogue (no separate pass over Y), and
 // when Sequential fuses a following ReLU into this layer the activation
 // joins it there too; backward then unmasks the upstream gradient against
-// the cached post-activation output (exact for ReLU).
+// the cached post-activation output (exact for ReLU).  A training forward
+// whose PassContext clears need_input_grad makes backward skip the dX GEMM
+// and return an empty tensor.
 #pragma once
 
 #include "nn/layer.h"
@@ -35,6 +37,7 @@ class Dense final : public Layer {
   Tensor cached_input_;   // [B, I]
   Tensor cached_output_;  // [B, O] (only when fused_relu_)
   bool fused_relu_ = false;
+  bool need_input_grad_ = true;  // from the last training forward's ctx
 };
 
 }  // namespace tifl::nn

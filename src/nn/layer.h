@@ -2,7 +2,8 @@
 //
 // Contract: `forward` caches whatever the matching `backward` needs (the
 // usual define-by-run discipline); `backward` consumes the upstream
-// gradient and returns the input gradient, accumulating parameter
+// gradient and returns the input gradient (empty when the training
+// forward's PassContext said it is not needed), accumulating parameter
 // gradients into the tensors exposed by `grads()` (which `zero_grads()`
 // clears).  Layers own their parameters; the FL weight exchange flattens
 // them via Sequential.
@@ -21,9 +22,23 @@ using tensor::Tensor;
 
 // Per-pass context: training toggles dropout, `rng` feeds stochastic
 // layers so a whole forward pass is reproducible from the caller's seed.
+//
+// `need_input_grad` says whether the caller will use the input gradient
+// that the matching backward returns.  A layer that reads it (Dense,
+// Conv2D) records it on a training forward; when it is false, backward
+// still accumulates the parameter gradients but skips computing dX and
+// returns an empty tensor.  It defaults to true, so a layer driven on its
+// own always returns dX.  The one caller that clears it is
+// Sequential::forward when its own context clears it (train_batch does):
+// it hands false to the first layer that has parameters only, because no
+// layer before that one has anything to learn — the backward pass stops
+// there — and every later layer's dX feeds its predecessor.  Carrying the
+// signal in the context rather than a Layer virtual lets wrapper layers
+// that forward `ctx` unchanged pass it through without knowing of it.
 struct PassContext {
   bool training = false;
   util::Rng* rng = nullptr;
+  bool need_input_grad = true;
 };
 
 class Layer {

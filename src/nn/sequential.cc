@@ -19,6 +19,11 @@ void Sequential::set_fusion_enabled(bool enabled) {
 }
 
 void Sequential::plan_fusion() {
+  first_param_ = 0;
+  while (first_param_ < layers_.size() &&
+         layers_[first_param_]->params().empty()) {
+    ++first_param_;
+  }
   skip_.assign(layers_.size(), 0);
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     layers_[i]->set_fused_relu(false);
@@ -37,10 +42,15 @@ void Sequential::plan_fusion() {
 
 Tensor Sequential::forward(const Tensor& x, const PassContext& ctx) {
   if (!fusion_planned_) plan_fusion();
+  // Every layer past the first parameterized one feeds its dX to a
+  // predecessor that learns, so only that first layer may drop it.
+  PassContext inner = ctx;
+  inner.need_input_grad = true;
   Tensor activation = x;
   for (std::size_t i = 0; i < layers_.size(); ++i) {
     if (skip_[i]) continue;
-    activation = layers_[i]->forward(activation, ctx);
+    activation =
+        layers_[i]->forward(activation, i == first_param_ ? ctx : inner);
   }
   return activation;
 }
@@ -48,13 +58,15 @@ Tensor Sequential::forward(const Tensor& x, const PassContext& ctx) {
 LossResult Sequential::train_batch(const Tensor& x,
                                    std::span<const std::int32_t> labels,
                                    Optimizer& optimizer, util::Rng& rng) {
-  PassContext ctx{.training = true, .rng = &rng};
+  PassContext ctx{.training = true, .rng = &rng, .need_input_grad = false};
   zero_grads();
   Tensor logits = forward(x, ctx);
   LossResult result = loss_.compute(logits, labels, /*with_grad=*/true);
 
+  // Backward stops at the first layer with parameters: the layers before
+  // it learn nothing, and it was told not to compute its own dX.
   Tensor grad = std::move(result.dlogits);
-  for (std::size_t i = layers_.size(); i-- > 0;) {
+  for (std::size_t i = layers_.size(); i-- > first_param_;) {
     if (skip_[i]) continue;
     grad = layers_[i]->backward(grad);
   }

@@ -29,10 +29,14 @@ class Sequential {
   // so tests can assert exactly that.
   void set_fusion_enabled(bool enabled);
 
+  // `ctx.need_input_grad` is the caller's: false means nobody will ask for
+  // the gradient w.r.t. `x`, so the first layer with parameters skips its
+  // dX.  Every other layer is told to keep computing its dX.
   Tensor forward(const Tensor& x, const PassContext& ctx);
 
   // One optimization step on a mini-batch: forward, loss, backward, update.
-  // Returns loss/accuracy on the batch (pre-update).
+  // Returns loss/accuracy on the batch (pre-update).  Backward runs down to
+  // the first layer with parameters and stops there, without its dX.
   LossResult train_batch(const Tensor& x,
                          std::span<const std::int32_t> labels,
                          Optimizer& optimizer, util::Rng& rng);
@@ -54,11 +58,13 @@ class Sequential {
   Layer& layer(std::size_t i) { return *layers_.at(i); }
 
  private:
+  // Recomputes skip_ and first_param_; rerun after add() or a toggle.
   void plan_fusion();
 
   std::vector<std::unique_ptr<Layer>> layers_;
   SoftmaxCrossEntropy loss_;
   std::vector<std::uint8_t> skip_;  // layer fused into its predecessor
+  std::size_t first_param_ = 0;     // first layer with parameters
   bool fusion_enabled_ = true;
   bool fusion_planned_ = false;
 };

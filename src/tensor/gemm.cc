@@ -213,23 +213,6 @@ void run_block(const float* apack, const float* bpack, float* c,
   }
 }
 
-// Tiny problems: a plain serial loop nest beats the packing overhead.
-void gemm_small(const ConstView& a, const ConstView& b, float* c,
-                std::int64_t m, std::int64_t k, std::int64_t n,
-                bool accumulate, const Epilogue& ep) {
-  for (std::int64_t i = 0; i < m; ++i) {
-    float* crow = c + i * n;
-    for (std::int64_t j = 0; j < n; ++j) {
-      const float* __restrict ap = a.data + i * a.rs;
-      const float* __restrict bp = b.data + j * b.cs;
-      float acc = 0.0f;
-      for (std::int64_t p = 0; p < k; ++p) acc += ap[p * a.cs] * bp[p * b.rs];
-      const float v = accumulate ? crow[j] + acc : acc;
-      crow[j] = apply_epilogue(v, i, j, ep);
-    }
-  }
-}
-
 // Row-streaming compute for rows [i0, i1) of C.  A standalone function
 // with by-value operands on purpose: routing these loops through the
 // type-erased parallel_for closure (captured references, no
@@ -313,6 +296,53 @@ void gemm_stream(const ConstView& a, const ConstView& b, float* c,
                     static_cast<std::int64_t>(hi), k, n, accumulate, ep);
       },
       /*grain=*/16, /*align=*/4);
+}
+
+// Tiny problems (below kSmallGemmLimit): packing cannot pay off, so the
+// rows stream serially through stream_rows.  Per element that is a sum
+// from +0.0f over p ascending — the same adds in the same order as a
+// scalar dot product, each step one FMA wherever this TU contracts — but
+// with j innermost it vectorizes and reads B rows with unit stride.  A
+// transposed B (gemm_nt) is first copied row-major into scratch: a copy,
+// no arithmetic.  When accumulating, the sum lands in scratch and merges
+// as c + sum; stream_rows' in-place c += a*b rounds differently, which is
+// why the dispatch thresholds must not move a shape between the two.
+void gemm_small(const ConstView& a, const ConstView& b, float* c,
+                std::int64_t m, std::int64_t k, std::int64_t n,
+                bool accumulate, const Epilogue& ep) {
+  // Grow-only, per calling thread (a pool worker and the top level may
+  // run small GEMMs at the same time).
+  thread_local std::vector<float> b_rows;
+  thread_local std::vector<float> sums;
+
+  ConstView brm = b;
+  if (b.cs != 1) {
+    if (b_rows.size() < static_cast<std::size_t>(k * n)) {
+      b_rows.resize(static_cast<std::size_t>(k * n));
+    }
+    float* dst = b_rows.data();
+    for (std::int64_t j = 0; j < n; ++j) {
+      for (std::int64_t p = 0; p < k; ++p) {
+        dst[p * n + j] = b.data[p * b.rs + j * b.cs];
+      }
+    }
+    brm = {dst, n, 1};
+  }
+  if (!accumulate) {
+    stream_rows(a, brm, c, 0, m, k, n, /*accumulate=*/false, ep);
+    return;
+  }
+  if (sums.size() < static_cast<std::size_t>(m * n)) {
+    sums.resize(static_cast<std::size_t>(m * n));
+  }
+  stream_rows(a, brm, sums.data(), 0, m, k, n, /*accumulate=*/false, {});
+  for (std::int64_t i = 0; i < m; ++i) {
+    float* __restrict crow = c + i * n;
+    const float* __restrict srow = sums.data() + i * n;
+    for (std::int64_t j = 0; j < n; ++j) {
+      crow[j] = apply_epilogue(crow[j] + srow[j], i, j, ep);
+    }
+  }
 }
 
 // M blocks shorter than this use the column-panel parallel path (packing A

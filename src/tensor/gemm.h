@@ -9,16 +9,20 @@
 // All three are thin wrappers over one cache-blocked, packed core (see
 // pack.h for the blocking scheme): operands are repacked into contiguous
 // zero-padded panels and streamed through a register-tiled kMR x kNR
-// microkernel with branch-free, auto-vectorizable inner loops.  Tiny
-// problems below kSmallGemmLimit skip packing and run a naive loop nest.
+// microkernel with branch-free, auto-vectorizable inner loops.  Shapes
+// packing cannot amortize take a row-streaming kernel instead (pack.h).
+// Tiny problems below kSmallGemmLimit — the per-client MLP layers of the
+// FL engines — stream rows serially with j innermost (vectorized), yet
+// bit-identical to a scalar dot product per element: a sum from +0.0f
+// over p ascending, merged as c + sum when accumulating.
 //
 // Threading: the core tiles rows (or, for short-wide problems, column
 // panels) of C across the global thread pool when called from the top
 // level; when the caller is already a pool worker — per-client training in
-// the FL engines — dispatch degrades to the serial blocked kernel, which
-// is the fast path there.  Each output element is written by exactly one
-// task and its K-reduction order is fixed by the constant kKC blocking, so
-// results are bit-identical across pool sizes (and to the serial run).
+// the FL engines — dispatch degrades to the serial kernels.  Each output
+// element is written by exactly one task and its K-reduction order is
+// fixed by the constant kKC blocking, so results are bit-identical across
+// pool sizes (and to the serial run).
 //
 // Epilogue fusion: forward paths can fold the bias add and a ReLU into the
 // final K-block's writeback instead of making separate passes over C.

@@ -44,7 +44,11 @@ inline constexpr std::int64_t kKC = 256;
 inline constexpr std::int64_t kNC = 2048;  // multiple of kNR
 
 // Problems below this flop-count skip packing entirely (gemm_small): the
-// panel setup would cost more than it saves on tiny layer shapes.
+// panel setup would cost more than it saves on tiny layer shapes, which
+// instead stream C rows serially through a vectorized loop that sums each
+// element from +0.0f over p ascending, as a scalar dot product would.
+// The small and stream paths round differently under `accumulate`, so
+// moving this threshold changes the bytes of the shapes it moves.
 inline constexpr std::int64_t kSmallGemmLimit = 32 * 32 * 32;
 
 // Shapes where packing cannot amortize — shallow reductions (k at or below

@@ -5,9 +5,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <future>
+#include <limits>
 #include <tuple>
+#include <vector>
 
+#include "obs/metrics.h"
 #include "tensor/ops.h"
+#include "tensor/pack.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -274,6 +281,190 @@ TEST(Gemm, NtNnConsistency) {
   gemm_nn(a, b, c_nn);
   gemm_nt(a, b_t, c_nt);
   EXPECT_LE(max_abs_diff(c_nn, c_nt), 1e-4f);
+}
+
+// --- small path: bit-pinned to the scalar dot product -------------------------
+// Every call below kSmallGemmLimit must reproduce, bit for bit, the scalar
+// loop the small path has always computed: per element, acc = +0.0f, then
+// acc += a*b over p ascending, then c + acc when accumulating, then bias_m,
+// bias_n and ReLU.  Training trajectories, goldens and final-weight hashes
+// all rest on that sequence.
+
+enum class SmallKind { kNN, kNT, kTN };
+
+struct SmallCase {
+  SmallKind kind;
+  std::int64_t m, k, n;
+};
+
+// gemm.cc is compiled with -ffp-contract=fast, so whether each a*b+acc
+// step rounds once (FMA) or twice depends on the target ISA and the
+// optimizer.  This file does not contract; the reference learns the
+// kernel's mode from a two-term sum whose fused and unfused results
+// differ: -1 + (1 + 2^-12)^2 is 2^-11 + 2^-24 exactly, but 2^-11 once the
+// square is rounded to float first.
+bool small_kernel_fuses() {
+  const float a[2] = {-1.0f, 1.0f + 0x1p-12f};
+  const float b[2] = {1.0f, 1.0f + 0x1p-12f};
+  float c = 0.0f;
+  gemm_nn_raw(a, b, &c, 1, 2, 1, /*accumulate=*/false);
+  const float fused = 0x1p-11f + 0x1p-24f;
+  EXPECT_TRUE(c == fused || c == 0x1p-11f) << c;
+  return c == fused;
+}
+
+float madd(float acc, float a, float b, bool fused) {
+  if (fused) return std::fma(a, b, acc);
+  const float product = a * b;  // own statement: never contracted
+  return acc + product;
+}
+
+// Operands as the small path sees them: A is [m,k] for nn/nt and stored
+// [k,m] for tn; B is [k,n] for nn/tn and stored [n,k] for nt.
+void reference_small(const SmallCase& sc, const float* a, const float* b,
+                     float* c, bool accumulate, const Epilogue& ep,
+                     bool fused) {
+  const std::int64_t m = sc.m, k = sc.k, n = sc.n;
+  const std::int64_t ars = sc.kind == SmallKind::kTN ? 1 : k;
+  const std::int64_t acs = sc.kind == SmallKind::kTN ? m : 1;
+  const std::int64_t brs = sc.kind == SmallKind::kNT ? 1 : n;
+  const std::int64_t bcs = sc.kind == SmallKind::kNT ? k : 1;
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      float acc = 0.0f;
+      for (std::int64_t p = 0; p < k; ++p) {
+        acc = madd(acc, a[i * ars + p * acs], b[p * brs + j * bcs], fused);
+      }
+      float v = accumulate ? c[i * n + j] + acc : acc;
+      if (ep.bias_m != nullptr) v += ep.bias_m[i];
+      if (ep.bias_n != nullptr) v += ep.bias_n[j];
+      if (ep.relu && v < 0.0f) v = 0.0f;
+      c[i * n + j] = v;
+    }
+  }
+}
+
+void run_small(const SmallCase& sc, const float* a, const float* b, float* c,
+               bool accumulate, const Epilogue& ep) {
+  switch (sc.kind) {
+    case SmallKind::kNN:
+      gemm_nn_raw(a, b, c, sc.m, sc.k, sc.n, accumulate, ep);
+      break;
+    case SmallKind::kNT:
+      gemm_nt_raw(a, b, c, sc.m, sc.k, sc.n, accumulate, ep);
+      break;
+    case SmallKind::kTN:
+      gemm_tn_raw(a, b, c, sc.m, sc.k, sc.n, accumulate, ep);
+      break;
+  }
+}
+
+// Normal draws; with `specials`, every 7th entry (offset by `salt`)
+// becomes one of -0, +inf, -inf, NaN.  Every 5th is -0 either way, so
+// signed-zero sums are exercised on finite inputs too.
+std::vector<float> small_operand(std::int64_t count, std::uint64_t seed,
+                                 bool specials) {
+  util::Rng rng(seed);
+  std::vector<float> v(static_cast<std::size_t>(count));
+  const float kSpecials[4] = {-0.0f, std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity(),
+                              std::numeric_limits<float>::quiet_NaN()};
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    v[i] = static_cast<float>(rng.normal());
+    if (i % 5 == 3) v[i] = -0.0f;
+    if (specials && (i + seed) % 7 == 0) v[i] = kSpecials[(i / 7) % 4];
+  }
+  return v;
+}
+
+// Bitwise equality, except that any NaN matches any NaN (which operand's
+// payload propagates may depend on instruction operand order).
+::testing::AssertionResult same_bits(const std::vector<float>& got,
+                                     const std::vector<float>& want) {
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (std::isnan(got[i]) && std::isnan(want[i])) continue;
+    if (std::memcmp(&got[i], &want[i], sizeof(float)) != 0) {
+      return ::testing::AssertionFailure()
+             << "element " << i << ": got " << got[i] << ", want " << want[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+std::vector<SmallCase> small_cases() {
+  std::vector<SmallCase> cases;
+  for (const SmallKind kind :
+       {SmallKind::kNN, SmallKind::kNT, SmallKind::kTN}) {
+    // m not always a multiple of the kernel's 4-row blocks; one row wider
+    // than the stream kernel's 4-row limit.
+    for (const std::int64_t m : {1, 3, 4, 5, 10}) {
+      cases.push_back({kind, m, 7, 9});
+      cases.push_back({kind, m, 1, 13});
+      cases.push_back({kind, m, 2, 600});
+    }
+    // The per-client MLP shapes of the benchmark workloads (batch 10):
+    // 6x6 inputs / 16 hidden / 4 classes, and 8x8 inputs / 48 hidden.
+    const std::int64_t kWorkloadShapes[][3] = {
+        {10, 36, 16}, {10, 16, 4},  {36, 10, 16}, {10, 16, 36},
+        {10, 64, 48}, {64, 10, 48}, {10, 48, 64}};
+    for (const auto& s : kWorkloadShapes) {
+      cases.push_back({kind, s[0], s[1], s[2]});
+    }
+  }
+  return cases;
+}
+
+// Runs every case x accumulate x epilogue x input variant through the
+// kernel and the reference; returns the number of calls made.
+std::uint64_t check_small_cases(bool fused) {
+  std::uint64_t calls = 0;
+  for (const SmallCase& sc : small_cases()) {
+    EXPECT_LT(sc.m * sc.k * sc.n, kSmallGemmLimit);
+    for (const bool specials : {false, true}) {
+      const std::vector<float> a = small_operand(sc.m * sc.k, 61, specials);
+      const std::vector<float> b = small_operand(sc.k * sc.n, 62, specials);
+      const std::vector<float> c0 = small_operand(sc.m * sc.n, 63, specials);
+      const std::vector<float> bias_m = small_operand(sc.m, 64, false);
+      const std::vector<float> bias_n = small_operand(sc.n, 65, false);
+      Epilogue eps[4];
+      eps[1].bias_n = bias_n.data();
+      eps[2].bias_m = bias_m.data();
+      eps[3].relu = true;
+      for (const bool accumulate : {false, true}) {
+        for (int e = 0; e < 4; ++e) {
+          std::vector<float> got = c0, want = c0;
+          run_small(sc, a.data(), b.data(), got.data(), accumulate, eps[e]);
+          reference_small(sc, a.data(), b.data(), want.data(), accumulate,
+                          eps[e], fused);
+          ++calls;
+          EXPECT_TRUE(same_bits(got, want))
+              << "kind " << static_cast<int>(sc.kind) << " " << sc.m << "x"
+              << sc.k << "x" << sc.n << " accumulate " << accumulate
+              << " epilogue " << e << " specials " << specials;
+        }
+      }
+    }
+  }
+  return calls;
+}
+
+TEST(GemmSmall, BitIdenticalToScalarDotProduct) {
+  const bool fused = small_kernel_fuses();
+  obs::Counter& small = obs::Registry::global().counter("gemm.small");
+  const std::uint64_t before = small.value();
+  const std::uint64_t calls = check_small_cases(fused);
+  // Every call above took the small path (plus the probe's own call).
+  EXPECT_EQ(small.value() - before, calls);
+}
+
+TEST(GemmSmall, PoolWorkerAlongsideTopLevelCall) {
+  // Scratch is per thread: a worker and the top level running small GEMMs
+  // at the same time must each still match the reference.
+  const bool fused = small_kernel_fuses();
+  std::future<void> worker =
+      util::global_pool().submit([fused] { check_small_cases(fused); });
+  check_small_cases(fused);
+  worker.get();
 }
 
 }  // namespace

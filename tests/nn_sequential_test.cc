@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "nn/activations.h"
 #include "nn/dense.h"
@@ -40,6 +42,79 @@ TEST(Sequential, ReluFusionIsBitIdenticalToUnfused) {
     EXPECT_EQ(rf.loss, rp.loss) << "step " << step;
     EXPECT_EQ(fused.weights(), plain.weights()) << "step " << step;
   }
+}
+
+// train_batch stops its backward pass at the first layer with parameters
+// and tells that layer to skip its input gradient.  A hand-written loop
+// that forwards every layer with the default context and runs every
+// layer's full backward must reach the same weights bit for bit.
+void expect_skip_matches_full_backward(Sequential& model, Sequential& full,
+                                       const Tensor& x,
+                                       std::span<const std::int32_t> labels) {
+  SoftmaxCrossEntropy loss;
+  RmsProp opt_model(0.01), opt_full(0.01);
+  for (int step = 0; step < 3; ++step) {
+    util::Rng rng_model(40 + step), rng_full(40 + step);
+    model.train_batch(x, labels, opt_model, rng_model);
+
+    full.zero_grads();
+    const PassContext ctx{.training = true, .rng = &rng_full};
+    std::vector<Tensor> inputs{x};
+    for (std::size_t i = 0; i < full.layer_count(); ++i) {
+      inputs.push_back(full.layer(i).forward(inputs.back(), ctx));
+    }
+    Tensor grad = loss.compute(inputs.back(), labels, true).dlogits;
+    for (std::size_t i = full.layer_count(); i-- > 0;) {
+      grad = full.layer(i).backward(grad);
+      EXPECT_EQ(grad.shape(), inputs[i].shape()) << "layer " << i;
+    }
+    opt_full.step(full.params(), full.grads());
+
+    EXPECT_EQ(model.weights(), full.weights()) << "step " << step;
+  }
+}
+
+TEST(Sequential, InputGradientSkipMatchesFullBackwardMlp) {
+  Sequential model = mlp(12, 8, 3, /*seed=*/11);
+  Sequential full = mlp(12, 8, 3, /*seed=*/11);
+  util::Rng data_rng(12);
+  const Tensor x = Tensor::randn({10, 12}, data_rng);
+  const std::vector<std::int32_t> labels{0, 1, 2, 0, 1, 2, 0, 1, 2, 0};
+  expect_skip_matches_full_backward(model, full, x, labels);
+}
+
+TEST(Sequential, InputGradientSkipMatchesFullBackwardCnn) {
+  const ImageGeometry geo{.channels = 1, .height = 8, .width = 8};
+  Sequential model = mnist_cnn(geo, 4, /*seed=*/13);
+  Sequential full = mnist_cnn(geo, 4, /*seed=*/13);
+  util::Rng data_rng(14);
+  const Tensor x = Tensor::randn({6, 1, 8, 8}, data_rng);
+  const std::vector<std::int32_t> labels{0, 1, 2, 3, 0, 1};
+  expect_skip_matches_full_backward(model, full, x, labels);
+}
+
+TEST(Sequential, LayersUsedAloneAfterTrainBatchStillReturnDx) {
+  // The skip lives in the training forward's context: once train_batch is
+  // done, the same first Dense/Conv2D driven on its own returns dX again.
+  util::Rng rng(15);
+  Sgd opt(0.01);
+  Sequential dense_model = mlp(6, 4, 2, /*seed=*/16);
+  const Tensor xd = Tensor::randn({3, 6}, rng);
+  dense_model.train_batch(xd, std::vector<std::int32_t>{0, 1, 0}, opt, rng);
+  Layer& dense = dense_model.layer(1);  // Flatten, then Dense
+  ASSERT_EQ(dense.name(), "Dense");
+  const PassContext ctx{.training = true, .rng = &rng};
+  const Tensor yd = dense.forward(xd, ctx);
+  EXPECT_EQ(dense.backward(yd).shape(), xd.shape());
+
+  const ImageGeometry geo{.channels = 1, .height = 8, .width = 8};
+  Sequential cnn = mnist_cnn(geo, 2, /*seed=*/17);
+  const Tensor xc = Tensor::randn({2, 1, 8, 8}, rng);
+  cnn.train_batch(xc, std::vector<std::int32_t>{0, 1}, opt, rng);
+  Layer& conv = cnn.layer(0);
+  ASSERT_EQ(conv.name(), "Conv2D");
+  const Tensor yc = conv.forward(xc, ctx);
+  EXPECT_EQ(conv.backward(yc).shape(), xc.shape());
 }
 
 TEST(Sequential, WeightsRoundTrip) {
