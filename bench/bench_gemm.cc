@@ -14,6 +14,11 @@
 //     with freshly allocated column buffers, scalar GEMMs, separate
 //     bias/ReLU passes.
 //
+// The numbers depend on the ISA the library was built for, so the JSON
+// records it: the compiler id in bench_tifl's format (version plus
+// optimisation and ISA macros), the microkernel's kNR and vector width,
+// the CPU model and the pool's thread count.
+//
 // Flags: --smoke (CI-sized reps), --reps N, --json PATH, --batch N.
 #include <algorithm>
 #include <chrono>
@@ -37,6 +42,8 @@
 #include "tensor/im2col.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
+#include "tensor/pack.h"
+#include "tifl_bench/env.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -49,6 +56,16 @@ double now_seconds() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+// JSON string literal for the compiler id and CPU model.
+std::string quoted(const std::string& s) {
+  std::string out = "\"";
+  for (char ch : s) {
+    if (ch == '"' || ch == '\\') out += '\\';
+    if (static_cast<unsigned char>(ch) >= 0x20) out += ch;
+  }
+  return out + "\"";
 }
 
 // Runs `fn` on a pool worker thread, where nested dispatch degrades to
@@ -399,6 +416,14 @@ int main(int argc, char** argv) {
       {"mlp48_dx1", Kind::kNT, batch, 48, 64},
   };
 
+  const std::string compiler = tifl_bench::compiler_id();
+  const std::string cpu = tifl_bench::cpu_model();
+  const std::size_t threads = tifl_bench::pool_threads();
+  std::printf("# %s, kNR %lld, %lld-byte vectors, %s, %zu pool threads\n",
+              compiler.c_str(), static_cast<long long>(tensor::kNR),
+              static_cast<long long>(tensor::kVecBytes), cpu.c_str(),
+              threads);
+
   util::Rng rng(42);
   std::vector<ShapeResult> results;
   std::printf("%-16s %10s %10s %14s %14s %8s\n", "shape", "kind",
@@ -425,7 +450,11 @@ int main(int argc, char** argv) {
 
   std::ofstream json(json_path);
   json << "{\n  \"bench\": \"gemm\",\n  \"smoke\": " << (smoke ? "true" : "false")
-       << ",\n  \"gemm\": [\n";
+       << ",\n  \"compiler\": " << quoted(compiler)
+       << ",\n  \"knr\": " << tensor::kNR
+       << ",\n  \"vec_bytes\": " << tensor::kVecBytes
+       << ",\n  \"cpu\": " << quoted(cpu)
+       << ",\n  \"pool_threads\": " << threads << ",\n  \"gemm\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     const ShapeResult& r = results[i];
     const char* kind = r.shape.kind == Kind::kNN   ? "nn"

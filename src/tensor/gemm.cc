@@ -36,37 +36,67 @@ inline float apply_epilogue(float v, std::int64_t gi, std::int64_t gj,
 }
 
 // ---------------------------------------------------------------------------
-// Microkernel: one kMR x kNR tile of C from packed panels.
+// Microkernel: one kMR x (kPanels * kNR) tile of C from kPanels adjacent
+// packed B panels.
 //
 // Accumulators live in registers for the whole K sweep; the packed operands
 // are read with unit stride.  The K loop is a single sequential reduction
 // per output element, so the tile's values do not depend on how M/N were
-// partitioned — the property the pool-size determinism contract rests on.
+// partitioned or how many panels a tile spans — the property the pool-size
+// determinism contract rests on.
 // ---------------------------------------------------------------------------
 
 #if defined(__GNUC__) || defined(__clang__)
 
-// One GCC generic vector spans the full kNR tile width; the compiler lowers
-// it to whatever the target ISA provides (2x SSE, 1x AVX2, 1x AVX-512 for
-// the per-ISA kNR picked in pack.h).  The type keeps its natural alignment
-// so the accumulators below live in registers; unaligned pack-buffer
-// traffic goes through memcpy loads/stores (compiled to vmovups).
-using vnr = float __attribute__((vector_size(4 * kNR), may_alias));
+// The vector type is exactly one register of the target (kVecBytes, set
+// beside kNR in pack.h), and a kNR-wide tile row is kRowRegs of them.  GCC
+// does not split a generic vector wider than the target's registers into
+// several: it keeps it on the stack, and every accumulator update turns
+// into loads and stores (CMakeLists.txt compiles this file with
+// -Werror=psabi, which rejects such a type at every ISA).
+constexpr std::int64_t kLanes = kVecBytes / 4;  // floats per register
+constexpr std::int64_t kRowRegs = kNR / kLanes;
+static_assert(kNR % kLanes == 0, "a tile row is whole registers");
 
-inline vnr load_vnr(const float* p) {
-  vnr v;
+// Registers a kMR-row tile `row_regs` registers wide needs: its
+// accumulators, one B vector per row register and the a[i] broadcast.
+constexpr bool tile_fits(std::int64_t row_regs) {
+  return kMR * row_regs + row_regs + 1 <= kVecRegs;
+}
+static_assert(tile_fits(kRowRegs),
+              "the kMR x kNR tile must fit the vector register file");
+
+// Panels in the widest tile: two where the register file holds them
+// (AVX-512: one zmm per panel row), so each A broadcast feeds two FMAs.
+constexpr int kMaxTilePanels = tile_fits(2 * kRowRegs) ? 2 : 1;
+static_assert(kMaxTilePanels * kRowRegs <= 2,
+              "the tile kernels below are one or two registers per row");
+
+// The type keeps its natural alignment so the accumulators live in
+// registers; unaligned pack-buffer traffic goes through memcpy
+// loads/stores (compiled to unaligned vector moves).
+using vreg = float __attribute__((vector_size(kVecBytes), may_alias));
+
+inline vreg load_vreg(const float* p) {
+  vreg v;
   __builtin_memcpy(&v, p, sizeof(v));
   return v;
 }
 
-inline void store_vnr(float* p, vnr v) { __builtin_memcpy(p, &v, sizeof(v)); }
+inline void store_vreg(float* p, vreg v) {
+  __builtin_memcpy(p, &v, sizeof(v));
+}
 
-void microkernel(std::int64_t kc, const float* __restrict ap,
-                 const float* __restrict bp, float* __restrict acc) {
+// The two tile shapes, one and two registers per row, written out so every
+// accumulator is a named register variable.  Register r of row i sums
+// a[i] * (the B vector at bp_r + p*kNR) over p ascending from zero; `acc`
+// rows are row_regs * kLanes floats.
+void tile_1reg(std::int64_t kc, const float* __restrict ap,
+               const float* __restrict bp, float* __restrict acc) {
   static_assert(kMR == 6, "microkernel is unrolled for kMR == 6");
-  vnr c0{}, c1{}, c2{}, c3{}, c4{}, c5{};
+  vreg c0{}, c1{}, c2{}, c3{}, c4{}, c5{};
   for (std::int64_t p = 0; p < kc; ++p) {
-    const vnr bv = load_vnr(bp + p * kNR);
+    const vreg bv = load_vreg(bp + p * kNR);
     const float* a = ap + p * kMR;
     c0 += bv * a[0];
     c1 += bv * a[1];
@@ -75,28 +105,23 @@ void microkernel(std::int64_t kc, const float* __restrict ap,
     c4 += bv * a[4];
     c5 += bv * a[5];
   }
-  store_vnr(acc + 0 * kNR, c0);
-  store_vnr(acc + 1 * kNR, c1);
-  store_vnr(acc + 2 * kNR, c2);
-  store_vnr(acc + 3 * kNR, c3);
-  store_vnr(acc + 4 * kNR, c4);
-  store_vnr(acc + 5 * kNR, c5);
+  store_vreg(acc + 0 * kLanes, c0);
+  store_vreg(acc + 1 * kLanes, c1);
+  store_vreg(acc + 2 * kLanes, c2);
+  store_vreg(acc + 3 * kLanes, c3);
+  store_vreg(acc + 4 * kLanes, c4);
+  store_vreg(acc + 5 * kLanes, c5);
 }
 
-// Two-panel variant: a kMR x 2*kNR tile from two adjacent B panels.  Each
-// A broadcast feeds two FMAs, improving the load-port to FMA-port ratio
-// (8 loads : 12 FMAs vs 7 : 6 single-panel) on wide cores.  `acc` rows are
-// 2*kNR floats.  Element values are identical to two single-panel calls —
-// same K order — so tile-width selection cannot perturb results.
-void microkernel_x2(std::int64_t kc, const float* __restrict ap,
-                    const float* __restrict bp0, const float* __restrict bp1,
-                    float* __restrict acc) {
+void tile_2reg(std::int64_t kc, const float* __restrict ap,
+               const float* __restrict bp0, const float* __restrict bp1,
+               float* __restrict acc) {
   static_assert(kMR == 6, "microkernel is unrolled for kMR == 6");
-  vnr c00{}, c01{}, c10{}, c11{}, c20{}, c21{};
-  vnr c30{}, c31{}, c40{}, c41{}, c50{}, c51{};
+  vreg c00{}, c01{}, c10{}, c11{}, c20{}, c21{};
+  vreg c30{}, c31{}, c40{}, c41{}, c50{}, c51{};
   for (std::int64_t p = 0; p < kc; ++p) {
-    const vnr b0 = load_vnr(bp0 + p * kNR);
-    const vnr b1 = load_vnr(bp1 + p * kNR);
+    const vreg b0 = load_vreg(bp0 + p * kNR);
+    const vreg b1 = load_vreg(bp1 + p * kNR);
     const float* a = ap + p * kMR;
     c00 += b0 * a[0];
     c01 += b1 * a[0];
@@ -111,25 +136,42 @@ void microkernel_x2(std::int64_t kc, const float* __restrict ap,
     c50 += b0 * a[5];
     c51 += b1 * a[5];
   }
-  const std::int64_t ld = 2 * kNR;
-  store_vnr(acc + 0 * ld, c00);
-  store_vnr(acc + 0 * ld + kNR, c01);
-  store_vnr(acc + 1 * ld, c10);
-  store_vnr(acc + 1 * ld + kNR, c11);
-  store_vnr(acc + 2 * ld, c20);
-  store_vnr(acc + 2 * ld + kNR, c21);
-  store_vnr(acc + 3 * ld, c30);
-  store_vnr(acc + 3 * ld + kNR, c31);
-  store_vnr(acc + 4 * ld, c40);
-  store_vnr(acc + 4 * ld + kNR, c41);
-  store_vnr(acc + 5 * ld, c50);
-  store_vnr(acc + 5 * ld + kNR, c51);
+  constexpr std::int64_t ld = 2 * kLanes;
+  store_vreg(acc + 0 * ld, c00);
+  store_vreg(acc + 0 * ld + kLanes, c01);
+  store_vreg(acc + 1 * ld, c10);
+  store_vreg(acc + 1 * ld + kLanes, c11);
+  store_vreg(acc + 2 * ld, c20);
+  store_vreg(acc + 2 * ld + kLanes, c21);
+  store_vreg(acc + 3 * ld, c30);
+  store_vreg(acc + 3 * ld + kLanes, c31);
+  store_vreg(acc + 4 * ld, c40);
+  store_vreg(acc + 4 * ld + kLanes, c41);
+  store_vreg(acc + 5 * ld, c50);
+  store_vreg(acc + 5 * ld + kLanes, c51);
+}
+
+// `acc` rows are kPanels * kNR floats.  A tile row's registers come from
+// one panel (kRowRegs == 2) or one from each of two (kRowRegs == 1).  A
+// plain `if` keeps both tile kernels referenced on every ISA.
+template <int kPanels>
+void microkernel(std::int64_t kc, const float* ap, const float* bp,
+                 float* acc) {
+  if (kPanels * kRowRegs == 1) {
+    tile_1reg(kc, ap, bp, acc);
+  } else {
+    tile_2reg(kc, ap, bp, kPanels == 1 ? bp + kLanes : bp + kc * kNR, acc);
+  }
 }
 
 #else
 
+constexpr int kMaxTilePanels = 1;
+
+template <int kPanels>
 void microkernel(std::int64_t kc, const float* __restrict ap,
                  const float* __restrict bp, float* __restrict acc) {
+  static_assert(kPanels == 1, "the scalar fallback has one-panel tiles");
   for (std::int64_t i = 0; i < kMR * kNR; ++i) acc[i] = 0.0f;
   for (std::int64_t p = 0; p < kc; ++p) {
     const float* __restrict b = bp + p * kNR;
@@ -138,24 +180,6 @@ void microkernel(std::int64_t kc, const float* __restrict ap,
       const float av = a[i];
       float* __restrict row = acc + i * kNR;
       for (std::int64_t j = 0; j < kNR; ++j) row[j] += av * b[j];
-    }
-  }
-}
-
-void microkernel_x2(std::int64_t kc, const float* __restrict ap,
-                    const float* __restrict bp0, const float* __restrict bp1,
-                    float* __restrict acc) {
-  float tile[kMR * kNR];
-  microkernel(kc, ap, bp0, tile);
-  for (std::int64_t i = 0; i < kMR; ++i) {
-    for (std::int64_t j = 0; j < kNR; ++j) {
-      acc[i * 2 * kNR + j] = tile[i * kNR + j];
-    }
-  }
-  microkernel(kc, ap, bp1, tile);
-  for (std::int64_t i = 0; i < kMR; ++i) {
-    for (std::int64_t j = 0; j < kNR; ++j) {
-      acc[i * 2 * kNR + kNR + j] = tile[i * kNR + j];
     }
   }
 }
@@ -191,25 +215,28 @@ void run_block(const float* apack, const float* bpack, float* c,
   std::int64_t jr = 0;
   while (jr < nc) {
     const float* bpanel = bpack + jr * kc;
-    if (nc - jr >= 2 * kNR) {
-      // Full double tile from two adjacent packed panels.
-      for (std::int64_t ir = 0; ir < mc; ir += kMR) {
-        const std::int64_t mr = std::min(kMR, mc - ir);
-        microkernel_x2(kc, apack + ir * kc, bpanel, bpanel + kc * kNR, acc);
-        write_tile(acc, 2 * kNR, c + (ic + ir) * ldc + jc + jr, ldc, mr,
-                   2 * kNR, ic + ir, jc + jr, merge_c, last_k, ep);
+    if constexpr (kMaxTilePanels == 2) {
+      if (nc - jr >= 2 * kNR) {
+        // Full double tile from two adjacent packed panels.  Spelled
+        // kMaxTilePanels so that builds without it never instantiate it.
+        for (std::int64_t ir = 0; ir < mc; ir += kMR) {
+          const std::int64_t mr = std::min(kMR, mc - ir);
+          microkernel<kMaxTilePanels>(kc, apack + ir * kc, bpanel, acc);
+          write_tile(acc, 2 * kNR, c + (ic + ir) * ldc + jc + jr, ldc, mr,
+                     2 * kNR, ic + ir, jc + jr, merge_c, last_k, ep);
+        }
+        jr += 2 * kNR;
+        continue;
       }
-      jr += 2 * kNR;
-    } else {
-      const std::int64_t nr = std::min(kNR, nc - jr);
-      for (std::int64_t ir = 0; ir < mc; ir += kMR) {
-        const std::int64_t mr = std::min(kMR, mc - ir);
-        microkernel(kc, apack + ir * kc, bpanel, acc);
-        write_tile(acc, kNR, c + (ic + ir) * ldc + jc + jr, ldc, mr, nr,
-                   ic + ir, jc + jr, merge_c, last_k, ep);
-      }
-      jr += kNR;
     }
+    const std::int64_t nr = std::min(kNR, nc - jr);
+    for (std::int64_t ir = 0; ir < mc; ir += kMR) {
+      const std::int64_t mr = std::min(kMR, mc - ir);
+      microkernel<1>(kc, apack + ir * kc, bpanel, acc);
+      write_tile(acc, kNR, c + (ic + ir) * ldc + jc + jr, ldc, mr, nr,
+                 ic + ir, jc + jr, merge_c, last_k, ep);
+    }
+    jr += kNR;
   }
 }
 

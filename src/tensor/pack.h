@@ -24,16 +24,29 @@
 namespace tifl::tensor {
 
 // Register microtile: each microkernel call produces kMR x kNR elements of
-// C.  kNR adapts to the target ISA so the 6 x (kNR/vector-width) accumulator
-// grid fills the register file without spilling: 12 zmm on AVX-512, 12 ymm
-// on AVX/AVX2, 12 xmm on baseline SSE2.
+// C (or kMR x 2*kNR from two adjacent panels, where that fits).  The
+// microkernel's vector type is one register, kVecBytes wide, and kNR is
+// picked per ISA so that a tile's accumulators, one B vector per register
+// of a tile row and the A broadcast fit the kVecRegs registers the ISA
+// has (gemm.cc static_asserts this budget):
+//
+//   ISA          register  kNR   one-panel tile        two-panel tile
+//   SSE2         16 x xmm    8   2 xmm/row, 15 regs    no (29 > 16)
+//   AVX, AVX2    16 x ymm   16   2 ymm/row, 15 regs    no (29 > 16)
+//   AVX-512      32 x zmm   16   1 zmm/row,  8 regs    yes (15 regs)
 inline constexpr std::int64_t kMR = 6;
 #if defined(__AVX512F__)
 inline constexpr std::int64_t kNR = 16;
+inline constexpr std::int64_t kVecBytes = 64;
+inline constexpr std::int64_t kVecRegs = 32;
 #elif defined(__AVX__)
 inline constexpr std::int64_t kNR = 16;
+inline constexpr std::int64_t kVecBytes = 32;
+inline constexpr std::int64_t kVecRegs = 16;
 #else
 inline constexpr std::int64_t kNR = 8;
+inline constexpr std::int64_t kVecBytes = 16;
+inline constexpr std::int64_t kVecRegs = 16;
 #endif
 
 // Cache blocking: a kMC x kKC A block (~96 KiB) lives in L2 while its

@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <future>
+#include <iterator>
 #include <limits>
 #include <tuple>
 #include <vector>
@@ -290,10 +292,10 @@ TEST(Gemm, NtNnConsistency) {
 // bias_n and ReLU.  Training trajectories, goldens and final-weight hashes
 // all rest on that sequence.
 
-enum class SmallKind { kNN, kNT, kTN };
+enum class GemmKind { kNN, kNT, kTN };
 
-struct SmallCase {
-  SmallKind kind;
+struct GemmCase {
+  GemmKind kind;
   std::int64_t m, k, n;
 };
 
@@ -303,14 +305,18 @@ struct SmallCase {
 // kernel's mode from a two-term sum whose fused and unfused results
 // differ: -1 + (1 + 2^-12)^2 is 2^-11 + 2^-24 exactly, but 2^-11 once the
 // square is rounded to float first.
+bool probe_fused(float c) {
+  const float fused = 0x1p-11f + 0x1p-24f;
+  EXPECT_TRUE(c == fused || c == 0x1p-11f) << c;
+  return c == fused;
+}
+
 bool small_kernel_fuses() {
   const float a[2] = {-1.0f, 1.0f + 0x1p-12f};
   const float b[2] = {1.0f, 1.0f + 0x1p-12f};
   float c = 0.0f;
   gemm_nn_raw(a, b, &c, 1, 2, 1, /*accumulate=*/false);
-  const float fused = 0x1p-11f + 0x1p-24f;
-  EXPECT_TRUE(c == fused || c == 0x1p-11f) << c;
-  return c == fused;
+  return probe_fused(c);
 }
 
 float madd(float acc, float a, float b, bool fused) {
@@ -319,16 +325,16 @@ float madd(float acc, float a, float b, bool fused) {
   return acc + product;
 }
 
-// Operands as the small path sees them: A is [m,k] for nn/nt and stored
+// Operands as the kernels see them: A is [m,k] for nn/nt and stored
 // [k,m] for tn; B is [k,n] for nn/tn and stored [n,k] for nt.
-void reference_small(const SmallCase& sc, const float* a, const float* b,
+void reference_small(const GemmCase& sc, const float* a, const float* b,
                      float* c, bool accumulate, const Epilogue& ep,
                      bool fused) {
   const std::int64_t m = sc.m, k = sc.k, n = sc.n;
-  const std::int64_t ars = sc.kind == SmallKind::kTN ? 1 : k;
-  const std::int64_t acs = sc.kind == SmallKind::kTN ? m : 1;
-  const std::int64_t brs = sc.kind == SmallKind::kNT ? 1 : n;
-  const std::int64_t bcs = sc.kind == SmallKind::kNT ? k : 1;
+  const std::int64_t ars = sc.kind == GemmKind::kTN ? 1 : k;
+  const std::int64_t acs = sc.kind == GemmKind::kTN ? m : 1;
+  const std::int64_t brs = sc.kind == GemmKind::kNT ? 1 : n;
+  const std::int64_t bcs = sc.kind == GemmKind::kNT ? k : 1;
   for (std::int64_t i = 0; i < m; ++i) {
     for (std::int64_t j = 0; j < n; ++j) {
       float acc = 0.0f;
@@ -344,26 +350,26 @@ void reference_small(const SmallCase& sc, const float* a, const float* b,
   }
 }
 
-void run_small(const SmallCase& sc, const float* a, const float* b, float* c,
-               bool accumulate, const Epilogue& ep) {
-  switch (sc.kind) {
-    case SmallKind::kNN:
-      gemm_nn_raw(a, b, c, sc.m, sc.k, sc.n, accumulate, ep);
+void run_case(const GemmCase& gc, const float* a, const float* b, float* c,
+              bool accumulate, const Epilogue& ep) {
+  switch (gc.kind) {
+    case GemmKind::kNN:
+      gemm_nn_raw(a, b, c, gc.m, gc.k, gc.n, accumulate, ep);
       break;
-    case SmallKind::kNT:
-      gemm_nt_raw(a, b, c, sc.m, sc.k, sc.n, accumulate, ep);
+    case GemmKind::kNT:
+      gemm_nt_raw(a, b, c, gc.m, gc.k, gc.n, accumulate, ep);
       break;
-    case SmallKind::kTN:
-      gemm_tn_raw(a, b, c, sc.m, sc.k, sc.n, accumulate, ep);
+    case GemmKind::kTN:
+      gemm_tn_raw(a, b, c, gc.m, gc.k, gc.n, accumulate, ep);
       break;
   }
 }
 
-// Normal draws; with `specials`, every 7th entry (offset by `salt`)
-// becomes one of -0, +inf, -inf, NaN.  Every 5th is -0 either way, so
-// signed-zero sums are exercised on finite inputs too.
-std::vector<float> small_operand(std::int64_t count, std::uint64_t seed,
-                                 bool specials) {
+// Normal draws; with `special_every` > 0, every special_every-th entry
+// (offset by `seed`) becomes one of -0, +inf, -inf, NaN.  Every 5th is -0
+// either way, so signed-zero sums are exercised on finite inputs too.
+std::vector<float> test_operand(std::int64_t count, std::uint64_t seed,
+                                std::uint64_t special_every) {
   util::Rng rng(seed);
   std::vector<float> v(static_cast<std::size_t>(count));
   const float kSpecials[4] = {-0.0f, std::numeric_limits<float>::infinity(),
@@ -372,7 +378,9 @@ std::vector<float> small_operand(std::int64_t count, std::uint64_t seed,
   for (std::size_t i = 0; i < v.size(); ++i) {
     v[i] = static_cast<float>(rng.normal());
     if (i % 5 == 3) v[i] = -0.0f;
-    if (specials && (i + seed) % 7 == 0) v[i] = kSpecials[(i / 7) % 4];
+    if (special_every > 0 && (i + seed) % special_every == 0) {
+      v[i] = kSpecials[(i / special_every) % 4];
+    }
   }
   return v;
 }
@@ -391,10 +399,12 @@ std::vector<float> small_operand(std::int64_t count, std::uint64_t seed,
   return ::testing::AssertionSuccess();
 }
 
-std::vector<SmallCase> small_cases() {
-  std::vector<SmallCase> cases;
-  for (const SmallKind kind :
-       {SmallKind::kNN, SmallKind::kNT, SmallKind::kTN}) {
+constexpr GemmKind kAllKinds[] = {GemmKind::kNN, GemmKind::kNT,
+                                   GemmKind::kTN};
+
+std::vector<GemmCase> small_cases() {
+  std::vector<GemmCase> cases;
+  for (const GemmKind kind : kAllKinds) {
     // m not always a multiple of the kernel's 4-row blocks; one row wider
     // than the stream kernel's 4-row limit.
     for (const std::int64_t m : {1, 3, 4, 5, 10}) {
@@ -418,14 +428,14 @@ std::vector<SmallCase> small_cases() {
 // kernel and the reference; returns the number of calls made.
 std::uint64_t check_small_cases(bool fused) {
   std::uint64_t calls = 0;
-  for (const SmallCase& sc : small_cases()) {
+  for (const GemmCase& sc : small_cases()) {
     EXPECT_LT(sc.m * sc.k * sc.n, kSmallGemmLimit);
-    for (const bool specials : {false, true}) {
-      const std::vector<float> a = small_operand(sc.m * sc.k, 61, specials);
-      const std::vector<float> b = small_operand(sc.k * sc.n, 62, specials);
-      const std::vector<float> c0 = small_operand(sc.m * sc.n, 63, specials);
-      const std::vector<float> bias_m = small_operand(sc.m, 64, false);
-      const std::vector<float> bias_n = small_operand(sc.n, 65, false);
+    for (const std::uint64_t every : {0, 7}) {
+      const std::vector<float> a = test_operand(sc.m * sc.k, 61, every);
+      const std::vector<float> b = test_operand(sc.k * sc.n, 62, every);
+      const std::vector<float> c0 = test_operand(sc.m * sc.n, 63, every);
+      const std::vector<float> bias_m = test_operand(sc.m, 64, 0);
+      const std::vector<float> bias_n = test_operand(sc.n, 65, 0);
       Epilogue eps[4];
       eps[1].bias_n = bias_n.data();
       eps[2].bias_m = bias_m.data();
@@ -433,14 +443,14 @@ std::uint64_t check_small_cases(bool fused) {
       for (const bool accumulate : {false, true}) {
         for (int e = 0; e < 4; ++e) {
           std::vector<float> got = c0, want = c0;
-          run_small(sc, a.data(), b.data(), got.data(), accumulate, eps[e]);
+          run_case(sc, a.data(), b.data(), got.data(), accumulate, eps[e]);
           reference_small(sc, a.data(), b.data(), want.data(), accumulate,
                           eps[e], fused);
           ++calls;
           EXPECT_TRUE(same_bits(got, want))
               << "kind " << static_cast<int>(sc.kind) << " " << sc.m << "x"
               << sc.k << "x" << sc.n << " accumulate " << accumulate
-              << " epilogue " << e << " specials " << specials;
+              << " epilogue " << e << " special_every " << every;
         }
       }
     }
@@ -465,6 +475,165 @@ TEST(GemmSmall, PoolWorkerAlongsideTopLevelCall) {
       util::global_pool().submit([fused] { check_small_cases(fused); });
   check_small_cases(fused);
   worker.get();
+}
+
+// --- blocked path: bit-pinned to per-K-block scalar sums ----------------------
+// Every call on the packed path must reproduce, bit for bit, this scalar
+// loop: per element and per kKC-deep block of the reduction, acc = +0.0f,
+// then acc += a*b over p ascending; the first block's sum is the value
+// (acc + c when accumulating), each later block's sum merges as
+// acc + value; after the last block come bias_m, bias_n and ReLU.  Tile
+// shape, panel pairing, M/N partitioning and the pool size must not enter
+// it.
+
+bool blocked_kernel_fuses() {
+  // 32^3 is on the blocked path: not below kSmallGemmLimit, and k and m
+  // above the stream thresholds.  C[0,0] is the probe's two-term sum.
+  constexpr std::int64_t n = 32;
+  static_assert(n * n * n >= kSmallGemmLimit && n > kStreamMaxK &&
+                n > kStreamMaxM);
+  std::vector<float> a(n * n, 0.0f), b(n * n, 0.0f), c(n * n);
+  a[0] = -1.0f;
+  a[1] = 1.0f + 0x1p-12f;
+  b[0] = 1.0f;
+  b[n] = 1.0f + 0x1p-12f;
+  gemm_nn_raw(a.data(), b.data(), c.data(), n, n, n, /*accumulate=*/false);
+  return probe_fused(c[0]);
+}
+
+// partials[blk][i*n + j]: block blk's sum for element (i, j).
+std::vector<std::vector<float>> blocked_partials(const GemmCase& gc,
+                                                 const float* a,
+                                                 const float* b, bool fused) {
+  const std::int64_t m = gc.m, k = gc.k, n = gc.n;
+  const std::int64_t ars = gc.kind == GemmKind::kTN ? 1 : k;
+  const std::int64_t acs = gc.kind == GemmKind::kTN ? m : 1;
+  const std::int64_t brs = gc.kind == GemmKind::kNT ? 1 : n;
+  const std::int64_t bcs = gc.kind == GemmKind::kNT ? k : 1;
+  std::vector<std::vector<float>> partials;
+  for (std::int64_t pc = 0; pc < k; pc += kKC) {
+    const std::int64_t pend = std::min(k, pc + kKC);
+    std::vector<float>& sums =
+        partials.emplace_back(static_cast<std::size_t>(m * n));
+    for (std::int64_t i = 0; i < m; ++i) {
+      for (std::int64_t j = 0; j < n; ++j) {
+        float acc = 0.0f;
+        for (std::int64_t p = pc; p < pend; ++p) {
+          acc = madd(acc, a[i * ars + p * acs], b[p * brs + j * bcs], fused);
+        }
+        sums[i * n + j] = acc;
+      }
+    }
+  }
+  return partials;
+}
+
+void reference_blocked(const std::vector<std::vector<float>>& partials,
+                       std::int64_t n, float* c, bool accumulate,
+                       const Epilogue& ep) {
+  for (std::size_t e = 0; e < partials[0].size(); ++e) {
+    float v = accumulate ? partials[0][e] + c[e] : partials[0][e];
+    for (std::size_t blk = 1; blk < partials.size(); ++blk) {
+      v = partials[blk][e] + v;
+    }
+    const std::int64_t i = static_cast<std::int64_t>(e) / n;
+    const std::int64_t j = static_cast<std::int64_t>(e) % n;
+    if (ep.bias_m != nullptr) v += ep.bias_m[i];
+    if (ep.bias_n != nullptr) v += ep.bias_n[j];
+    if (ep.relu && v < 0.0f) v = 0.0f;
+    c[e] = v;
+  }
+}
+
+std::vector<GemmCase> blocked_cases() {
+  std::vector<GemmCase> cases;
+  for (const GemmKind kind : kAllKinds) {
+    // m: ragged row tiles on the column-panel path, and past 2*kMC rows
+    // on the M-parallel one.  n: ragged single and paired column panels.
+    // k: one kKC block plus a single-term block, and three blocks.
+    for (const std::int64_t m : {3 * kMR - 1, std::int64_t{64}, 2 * kMC + 5}) {
+      for (const std::int64_t k : {kKC + 1, std::int64_t{600}}) {
+        for (const std::int64_t n : {kNR + 1, 2 * kNR - 1, 2 * kNR + 1}) {
+          cases.push_back({kind, m, k, n});
+        }
+      }
+    }
+  }
+  // The benchmark workloads' blocked shapes: the MNIST CNN's conv2
+  // forward, weight and column gradients and conv1 weight gradient on
+  // batch 10 of 8x8 images, and 512-row evaluation chunks of the MLP-48
+  // and the CNN's dense layer.
+  const GemmCase kWorkloadShapes[] = {
+      {GemmKind::kNN, 64, 288, 160}, {GemmKind::kNT, 64, 160, 288},
+      {GemmKind::kTN, 288, 64, 160}, {GemmKind::kNT, 32, 360, 9},
+      {GemmKind::kNN, 512, 192, 48}, {GemmKind::kNN, 250, 192, 48},
+      {GemmKind::kNN, 512, 48, 10},  {GemmKind::kNN, 512, 256, 128}};
+  cases.insert(cases.end(), std::begin(kWorkloadShapes),
+               std::end(kWorkloadShapes));
+  return cases;
+}
+
+// Runs every case x accumulate x epilogue x input variant through the
+// kernel and the reference; returns the number of calls made.
+std::uint64_t check_blocked_cases(bool fused) {
+  std::uint64_t calls = 0;
+  for (const GemmCase& gc : blocked_cases()) {
+    EXPECT_GE(gc.m * gc.k * gc.n, kSmallGemmLimit);
+    // Specials sparse enough that most rows of A and columns of B stay
+    // finite, so most outputs are still exact finite sums.
+    for (const std::uint64_t every : {0, 4099}) {
+      const std::vector<float> a = test_operand(gc.m * gc.k, 71, every);
+      const std::vector<float> b = test_operand(gc.k * gc.n, 72, every);
+      const std::vector<float> c0 = test_operand(gc.m * gc.n, 73, every);
+      const std::vector<float> bias_m = test_operand(gc.m, 74, 0);
+      const std::vector<float> bias_n = test_operand(gc.n, 75, 0);
+      const std::vector<std::vector<float>> partials =
+          blocked_partials(gc, a.data(), b.data(), fused);
+      // No epilogue, then the dense layers' bias_n + ReLU, the conv
+      // layers' bias_m + ReLU, and all three in their fixed order.
+      Epilogue eps[4];
+      eps[1].bias_n = bias_n.data();
+      eps[1].relu = true;
+      eps[2].bias_m = bias_m.data();
+      eps[2].relu = true;
+      eps[3] = {bias_m.data(), bias_n.data(), true};
+      for (const bool accumulate : {false, true}) {
+        for (int e = 0; e < 4; ++e) {
+          std::vector<float> got = c0, want = c0;
+          run_case(gc, a.data(), b.data(), got.data(), accumulate, eps[e]);
+          reference_blocked(partials, gc.n, want.data(), accumulate, eps[e]);
+          ++calls;
+          EXPECT_TRUE(same_bits(got, want))
+              << "kind " << static_cast<int>(gc.kind) << " " << gc.m << "x"
+              << gc.k << "x" << gc.n << " accumulate " << accumulate
+              << " epilogue " << e << " special_every " << every;
+        }
+      }
+    }
+  }
+  return calls;
+}
+
+TEST(GemmBlocked, BitIdenticalToBlockedScalarSums) {
+  const bool fused = blocked_kernel_fuses();
+  obs::Counter& blocked = obs::Registry::global().counter("gemm.blocked");
+  const std::uint64_t before = blocked.value();
+  const std::uint64_t calls = check_blocked_cases(fused);
+  EXPECT_EQ(blocked.value() - before, calls);
+}
+
+TEST(GemmBlocked, PoolWorkerAlongsideTopLevelCall) {
+  // From a pool worker every path runs serially; from the top level the
+  // same calls fan out over the pool's other workers.  Both must match.
+  const bool fused = blocked_kernel_fuses();
+  obs::Counter& blocked = obs::Registry::global().counter("gemm.blocked");
+  const std::uint64_t before = blocked.value();
+  std::uint64_t worker_calls = 0;
+  std::future<void> worker = util::global_pool().submit(
+      [fused, &worker_calls] { worker_calls = check_blocked_cases(fused); });
+  const std::uint64_t calls = check_blocked_cases(fused);
+  worker.get();
+  EXPECT_EQ(blocked.value() - before, calls + worker_calls);
 }
 
 }  // namespace
