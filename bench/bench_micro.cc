@@ -1,18 +1,22 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical
 // substrate pieces: GEMM kernels, conv2d forward/backward, FedAvg
 // reductions (flat vs hierarchical), client selection and profiling
-// throughput.  These guard the constants behind the figure benches.
+// throughput, thread-pool dispatch and one cohort's local training.
+// These guard the constants behind the figure benches.
 #include <benchmark/benchmark.h>
 
 #include "core/profiler.h"
 #include "core/static_policy.h"
 #include "core/tiering.h"
+#include "data/synthetic.h"
 #include "fl/aggregator.h"
+#include "fl/client.h"
 #include "fl/policy.h"
 #include "nn/conv2d.h"
 #include "nn/model_zoo.h"
 #include "tensor/gemm.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace {
 
@@ -172,6 +176,58 @@ void BM_TieringFromLatencies(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TieringFromLatencies)->Arg(1000)->Arg(100000);
+
+// Fork-join cost of one global-pool parallel_for with an empty body:
+// enqueueing the helpers, claiming the chunks, joining.  n = 5 and 8 are
+// the sync and scale cohort sizes, 512 a GEMM-sized range.  Wall time,
+// since the calling thread mostly waits.
+void BM_ParallelForDispatch(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  util::ThreadPool& pool = util::global_pool();
+  for (auto _ : state) {
+    pool.parallel_for(0, n, [](std::size_t) {});
+  }
+}
+BENCHMARK(BM_ParallelForDispatch)->Arg(5)->Arg(8)->Arg(512)->UseRealTime();
+
+// One cohort's local training through the global pool, the way every
+// engine runs it: n MLP-48 clients of 120 samples each (hier4_ckpt's
+// shape: 8x8 inputs, batch 10, one RMSProp epoch), each into its own
+// scratch model.  n = 1 is the one-client time that the 5- and
+// 8-client cohorts are measured in.
+void BM_CohortLocalUpdate(benchmark::State& state) {
+  constexpr std::size_t kSamples = 120;
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  data::SyntheticSpec spec;
+  spec.train_samples = static_cast<std::int64_t>(n * kSamples);
+  spec.test_samples = 10;
+  const data::SyntheticData data = data::make_synthetic(spec);
+
+  std::vector<fl::Client> clients;
+  std::vector<nn::Sequential> models;
+  for (std::size_t c = 0; c < n; ++c) {
+    std::vector<std::size_t> shard(kSamples);
+    for (std::size_t s = 0; s < kSamples; ++s) shard[s] = c * kSamples + s;
+    clients.emplace_back(c, &data.train, std::move(shard),
+                         std::vector<std::size_t>{}, sim::ResourceProfile{});
+    models.push_back(nn::mlp(spec.dims.flat(), 48, spec.classes, 11));
+  }
+  const std::vector<float> global = models.front().weights();
+  fl::LocalTrainParams params;
+  params.lr = 0.003;
+  std::vector<fl::LocalUpdate> updates(n);
+  std::uint64_t round = 0;
+  for (auto _ : state) {
+    util::global_pool().parallel_for(0, n, [&](std::size_t i) {
+      util::Rng rng(util::mix_seed(round, i));
+      updates[i] = clients[i].local_update(global, models[i], params, rng);
+    });
+    benchmark::DoNotOptimize(updates.data());
+    ++round;
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+BENCHMARK(BM_CohortLocalUpdate)->Arg(1)->Arg(5)->Arg(8)->UseRealTime();
 
 }  // namespace
 

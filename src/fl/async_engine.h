@@ -126,13 +126,13 @@ struct AsyncConfig {
   std::size_t shards = 1;
   // Virtual-time barrier window for the dynamic path: events inside
   // [T, T + barrier_window] are processed in exact global order with
-  // cohort *training* deferred to the window's end, where all pending
-  // cohorts flush through one thread-pool pass.  Training tasks are
-  // order-independent — each trains from the global snapshot taken at its
-  // dispatch with an RNG forked from (dispatch seq, client id) — so any
-  // window (including 0, the flush-every-timestamp default) produces
-  // byte-identical results; the window only widens the batch of
-  // train-parallelism between barriers.
+  // cohort *training* deferred to the window's end, where the pending
+  // tasks flush in dispatch order, each cohort through its own
+  // parallel_for.  Training tasks are order-independent — each trains
+  // from the global snapshot taken at its dispatch with an RNG forked
+  // from (dispatch seq, client id) — so any window (including 0, the
+  // flush-every-timestamp default) produces byte-identical results; the
+  // window only moves where training happens between barriers.
   double barrier_window = 0.0;
 
   // --- durability ------------------------------------------------------------

@@ -383,7 +383,8 @@ void gemm_blocked(const ConstView& a, const ConstView& b, float* c,
                   std::int64_t m, std::int64_t k, std::int64_t n,
                   bool accumulate, const Epilogue& ep) {
   // Grow-only pack scratch.  bpack/apack_shared belong to the dispatching
-  // thread; apack_local is per worker inside the M-parallel region.
+  // thread; apack_local is per participating thread (workers and the
+  // caller) inside the M-parallel region.
   thread_local std::vector<float> bpack_buf;
   thread_local std::vector<float> apack_shared;
 

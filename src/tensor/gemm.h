@@ -17,12 +17,14 @@
 // over p ascending, merged as c + sum when accumulating.
 //
 // Threading: the core tiles rows (or, for short-wide problems, column
-// panels) of C across the global thread pool when called from the top
-// level; when the caller is already a pool worker — per-client training in
-// the FL engines — dispatch degrades to the serial kernels.  Each output
-// element is written by exactly one task and its K-reduction order is
-// fixed by the constant kKC blocking, so results are bit-identical across
-// pool sizes (and to the serial run).
+// panels) of C across the global thread pool, the calling thread taking
+// a share, when called from the top level.  When the caller is already
+// inside a parallel region — a pool worker, or a thread running its own
+// share of a parallel_for, as in per-client training in the FL engines —
+// dispatch degrades to the serial kernels.  Each output element is
+// written by exactly one chunk and its K-reduction order is fixed by the
+// constant kKC blocking, so results are bit-identical across pool sizes,
+// chunkings and threads (and to the serial run).
 //
 // Epilogue fusion: forward paths can fold the bias add and a ReLU into the
 // final K-block's writeback instead of making separate passes over C.

@@ -2,14 +2,128 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <exception>
+#include <utility>
 
 namespace tifl::util {
 
 namespace {
-// Set once per worker thread, read by the nested-dispatch guard.
-thread_local bool tl_pool_worker = false;
+
+using ChunkBody = std::function<void(std::size_t, std::size_t)>;
+
+// Read by the nested-dispatch guard.  Set for a worker's whole life and
+// for a calling thread while it runs its share of a region.
+thread_local bool tl_in_region = false;
+
+// Marks the calling thread as inside a parallel region for this object's
+// scope and restores the previous mark on exit, unwinding included.
+class RegionMark {
+ public:
+  RegionMark() : previous_(tl_in_region) { tl_in_region = true; }
+  ~RegionMark() { tl_in_region = previous_; }
+
+  RegionMark(const RegionMark&) = delete;
+  RegionMark& operator=(const RegionMark&) = delete;
+
+ private:
+  bool previous_;
+};
+
+constexpr std::size_t ceil_div(std::size_t a, std::size_t b) {
+  return (a + b - 1) / b;
+}
+
+// Chunk length for cutting `total` indices into at most `max_chunks`
+// pieces: not below `grain`, rounded up to a multiple of `align`.
+std::size_t chunk_length(std::size_t total, std::size_t max_chunks,
+                         std::size_t grain, std::size_t align) {
+  const std::size_t length =
+      std::max(std::max<std::size_t>(1, grain), ceil_div(total, max_chunks));
+  align = std::max<std::size_t>(1, align);
+  return ceil_div(length, align) * align;
+}
+
+// Blocks per participant for per-index parallel_for: enough that indices
+// beyond the participant count (an 8-client cohort's last three on four
+// workers) go to whichever participant frees first, few enough that
+// claiming stays cheap.
+constexpr std::size_t kBlocksPerParticipant = 4;
+
+// One region's shared state.  It lives on the calling thread's stack;
+// its destructor waits for every helper expected to check out, so however
+// the caller leaves, no helper can still reach the frame.
+class Region {
+ public:
+  Region(std::size_t begin, std::size_t end, std::size_t chunk,
+         const ChunkBody& body)
+      : begin_(begin),
+        end_(end),
+        chunk_(chunk),
+        chunks_(ceil_div(end - begin, chunk)),
+        body_(body) {}
+  ~Region() { join(); }
+
+  Region(const Region&) = delete;
+  Region& operator=(const Region&) = delete;
+
+  std::size_t chunks() const noexcept { return chunks_; }
+
+  // Claim and run chunks until none are left.  A throwing chunk ends
+  // only itself; the first exception is kept for the caller.
+  void work() EXCLUDES(mutex_) {
+    const RegionMark mark;
+    for (;;) {
+      const std::size_t c = next_.fetch_add(1);
+      if (c >= chunks_) return;
+      const std::size_t lo = begin_ + c * chunk_;
+      try {
+        body_(lo, std::min(end_, lo + chunk_));
+      } catch (...) {
+        fail(std::current_exception());
+      }
+    }
+  }
+
+  void fail(std::exception_ptr error) EXCLUDES(mutex_) {
+    MutexLock lock(mutex_);
+    if (!error_) error_ = std::move(error);
+  }
+
+  void expect_helpers(std::size_t count) EXCLUDES(mutex_) {
+    MutexLock lock(mutex_);
+    helpers_ += count;
+  }
+
+  // A helper's whole task.  Its last touch of the region is the unlock
+  // that lets join() return.
+  void help() EXCLUDES(mutex_) {
+    work();
+    MutexLock lock(mutex_);
+    if (--helpers_ == 0) done_.notify_one();
+  }
+
+  // Wait until every expected helper has checked out; returns the first
+  // exception any participant captured.
+  std::exception_ptr join() EXCLUDES(mutex_) {
+    MutexLock lock(mutex_);
+    while (helpers_ > 0) done_.wait(mutex_);
+    return error_;
+  }
+
+ private:
+  const std::size_t begin_;
+  const std::size_t end_;
+  const std::size_t chunk_;
+  const std::size_t chunks_;
+  const ChunkBody& body_;
+  std::atomic<std::size_t> next_{0};
+
+  Mutex mutex_;
+  CondVar done_;
+  std::size_t helpers_ GUARDED_BY(mutex_) = 0;
+  std::exception_ptr error_ GUARDED_BY(mutex_);
+};
+
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
@@ -34,7 +148,7 @@ ThreadPool::~ThreadPool() {
 }
 
 void ThreadPool::worker_loop() {
-  tl_pool_worker = true;
+  const RegionMark mark;
   for (;;) {
     std::function<void()> task;
     {
@@ -54,59 +168,61 @@ bool ThreadPool::on_worker_thread() const noexcept {
                      [self](const std::thread& w) { return w.get_id() == self; });
 }
 
-bool ThreadPool::on_any_worker_thread() noexcept { return tl_pool_worker; }
+bool ThreadPool::in_parallel_region() noexcept { return tl_in_region; }
 
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
                               const std::function<void(std::size_t)>& body,
                               std::size_t grain) {
-  parallel_for_chunked(
-      begin, end,
-      [&body](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) body(i);
-      },
-      grain);
+  if (begin >= end) return;
+  run_region(begin, end,
+             chunk_length(end - begin, kBlocksPerParticipant * (size() + 1),
+                          grain, 1),
+             [&body](std::size_t lo, std::size_t hi) {
+               for (std::size_t i = lo; i < hi; ++i) body(i);
+             });
 }
 
-void ThreadPool::parallel_for_chunked(
-    std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t, std::size_t)>& chunk_body,
-    std::size_t grain, std::size_t align) {
+void ThreadPool::parallel_for_chunked(std::size_t begin, std::size_t end,
+                                      const ChunkBody& chunk_body,
+                                      std::size_t grain, std::size_t align) {
   if (begin >= end) return;
-  grain = std::max<std::size_t>(1, grain);
-  align = std::max<std::size_t>(1, align);
-  const std::size_t total = end - begin;
+  run_region(begin, end, chunk_length(end - begin, size() + 1, grain, align),
+             chunk_body);
+}
 
-  // Serial fallbacks: range too small to amortize dispatch, or we are
-  // already inside a worker — of this pool or any other (nested dispatch
-  // could exhaust this pool, and fanning out underneath another pool's
-  // parallel region oversubscribes the machine).
-  if (total <= grain || size() == 1 || on_any_worker_thread()) {
+void ThreadPool::run_region(std::size_t begin, std::size_t end,
+                            std::size_t chunk, const ChunkBody& chunk_body) {
+  // Serial fallbacks: one chunk, a one-worker pool, or already inside a
+  // region — of this pool or any other (a worker waiting on helpers
+  // queued behind it could exhaust this pool, and fanning out underneath
+  // another region oversubscribes the machine).
+  if (chunk >= end - begin || size() == 1 || in_parallel_region()) {
     chunk_body(begin, end);
     return;
   }
 
-  const std::size_t chunks =
-      std::min(size(), (total + grain - 1) / grain);
-  std::size_t chunk_size = (total + chunks - 1) / chunks;
-  chunk_size = (chunk_size + align - 1) / align * align;
-
-  std::vector<std::future<void>> pending;
-  pending.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t lo = begin + c * chunk_size;
-    const std::size_t hi = std::min(end, lo + chunk_size);
-    if (lo >= hi) break;
-    pending.push_back(submit([&chunk_body, lo, hi] { chunk_body(lo, hi); }));
-  }
-  std::exception_ptr first_error;
-  for (std::future<void>& f : pending) {
+  Region region(begin, end, chunk, chunk_body);
+  const std::size_t helpers = std::min(size(), region.chunks() - 1);
+  std::size_t enqueued = 0;
+  {
+    MutexLock lock(mutex_);
     try {
-      f.get();
+      for (; enqueued < helpers; ++enqueued) {
+        queue_.emplace([&region] { region.help(); });
+      }
     } catch (...) {
-      if (!first_error) first_error = std::current_exception();
+      // The helpers already enqueued and this thread still run every
+      // chunk; the failure surfaces once they have.
+      region.fail(std::current_exception());
     }
+    // Under the queue lock, so no helper can check out before it is
+    // counted.
+    region.expect_helpers(enqueued);
   }
-  if (first_error) std::rethrow_exception(first_error);
+  for (std::size_t h = 0; h < enqueued; ++h) cv_.notify_one();
+
+  region.work();
+  if (std::exception_ptr error = region.join()) std::rethrow_exception(error);
 }
 
 ThreadPool& global_pool() {

@@ -1,12 +1,27 @@
-// Fixed-size worker pool with a blocking task queue and a data-parallel
-// `parallel_for` helper.
+// Fixed-size worker pool with a blocking task queue and fork-join
+// `parallel_for` regions.
 //
 // The pool is the single parallel-execution substrate for the whole
-// repository: tensor GEMM tiles, per-client local training in the FL
-// engine, and bench sweeps all schedule through it.  Keeping one pool per
-// process (see `global_pool()`) avoids oversubscription when nested code
-// paths both want parallelism — inner calls detect they are already on a
-// worker thread and degrade to serial execution instead of deadlocking.
+// repository: tensor GEMM tiles, the conv scatter and im2col loops,
+// per-client local training in the FL engines, and bench sweeps all
+// schedule through it.  One pool per process (see `global_pool()`) keeps
+// the thread count at the hardware concurrency.
+//
+// A parallel_for is a fork-join region with size() + 1 participants: the
+// calling thread enqueues up to size() helpers and then works as one of
+// them.  The range is cut into fixed chunks whose boundaries depend only
+// on (begin, end, grain, align, size()); every participant claims the
+// next unclaimed chunk from a shared counter until none are left, so a
+// chunk beyond the participant count goes to whichever participant frees
+// first.  The call returns once every chunk has run and every helper it
+// enqueued has finished.
+//
+// Nesting: pool workers, and a calling thread while it runs its share,
+// are inside a parallel region, and a parallel_for issued there runs
+// serially on the issuing thread.  That keeps the GEMMs of a client
+// trained in a region serial whichever thread trains it, and it keeps a
+// fixed pool deadlock-free: no worker ever waits on helpers queued behind
+// it.
 #pragma once
 
 #include <cstddef>
@@ -47,22 +62,30 @@ class ThreadPool {
     return result;
   }
 
-  // Split [begin, end) into contiguous chunks and run `body(i)` for every
-  // index.  Blocks until the whole range is done.  `grain` bounds the
-  // minimum chunk size so tiny ranges do not pay scheduling overhead.
+  // Run `body(i)` for every index in [begin, end) and block until all
+  // have run.  Indices go out in blocks of at least `grain`, up to four
+  // blocks per participant, so uneven per-index costs even out.
   //
-  // Reentrancy: when called from inside a worker thread the loop runs
-  // serially on the calling thread (nested parallelism would deadlock a
-  // fixed pool and rarely helps on the target 2-core box).
+  // Runs serially on the calling thread when the range fits in one
+  // block, when the pool has a single worker (a one-worker pool is how a
+  // caller asks for serial execution, and on a one-CPU host a second
+  // participant would only time-slice with the first), or when the
+  // caller is already inside a parallel region.  A serial run does not
+  // open a region, so a kernel inside it may still fan out.
+  //
+  // Every block runs even if another throws; the first exception thrown
+  // is rethrown once all have finished (a throwing block stops at the
+  // index that threw).
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& body,
                     std::size_t grain = 1);
 
   // As above but hands each chunk [lo, hi) to the body, letting callers
-  // hoist per-chunk state (e.g. accumulators, RNG streams).  `align` rounds
-  // interior chunk boundaries up to a multiple of itself so tiled kernels
-  // (GEMM row blocks) only ever see one ragged chunk, at the end of the
-  // range.
+  // hoist per-chunk state (e.g. accumulators, RNG streams).  At most one
+  // chunk per participant, each at least `grain` long except the last;
+  // `align` rounds the chunk length up to a multiple of itself so tiled
+  // kernels (GEMM row blocks) only ever see one ragged chunk, at the end
+  // of the range.
   void parallel_for_chunked(
       std::size_t begin, std::size_t end,
       const std::function<void(std::size_t, std::size_t)>& chunk_body,
@@ -71,15 +94,24 @@ class ThreadPool {
   // True when the calling thread is one of this pool's workers.
   bool on_worker_thread() const noexcept;
 
-  // True when the calling thread is a worker of *any* ThreadPool.  This is
-  // the guard nested kernels use: per-client training may run on an
-  // engine-injected pool rather than the global one, and a GEMM dispatched
-  // from such a worker must still degrade to serial instead of fanning out
-  // across the global pool underneath an already-parallel region.
-  static bool on_any_worker_thread() noexcept;
+  // True on a worker of *any* ThreadPool, and on a thread while it runs
+  // its share of any pool's parallel_for.  This is the nested-dispatch
+  // guard: per-client training may run on an engine-injected pool rather
+  // than the global one, and a GEMM dispatched from inside it must still
+  // stay serial instead of fanning out across the global pool underneath
+  // an already-parallel region.
+  static bool in_parallel_region() noexcept;
 
  private:
   void worker_loop() EXCLUDES(mutex_);
+
+  // Cut [begin, end) into `chunk`-long pieces (the last may be shorter)
+  // and run them as one fork-join region, or serially when the guard
+  // says so or there is only one piece.
+  void run_region(
+      std::size_t begin, std::size_t end, std::size_t chunk,
+      const std::function<void(std::size_t, std::size_t)>& chunk_body)
+      EXCLUDES(mutex_);
 
   // Started in the constructor, joined in the destructor; never mutated
   // in between, so reads (size(), on_worker_thread()) need no lock.
