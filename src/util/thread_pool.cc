@@ -33,22 +33,6 @@ constexpr std::size_t ceil_div(std::size_t a, std::size_t b) {
   return (a + b - 1) / b;
 }
 
-// Chunk length for cutting `total` indices into at most `max_chunks`
-// pieces: not below `grain`, rounded up to a multiple of `align`.
-std::size_t chunk_length(std::size_t total, std::size_t max_chunks,
-                         std::size_t grain, std::size_t align) {
-  const std::size_t length =
-      std::max(std::max<std::size_t>(1, grain), ceil_div(total, max_chunks));
-  align = std::max<std::size_t>(1, align);
-  return ceil_div(length, align) * align;
-}
-
-// Blocks per participant for per-index parallel_for: enough that indices
-// beyond the participant count (an 8-client cohort's last three on four
-// workers) go to whichever participant frees first, few enough that
-// claiming stays cheap.
-constexpr std::size_t kBlocksPerParticipant = 4;
-
 // One region's shared state.  It lives on the calling thread's stack;
 // its destructor waits for every helper expected to check out, so however
 // the caller leaves, no helper can still reach the frame.
@@ -69,7 +53,7 @@ class Region {
   std::size_t chunks() const noexcept { return chunks_; }
 
   // Claim and run chunks until none are left.  A throwing chunk ends
-  // only itself; the first exception is kept for the caller.
+  // only itself; its exception is kept for the caller.
   void work() EXCLUDES(mutex_) {
     const RegionMark mark;
     for (;;) {
@@ -79,14 +63,19 @@ class Region {
       try {
         body_(lo, std::min(end_, lo + chunk_));
       } catch (...) {
-        fail(std::current_exception());
+        fail(c, std::current_exception());
       }
     }
   }
 
-  void fail(std::exception_ptr error) EXCLUDES(mutex_) {
+  // Keeps the exception of the lowest-indexed chunk that threw, so the
+  // one the caller sees does not depend on which finished first.
+  void fail(std::size_t chunk, std::exception_ptr error) EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
-    if (!error_) error_ = std::move(error);
+    if (!error_ || chunk < error_chunk_) {
+      error_ = std::move(error);
+      error_chunk_ = chunk;
+    }
   }
 
   void expect_helpers(std::size_t count) EXCLUDES(mutex_) {
@@ -102,8 +91,8 @@ class Region {
     if (--helpers_ == 0) done_.notify_one();
   }
 
-  // Wait until every expected helper has checked out; returns the first
-  // exception any participant captured.
+  // Wait until every expected helper has checked out; returns the kept
+  // exception, if any.
   std::exception_ptr join() EXCLUDES(mutex_) {
     MutexLock lock(mutex_);
     while (helpers_ > 0) done_.wait(mutex_);
@@ -122,6 +111,7 @@ class Region {
   CondVar done_;
   std::size_t helpers_ GUARDED_BY(mutex_) = 0;
   std::exception_ptr error_ GUARDED_BY(mutex_);
+  std::size_t error_chunk_ GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace
@@ -173,30 +163,32 @@ bool ThreadPool::in_parallel_region() noexcept { return tl_in_region; }
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
                               const std::function<void(std::size_t)>& body,
                               std::size_t grain) {
-  if (begin >= end) return;
-  run_region(begin, end,
-             chunk_length(end - begin, kBlocksPerParticipant * (size() + 1),
-                          grain, 1),
-             [&body](std::size_t lo, std::size_t hi) {
-               for (std::size_t i = lo; i < hi; ++i) body(i);
-             });
+  parallel_for_chunked(
+      begin, end,
+      [&body](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) body(i);
+      },
+      grain);
 }
 
 void ThreadPool::parallel_for_chunked(std::size_t begin, std::size_t end,
                                       const ChunkBody& chunk_body,
                                       std::size_t grain, std::size_t align) {
   if (begin >= end) return;
-  run_region(begin, end, chunk_length(end - begin, size() + 1, grain, align),
-             chunk_body);
-}
+  const std::size_t total = end - begin;
+  // At most one chunk per participant, not below grain, rounded up to a
+  // multiple of align.
+  align = std::max<std::size_t>(1, align);
+  const std::size_t chunk =
+      ceil_div(std::max({grain, std::size_t{1}, ceil_div(total, size() + 1)}),
+               align) *
+      align;
 
-void ThreadPool::run_region(std::size_t begin, std::size_t end,
-                            std::size_t chunk, const ChunkBody& chunk_body) {
   // Serial fallbacks: one chunk, a one-worker pool, or already inside a
   // region — of this pool or any other (a worker waiting on helpers
   // queued behind it could exhaust this pool, and fanning out underneath
   // another region oversubscribes the machine).
-  if (chunk >= end - begin || size() == 1 || in_parallel_region()) {
+  if (chunk >= total || size() == 1 || in_parallel_region()) {
     chunk_body(begin, end);
     return;
   }
@@ -212,8 +204,8 @@ void ThreadPool::run_region(std::size_t begin, std::size_t end,
       }
     } catch (...) {
       // The helpers already enqueued and this thread still run every
-      // chunk; the failure surfaces once they have.
-      region.fail(std::current_exception());
+      // chunk; the failure surfaces once they have, behind any chunk's.
+      region.fail(region.chunks(), std::current_exception());
     }
     // Under the queue lock, so no helper can check out before it is
     // counted.

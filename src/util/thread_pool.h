@@ -9,12 +9,13 @@
 //
 // A parallel_for is a fork-join region with size() + 1 participants: the
 // calling thread enqueues up to size() helpers and then works as one of
-// them.  The range is cut into fixed chunks whose boundaries depend only
-// on (begin, end, grain, align, size()); every participant claims the
-// next unclaimed chunk from a shared counter until none are left, so a
-// chunk beyond the participant count goes to whichever participant frees
-// first.  The call returns once every chunk has run and every helper it
-// enqueued has finished.
+// them.  The range is cut into at most one fixed chunk per participant,
+// with boundaries that depend only on (begin, end, grain, align,
+// size()).  Every participant claims the next unclaimed chunk from a
+// shared counter until none are left, so a chunk whose helper has not
+// started yet (its worker still busy elsewhere) goes to whichever
+// participant frees first.  The call returns once every chunk has run
+// and every helper it enqueued has finished.
 //
 // Nesting: pool workers, and a calling thread while it runs its share,
 // are inside a parallel region, and a parallel_for issued there runs
@@ -63,29 +64,30 @@ class ThreadPool {
   }
 
   // Run `body(i)` for every index in [begin, end) and block until all
-  // have run.  Indices go out in blocks of at least `grain`, up to four
-  // blocks per participant, so uneven per-index costs even out.
-  //
-  // Runs serially on the calling thread when the range fits in one
-  // block, when the pool has a single worker (a one-worker pool is how a
-  // caller asks for serial execution, and on a one-CPU host a second
-  // participant would only time-slice with the first), or when the
-  // caller is already inside a parallel region.  A serial run does not
-  // open a region, so a kernel inside it may still fan out.
-  //
-  // Every block runs even if another throws; the first exception thrown
-  // is rethrown once all have finished (a throwing block stops at the
-  // index that threw).
+  // have run: parallel_for_chunked below with a per-index loop in each
+  // chunk.
   void parallel_for(std::size_t begin, std::size_t end,
                     const std::function<void(std::size_t)>& body,
                     std::size_t grain = 1);
 
-  // As above but hands each chunk [lo, hi) to the body, letting callers
-  // hoist per-chunk state (e.g. accumulators, RNG streams).  At most one
-  // chunk per participant, each at least `grain` long except the last;
-  // `align` rounds the chunk length up to a multiple of itself so tiled
-  // kernels (GEMM row blocks) only ever see one ragged chunk, at the end
-  // of the range.
+  // Run `chunk_body(lo, hi)` for chunks covering [begin, end) and block
+  // until all have run, letting callers hoist per-chunk state (e.g.
+  // accumulators, RNG streams).  At most one chunk per participant, each
+  // at least `grain` long except the last; `align` rounds the chunk
+  // length up to a multiple of itself so tiled kernels (GEMM row blocks)
+  // only ever see one ragged chunk, at the end of the range.
+  //
+  // Runs serially on the calling thread, as one chunk, when the range
+  // fits in one chunk, when the pool has a single worker (a one-worker
+  // pool is how a caller asks for serial execution, and on a one-CPU
+  // host a second participant would only time-slice with the first), or
+  // when the caller is already inside a parallel region.  A serial run
+  // does not open a region, so a kernel inside it may still fan out.
+  //
+  // Every chunk runs even if another throws.  Once all have finished,
+  // the exception of the lowest-indexed chunk that threw is rethrown, so
+  // the error reported does not depend on timing (a throwing chunk stops
+  // where it threw).
   void parallel_for_chunked(
       std::size_t begin, std::size_t end,
       const std::function<void(std::size_t, std::size_t)>& chunk_body,
@@ -104,14 +106,6 @@ class ThreadPool {
 
  private:
   void worker_loop() EXCLUDES(mutex_);
-
-  // Cut [begin, end) into `chunk`-long pieces (the last may be shorter)
-  // and run them as one fork-join region, or serially when the guard
-  // says so or there is only one piece.
-  void run_region(
-      std::size_t begin, std::size_t end, std::size_t chunk,
-      const std::function<void(std::size_t, std::size_t)>& chunk_body)
-      EXCLUDES(mutex_);
 
   // Started in the constructor, joined in the destructor; never mutated
   // in between, so reads (size(), on_worker_thread()) need no lock.

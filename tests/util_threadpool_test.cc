@@ -77,7 +77,7 @@ TEST(ThreadPool, SubmitPropagatesExceptionThroughFuture) {
 
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
   // Every 97th index (index 0 included) costs far more than the rest, so
-  // participants free up at very different times and claim unevenly.
+  // chunks take very different times and participants free up unevenly.
   ThreadPool pool(4);
   for (const std::size_t n : {5u, 8u, 203u, 1000u}) {
     std::vector<std::atomic<int>> hits(n);
@@ -222,6 +222,36 @@ TEST(ThreadPool, CallersShareExceptionPropagatesAfterAllChunksRun) {
   EXPECT_TRUE(threw);
   // The region mark was reset on the way out.
   EXPECT_FALSE(ThreadPool::in_parallel_region());
+}
+
+TEST(ThreadPool, LowestThrowingChunksExceptionIsRethrown) {
+  // Indices 1 and 3 sit in different chunks and throw different errors;
+  // index 3 throws first.  The caller must still see index 1's error,
+  // the one a serial run would raise, on every call.
+  ThreadPool pool(4);
+  for (int rep = 0; rep < 10; ++rep) {
+    std::atomic<bool> high_threw{false};
+    try {
+      pool.parallel_for(0, 5, [&](std::size_t i) {
+        if (i == 3) {
+          high_threw = true;
+          throw std::runtime_error("index 3");
+        }
+        if (i != 1) return;
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (!high_threw && std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        throw std::runtime_error("index 1");
+      });
+      ADD_FAILURE() << "nothing thrown, rep " << rep;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "index 1") << "rep " << rep;
+    }
+    EXPECT_TRUE(high_threw.load());
+  }
 }
 
 TEST(ThreadPool, ParallelForChunkedPartitionsContiguouslyAndRepeatably) {
