@@ -1,9 +1,13 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical
 // substrate pieces: GEMM kernels, conv2d forward/backward, FedAvg
 // reductions (flat vs hierarchical), client selection and profiling
-// throughput, thread-pool dispatch and one cohort's local training.
+// throughput, thread-pool dispatch, one cohort's local training and one
+// evaluated version with per-tier feedback.
 // These guard the constants behind the figure benches.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "core/profiler.h"
 #include "core/static_policy.h"
@@ -11,6 +15,7 @@
 #include "data/synthetic.h"
 #include "fl/aggregator.h"
 #include "fl/client.h"
+#include "fl/evaluation.h"
 #include "fl/policy.h"
 #include "nn/conv2d.h"
 #include "nn/model_zoo.h"
@@ -228,6 +233,51 @@ void BM_CohortLocalUpdate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_CohortLocalUpdate)->Arg(1)->Arg(5)->Arg(8)->UseRealTime();
+
+// One evaluated version of fig7_sync_tifl's sync loop: MLP-48 over 1250
+// test rows of 3x8x8 in 512-row chunks, plus Alg. 2's five per-tier
+// accuracies over ~250-row index subsets with duplicates.  /0 is the work
+// before single-pass evaluation: the global pass, then one pass over each
+// materialized subset.  /1 scores the subsets from the global pass's hit
+// flags.  Wall time: the 512-row chunks fan out over the pool.
+void BM_EvalTierFeedback(benchmark::State& state) {
+  constexpr std::size_t kTiers = 5, kTierRows = 250, kChunk = 512;
+  const bool single_pass = state.range(0) == 1;
+  data::SyntheticSpec spec;
+  spec.dims = data::ImageDims{3, 8, 8};
+  spec.train_samples = 10;
+  spec.test_samples = 1250;
+  const data::SyntheticData data = data::make_synthetic(spec);
+  nn::Sequential model = nn::mlp(spec.dims.flat(), 48, spec.classes, 11);
+  const std::vector<float> weights = model.weights();
+
+  util::Rng rng(5);
+  std::vector<std::vector<std::size_t>> tiers(kTiers);
+  std::vector<data::Dataset> materialized;
+  for (std::vector<std::size_t>& tier : tiers) {
+    for (std::size_t i = 0; i < kTierRows; ++i) {
+      tier.push_back(rng.uniform_index(data.test.size()));
+    }
+    std::sort(tier.begin(), tier.end());
+    materialized.push_back(data.test.subset(tier));
+  }
+  for (auto _ : state) {
+    if (single_pass) {
+      fl::Evaluation r =
+          fl::evaluate_weights(model, weights, data.test, kChunk, tiers);
+      benchmark::DoNotOptimize(r);
+    } else {
+      fl::Evaluation r =
+          fl::evaluate_weights(model, weights, data.test, kChunk);
+      benchmark::DoNotOptimize(r);
+      for (const data::Dataset& set : materialized) {
+        fl::Evaluation t = fl::evaluate_weights(model, weights, set, kChunk);
+        benchmark::DoNotOptimize(t);
+      }
+    }
+  }
+}
+BENCHMARK(BM_EvalTierFeedback)->Arg(0)->Arg(1)->UseRealTime();
 
 }  // namespace
 

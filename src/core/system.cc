@@ -9,19 +9,17 @@
 
 namespace tifl::core {
 
-std::vector<data::Dataset> build_tier_eval_sets(
-    const TierInfo& tiers, const std::vector<fl::Client>& clients,
-    const data::Dataset& test) {
-  std::vector<data::Dataset> sets;
+std::vector<std::vector<std::size_t>> build_tier_eval_indices(
+    const TierInfo& tiers, const std::vector<fl::Client>& clients) {
+  std::vector<std::vector<std::size_t>> sets;
   sets.reserve(tiers.tier_count());
   for (const std::vector<std::size_t>& member_ids : tiers.members) {
-    std::vector<std::size_t> indices;
+    std::vector<std::size_t>& indices = sets.emplace_back();
     for (std::size_t id : member_ids) {
       const std::vector<std::size_t>& shard = clients.at(id).test_indices();
       indices.insert(indices.end(), shard.begin(), shard.end());
     }
     std::sort(indices.begin(), indices.end());
-    sets.push_back(test.subset(indices));
   }
   return sets;
 }
@@ -46,8 +44,8 @@ TiflSystem::TiflSystem(SystemConfig config, nn::ModelFactory factory,
                                          latency_model);
   pool_.emplace(&engine_->clients());
   profile_and_tier();
-  engine_->set_tier_eval_sets(
-      build_tier_eval_sets(tiers_, engine_->clients(), *test));
+  engine_->set_tier_eval_indices(
+      build_tier_eval_indices(tiers_, engine_->clients()));
 }
 
 TiflSystem::TiflSystem(SystemConfig config, nn::ModelFactory factory,
@@ -176,13 +174,14 @@ fl::AsyncRunResult TiflSystem::run_async(
   if (policy != nullptr) {
     engine.set_policy(policy);
     // Feed Alg. 2-style policies their per-tier accuracies (TestData_t) —
-    // but only when the policy consumes them: the sets cost tier_count
-    // extra evaluations per evaluated version.  A virtualized pool has no
-    // matched test shards to materialize; the policy then sees empty
-    // tier_accuracies and carries zeros forward.
+    // but only when the policy consumes them: scoring the tier index
+    // lists adds a hit flag per test row and a walk over every tier's
+    // rows to each evaluated version (no extra forward pass).  A
+    // virtualized pool has no matched test shards to index; the policy
+    // then sees empty tier_accuracies and carries zeros forward.
     if (engine_ != nullptr && policy->needs_tier_feedback()) {
-      engine.set_tier_eval_sets(
-          build_tier_eval_sets(tiers_, engine_->clients(), *test_));
+      engine.set_tier_eval_indices(
+          build_tier_eval_indices(tiers_, engine_->clients()));
     }
   }
 
@@ -285,8 +284,8 @@ fl::AsyncRunResult TiflSystem::run_async(
   // tier accuracies over the right clients.  A virtualized pool has no
   // sync engine (and no matched test shards) to keep in step.
   if (engine_ != nullptr) {
-    engine_->set_tier_eval_sets(
-        build_tier_eval_sets(tiers_, engine_->clients(), *test_));
+    engine_->set_tier_eval_indices(
+        build_tier_eval_indices(tiers_, engine_->clients()));
   }
   prepend_profile_phases(out.result);
   return out;
@@ -448,8 +447,8 @@ double TiflSystem::reprofile(std::uint64_t seed) {
   tiers_ = build_tiers(profile_, config_.num_tiers, config_.tiering);
   tiers_match_profile_ = true;
   if (engine_ != nullptr) {
-    engine_->set_tier_eval_sets(
-        build_tier_eval_sets(tiers_, engine_->clients(), *test_));
+    engine_->set_tier_eval_indices(
+        build_tier_eval_indices(tiers_, engine_->clients()));
   }
   return profile_.profiling_time;
 }

@@ -106,7 +106,7 @@ class TiflSystem {
   // `policy` (non-owning, optional) drives per-tier member selection: the
   // engine asks it for every tier round's sample, so Alg. 2 runs on the
   // async path (`make_policy("adaptive")`), fed by per-tier accuracies
-  // from the materialized tier evaluation sets.  Null keeps the default
+  // scored on the tier evaluation index lists.  Null keeps the default
   // uniform self-sampling, bit-identical to the policy-free engine.
   //
   // Dynamic client lifecycle: when async.churn has a positive rate or
@@ -190,11 +190,11 @@ class TiflSystem {
   std::optional<fl::ClientPool> pool_;
 };
 
-// Builds the per-tier evaluation datasets (Alg. 2's TestData_t): the union
-// of the member clients' matched held-out shards, materialized from the
-// global test set.
-std::vector<data::Dataset> build_tier_eval_sets(
-    const TierInfo& tiers, const std::vector<fl::Client>& clients,
-    const data::Dataset& test);
+// Builds the per-tier evaluation sets (Alg. 2's TestData_t) as row index
+// lists into the global test set: each tier's list is the union of its
+// member clients' matched held-out shards, sorted, duplicates kept.  The
+// engines score them from their global test pass.
+std::vector<std::vector<std::size_t>> build_tier_eval_indices(
+    const TierInfo& tiers, const std::vector<fl::Client>& clients);
 
 }  // namespace tifl::core

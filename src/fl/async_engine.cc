@@ -556,29 +556,19 @@ void AsyncEngine::set_policy(SelectionPolicy* policy) {
   policy_ = policy;
 }
 
-void AsyncEngine::set_tier_eval_sets(std::vector<data::Dataset> sets) {
-  if (!sets.empty() && sets.size() != tier_members_.size()) {
+void AsyncEngine::set_tier_eval_indices(
+    std::vector<std::vector<std::size_t>> indices) {
+  if (!indices.empty() && indices.size() != tier_members_.size()) {
     throw std::invalid_argument(
         "AsyncEngine: tier eval set count does not match tier count");
   }
-  tier_eval_sets_ = std::move(sets);
+  check_tier_eval_indices("AsyncEngine", indices, test_->size());
+  tier_eval_indices_ = std::move(indices);
 }
 
-std::vector<double> AsyncEngine::evaluate_tiers(
-    std::span<const float> weights) {
-  std::vector<double> accuracies;
-  accuracies.reserve(tier_eval_sets_.size());
-  for (const data::Dataset& set : tier_eval_sets_) {
-    accuracies.push_back(set.size() > 0 ? evaluate(weights, set).accuracy
-                                        : 0.0);
-  }
-  return accuracies;
-}
-
-nn::LossResult AsyncEngine::evaluate(std::span<const float> weights,
-                                     const data::Dataset& dataset) {
-  return evaluate_weights(scratch_model(0), weights, dataset,
-                          config_.eval_chunk);
+Evaluation AsyncEngine::evaluate(std::span<const float> weights) {
+  return evaluate_weights(scratch_model(0), weights, *test_,
+                          config_.eval_chunk, tier_eval_indices_);
 }
 
 AsyncRunResult AsyncEngine::run(std::optional<std::uint64_t> seed_override) {
@@ -1007,12 +997,14 @@ AsyncRunResult AsyncEngine::run_static(std::uint64_t seed,
 
       last_evaluated = version % async_.eval_every == 0 ||
                        version + 1 == async_.total_updates;
+      std::vector<double> tier_accuracies;
       if (last_evaluated) {
         obs::ScopedPhase phase(&phases, obs::Phase::kEval);
-        const nn::LossResult r = evaluate(global, *test_);
+        Evaluation r = evaluate(global);
         phase.stop();
         record.global_accuracy = r.accuracy;
         record.global_loss = r.loss;
+        tier_accuracies = std::move(r.subset_accuracies);
         if (obs::Tracer* t = obs::tracer()) {
           t->instant(queue.now(), "async", "eval",
                      static_cast<std::int64_t>(tier),
@@ -1031,10 +1023,7 @@ AsyncRunResult AsyncEngine::run_static(std::uint64_t seed,
       feedback.global_loss = record.global_loss;
       feedback.submitting_tier = static_cast<int>(tier);
       feedback.staleness = version - round.dispatch_version;
-      if (last_evaluated) {
-        obs::ScopedPhase phase(&phases, obs::Phase::kEval);
-        feedback.tier_accuracies = evaluate_tiers(global);
-      }
+      feedback.tier_accuracies = std::move(tier_accuracies);
       policy.observe(feedback);
 
       out.result.rounds.push_back(std::move(record));
@@ -1080,7 +1069,7 @@ AsyncRunResult AsyncEngine::run_static(std::uint64_t seed,
   // record holding a stale accuracy; refresh it from the final weights.
   if (!out.result.rounds.empty() && !last_evaluated) {
     obs::ScopedPhase phase(&phases, obs::Phase::kEval);
-    const nn::LossResult r = evaluate(global, *test_);
+    const Evaluation r = evaluate(global);
     out.result.rounds.back().global_accuracy = r.accuracy;
     out.result.rounds.back().global_loss = r.loss;
   }
@@ -1991,12 +1980,14 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
 
           last_evaluated = version % async_.eval_every == 0 ||
                            version + 1 == async_.total_updates;
+          std::vector<double> tier_accuracies;
           if (last_evaluated) {
             obs::ScopedPhase phase(&phases, obs::Phase::kEval);
-            const nn::LossResult r = evaluate(global, *test_);
+            Evaluation r = evaluate(global);
             phase.stop();
             record.global_accuracy = r.accuracy;
             record.global_loss = r.loss;
+            tier_accuracies = std::move(r.subset_accuracies);
             if (obs::Tracer* t = obs::tracer()) {
               t->instant(queue.now(), "async", "eval",
                          static_cast<std::int64_t>(tier),
@@ -2015,10 +2006,7 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
           feedback.global_loss = record.global_loss;
           feedback.submitting_tier = static_cast<int>(tier);
           feedback.staleness = age;
-          if (last_evaluated) {
-            obs::ScopedPhase phase(&phases, obs::Phase::kEval);
-            feedback.tier_accuracies = evaluate_tiers(global);
-          }
+          feedback.tier_accuracies = std::move(tier_accuracies);
           policy.observe(feedback);
 
           out.result.rounds.push_back(std::move(record));
@@ -2254,7 +2242,7 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
 
   if (!out.result.rounds.empty() && !last_evaluated) {
     obs::ScopedPhase phase(&phases, obs::Phase::kEval);
-    const nn::LossResult r = evaluate(global, *test_);
+    const Evaluation r = evaluate(global);
     out.result.rounds.back().global_accuracy = r.accuracy;
     out.result.rounds.back().global_loss = r.loss;
   }

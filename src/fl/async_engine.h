@@ -40,6 +40,7 @@
 #include "fl/client.h"
 #include "fl/client_pool.h"
 #include "fl/engine.h"
+#include "fl/evaluation.h"
 #include "fl/metrics.h"
 #include "fl/policy.h"
 #include "nn/sequential.h"
@@ -244,15 +245,16 @@ class AsyncEngine {
   // historical uniform self-sampling bit for bit.  Throws when the policy
   // does not support the async engine.
   void set_policy(SelectionPolicy* policy);
-  // Per-tier held-out evaluation sets (Alg. 2's TestData_t).  When set,
+  // Per-tier held-out evaluation sets (Alg. 2's TestData_t) as row index
+  // lists into the test set, one list per tier.  When set,
   // RoundFeedback::tier_accuracies is filled on every evaluated global
   // version, which is what feeds adaptive selection on the async path.
-  // Evaluation never touches the run's RNG streams, so installing sets
-  // does not perturb training results.
-  void set_tier_eval_sets(std::vector<data::Dataset> sets);
-
-  nn::LossResult evaluate(std::span<const float> weights,
-                          const data::Dataset& dataset);
+  // They are scored from the hit flags of the global test pass, and
+  // evaluation never touches the run's RNG streams, so installing them
+  // does not perturb training results.  Throws std::invalid_argument on a
+  // list count other than tier_count() or, naming the tier, on an index
+  // past the test set's end.
+  void set_tier_eval_indices(std::vector<std::vector<std::size_t>> indices);
 
   const AsyncConfig& async_config() const { return async_; }
   std::size_t tier_count() const { return tier_members_.size(); }
@@ -279,8 +281,9 @@ class AsyncEngine {
 
   AsyncRunResult run_static(std::uint64_t seed, SelectionPolicy& policy);
   AsyncRunResult run_dynamic(std::uint64_t seed, SelectionPolicy& policy);
-  // Tier accuracies for the policy's feedback (empty without eval sets).
-  std::vector<double> evaluate_tiers(std::span<const float> weights);
+  // One pass over the test set; subset_accuracies holds the tier
+  // accuracies (empty without tier eval index lists).
+  Evaluation evaluate(std::span<const float> weights);
 
   EngineConfig config_;
   AsyncConfig async_;
@@ -292,7 +295,7 @@ class AsyncEngine {
   sim::LatencyModel latency_model_;
   LifecycleHooks hooks_;
   SelectionPolicy* policy_ = nullptr;  // non-owning; null = uniform default
-  std::vector<data::Dataset> tier_eval_sets_;
+  std::vector<std::vector<std::size_t>> tier_eval_indices_;
   util::ThreadPool* pool_ = nullptr;
   std::vector<nn::Sequential> scratch_;  // slot 0 = eval, 1.. = training
 };

@@ -29,8 +29,10 @@ Engine::Engine(EngineConfig config, nn::ModelFactory factory,
   }
 }
 
-void Engine::set_tier_eval_sets(std::vector<data::Dataset> sets) {
-  tier_eval_sets_ = std::move(sets);
+void Engine::set_tier_eval_indices(
+    std::vector<std::vector<std::size_t>> indices) {
+  check_tier_eval_indices("Engine", indices, test_->size());
+  tier_eval_indices_ = std::move(indices);
 }
 
 nn::Sequential& Engine::scratch_model(std::size_t slot) {
@@ -39,12 +41,6 @@ nn::Sequential& Engine::scratch_model(std::size_t slot) {
     scratch_.push_back(factory_(/*seed=*/slot + 1));
   }
   return scratch_[slot];
-}
-
-nn::LossResult Engine::evaluate(std::span<const float> weights,
-                                const data::Dataset& dataset) {
-  return evaluate_weights(scratch_model(0), weights, dataset,
-                          config_.eval_chunk);
 }
 
 double Engine::expected_client_latency(std::size_t client_id) const {
@@ -197,19 +193,16 @@ RunResult Engine::run(SelectionPolicy& policy,
         round % config_.eval_every == 0 || round + 1 == config_.rounds;
     if (eval_now) {
       obs::ScopedPhase phase(&phases, obs::Phase::kEval);
-      const nn::LossResult r = evaluate(global, *test_);
+      Evaluation r = evaluate_weights(scratch_model(0), global, *test_,
+                                      config_.eval_chunk, tier_eval_indices_);
       phase.stop();
       record.global_accuracy = r.accuracy;
       record.global_loss = r.loss;
+      feedback.tier_accuracies = std::move(r.subset_accuracies);
       if (obs::Tracer* t = obs::tracer()) {
         t->instant(clock.now(), "sync", "eval", selection.tier,
                    {obs::field("round", round),
                     obs::field("accuracy", r.accuracy)});
-      }
-      obs::ScopedPhase tier_phase(&phases, obs::Phase::kEval);
-      for (const data::Dataset& tier_set : tier_eval_sets_) {
-        feedback.tier_accuracies.push_back(
-            tier_set.size() > 0 ? evaluate(global, tier_set).accuracy : 0.0);
       }
     } else if (!result.rounds.empty()) {
       // Carry the last evaluation forward so curves stay well-defined.

@@ -4,8 +4,9 @@
 //   per round: policy selects |C| clients -> selected clients train in
 //   parallel on the thread pool -> round latency = max of the clients'
 //   simulated response latencies (Eq. 1) advances the virtual clock ->
-//   FedAvg aggregation -> global model evaluated on the test set (and on
-//   per-tier evaluation sets when configured) -> feedback to the policy.
+//   FedAvg aggregation -> global model evaluated on the test set (one
+//   forward pass, which also scores the per-tier evaluation index lists
+//   when configured) -> feedback to the policy.
 //
 // Determinism: every client's training RNG is forked from the run seed by
 // (round, client id), and aggregation reduces in selection order with
@@ -16,7 +17,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "data/dataset.h"
@@ -58,19 +58,19 @@ class Engine {
          std::vector<Client> clients, const data::Dataset* test,
          sim::LatencyModel latency_model);
 
-  // Per-tier held-out evaluation sets (Alg. 2's TestData_t).  When set,
-  // RoundFeedback::tier_accuracies is filled on every evaluation round.
-  void set_tier_eval_sets(std::vector<data::Dataset> sets);
+  // Per-tier held-out evaluation sets (Alg. 2's TestData_t) as row index
+  // lists into the test set.  When set, RoundFeedback::tier_accuracies is
+  // filled on every evaluation round, from the hit flags of the global
+  // test pass: no tier row is evaluated twice.  Throws
+  // std::invalid_argument, naming the tier, for an index past the test
+  // set's end.
+  void set_tier_eval_indices(std::vector<std::vector<std::size_t>> indices);
 
   // Runs the full federation under `policy`, starting from fresh global
   // weights derived from config.seed (or `seed_override` when provided —
   // used by the bench harness to average over independent runs).
   RunResult run(SelectionPolicy& policy,
                 std::optional<std::uint64_t> seed_override = {});
-
-  // Loss/accuracy of `weights` on `dataset`, evaluated in chunks.
-  nn::LossResult evaluate(std::span<const float> weights,
-                          const data::Dataset& dataset);
 
   const std::vector<Client>& clients() const { return clients_; }
   // Mutable access for mid-run resource drift (re-profiling scenarios).
@@ -89,7 +89,7 @@ class Engine {
   std::vector<Client> clients_;
   const data::Dataset* test_;
   sim::LatencyModel latency_model_;
-  std::vector<data::Dataset> tier_eval_sets_;
+  std::vector<std::vector<std::size_t>> tier_eval_indices_;
   std::vector<nn::Sequential> scratch_;  // one per parallel slot + eval
 };
 

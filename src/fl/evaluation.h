@@ -2,19 +2,48 @@
 // engines: load `weights` into a caller-owned scratch model and compute
 // sample-weighted mean loss/accuracy over `dataset` in `chunk`-sized
 // mini-batches (bounding peak activation memory on large test sets).
+//
+// The same pass also scores index subsets of `dataset` (Alg. 2's
+// per-tier TestData_t), from one hit flag per row: every row is
+// evaluated once, however many subsets hold it.  A subset's accuracy is
+// bit-identical to evaluating `dataset.subset(indices)` on its own,
+// because a row's logits do not depend on the other rows of its batch
+// (the GEMM paths sum each element the same way at any row count for
+// K <= kKC; tests pin it) and the subset is scored in the same
+// chunk-sized steps.  A layer with K > kKC could break that where a
+// tail chunk is small enough for the small GEMM path (which sums all of
+// K at once, not per kKC block); no benchmark workload or test model
+// has such a layer.
 #pragma once
 
 #include <cstddef>
 #include <span>
+#include <vector>
 
 #include "data/dataset.h"
 #include "nn/sequential.h"
 
 namespace tifl::fl {
 
-nn::LossResult evaluate_weights(nn::Sequential& model,
-                                std::span<const float> weights,
-                                const data::Dataset& dataset,
-                                std::size_t chunk);
+struct Evaluation {
+  double loss = 0.0;      // sample-weighted mean over `dataset`
+  double accuracy = 0.0;
+  // One per requested subset, in order; 0.0 for an empty subset.
+  std::vector<double> subset_accuracies;
+};
+
+// `subsets` hold row indices into `dataset`, in any order, duplicates
+// allowed; an index past the end throws std::out_of_range.
+Evaluation evaluate_weights(
+    nn::Sequential& model, std::span<const float> weights,
+    const data::Dataset& dataset, std::size_t chunk,
+    std::span<const std::vector<std::size_t>> subsets = {});
+
+// Set-time check for the engines' per-tier index lists: throws
+// std::invalid_argument, naming `who`, the tier and the index, for an
+// index >= `rows` (the test set's size).
+void check_tier_eval_indices(
+    const char* who, std::span<const std::vector<std::size_t>> indices,
+    std::size_t rows);
 
 }  // namespace tifl::fl

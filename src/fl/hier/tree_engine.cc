@@ -565,7 +565,7 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
                      version + 1 == async_.total_updates;
     if (last_evaluated) {
       obs::ScopedPhase phase(&phases, obs::Phase::kEval);
-      const nn::LossResult r = evaluate(nodes[0].model);
+      const Evaluation r = evaluate(nodes[0].model);
       phase.stop();
       record.global_accuracy = r.accuracy;
       record.global_loss = r.loss;
@@ -962,7 +962,7 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
 
   if (!out.result.rounds.empty() && !last_evaluated) {
     obs::ScopedPhase phase(&phases, obs::Phase::kEval);
-    const nn::LossResult r = evaluate(nodes[0].model);
+    const Evaluation r = evaluate(nodes[0].model);
     out.result.rounds.back().global_accuracy = r.accuracy;
     out.result.rounds.back().global_loss = r.loss;
   }

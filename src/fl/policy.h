@@ -137,9 +137,10 @@ class SelectionPolicy {
   virtual std::string name() const = 0;
 
   // True when observe() consumes RoundFeedback::tier_accuracies — lets
-  // the system skip materializing and evaluating per-tier test sets
-  // (tier_count extra forward passes per evaluated version) for policies
-  // that would discard them.
+  // the async path skip scoring per-tier test index lists (a hit flag
+  // per test row and a walk over every tier's rows per evaluated version;
+  // the forward pass is the global one) for policies that would discard
+  // them.
   virtual bool needs_tier_feedback() const { return false; }
 
   // Which engines this policy can drive.  Default: synchronous only —

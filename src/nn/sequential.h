@@ -41,8 +41,10 @@ class Sequential {
                          std::span<const std::int32_t> labels,
                          Optimizer& optimizer, util::Rng& rng);
 
-  // Inference-mode loss/accuracy (dropout off, no gradient).
-  LossResult evaluate(const Tensor& x, std::span<const std::int32_t> labels);
+  // Inference-mode loss/accuracy (dropout off, no gradient).  A non-empty
+  // `hits` receives one hit flag per row (SoftmaxCrossEntropy::compute).
+  LossResult evaluate(const Tensor& x, std::span<const std::int32_t> labels,
+                      std::span<std::uint8_t> hits = {});
 
   // --- FL weight exchange -------------------------------------------------
   std::size_t weight_count() const;

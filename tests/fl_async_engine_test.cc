@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <string>
 
 #include "core/adaptive_policy.h"
 #include "core/static_policy.h"
@@ -450,10 +451,7 @@ TEST(AsyncEngine, AdaptivePolicyReceivesTierAccuraciesAndCompletes) {
   for (std::size_t i = 0; i < fed.data.test.size(); ++i) {
     (i < fed.data.test.size() / 2 ? first_half : second_half).push_back(i);
   }
-  std::vector<data::Dataset> sets;
-  sets.push_back(fed.data.test.subset(first_half));
-  sets.push_back(fed.data.test.subset(second_half));
-  engine.set_tier_eval_sets(std::move(sets));
+  engine.set_tier_eval_indices({first_half, second_half});
 
   const AsyncRunResult out = engine.run();
   EXPECT_EQ(out.result.rounds.size(), 12u);
@@ -468,11 +466,25 @@ TEST(AsyncEngine, TierEvalSetCountMismatchThrows) {
   AsyncEngine engine(tiny_engine_config(1), tiny_async_config(5),
                      tiny_factory(), &fed.clients, two_tiers(10),
                      &fed.data.test, fed.latency);
-  std::vector<data::Dataset> one_set;
-  const std::vector<std::size_t> indices{0, 1, 2};
-  one_set.push_back(fed.data.test.subset(indices));
-  EXPECT_THROW(engine.set_tier_eval_sets(std::move(one_set)),
+  EXPECT_THROW(engine.set_tier_eval_indices({{0, 1, 2}}),
                std::invalid_argument);
+}
+
+TEST(AsyncEngine, TierEvalIndexPastTestSetThrowsAtSetTime) {
+  TinyFederation fed = FederationBuilder().clients(10).build();
+  AsyncEngine engine(tiny_engine_config(1), tiny_async_config(5),
+                     tiny_factory(), &fed.clients, two_tiers(10),
+                     &fed.data.test, fed.latency);
+  const std::size_t rows = fed.data.test.size();
+  try {
+    engine.set_tier_eval_indices({{rows + 7}, {0}});
+    FAIL() << "index past the test set was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("tier 0"), std::string::npos) << what;
+    EXPECT_NE(what.find(std::to_string(rows + 7)), std::string::npos) << what;
+  }
+  EXPECT_NO_THROW(engine.set_tier_eval_indices({{rows - 1}, {0, 0}}));
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "test_helpers.h"
 
@@ -236,35 +237,52 @@ TEST(Engine, EvalEverySkipsButCarriesForward) {
 TEST(Engine, TierEvalSetsProduceFeedback) {
   TinyFederation fed = tiny_federation();
 
-  // Two fake "tiers": first half / second half of the test set.
-  std::vector<std::size_t> first_half, second_half;
+  // Three fake "tiers": first half / second half of the test set, and
+  // the whole set in order, which must score exactly the global accuracy
+  // (same rows in the same chunks).
+  std::vector<std::size_t> first_half, second_half, all;
   for (std::size_t i = 0; i < fed.data.test.size(); ++i) {
     (i < fed.data.test.size() / 2 ? first_half : second_half).push_back(i);
+    all.push_back(i);
   }
-  std::vector<data::Dataset> tier_sets;
-  tier_sets.push_back(fed.data.test.subset(first_half));
-  tier_sets.push_back(fed.data.test.subset(second_half));
-
   Engine engine(tiny_engine_config(3), tiny_factory(), fed.clients,
                 &fed.data.test, fed.latency);
-  engine.set_tier_eval_sets(std::move(tier_sets));
+  engine.set_tier_eval_indices({first_half, second_half, all});
 
   struct Recorder final : SelectionPolicy {
     VanillaPolicy inner;
-    std::vector<std::size_t> feedback_sizes;
+    std::vector<RoundFeedback> feedback;
     explicit Recorder(std::size_t n) : inner(n, 3) {}
     Selection select(const SelectionContext& context) override {
       return inner.select(context);
     }
-    void observe(const RoundFeedback& f) override {
-      feedback_sizes.push_back(f.tier_accuracies.size());
-    }
+    void observe(const RoundFeedback& f) override { feedback.push_back(f); }
     std::string name() const override { return "recorder"; }
   } recorder(fed.clients.size());
 
   engine.run(recorder);
-  ASSERT_EQ(recorder.feedback_sizes.size(), 3u);
-  for (std::size_t n : recorder.feedback_sizes) EXPECT_EQ(n, 2u);
+  ASSERT_EQ(recorder.feedback.size(), 3u);
+  for (const RoundFeedback& f : recorder.feedback) {
+    ASSERT_EQ(f.tier_accuracies.size(), 3u);
+    EXPECT_EQ(f.tier_accuracies[2], f.global_accuracy);
+  }
+}
+
+TEST(Engine, TierEvalIndexPastTestSetThrowsAtSetTime) {
+  TinyFederation fed = tiny_federation();
+  Engine engine(tiny_engine_config(1), tiny_factory(), fed.clients,
+                &fed.data.test, fed.latency);
+  const std::size_t rows = fed.data.test.size();
+  try {
+    engine.set_tier_eval_indices({{0, 1}, {2, rows}});
+    FAIL() << "index past the test set was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("tier 1"), std::string::npos) << what;
+    EXPECT_NE(what.find(std::to_string(rows)), std::string::npos) << what;
+  }
+  // The last valid row is accepted.
+  EXPECT_NO_THROW(engine.set_tier_eval_indices({{rows - 1}}));
 }
 
 TEST(Engine, OverProvisioningDropsStragglersFromRoundLatency) {

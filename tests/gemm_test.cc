@@ -636,5 +636,53 @@ TEST(GemmBlocked, PoolWorkerAlongsideTopLevelCall) {
   EXPECT_EQ(blocked.value() - before, calls + worker_calls);
 }
 
+// --- row independence: what single-pass evaluation rests on ------------------
+// fl::evaluate_weights scores per-tier subsets of the test set from the hit
+// flags of one pass over all of it, in place of a pass per subset.  That is
+// exact only while a row's output does not depend on how many rows share
+// its call.  For K <= kKC the small, stream and blocked paths all sum each
+// element from +0.0f over p ascending, so row i of C must be the same bits
+// at every row count.  The counts below cross small -> stream -> blocked
+// and the M-parallel threshold (2 * kMC rows); the shapes are the dense
+// layers' eval shapes (K x N) in the benchmark workloads' models.
+TEST(GemmRowIndependence, RowOfCIsTheSameAtAnyRowCount) {
+  constexpr std::int64_t kMaxRows = 512;
+  const std::int64_t kRowCounts[] = {1, 3, 12, 13, 69, 191, 192, kMaxRows};
+  const std::int64_t kShapes[][2] = {{192, 48}, {64, 48},   {36, 16},
+                                     {48, 10},  {16, 4},    {256, 128},
+                                     {128, 10}};
+  static_assert(2 * kMC == 192);
+  for (const auto& shape : kShapes) {
+    const std::int64_t k = shape[0], n = shape[1];
+    ASSERT_LE(k, kKC);
+    const std::vector<float> a = test_operand(kMaxRows * k, 81, 0);
+    const std::vector<float> b = test_operand(k * n, 82, 0);
+    const std::vector<float> bias = test_operand(n, 83, 0);
+    Epilogue dense;  // the dense layers' fused bias + ReLU
+    dense.bias_n = bias.data();
+    dense.relu = true;
+    for (const Epilogue& ep : {Epilogue{}, dense}) {
+      std::vector<float> full(static_cast<std::size_t>(kMaxRows * n));
+      gemm_nn_raw(a.data(), b.data(), full.data(), kMaxRows, k, n,
+                  /*accumulate=*/false, ep);
+      for (const std::int64_t m : kRowCounts) {
+        // A's first and last m rows: each row sits at another offset of
+        // its 4-row group, register tile and parallel chunk than it does
+        // in the full call.
+        for (const std::int64_t m0 : {std::int64_t{0}, kMaxRows - m}) {
+          std::vector<float> part(static_cast<std::size_t>(m * n));
+          gemm_nn_raw(a.data() + m0 * k, b.data(), part.data(), m, k, n,
+                      /*accumulate=*/false, ep);
+          const std::vector<float> want(full.begin() + m0 * n,
+                                        full.begin() + (m0 + m) * n);
+          EXPECT_TRUE(same_bits(part, want))
+              << k << "x" << n << " rows [" << m0 << ", " << m0 + m
+              << ") epilogue " << ep.active();
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace tifl::tensor

@@ -5,6 +5,8 @@
 // balances both.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/system.h"
 #include "test_helpers.h"
 
@@ -122,16 +124,19 @@ TEST(TiflSystem, TierEvalSetsMatchTierMembership) {
   TinyFederation fed = tiny_federation(20);
   TiflSystem system(tiny_system_config(), tiny_factory(), &fed.data.test,
                     fed.clients, fed.latency);
-  const auto sets = build_tier_eval_sets(system.tiers(),
-                                         system.engine().clients(),
-                                         fed.data.test);
+  const auto sets =
+      build_tier_eval_indices(system.tiers(), system.engine().clients());
   ASSERT_EQ(sets.size(), 5u);
   for (std::size_t t = 0; t < 5; ++t) {
-    std::size_t expected = 0;
+    // The members' matched shards, sorted with duplicates kept.
+    std::vector<std::size_t> expected;
     for (std::size_t id : system.tiers().members[t]) {
-      expected += system.engine().clients()[id].test_indices().size();
+      const auto& shard = system.engine().clients()[id].test_indices();
+      expected.insert(expected.end(), shard.begin(), shard.end());
     }
-    EXPECT_EQ(sets[t].size(), expected) << "tier " << t;
+    std::sort(expected.begin(), expected.end());
+    EXPECT_EQ(sets[t], expected) << "tier " << t;
+    for (std::size_t index : sets[t]) EXPECT_LT(index, fed.data.test.size());
   }
 }
 

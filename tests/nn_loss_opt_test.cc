@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <vector>
 
 #include "nn/checkpoint.h"
@@ -45,6 +46,44 @@ TEST(Loss, AccuracyCountsArgmaxHits) {
   const std::vector<std::int32_t> labels{0, 1, 1, 0};
   SoftmaxCrossEntropy loss;
   EXPECT_DOUBLE_EQ(loss.compute(logits, labels).accuracy, 0.5);
+}
+
+TEST(Loss, HitFlagsMarkEachRow) {
+  Tensor logits({4, 2},
+                std::vector<float>{2, 1,   // -> 0 (correct)
+                                   1, 2,   // -> 1 (correct)
+                                   2, 1,   // -> 0 (wrong, label 1)
+                                   1, 2}); // -> 1 (wrong, label 0)
+  const std::vector<std::int32_t> labels{0, 1, 1, 0};
+  SoftmaxCrossEntropy loss;
+  std::vector<std::uint8_t> hits(4, 7);
+  const LossResult r = loss.compute(logits, labels, false, hits);
+  EXPECT_EQ(hits, (std::vector<std::uint8_t>{1, 1, 0, 0}));
+  // Flags do not change what the pass reports.
+  EXPECT_DOUBLE_EQ(r.accuracy, loss.compute(logits, labels).accuracy);
+  std::vector<std::uint8_t> short_hits(3);
+  EXPECT_THROW(loss.compute(logits, labels, false, short_hits),
+               std::invalid_argument);
+}
+
+TEST(Loss, NonFiniteRowIsAMissNotAClassZeroHit) {
+  // A NaN or +inf logit turns its softmax row NaN.  Such a row must not
+  // read as a class-0 prediction: a diverged model would otherwise report
+  // the class-0 share as its accuracy.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  Tensor logits({5, 3}, std::vector<float>{nan, nan, nan,     // label 0
+                                           1.0f, nan, 0.0f,   // label 0
+                                           2.0f, inf, 0.0f,   // label 0
+                                           nan, nan, nan,     // label 1
+                                           3.0f, 0.0f, 0.0f});  // label 0
+  const std::vector<std::int32_t> labels{0, 0, 0, 1, 0};
+  SoftmaxCrossEntropy loss;
+  std::vector<std::uint8_t> hits(5);
+  const LossResult r = loss.compute(logits, labels, false, hits);
+  EXPECT_EQ(hits, (std::vector<std::uint8_t>{0, 0, 0, 0, 1}));
+  EXPECT_DOUBLE_EQ(r.accuracy, 0.2);
+  EXPECT_TRUE(std::isnan(r.loss));
 }
 
 TEST(Loss, GradientIsSoftmaxMinusOnehotOverBatch) {
