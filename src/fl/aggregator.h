@@ -18,6 +18,8 @@
 #include <span>
 #include <vector>
 
+#include "fl/client.h"
+
 namespace tifl::fl {
 
 struct WeightedUpdate {
@@ -41,5 +43,21 @@ class HierarchicalAggregator {
  private:
   std::size_t fanout_;
 };
+
+// A tier round in flight on the async loops: trained at dispatch, it
+// completes after its slowest member's latency.  `active` is the tree's
+// "completion event scheduled and unconsumed" flag.
+struct PendingTierRound {
+  std::vector<std::size_t> selected;  // client ids, selection order
+  std::vector<LocalUpdate> updates;   // same order
+  std::size_t dispatch_version = 0;   // model version at dispatch
+  double latency = 0.0;               // tier-round duration (max member)
+  bool active = false;
+};
+
+// FedAvg of the round's updates in selection order; `train_loss`, when
+// given, receives their mean training loss.
+std::vector<float> fold_round(const PendingTierRound& round,
+                              double* train_loss = nullptr);
 
 }  // namespace tifl::fl

@@ -1,13 +1,12 @@
 #include "fl/async_engine.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdio>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
-#include "fl/aggregator.h"
 #include "fl/evaluation.h"
 #include "fl/policy.h"
 #include "fl/snapshot.h"
@@ -19,7 +18,6 @@
 #include "sim/sharded_event_queue.h"
 #include "util/log.h"
 #include "util/segmented_id_set.h"
-#include "util/thread_pool.h"
 
 namespace tifl::fl {
 
@@ -89,50 +87,74 @@ std::vector<double> cross_tier_weights(
 
 namespace {
 
-// Per-tier selection/latency streams, shared by both run paths so a
+// Per-tier server state both run paths keep (FedAT keeps one model per
+// tier).  Both fork the same selection and latency streams, so a
 // zero-churn dynamic configuration consumes the exact streams of a
-// static run.  Tier 0 reuses the sync engine's fork tags (0xF01
-// selection, 0xF02 latency): a single-tier async run consumes the
-// byte-for-byte streams of a sync VanillaPolicy run.
-struct TierRngs {
-  std::vector<util::Rng> selection;
-  std::vector<util::Rng> latency;
-};
-
-TierRngs make_tier_rngs(std::uint64_t seed, std::size_t num_tiers) {
-  util::Rng root(seed);
-  TierRngs rngs;
-  rngs.selection.reserve(num_tiers);
-  rngs.latency.reserve(num_tiers);
-  for (std::size_t t = 0; t < num_tiers; ++t) {
-    rngs.selection.push_back(
-        root.fork(t == 0 ? 0xF01 : util::mix_seed(0xA51C, t)));
-    rngs.latency.push_back(
-        root.fork(t == 0 ? 0xF02 : util::mix_seed(0xA51D, t)));
-  }
-  return rngs;
-}
-
-// Final per-tier accounting shared by both run paths (final_live_clients
-// stays path-specific).
-void finalize_result(AsyncRunResult& out, std::vector<float>&& global,
-                     const std::vector<std::size_t>& tier_updates,
-                     const std::vector<double>& staleness_sum,
-                     std::vector<double>&& current_weights) {
-  const std::size_t num_tiers = tier_updates.size();
-  out.final_weights = std::move(global);
-  out.tier_updates = tier_updates;
-  out.mean_staleness.assign(num_tiers, 0.0);
-  for (std::size_t t = 0; t < num_tiers; ++t) {
-    if (tier_updates[t] > 0) {
-      out.mean_staleness[t] =
-          staleness_sum[t] / static_cast<double>(tier_updates[t]);
+// static run; tier 0 reuses the sync engine's fork tags (0xF01, 0xF02),
+// so a single-tier async run consumes those of a sync VanillaPolicy run.
+struct ServerState {
+  ServerState(std::uint64_t seed, std::size_t num_tiers,
+              std::vector<float> initial, double lr)
+      : global(std::move(initial)),
+        tier_models(num_tiers, global),
+        tier_updates(num_tiers, 0),
+        last_submit_version(num_tiers, 0),
+        tier_lr(num_tiers, lr),
+        staleness_sum(num_tiers, 0.0),
+        parked(num_tiers, 0),
+        parked_at(num_tiers, 0) {
+    util::Rng root(seed);
+    for (std::size_t t = 0; t < num_tiers; ++t) {
+      selection_rng.push_back(
+          root.fork(t == 0 ? 0xF01 : util::mix_seed(0xA51C, t)));
+      latency_rng.push_back(
+          root.fork(t == 0 ? 0xF02 : util::mix_seed(0xA51D, t)));
     }
   }
-  out.final_tier_weights = std::move(current_weights);
+
+  std::vector<util::Rng> selection_rng;
+  std::vector<util::Rng> latency_rng;
+  std::vector<float> global;
+  std::vector<std::vector<float>> tier_models;
+  std::vector<std::size_t> tier_updates;
+  std::vector<std::size_t> last_submit_version;
+  // Iterated per-tier lr decay (multiplicative, like the sync engine, so
+  // a single-tier run reproduces the sync lr sequence bit for bit).
+  std::vector<double> tier_lr;
+  std::vector<double> staleness_sum;
+  std::vector<double> current_weights;  // cross-tier weights in effect
+  std::size_t dispatch_seq = 0;         // event-order dispatch counter
+  // Tiers whose last selection came back empty, retried once per *later*
+  // version (`parked_at` blocks a same-version re-ask).  The default
+  // uniform policy never parks.
+  std::vector<char> parked;
+  std::vector<std::size_t> parked_at;
+  std::vector<double> accum;  // aggregate_global scratch
+};
+
+// End-of-run accounting shared by both run paths (final_members and
+// final_live_clients stay path-specific).  The per-shard queue registries
+// fold into the process-global one under the single-queue instrument
+// names (sim.events_popped etc.).
+void finalize_result(AsyncRunResult& out, ServerState& server,
+                     const obs::PhaseTimer& phases,
+                     sim::ShardedEventQueue& queue) {
+  const std::size_t num_tiers = server.tier_updates.size();
+  out.final_weights = std::move(server.global);
+  out.tier_updates = server.tier_updates;
+  out.mean_staleness.assign(num_tiers, 0.0);
+  for (std::size_t t = 0; t < num_tiers; ++t) {
+    if (server.tier_updates[t] > 0) {
+      out.mean_staleness[t] = server.staleness_sum[t] /
+                              static_cast<double>(server.tier_updates[t]);
+    }
+  }
+  out.final_tier_weights = std::move(server.current_weights);
   if (out.final_tier_weights.empty()) {
     out.final_tier_weights.assign(num_tiers, 0.0);
   }
+  out.result.phases = phases.stats();
+  queue.merge_metrics_into(obs::Registry::global());
 }
 
 }  // namespace
@@ -160,6 +182,21 @@ void aggregate_global(const std::vector<std::vector<float>>& tier_models,
   }
 }
 
+std::vector<double> aggregate_slots(
+    StalenessFn fn, double alpha, std::span<const std::size_t> update_counts,
+    std::span<const std::size_t> last_version, std::size_t version,
+    const std::vector<std::vector<float>>& models, std::vector<float>& global,
+    std::vector<double>& accum) {
+  std::vector<std::size_t> age(update_counts.size(), 0);
+  for (std::size_t s = 0; s < age.size(); ++s) {
+    if (update_counts[s] > 0) age[s] = version - last_version[s];
+  }
+  std::vector<double> weights =
+      cross_tier_weights(fn, alpha, update_counts, age);
+  aggregate_global(models, weights, global, accum);
+  return weights;
+}
+
 namespace {
 
 // Engine-level instruments, resolved once.  Counter/histogram updates are
@@ -182,11 +219,7 @@ struct AsyncMetrics {
   // bookends.
   obs::Counter& setup_ns;
   obs::Counter& finalize_ns;
-  // Durability: snapshot writes (count/bytes/wall time) and the fault
-  // model's lost-then-retried vs permanently-dropped update deliveries.
-  obs::Counter& checkpoint_writes;
-  obs::Counter& checkpoint_bytes;
-  obs::Counter& checkpoint_write_ns;
+  // The fault model's lost-then-retried vs permanently-dropped updates.
   obs::Counter& lost_updates;
   obs::Counter& dropped_updates;
   obs::Histo& staleness;
@@ -209,9 +242,6 @@ AsyncMetrics& async_metrics() {
       reg.counter("async.barriers"),
       reg.counter("async.setup_ns"),
       reg.counter("async.finalize_ns"),
-      reg.counter("checkpoint.writes"),
-      reg.counter("checkpoint.bytes"),
-      reg.counter("checkpoint.write_ns"),
       reg.counter("fault.lost_updates"),
       reg.counter("fault.dropped_updates"),
       reg.histogram("async.staleness"),
@@ -219,120 +249,6 @@ AsyncMetrics& async_metrics() {
       reg.histogram("async.barrier_tasks"),
   };
   return m;
-}
-
-// --- snapshot payload helpers -----------------------------------------------
-// The payload wrapped by fl::save_snapshot is one flat ByteSink stream;
-// these helpers encode the composite pieces both run paths share.
-
-constexpr std::uint64_t kSnapStatic = 0;   // run_static payload tag
-constexpr std::uint64_t kSnapDynamic = 1;  // run_dynamic payload tag
-
-void put_rng(util::ByteSink& sink, const util::Rng& rng) {
-  for (std::uint64_t word : rng.state()) sink.put_u64(word);
-}
-
-void get_rng(util::ByteSource& source, util::Rng& rng) {
-  std::array<std::uint64_t, 4> state;
-  for (std::uint64_t& word : state) word = source.get_u64();
-  rng.set_state(state);
-}
-
-void put_update(util::ByteSink& sink, const LocalUpdate& update) {
-  sink.put_f32_vec(update.weights);
-  sink.put_u64(update.num_samples);
-  sink.put_f64(update.train_loss);
-  sink.put_f64(update.train_accuracy);
-}
-
-LocalUpdate get_update(util::ByteSource& source) {
-  LocalUpdate update;
-  update.weights = source.get_f32_vec();
-  update.num_samples = static_cast<std::size_t>(source.get_u64());
-  update.train_loss = source.get_f64();
-  update.train_accuracy = source.get_f64();
-  return update;
-}
-
-void put_records(util::ByteSink& sink,
-                 const std::vector<RoundRecord>& records) {
-  sink.put_u64(records.size());
-  for (const RoundRecord& r : records) {
-    sink.put_u64(r.round);
-    sink.put_f64(r.virtual_time);
-    sink.put_f64(r.round_latency);
-    sink.put_f64(r.global_accuracy);
-    sink.put_f64(r.global_loss);
-    sink.put_f64(r.train_loss);
-    sink.put_i64(r.selected_tier);
-    sink.put_size_vec(r.selected_clients);
-  }
-}
-
-std::vector<RoundRecord> get_records(util::ByteSource& source) {
-  const std::size_t count = source.checked_count(source.get_u64(), 8 * 7);
-  std::vector<RoundRecord> records;
-  records.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    RoundRecord r;
-    r.round = static_cast<std::size_t>(source.get_u64());
-    r.virtual_time = source.get_f64();
-    r.round_latency = source.get_f64();
-    r.global_accuracy = source.get_f64();
-    r.global_loss = source.get_f64();
-    r.train_loss = source.get_f64();
-    r.selected_tier = static_cast<int>(source.get_i64());
-    r.selected_clients = source.get_size_vec();
-    records.push_back(std::move(r));
-  }
-  return records;
-}
-
-void put_queue(util::ByteSink& sink, const sim::ShardedEventQueue& queue) {
-  sink.put_f64(queue.now());
-  sink.put_u64(queue.next_seq());
-  const std::vector<sim::Event> events = queue.pending();
-  sink.put_u64(events.size());
-  for (const sim::Event& e : events) {
-    sink.put_f64(e.time);
-    sink.put_u64(e.seq);
-    sink.put_u64(e.kind);
-    sink.put_u64(e.actor);
-  }
-}
-
-void get_queue(util::ByteSource& source, sim::ShardedEventQueue& queue) {
-  const double now = source.get_f64();
-  const std::uint64_t next_seq = source.get_u64();
-  const std::size_t count = source.checked_count(source.get_u64(), 32);
-  std::vector<sim::Event> events(count);
-  for (sim::Event& e : events) {
-    e.time = source.get_f64();
-    e.seq = source.get_u64();
-    e.kind = source.get_u64();
-    e.actor = source.get_u64();
-  }
-  queue.restore(now, next_seq, events);
-}
-
-// The merged metrics view at checkpoint time: the process-global registry
-// plus the queue's per-shard registries (which only fold into the global
-// one at finalize).  Restored wholesale into the global registry on
-// resume, so the resumed run's finalize-time totals equal the
-// uninterrupted run's for every deterministic instrument.
-void put_metrics(util::ByteSink& sink, const sim::ShardedEventQueue& queue) {
-  obs::Registry merged;
-  merged.merge_from(obs::Registry::global());
-  queue.merge_metrics_into(merged);
-  util::ByteSink blob;
-  merged.save(blob);
-  sink.put_string(blob.bytes());
-}
-
-void get_metrics(util::ByteSource& source) {
-  const std::string blob = source.get_string();
-  util::ByteSource blob_source(blob);
-  obs::Registry::global().restore(blob_source);
 }
 
 // Guards a resume against a drifted configuration: every knob that shapes
@@ -374,50 +290,6 @@ std::uint64_t config_fingerprint(const EngineConfig& config,
   return h;
 }
 
-// Common payload prologue: path tag, fingerprint, dimensions, policy
-// identity.  Readers validate every field before touching the rest.
-void put_prologue(util::ByteSink& sink, std::uint64_t tag,
-                  std::uint64_t fingerprint, std::size_t num_tiers,
-                  std::size_t num_clients, std::size_t weight_count,
-                  const std::string& policy_name) {
-  sink.put_u64(tag);
-  sink.put_u64(fingerprint);
-  sink.put_u64(num_tiers);
-  sink.put_u64(num_clients);
-  sink.put_u64(weight_count);
-  sink.put_string(policy_name);
-}
-
-void check_prologue(util::ByteSource& source, std::uint64_t tag,
-                    std::uint64_t fingerprint, std::size_t num_tiers,
-                    std::size_t num_clients, std::size_t weight_count,
-                    const std::string& policy_name) {
-  const std::uint64_t snap_tag = source.get_u64();
-  if (snap_tag != tag) {
-    throw std::runtime_error(
-        "AsyncEngine: snapshot was taken on the " +
-        std::string(snap_tag == kSnapDynamic ? "dynamic" : "static") +
-        " path but this configuration runs the " +
-        std::string(tag == kSnapDynamic ? "dynamic" : "static") + " path");
-  }
-  if (source.get_u64() != fingerprint) {
-    throw std::runtime_error(
-        "AsyncEngine: snapshot config fingerprint mismatch (resume requires "
-        "the same seed, population, schedule and fault configuration)");
-  }
-  if (source.get_u64() != num_tiers || source.get_u64() != num_clients ||
-      source.get_u64() != weight_count) {
-    throw std::runtime_error(
-        "AsyncEngine: snapshot population/model dimensions mismatch");
-  }
-  const std::string snap_policy = source.get_string();
-  if (snap_policy != policy_name) {
-    throw std::runtime_error("AsyncEngine: snapshot was taken with policy '" +
-                             snap_policy + "' but '" + policy_name +
-                             "' is installed");
-  }
-}
-
 // Opens (or, on resume, truncates to the snapshot's processed-event
 // horizon) the append-only event log.  A fresh run clobbers any stale log
 // under the same name, mirroring how metrics/trace outputs behave.
@@ -432,14 +304,116 @@ void open_event_log(sim::EventLogWriter& log, const std::string& path,
   }
 }
 
-}  // namespace
+// Payload head both loops write after the prologue: stream positions,
+// the per-tier server state, the records, the dispatch counter.
+void put_head(util::ByteSink& sink, const ServerState& server,
+              const std::vector<RoundRecord>& records) {
+  for (std::size_t t = 0; t < server.tier_models.size(); ++t) {
+    put_rng(sink, server.selection_rng[t]);
+    put_rng(sink, server.latency_rng[t]);
+  }
+  sink.put_f32_vec(server.global);
+  for (const std::vector<float>& model : server.tier_models) {
+    sink.put_f32_vec(model);
+  }
+  sink.put_size_vec(server.tier_updates);
+  sink.put_size_vec(server.last_submit_version);
+  sink.put_f64_vec(server.tier_lr);
+  sink.put_f64_vec(server.staleness_sum);
+  put_records(sink, records);
+  sink.put_f64_vec(server.current_weights);
+  sink.put_u64(server.dispatch_seq);
+}
 
-struct AsyncEngine::PendingRound {
-  std::vector<std::size_t> selected;  // client ids, selection order
-  std::vector<LocalUpdate> updates;   // same order
-  std::size_t dispatch_version = 0;   // global version at snapshot time
-  double latency = 0.0;               // tier-round duration (max member)
-};
+void get_head(util::ByteSource& source, ServerState& server,
+              std::vector<RoundRecord>& records) {
+  for (std::size_t t = 0; t < server.tier_models.size(); ++t) {
+    get_rng(source, server.selection_rng[t]);
+    get_rng(source, server.latency_rng[t]);
+  }
+  server.global = source.get_f32_vec();
+  for (std::vector<float>& model : server.tier_models) {
+    model = source.get_f32_vec();
+  }
+  server.tier_updates = source.get_size_vec();
+  server.last_submit_version = source.get_size_vec();
+  server.tier_lr = source.get_f64_vec();
+  server.staleness_sum = source.get_f64_vec();
+  records = get_records(source);
+  server.current_weights = source.get_f64_vec();
+  server.dispatch_seq = static_cast<std::size_t>(source.get_u64());
+}
+
+// Payload tail both loops write last: event accounting, the checkpoint
+// due point (stored for the record only: a resumed run recomputes it
+// from its own config), the queue, fault and policy state, the metrics.
+void put_tail(util::ByteSink& sink, const AsyncRunResult& out,
+              const Checkpointer& checkpointer,
+              const sim::ShardedEventQueue& queue,
+              const sim::FaultModel& fault, const SelectionPolicy& policy) {
+  sink.put_u64(out.processed_events);
+  sink.put_u64(out.max_event_batch);
+  sink.put_f64(checkpointer.next_due());
+  put_queue(sink, queue);
+  put_blob(sink, [&](util::ByteSink& blob) { fault.save_state(blob); });
+  put_blob(sink, [&](util::ByteSink& blob) { policy.save_state(blob); });
+  put_metrics(sink, queue);
+}
+
+void get_tail(util::ByteSource& source, AsyncRunResult& out,
+              Checkpointer& checkpointer, sim::ShardedEventQueue& queue,
+              sim::FaultModel& fault, SelectionPolicy& policy) {
+  out.processed_events = static_cast<std::size_t>(source.get_u64());
+  out.max_event_batch = static_cast<std::size_t>(source.get_u64());
+  (void)source.get_f64();
+  get_queue(source, queue);
+  checkpointer.resume(queue.now());
+  get_blob(source, [&](util::ByteSource& blob) { fault.restore_state(blob); });
+  get_blob(source,
+           [&](util::ByteSource& blob) { policy.restore_state(blob); });
+  get_metrics(source);
+}
+
+// Asks `policy` for tier `tier`'s cohort at `version`, sampled from
+// `candidates`; an empty answer parks the tier.
+Selection select_cohort(SelectionPolicy& policy, ServerState& server,
+                        obs::PhaseTimer& phases, std::size_t tier,
+                        std::size_t version, double now,
+                        std::span<const std::size_t> candidates,
+                        std::span<const std::vector<std::size_t>> members) {
+  std::vector<std::size_t> staleness(server.tier_updates.size(), 0);
+  for (std::size_t t = 0; t < staleness.size(); ++t) {
+    if (server.tier_updates[t] > 0) {
+      staleness[t] = version - server.last_submit_version[t];
+    }
+  }
+  SelectionContext context;
+  context.round = version;
+  context.virtual_time = now;
+  context.tier = static_cast<int>(tier);
+  context.candidates = candidates;
+  context.tiers = TierView{.members = members,
+                           .update_counts = server.tier_updates,
+                           .staleness = staleness};
+  context.rng = &server.selection_rng[tier];
+  Selection selection;
+  {
+    obs::ScopedPhase phase(&phases, obs::Phase::kSelect);
+    selection = policy.select(context);
+  }
+  if (selection.clients.empty()) {
+    server.parked[tier] = 1;
+    server.parked_at[tier] = version;
+    async_metrics().parks.add();
+    if (obs::Tracer* t = obs::tracer()) {
+      t->instant(now, "async", "park", static_cast<std::int64_t>(tier),
+                 {obs::field("version", version)});
+    }
+  }
+  return selection;
+}
+
+}  // namespace
 
 AsyncEngine::AsyncEngine(EngineConfig config, AsyncConfig async,
                          nn::ModelFactory factory, ClientPool* pool,
@@ -475,49 +449,34 @@ AsyncEngine::AsyncEngine(EngineConfig config, AsyncConfig async,
   validate();
 }
 
+void validate_async_config(const AsyncConfig& async, const ClientPool* clients,
+                           const data::Dataset* test, const char* engine) {
+  const auto bad = [](double v) { return std::isnan(v) || v < 0.0; };
+  const std::pair<bool, const char*> checks[] = {
+      {clients == nullptr || clients->size() == 0, "no clients"},
+      {test == nullptr, "null test dataset"},
+      {async.total_updates == 0, "total_updates must be > 0"},
+      {async.clients_per_tier_round == 0,
+       "clients_per_tier_round must be > 0"},
+      {async.poly_alpha < 0.0, "negative poly_alpha"},
+      {async.eval_every == 0, "eval_every must be > 0"},
+      {bad(async.reprofile_every), "negative reprofile_every"},
+      {async.shards == 0, "shards must be > 0"},
+      {bad(async.barrier_window), "negative or NaN barrier_window"},
+      {bad(async.checkpoint_every), "negative or NaN checkpoint_every"},
+      {async.checkpoint_every > 0.0 && async.checkpoint_path.empty(),
+       "checkpoint_every > 0 requires a checkpoint_path"},
+      {bad(async.churn.join_rate) || bad(async.churn.leave_rate) ||
+           bad(async.churn.slowdown_rate),
+       "negative or NaN churn rate"},
+  };
+  for (const auto& [failed, what] : checks) {
+    if (failed) throw std::invalid_argument(std::string(engine) + ": " + what);
+  }
+}
+
 void AsyncEngine::validate() const {
-  if (clients_ == nullptr || clients_->size() == 0) {
-    throw std::invalid_argument("AsyncEngine: no clients");
-  }
-  if (test_ == nullptr) {
-    throw std::invalid_argument("AsyncEngine: null test dataset");
-  }
-  if (async_.total_updates == 0) {
-    throw std::invalid_argument("AsyncEngine: total_updates must be > 0");
-  }
-  if (async_.clients_per_tier_round == 0) {
-    throw std::invalid_argument(
-        "AsyncEngine: clients_per_tier_round must be > 0");
-  }
-  if (async_.poly_alpha < 0.0) {
-    throw std::invalid_argument("AsyncEngine: negative poly_alpha");
-  }
-  if (async_.eval_every == 0) {
-    throw std::invalid_argument("AsyncEngine: eval_every must be > 0");
-  }
-  if (std::isnan(async_.reprofile_every) || async_.reprofile_every < 0.0) {
-    throw std::invalid_argument("AsyncEngine: negative reprofile_every");
-  }
-  if (async_.shards == 0) {
-    throw std::invalid_argument("AsyncEngine: shards must be > 0");
-  }
-  if (std::isnan(async_.barrier_window) || async_.barrier_window < 0.0) {
-    throw std::invalid_argument("AsyncEngine: negative or NaN barrier_window");
-  }
-  if (std::isnan(async_.checkpoint_every) || async_.checkpoint_every < 0.0) {
-    throw std::invalid_argument(
-        "AsyncEngine: negative or NaN checkpoint_every");
-  }
-  if (async_.checkpoint_every > 0.0 && async_.checkpoint_path.empty()) {
-    throw std::invalid_argument(
-        "AsyncEngine: checkpoint_every > 0 requires a checkpoint_path");
-  }
-  for (double rate : {async_.churn.join_rate, async_.churn.leave_rate,
-                      async_.churn.slowdown_rate}) {
-    if (std::isnan(rate) || rate < 0.0) {
-      throw std::invalid_argument("AsyncEngine: negative or NaN churn rate");
-    }
-  }
+  validate_async_config(async_, clients_, test_, "AsyncEngine");
   bool any_members = false;
   for (const std::vector<std::size_t>& members : tier_members_) {
     any_members = any_members || !members.empty();
@@ -530,17 +489,6 @@ void AsyncEngine::validate() const {
   if (!any_members) {
     throw std::invalid_argument("AsyncEngine: every tier is empty");
   }
-}
-
-nn::Sequential& AsyncEngine::scratch_model(std::size_t slot) {
-  while (scratch_.size() <= slot) {
-    scratch_.push_back(factory_(/*seed=*/slot + 1));
-  }
-  return scratch_[slot];
-}
-
-util::ThreadPool& AsyncEngine::pool() {
-  return pool_ != nullptr ? *pool_ : util::global_pool();
 }
 
 void AsyncEngine::set_lifecycle_hooks(LifecycleHooks hooks) {
@@ -567,7 +515,7 @@ void AsyncEngine::set_tier_eval_indices(
 }
 
 Evaluation AsyncEngine::evaluate(std::span<const float> weights) {
-  return evaluate_weights(scratch_model(0), weights, *test_,
+  return evaluate_weights(trainer_.eval_model(), weights, *test_,
                           config_.eval_chunk, tier_eval_indices_);
 }
 
@@ -591,19 +539,10 @@ AsyncRunResult AsyncEngine::run_static(std::uint64_t seed,
   const auto setup_start = obs::wall_now();
   obs::PhaseTimer phases;
 
-  TierRngs rngs = make_tier_rngs(seed, num_tiers);
-
-  std::vector<float> global = factory_(seed).weights();
-
-  // Per-tier server state (FedAT keeps one model version per tier).
-  std::vector<std::vector<float>> tier_models(num_tiers, global);
-  std::vector<std::size_t> tier_updates(num_tiers, 0);
-  std::vector<std::size_t> last_submit_version(num_tiers, 0);
-  // Iterated per-tier lr decay (multiplicative, like the sync engine, so
-  // a single-tier run reproduces the sync lr sequence bit for bit).
-  std::vector<double> tier_lr(num_tiers, config_.local.optimizer.lr);
-  std::vector<double> staleness_sum(num_tiers, 0.0);
-  std::vector<PendingRound> pending(num_tiers);
+  ServerState server(seed, num_tiers, factory_(seed).weights(),
+                     config_.local.optimizer.lr);
+  std::vector<float>& global = server.global;
+  std::vector<PendingTierRound> pending(num_tiers);
 
   // Tier-round completions are the only scheduled events here, so tiers
   // are the actor space.  Any shard count pops the single-heap (time,
@@ -615,103 +554,45 @@ AsyncRunResult AsyncEngine::run_static(std::uint64_t seed,
           ? "async/" + policy.name() + "/" + staleness_name(async_.staleness)
           : "async/" + staleness_name(async_.staleness);
   out.result.rounds.reserve(async_.total_updates);
-  std::vector<double> current_weights;
-  std::vector<std::size_t> model_age;     // reused per aggregation
-  std::vector<double> accum_scratch;      // aggregate_global scratch
+  VersionRecorder recorder{
+      &out.result.rounds, async_.eval_every, async_.total_updates, "async",
+      [this](std::span<const float> w) { return evaluate(w); }, &phases};
 
-  std::size_t dispatch_seq = 0;   // event-order dispatch counter
   std::size_t scheduled = 0;      // dispatched tier rounds (in flight + done)
-  // Tiers whose last selection came back empty (cadence parked by the
-  // policy); retried once per *later* recorded version — `parked_at`
-  // keeps a just-parked tier from being re-asked at the same version.
-  // The default uniform policy never parks, keeping this path cold on
-  // pre-seam replays.
-  std::vector<char> parked(num_tiers, 0);
-  std::vector<std::size_t> parked_at(num_tiers, 0);
-  std::vector<std::size_t> staleness_scratch(num_tiers, 0);
 
   // --- durability state ------------------------------------------------------
   sim::FaultModel fault(async_.fault, seed);
   // Redelivery attempts for the tier's lost completion (the static path's
   // unit of delivery is the whole tier round).
   std::vector<std::size_t> retry_count(num_tiers, 0);
-  double next_checkpoint_due = async_.checkpoint_every > 0.0
-                                   ? async_.checkpoint_every
-                                   : std::numeric_limits<double>::infinity();
-  bool last_evaluated = false;
+  sim::EventLogWriter event_log;
+  Checkpointer checkpointer(async_.checkpoint_every, async_.checkpoint_path,
+                            &event_log);
   bool budget_exhausted = false;
 
   const auto dispatch = [&](std::size_t tier) {
-    parked[tier] = 0;
-    const std::vector<std::size_t>& members = tier_members_[tier];
-
+    server.parked[tier] = 0;
     const std::size_t version = out.result.rounds.size();
-    for (std::size_t t = 0; t < num_tiers; ++t) {
-      staleness_scratch[t] =
-          tier_updates[t] > 0 ? version - last_submit_version[t] : 0;
-    }
-    SelectionContext context;
-    context.round = version;
-    context.virtual_time = queue.now();
-    context.tier = static_cast<int>(tier);
-    context.candidates = members;
-    context.tiers = TierView{.members = tier_members_,
-                             .update_counts = tier_updates,
-                             .staleness = staleness_scratch};
-    context.rng = &rngs.selection[tier];
-    Selection selection;
-    {
-      obs::ScopedPhase phase(&phases, obs::Phase::kSelect);
-      selection = policy.select(context);
-    }
-    if (selection.clients.empty()) {
-      parked[tier] = 1;
-      parked_at[tier] = version;
-      metrics.parks.add();
-      if (obs::Tracer* t = obs::tracer()) {
-        t->instant(queue.now(), "async", "park",
-                   static_cast<std::int64_t>(tier),
-                   {obs::field("version", version)});
-      }
-      return;
-    }
+    Selection selection =
+        select_cohort(policy, server, phases, tier, version, queue.now(),
+                      tier_members_[tier], tier_members_);
+    if (selection.clients.empty()) return;
     for (std::size_t id : selection.clients) {
       if (id >= clients_->size()) {
         throw std::logic_error(
             "AsyncEngine: policy selected a client outside the population");
       }
     }
+    check_distinct_clients("AsyncEngine", selection.clients);
     const std::size_t count = selection.clients.size();
 
-    PendingRound& round = pending[tier];
+    PendingTierRound& round = pending[tier];
     round.selected = std::move(selection.clients);
     round.dispatch_version = version;
 
-    LocalTrainParams params = config_.local;
-    params.lr = tier_lr[tier];
-
-    for (std::size_t i = 0; i < count; ++i) scratch_model(i + 1);
-    round.updates.assign(count, LocalUpdate{});
-    // Leases pin (and on a virtualized pool, materialize) the cohort's
-    // training state for exactly the duration of local training.
-    std::vector<ClientPool::Lease> leases;
-    leases.reserve(count);
-    {
-      obs::ScopedPhase phase(&phases, obs::Phase::kTrain);
-      for (std::size_t id : round.selected) {
-        leases.push_back(clients_->lease(id));
-      }
-      pool().parallel_for(0, count, [&](std::size_t i) {
-        const Client& client = *leases[i];
-        // Deterministic stream per (event-seq, client id): the async
-        // analogue of the sync engine's (round, client id) fork.
-        util::Rng client_rng(util::mix_seed(seed, dispatch_seq, client.id()));
-        round.updates[i] =
-            client.local_update(global, scratch_[i + 1], params, client_rng);
-      });
-      leases.clear();
-    }
-    ++dispatch_seq;
+    trainer_.train(*clients_, round.selected, global, server.tier_lr[tier],
+                   seed, server.dispatch_seq, round.updates, phases);
+    ++server.dispatch_seq;
 
     // A tier round is internally synchronous: it completes when its
     // slowest sampled member responds.  Latency needs only pool-level
@@ -722,7 +603,8 @@ AsyncRunResult AsyncEngine::run_static(std::uint64_t seed,
           round.latency,
           latency_model_.sample_latency(clients_->resource(id),
                                         clients_->train_size(id),
-                                        params.epochs, rngs.latency[tier]));
+                                        config_.local.epochs,
+                                        server.latency_rng[tier]));
     }
     queue.schedule(round.latency, /*kind=*/0, /*actor=*/tier);
     ++scheduled;
@@ -736,149 +618,45 @@ AsyncRunResult AsyncEngine::run_static(std::uint64_t seed,
   metrics.setup_ns.add(obs::wall_ns_count_since(setup_start));
 
   // --- snapshot payload (static path) ----------------------------------------
-  // Serializes every loop-local that determines the run's future: stream
-  // positions, per-tier server state, in-flight rounds (trained at
-  // dispatch, so their updates travel with the snapshot), the queue, the
-  // fault/policy state and the merged metrics view.  Restore is the exact
-  // mirror; both sides stream through the same flat ByteSink layout.
-  const std::uint64_t fingerprint = config_fingerprint(
-      config_, async_, seed, num_tiers, clients_->size(), global.size());
+  // Between the shared head and tail: the cadence counters and the
+  // in-flight rounds (trained at dispatch, so their updates travel with
+  // the snapshot).
+  const SnapshotPrologue prologue{
+      kSnapStatic,
+      config_fingerprint(config_, async_, seed, num_tiers, clients_->size(),
+                         global.size()),
+      num_tiers, clients_->size(), global.size(), policy.name()};
   const auto save_state = [&](util::ByteSink& sink) {
-    put_prologue(sink, kSnapStatic, fingerprint, num_tiers, clients_->size(),
-                 global.size(), policy.name());
-    for (std::size_t t = 0; t < num_tiers; ++t) {
-      put_rng(sink, rngs.selection[t]);
-      put_rng(sink, rngs.latency[t]);
-    }
-    sink.put_f32_vec(global);
-    for (const std::vector<float>& model : tier_models) {
-      sink.put_f32_vec(model);
-    }
-    sink.put_size_vec(tier_updates);
-    sink.put_size_vec(last_submit_version);
-    sink.put_f64_vec(tier_lr);
-    sink.put_f64_vec(staleness_sum);
-    put_records(sink, out.result.rounds);
-    sink.put_f64_vec(current_weights);
-    sink.put_u64(dispatch_seq);
+    put_prologue(sink, prologue);
+    put_head(sink, server, out.result.rounds);
     sink.put_u64(scheduled);
-    for (std::size_t t = 0; t < num_tiers; ++t) {
-      sink.put_bool(parked[t] != 0);
-    }
-    sink.put_size_vec(parked_at);
+    for (char parked : server.parked) sink.put_bool(parked != 0);
+    sink.put_size_vec(server.parked_at);
     sink.put_size_vec(retry_count);
-    for (const PendingRound& round : pending) {
-      sink.put_size_vec(round.selected);
-      sink.put_u64(round.updates.size());
-      for (const LocalUpdate& update : round.updates) {
-        put_update(sink, update);
-      }
-      sink.put_u64(round.dispatch_version);
-      sink.put_f64(round.latency);
-    }
-    sink.put_bool(last_evaluated);
-    sink.put_u64(out.processed_events);
-    sink.put_u64(out.max_event_batch);
-    sink.put_f64(next_checkpoint_due);
-    put_queue(sink, queue);
-    {
-      util::ByteSink blob;
-      fault.save_state(blob);
-      sink.put_string(blob.bytes());
-    }
-    {
-      util::ByteSink blob;
-      policy.save_state(blob);
-      sink.put_string(blob.bytes());
-    }
-    put_metrics(sink, queue);
+    for (const PendingTierRound& round : pending) put_pending(sink, round);
+    sink.put_bool(recorder.last_evaluated);
+    put_tail(sink, out, checkpointer, queue, fault, policy);
   };
 
   const bool resuming = !async_.resume_path.empty();
   if (resuming) {
     const std::string payload = load_snapshot(async_.resume_path);
     util::ByteSource source(payload);
-    check_prologue(source, kSnapStatic, fingerprint, num_tiers,
-                   clients_->size(), global.size(), policy.name());
-    for (std::size_t t = 0; t < num_tiers; ++t) {
-      get_rng(source, rngs.selection[t]);
-      get_rng(source, rngs.latency[t]);
-    }
-    global = source.get_f32_vec();
-    for (std::vector<float>& model : tier_models) {
-      model = source.get_f32_vec();
-    }
-    tier_updates = source.get_size_vec();
-    last_submit_version = source.get_size_vec();
-    tier_lr = source.get_f64_vec();
-    staleness_sum = source.get_f64_vec();
-    out.result.rounds = get_records(source);
-    current_weights = source.get_f64_vec();
-    dispatch_seq = static_cast<std::size_t>(source.get_u64());
+    check_prologue(source, prologue, "AsyncEngine");
+    get_head(source, server, out.result.rounds);
     scheduled = static_cast<std::size_t>(source.get_u64());
-    for (std::size_t t = 0; t < num_tiers; ++t) {
-      parked[t] = source.get_bool() ? 1 : 0;
-    }
-    parked_at = source.get_size_vec();
+    for (char& parked : server.parked) parked = source.get_bool() ? 1 : 0;
+    server.parked_at = source.get_size_vec();
     retry_count = source.get_size_vec();
-    for (PendingRound& round : pending) {
-      round.selected = source.get_size_vec();
-      const std::size_t updates = source.checked_count(source.get_u64(), 8);
-      round.updates.assign(updates, LocalUpdate{});
-      for (LocalUpdate& update : round.updates) {
-        update = get_update(source);
-      }
-      round.dispatch_version = static_cast<std::size_t>(source.get_u64());
-      round.latency = source.get_f64();
-    }
-    last_evaluated = source.get_bool();
-    out.processed_events = static_cast<std::size_t>(source.get_u64());
-    out.max_event_batch = static_cast<std::size_t>(source.get_u64());
-    // The stored due point documents the crashed run's cadence; the
-    // resumed run recomputes it from its *own* config (a resume without
-    // --checkpoint must never attempt a write).
-    (void)source.get_f64();
-    get_queue(source, queue);
-    next_checkpoint_due =
-        async_.checkpoint_every > 0.0
-            ? (std::floor(queue.now() / async_.checkpoint_every) + 1.0) *
-                  async_.checkpoint_every
-            : std::numeric_limits<double>::infinity();
-    {
-      const std::string blob = source.get_string();
-      util::ByteSource blob_source(blob);
-      fault.restore_state(blob_source);
-    }
-    {
-      const std::string blob = source.get_string();
-      util::ByteSource blob_source(blob);
-      policy.restore_state(blob_source);
-    }
-    get_metrics(source);
+    for (PendingTierRound& round : pending) get_pending(source, round);
+    recorder.last_evaluated = source.get_bool();
+    get_tail(source, out, checkpointer, queue, fault, policy);
     util::log_info("async: resumed from ", async_.resume_path, " at version ",
                    out.result.rounds.size(), ", t=", queue.now());
   }
 
-  sim::EventLogWriter event_log;
   open_event_log(event_log, async_.event_log_path, resuming,
                  out.processed_events);
-
-  const auto write_checkpoint = [&]() {
-    const auto start = obs::wall_now();
-    util::ByteSink sink;
-    save_state(sink);
-    const std::size_t bytes =
-        save_snapshot(async_.checkpoint_path, sink.bytes());
-    if (event_log.is_open()) event_log.sync();
-    metrics.checkpoint_writes.add();
-    metrics.checkpoint_bytes.add(bytes);
-    metrics.checkpoint_write_ns.add(obs::wall_ns_count_since(start));
-    if (obs::Tracer* t = obs::tracer()) {
-      t->instant(queue.now(), "durability", "checkpoint", /*actor=*/0,
-                 {obs::field("version", out.result.rounds.size()),
-                  obs::field("events", out.processed_events)});
-    }
-  };
 
   if (!resuming) {
     for (std::size_t t = 0; t < num_tiers; ++t) {
@@ -890,14 +668,7 @@ AsyncRunResult AsyncEngine::run_static(std::uint64_t seed,
 
   std::vector<sim::Event> batch;  // reused across pop_batch calls
   while (!queue.empty() && !budget_exhausted) {
-    if (fault.crash_at() > 0.0 && queue.peek().time >= fault.crash_at()) {
-      // The injected kill point: flush the log (a real SIGKILL would leave
-      // at most a torn tail, which the reader tolerates) and die *before*
-      // popping or drawing anything, so the crashed run's streams stay
-      // aligned with the uninterrupted oracle it is diffed against.
-      if (event_log.is_open()) event_log.sync();
-      throw sim::SimulatedCrash(queue.peek().time);
-    }
+    checkpointer.crash_if_due(fault.crash_at(), queue.peek().time);
     // Drain simultaneous completions in one heap pass.  Events scheduled
     // by the handlers below land at strictly later (time, seq) keys, so
     // per-event handling in batch order replays the one-pop-at-a-time
@@ -943,90 +714,43 @@ AsyncRunResult AsyncEngine::run_static(std::uint64_t seed,
         }
         retry_count[tier] = 0;
       }
-      PendingRound& round = pending[tier];
+      PendingTierRound& round = pending[tier];
 
       obs::ScopedPhase agg_phase(&phases, obs::Phase::kAggregate);
-      // --- tier-level FedAvg (reduce in selection order) ---------------------
-      std::vector<WeightedUpdate> weighted;
-      weighted.reserve(round.updates.size());
+      // --- tier-level FedAvg, then the staleness-weighted cross-tier
+      // aggregation ------------------------------------------------------
       double train_loss = 0.0;
-      for (const LocalUpdate& update : round.updates) {
-        weighted.push_back(WeightedUpdate{
-            .weights = update.weights,
-            .sample_count = static_cast<double>(update.num_samples)});
-        train_loss += update.train_loss;
-      }
-      train_loss /= static_cast<double>(round.updates.size());
-      tier_models[tier] = fedavg(weighted);
+      server.tier_models[tier] = fold_round(round, &train_loss);
 
       const std::size_t version = out.result.rounds.size();
-      staleness_sum[tier] +=
-          static_cast<double>(version - round.dispatch_version);
-      ++tier_updates[tier];
-      last_submit_version[tier] = version;
-      tier_lr[tier] *= config_.lr_decay_per_round;
+      const std::size_t staleness = version - round.dispatch_version;
+      server.staleness_sum[tier] += static_cast<double>(staleness);
+      ++server.tier_updates[tier];
+      server.last_submit_version[tier] = version;
+      server.tier_lr[tier] *= config_.lr_decay_per_round;
       metrics.tier_rounds.add();
-      metrics.staleness.record(
-          static_cast<double>(version - round.dispatch_version));
+      metrics.staleness.record(static_cast<double>(staleness));
 
-      // --- staleness-weighted cross-tier aggregation -------------------------
-      model_age.assign(num_tiers, 0);
-      for (std::size_t t = 0; t < num_tiers; ++t) {
-        if (tier_updates[t] > 0) model_age[t] = version - last_submit_version[t];
-      }
-      current_weights = cross_tier_weights(async_.staleness, async_.poly_alpha,
-                                           tier_updates, model_age);
-      aggregate_global(tier_models, current_weights, global, accum_scratch);
+      server.current_weights = aggregate_slots(
+          async_.staleness, async_.poly_alpha, server.tier_updates,
+          server.last_submit_version, version, server.tier_models, global,
+          server.accum);
       agg_phase.stop();
       if (obs::Tracer* t = obs::tracer()) {
         t->instant(queue.now(), "async", "aggregate",
                    static_cast<std::int64_t>(tier),
                    {obs::field("version", version),
-                    obs::field("staleness", version - round.dispatch_version),
-                    obs::field("weight", current_weights[tier])});
+                    obs::field("staleness", staleness),
+                    obs::field("weight", server.current_weights[tier])});
       }
 
-      // --- record + evaluation ----------------------------------------------
-      RoundRecord record;
-      record.round = version;
-      record.round_latency = round.latency;
-      record.virtual_time = queue.now();
-      record.train_loss = train_loss;
-      record.selected_tier = static_cast<int>(tier);
-      record.selected_clients = round.selected;
-
-      last_evaluated = version % async_.eval_every == 0 ||
-                       version + 1 == async_.total_updates;
-      std::vector<double> tier_accuracies;
-      if (last_evaluated) {
-        obs::ScopedPhase phase(&phases, obs::Phase::kEval);
-        Evaluation r = evaluate(global);
-        phase.stop();
-        record.global_accuracy = r.accuracy;
-        record.global_loss = r.loss;
-        tier_accuracies = std::move(r.subset_accuracies);
-        if (obs::Tracer* t = obs::tracer()) {
-          t->instant(queue.now(), "async", "eval",
-                     static_cast<std::int64_t>(tier),
-                     {obs::field("version", version),
-                      obs::field("accuracy", r.accuracy)});
-        }
-      } else if (!out.result.rounds.empty()) {
-        record.global_accuracy = out.result.rounds.back().global_accuracy;
-        record.global_loss = out.result.rounds.back().global_loss;
-      }
-
-      RoundFeedback feedback;
-      feedback.round = version;
-      feedback.virtual_time = queue.now();
-      feedback.global_accuracy = record.global_accuracy;
-      feedback.global_loss = record.global_loss;
-      feedback.submitting_tier = static_cast<int>(tier);
-      feedback.staleness = version - round.dispatch_version;
-      feedback.tier_accuracies = std::move(tier_accuracies);
-      policy.observe(feedback);
-
-      out.result.rounds.push_back(std::move(record));
+      recorder.record({.virtual_time = queue.now(),
+                       .round_latency = round.latency,
+                       .train_loss = train_loss,
+                       .selected_tier = static_cast<int>(tier),
+                       .selected_clients = round.selected},
+                      global, static_cast<std::int64_t>(tier), &policy,
+                      staleness);
 
       if (version % 50 == 0) {
         util::log_debug("async v", version, " tier=", tier,
@@ -1047,44 +771,28 @@ AsyncRunResult AsyncEngine::run_static(std::uint64_t seed,
       // Policy-parked tiers get another chance at the new global version
       // (skipping any tier parked at this very version just above).
       for (std::size_t t = 0; t < num_tiers; ++t) {
-        if (parked[t] && parked_at[t] < out.result.rounds.size() &&
+        if (server.parked[t] &&
+            server.parked_at[t] < out.result.rounds.size() &&
             scheduled < async_.total_updates) {
           metrics.park_retries.add();
           dispatch(t);
         }
       }
     }
-    // Checkpoint at batch boundaries once virtual time crosses the due
-    // point: the trigger is a pure function of event times (never a queue
-    // event), so it is shard-count invariant and perturbs no seqs.
-    if (!budget_exhausted && queue.now() >= next_checkpoint_due) {
-      write_checkpoint();
-      next_checkpoint_due =
-          (std::floor(queue.now() / async_.checkpoint_every) + 1.0) *
-          async_.checkpoint_every;
+    if (!budget_exhausted) {
+      checkpointer.write_if_due(queue.now(), out.result.rounds.size(),
+                                out.processed_events, save_state);
     }
   }
 
-  // A time-budget break (or a carry-forward cadence) can leave the last
-  // record holding a stale accuracy; refresh it from the final weights.
-  if (!out.result.rounds.empty() && !last_evaluated) {
-    obs::ScopedPhase phase(&phases, obs::Phase::kEval);
-    const Evaluation r = evaluate(global);
-    out.result.rounds.back().global_accuracy = r.accuracy;
-    out.result.rounds.back().global_loss = r.loss;
-  }
+  recorder.finish(global);
 
   const auto finalize_start = obs::wall_now();
-  finalize_result(out, std::move(global), tier_updates, staleness_sum,
-                  std::move(current_weights));
-  out.result.phases = phases.stats();
   out.final_members = tier_members_;
   for (const std::vector<std::size_t>& members : tier_members_) {
     out.final_live_clients += members.size();
   }
-  // Fold the per-shard queue registries into the process-global snapshot
-  // under the single-queue instrument names (sim.events_popped etc.).
-  queue.merge_metrics_into(obs::Registry::global());
+  finalize_result(out, server, phases, queue);
   metrics.finalize_ns.add(obs::wall_ns_count_since(finalize_start));
   return out;
 }
@@ -1127,16 +835,10 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
   // Same stream layout as the static path; churn draws come from the
   // ChurnModel's own forked streams, so enabling re-profiling alone does
   // not perturb selection or latency sequences.
-  TierRngs rngs = make_tier_rngs(seed, num_tiers);
-
-  std::vector<float> global = factory_(seed).weights();
+  ServerState server(seed, num_tiers, factory_(seed).weights(),
+                     config_.local.optimizer.lr);
+  std::vector<float>& global = server.global;
   const std::size_t weight_count = global.size();
-
-  std::vector<std::vector<float>> tier_models(num_tiers, global);
-  std::vector<std::size_t> tier_updates(num_tiers, 0);
-  std::vector<std::size_t> last_submit_version(num_tiers, 0);
-  std::vector<double> tier_lr(num_tiers, config_.local.optimizer.lr);
-  std::vector<double> staleness_sum(num_tiers, 0.0);
 
   // One open round per tier, folded into incrementally as members arrive.
   struct DynRound {
@@ -1219,11 +921,9 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
                                staleness_name(async_.staleness)
                          : "async-dyn/" + staleness_name(async_.staleness);
   out.result.rounds.reserve(async_.total_updates);
-  std::vector<double> current_weights;
-  std::vector<std::size_t> model_age;     // reused per aggregation
-  std::vector<double> accum_scratch;      // aggregate_global scratch
-
-  std::size_t dispatch_seq = 0;
+  VersionRecorder recorder{
+      &out.result.rounds, async_.eval_every, async_.total_updates, "async",
+      [this](std::span<const float> w) { return evaluate(w); }, &phases};
 
   // Deferred cohort training (barrier windows).  A dispatch snapshots the
   // global model and its dispatch seq into a TrainTask instead of
@@ -1243,8 +943,8 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
   std::vector<TrainTask> window_tasks;
   constexpr std::size_t kNoTask = static_cast<std::size_t>(-1);
   std::vector<std::size_t> task_of(num_clients, kNoTask);
-  std::vector<std::size_t> train_ids;            // run_task scratch
-  std::vector<ClientPool::Lease> lease_scratch;  // run_task scratch
+  std::vector<std::size_t> train_ids;       // run_task scratch
+  std::vector<LocalUpdate> cohort_updates;  // run_task scratch
 
   const auto run_task = [&](std::size_t index) {
     TrainTask& task = window_tasks[index];
@@ -1258,23 +958,11 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
       if (in_flight[c] && task_of[c] == index) train_ids.push_back(c);
     }
     if (train_ids.empty()) return;
-    const std::size_t count = train_ids.size();
-    LocalTrainParams params = config_.local;
-    params.lr = task.lr;
-    for (std::size_t i = 0; i < count; ++i) scratch_model(i + 1);
-    obs::ScopedPhase phase(&phases, obs::Phase::kTrain);
-    lease_scratch.clear();
-    lease_scratch.reserve(count);
-    for (std::size_t id : train_ids) {
-      lease_scratch.push_back(clients_->lease(id));
+    trainer_.train(*clients_, train_ids, task.snapshot, task.lr, seed,
+                   task.seq, cohort_updates, phases);
+    for (std::size_t i = 0; i < train_ids.size(); ++i) {
+      flight_update[train_ids[i]] = std::move(cohort_updates[i]);
     }
-    pool().parallel_for(0, count, [&](std::size_t i) {
-      const Client& client = *lease_scratch[i];
-      util::Rng client_rng(util::mix_seed(seed, task.seq, client.id()));
-      flight_update[client.id()] = client.local_update(
-          task.snapshot, scratch_[i + 1], params, client_rng);
-    });
-    lease_scratch.clear();
   };
 
   const auto expected_latency = [&](std::size_t c) {
@@ -1305,25 +993,17 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
     return best;
   };
 
-  // Tiers whose last selection came back empty (cadence parked by the
-  // policy); retried once per *later* recorded version (`parked_at`
-  // prevents a same-version re-ask).  The default uniform policy never
-  // parks, so pre-seam replays never take the retry path.
-  std::vector<char> parked(num_tiers, 0);
-  std::vector<std::size_t> parked_at(num_tiers, 0);
-  std::vector<std::size_t> staleness_scratch(num_tiers, 0);
-
   // --- durability state ------------------------------------------------------
   sim::FaultModel fault(async_.fault, seed);
-  double next_checkpoint_due = async_.checkpoint_every > 0.0
-                                   ? async_.checkpoint_every
-                                   : std::numeric_limits<double>::infinity();
+  sim::EventLogWriter event_log;
+  Checkpointer checkpointer(async_.checkpoint_every, async_.checkpoint_path,
+                            &event_log);
   const bool resuming = !async_.resume_path.empty();
 
   const auto dispatch = [&](std::size_t tier) {
     DynRound& round = rounds[tier];
     round.active = false;
-    parked[tier] = 0;
+    server.parked[tier] = 0;
     if (out.result.rounds.size() >= async_.total_updates) return;
     const std::size_t version = out.result.rounds.size();
 
@@ -1345,7 +1025,7 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
       const std::size_t count =
           std::min(async_.clients_per_tier_round, eligible_count);
       const std::vector<std::size_t> draws = sample_without_replacement(
-          eligible_count, count, rngs.selection[tier]);
+          eligible_count, count, server.selection_rng[tier]);
       // Ranks of the busy members within the tier's ascending id order
       // (ascending, because inflight_by_tier is sorted by id).
       std::vector<std::size_t> blocked;
@@ -1374,42 +1054,17 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
         if (!in_flight[id]) eligible.push_back(id);
       }
       if (eligible.empty()) return;
-
-      for (std::size_t t = 0; t < num_tiers; ++t) {
-        staleness_scratch[t] =
-            tier_updates[t] > 0 ? version - last_submit_version[t] : 0;
-      }
-      SelectionContext context;
-      context.round = version;
-      context.virtual_time = queue.now();
-      context.tier = static_cast<int>(tier);
-      context.candidates = eligible;
-      context.tiers = TierView{.members = tiers_flat,
-                               .update_counts = tier_updates,
-                               .staleness = staleness_scratch};
-      context.rng = &rngs.selection[tier];
-      Selection selection;
-      {
-        obs::ScopedPhase phase(&phases, obs::Phase::kSelect);
-        selection = policy.select(context);
-      }
-      if (selection.clients.empty()) {
-        parked[tier] = 1;
-        parked_at[tier] = version;
-        metrics.parks.add();
-        if (obs::Tracer* t = obs::tracer()) {
-          t->instant(queue.now(), "async", "park",
-                     static_cast<std::int64_t>(tier),
-                     {obs::field("version", version)});
-        }
-        return;
-      }
+      Selection selection =
+          select_cohort(policy, server, phases, tier, version, queue.now(),
+                        eligible, tiers_flat);
+      if (selection.clients.empty()) return;
       for (std::size_t id : selection.clients) {
         if (id >= num_clients || !live[id] || in_flight[id]) {
           throw std::logic_error(
               "AsyncEngine: policy selected a dead or busy client");
         }
       }
+      check_distinct_clients("AsyncEngine", selection.clients);
       selected = std::move(selection.clients);
     }
     const std::size_t count = selected.size();
@@ -1427,9 +1082,9 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
     TrainTask& task = window_tasks.back();
     task.members = std::move(selected);
     task.snapshot = global;
-    task.lr = tier_lr[tier];
-    task.seq = dispatch_seq;
-    ++dispatch_seq;
+    task.lr = server.tier_lr[tier];
+    task.seq = server.dispatch_seq;
+    ++server.dispatch_seq;
 
     // One bulk insert for the whole cohort: same (time, seq) keys as the
     // per-client schedule_at calls this replaces, one heap rebuild.
@@ -1441,7 +1096,7 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
           latency_model_.sample_latency(clients_->resource(c),
                                         clients_->train_size(c),
                                         config_.local.epochs,
-                                        rngs.latency[tier]) *
+                                        server.latency_rng[tier]) *
           latency_scale[c];
       in_flight[c] = 1;
       ++in_flight_count;
@@ -1471,7 +1126,7 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
   // decay) and start the tier's next round.
   const auto complete_round = [&](std::size_t tier) {
     if (rounds[tier].arrivals > 0) {
-      tier_lr[tier] *= config_.lr_decay_per_round;
+      server.tier_lr[tier] *= config_.lr_decay_per_round;
       metrics.tier_rounds.add();
     }
     dispatch(tier);
@@ -1501,36 +1156,21 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
 
   metrics.setup_ns.add(obs::wall_ns_count_since(setup_start));
 
-  bool last_evaluated = false;
   bool stopped = false;
   double window_end = -std::numeric_limits<double>::infinity();
 
   // --- snapshot payload (dynamic path) ---------------------------------------
-  // Everything the event loop's future depends on: stream positions,
-  // per-tier server state, the evolved membership, in-flight cohorts
-  // (trained updates travel with the snapshot; untrained cohorts travel
-  // as their deferred TrainTask), churn/re-tierer/policy/fault state, the
-  // queue, and the merged metrics view.
-  const std::uint64_t fingerprint = config_fingerprint(
-      config_, async_, seed, num_tiers, num_clients, weight_count);
+  // Between the shared head and tail: the evolved membership, in-flight
+  // cohorts (trained updates travel with the snapshot; untrained cohorts
+  // as their deferred TrainTask), and the churn and re-tierer state.
+  const SnapshotPrologue prologue{
+      kSnapDynamic,
+      config_fingerprint(config_, async_, seed, num_tiers, num_clients,
+                         weight_count),
+      num_tiers, num_clients, weight_count, policy.name()};
   const auto save_state = [&](util::ByteSink& sink) {
-    put_prologue(sink, kSnapDynamic, fingerprint, num_tiers, num_clients,
-                 weight_count, policy.name());
-    for (std::size_t t = 0; t < num_tiers; ++t) {
-      put_rng(sink, rngs.selection[t]);
-      put_rng(sink, rngs.latency[t]);
-    }
-    sink.put_f32_vec(global);
-    for (const std::vector<float>& model : tier_models) {
-      sink.put_f32_vec(model);
-    }
-    sink.put_size_vec(tier_updates);
-    sink.put_size_vec(last_submit_version);
-    sink.put_f64_vec(tier_lr);
-    sink.put_f64_vec(staleness_sum);
-    put_records(sink, out.result.rounds);
-    sink.put_f64_vec(current_weights);
-    sink.put_u64(dispatch_seq);
+    put_prologue(sink, prologue);
+    put_head(sink, server, out.result.rounds);
     for (const std::vector<std::size_t>& members : flat_tiers()) {
       sink.put_size_vec(members);
     }
@@ -1585,15 +1225,9 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
       }
     }
     sink.put_f64(window_end);
-    for (std::size_t t = 0; t < num_tiers; ++t) {
-      sink.put_bool(parked[t] != 0);
-    }
-    sink.put_size_vec(parked_at);
-    {
-      util::ByteSink blob;
-      churn.save_state(blob);
-      sink.put_string(blob.bytes());
-    }
+    for (char parked : server.parked) sink.put_bool(parked != 0);
+    sink.put_size_vec(server.parked_at);
+    put_blob(sink, [&](util::ByteSink& blob) { churn.save_state(blob); });
     sink.put_bool(pending_churn.has_value());
     if (pending_churn.has_value()) {
       sink.put_f64(pending_churn->time);
@@ -1601,53 +1235,20 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
       sink.put_u64(pending_churn->pick);
       sink.put_f64(pending_churn->factor);
     }
-    {
-      util::ByteSink blob;
-      if (hooks_.save_state) hooks_.save_state(blob);
-      sink.put_string(blob.bytes());
-    }
-    sink.put_bool(last_evaluated);
+    put_blob(sink, hooks_.save_state);
+    sink.put_bool(recorder.last_evaluated);
     sink.put_u64(out.join_count);
     sink.put_u64(out.leave_count);
     sink.put_u64(out.slowdown_count);
     sink.put_u64(out.reprofile_count);
-    sink.put_u64(out.processed_events);
-    sink.put_u64(out.max_event_batch);
-    sink.put_f64(next_checkpoint_due);
-    put_queue(sink, queue);
-    {
-      util::ByteSink blob;
-      fault.save_state(blob);
-      sink.put_string(blob.bytes());
-    }
-    {
-      util::ByteSink blob;
-      policy.save_state(blob);
-      sink.put_string(blob.bytes());
-    }
-    put_metrics(sink, queue);
+    put_tail(sink, out, checkpointer, queue, fault, policy);
   };
 
   if (resuming) {
     const std::string payload = load_snapshot(async_.resume_path);
     util::ByteSource source(payload);
-    check_prologue(source, kSnapDynamic, fingerprint, num_tiers, num_clients,
-                   weight_count, policy.name());
-    for (std::size_t t = 0; t < num_tiers; ++t) {
-      get_rng(source, rngs.selection[t]);
-      get_rng(source, rngs.latency[t]);
-    }
-    global = source.get_f32_vec();
-    for (std::vector<float>& model : tier_models) {
-      model = source.get_f32_vec();
-    }
-    tier_updates = source.get_size_vec();
-    last_submit_version = source.get_size_vec();
-    tier_lr = source.get_f64_vec();
-    staleness_sum = source.get_f64_vec();
-    out.result.rounds = get_records(source);
-    current_weights = source.get_f64_vec();
-    dispatch_seq = static_cast<std::size_t>(source.get_u64());
+    check_prologue(source, prologue, "AsyncEngine");
+    get_head(source, server, out.result.rounds);
     // Rebuild every membership view from the snapshot's flat tiers.
     std::fill(live.begin(), live.end(), 0);
     std::fill(tier_of.begin(), tier_of.end(), kNoTier);
@@ -1716,15 +1317,10 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
       task_of.at(c) = static_cast<std::size_t>(source.get_u64());
     }
     window_end = source.get_f64();
-    for (std::size_t t = 0; t < num_tiers; ++t) {
-      parked[t] = source.get_bool() ? 1 : 0;
-    }
-    parked_at = source.get_size_vec();
-    {
-      const std::string blob = source.get_string();
-      util::ByteSource blob_source(blob);
-      churn.restore_state(blob_source);
-    }
+    for (char& parked : server.parked) parked = source.get_bool() ? 1 : 0;
+    server.parked_at = source.get_size_vec();
+    get_blob(source,
+             [&](util::ByteSource& blob) { churn.restore_state(blob); });
     if (source.get_bool()) {
       sim::LifecycleEvent event;
       event.time = source.get_f64();
@@ -1735,66 +1331,20 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
     } else {
       pending_churn.reset();
     }
-    {
-      const std::string blob = source.get_string();
-      if (hooks_.restore_state && !blob.empty()) {
-        util::ByteSource blob_source(blob);
-        hooks_.restore_state(blob_source);
-      }
-    }
-    last_evaluated = source.get_bool();
+    get_blob(source, hooks_.restore_state);
+    recorder.last_evaluated = source.get_bool();
     out.join_count = static_cast<std::size_t>(source.get_u64());
     out.leave_count = static_cast<std::size_t>(source.get_u64());
     out.slowdown_count = static_cast<std::size_t>(source.get_u64());
     out.reprofile_count = static_cast<std::size_t>(source.get_u64());
-    out.processed_events = static_cast<std::size_t>(source.get_u64());
-    out.max_event_batch = static_cast<std::size_t>(source.get_u64());
-    // The stored due point documents the crashed run's cadence; the
-    // resumed run recomputes it from its *own* config (a resume without
-    // --checkpoint must never attempt a write).
-    (void)source.get_f64();
-    get_queue(source, queue);
-    next_checkpoint_due =
-        async_.checkpoint_every > 0.0
-            ? (std::floor(queue.now() / async_.checkpoint_every) + 1.0) *
-                  async_.checkpoint_every
-            : std::numeric_limits<double>::infinity();
-    {
-      const std::string blob = source.get_string();
-      util::ByteSource blob_source(blob);
-      fault.restore_state(blob_source);
-    }
-    {
-      const std::string blob = source.get_string();
-      util::ByteSource blob_source(blob);
-      policy.restore_state(blob_source);
-    }
-    get_metrics(source);
+    get_tail(source, out, checkpointer, queue, fault, policy);
     util::log_info("async-dyn: resumed from ", async_.resume_path,
                    " at version ", out.result.rounds.size(),
                    ", t=", queue.now());
   }
 
-  sim::EventLogWriter event_log;
   open_event_log(event_log, async_.event_log_path, resuming,
                  out.processed_events);
-
-  const auto write_checkpoint = [&]() {
-    const auto start = obs::wall_now();
-    util::ByteSink sink;
-    save_state(sink);
-    const std::size_t bytes =
-        save_snapshot(async_.checkpoint_path, sink.bytes());
-    if (event_log.is_open()) event_log.sync();
-    metrics.checkpoint_writes.add();
-    metrics.checkpoint_bytes.add(bytes);
-    metrics.checkpoint_write_ns.add(obs::wall_ns_count_since(start));
-    if (obs::Tracer* t = obs::tracer()) {
-      t->instant(queue.now(), "durability", "checkpoint", /*actor=*/0,
-                 {obs::field("version", out.result.rounds.size()),
-                  obs::field("events", out.processed_events)});
-    }
-  };
 
   if (!resuming) {
     for (std::size_t t = 0; t < num_tiers; ++t) {
@@ -1821,10 +1371,7 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
   while (!queue.empty() && !stopped) {
     // Injected server crash: fires strictly between batches (and before
     // any window flush), so the last checkpoint is a consistent prefix.
-    if (fault.crash_at() > 0.0 && queue.peek().time >= fault.crash_at()) {
-      if (event_log.is_open()) event_log.sync();
-      throw sim::SimulatedCrash(queue.peek().time);
-    }
+    checkpointer.crash_if_due(fault.crash_at(), queue.peek().time);
     if (queue.peek().time > window_end) {
       // The next event opens a new barrier window [T, T + window]: flush
       // the cohorts the closing window deferred.  Window boundaries are a
@@ -1942,24 +1489,18 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
           flight_update[c] = LocalUpdate{};
           if (round.weight_total > 0.0) {
             for (std::size_t i = 0; i < weight_count; ++i) {
-              tier_models[tier][i] = static_cast<float>(
+              server.tier_models[tier][i] = static_cast<float>(
                   round.accum[i] / round.weight_total);
             }
           }
 
-          staleness_sum[tier] += static_cast<double>(age);
-          ++tier_updates[tier];
-          last_submit_version[tier] = version;
-
-          model_age.assign(num_tiers, 0);
-          for (std::size_t t = 0; t < num_tiers; ++t) {
-            if (tier_updates[t] > 0) {
-              model_age[t] = version - last_submit_version[t];
-            }
-          }
-          current_weights = cross_tier_weights(
-              async_.staleness, async_.poly_alpha, tier_updates, model_age);
-          aggregate_global(tier_models, current_weights, global, accum_scratch);
+          server.staleness_sum[tier] += static_cast<double>(age);
+          ++server.tier_updates[tier];
+          server.last_submit_version[tier] = version;
+          server.current_weights = aggregate_slots(
+              async_.staleness, async_.poly_alpha, server.tier_updates,
+              server.last_submit_version, version, server.tier_models, global,
+              server.accum);
           agg_phase.stop();
           metrics.staleness.record(static_cast<double>(age));
           if (obs::Tracer* t = obs::tracer()) {
@@ -1970,46 +1511,13 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
                         obs::field("staleness", age)});
           }
 
-          RoundRecord record;
-          record.round = version;
-          record.round_latency = observed;
-          record.virtual_time = queue.now();
-          record.train_loss = client_train_loss;
-          record.selected_tier = static_cast<int>(tier);
-          record.selected_clients = {c};
-
-          last_evaluated = version % async_.eval_every == 0 ||
-                           version + 1 == async_.total_updates;
-          std::vector<double> tier_accuracies;
-          if (last_evaluated) {
-            obs::ScopedPhase phase(&phases, obs::Phase::kEval);
-            Evaluation r = evaluate(global);
-            phase.stop();
-            record.global_accuracy = r.accuracy;
-            record.global_loss = r.loss;
-            tier_accuracies = std::move(r.subset_accuracies);
-            if (obs::Tracer* t = obs::tracer()) {
-              t->instant(queue.now(), "async", "eval",
-                         static_cast<std::int64_t>(tier),
-                         {obs::field("version", version),
-                          obs::field("accuracy", r.accuracy)});
-            }
-          } else if (!out.result.rounds.empty()) {
-            record.global_accuracy = out.result.rounds.back().global_accuracy;
-            record.global_loss = out.result.rounds.back().global_loss;
-          }
-
-          RoundFeedback feedback;
-          feedback.round = version;
-          feedback.virtual_time = queue.now();
-          feedback.global_accuracy = record.global_accuracy;
-          feedback.global_loss = record.global_loss;
-          feedback.submitting_tier = static_cast<int>(tier);
-          feedback.staleness = age;
-          feedback.tier_accuracies = std::move(tier_accuracies);
-          policy.observe(feedback);
-
-          out.result.rounds.push_back(std::move(record));
+          recorder.record({.virtual_time = queue.now(),
+                           .round_latency = observed,
+                           .train_loss = client_train_loss,
+                           .selected_tier = static_cast<int>(tier),
+                           .selected_clients = {c}},
+                          global, static_cast<std::int64_t>(tier), &policy,
+                          age);
 
           if (version + 1 >= async_.total_updates) {
             stopped = true;
@@ -2032,7 +1540,8 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
           // Policy-parked tiers get another chance at the new version
           // (skipping any tier parked at this very version just above).
           for (std::size_t t = 0; t < num_tiers; ++t) {
-            if (parked[t] && parked_at[t] < out.result.rounds.size() &&
+            if (server.parked[t] &&
+                server.parked_at[t] < out.result.rounds.size() &&
                 !rounds[t].active) {
               metrics.park_retries.add();
               dispatch(t);
@@ -2229,33 +1738,18 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
         }
       }
     }
-    // Checkpoint at batch boundaries once virtual time crosses the due
-    // point: the trigger is a pure function of event times (never a queue
-    // event), so it is shard-count invariant and perturbs no seqs.
-    if (!stopped && queue.now() >= next_checkpoint_due) {
-      write_checkpoint();
-      next_checkpoint_due =
-          (std::floor(queue.now() / async_.checkpoint_every) + 1.0) *
-          async_.checkpoint_every;
+    if (!stopped) {
+      checkpointer.write_if_due(queue.now(), out.result.rounds.size(),
+                                out.processed_events, save_state);
     }
   }
 
-  if (!out.result.rounds.empty() && !last_evaluated) {
-    obs::ScopedPhase phase(&phases, obs::Phase::kEval);
-    const Evaluation r = evaluate(global);
-    out.result.rounds.back().global_accuracy = r.accuracy;
-    out.result.rounds.back().global_loss = r.loss;
-  }
+  recorder.finish(global);
 
   const auto finalize_start = obs::wall_now();
-  finalize_result(out, std::move(global), tier_updates, staleness_sum,
-                  std::move(current_weights));
-  out.result.phases = phases.stats();
   out.final_members = std::move(flat_tiers());
   out.final_live_clients = live_set.size();
-  // Fold the per-shard queue registries into the process-global snapshot
-  // under the single-queue instrument names (sim.events_popped etc.).
-  queue.merge_metrics_into(obs::Registry::global());
+  finalize_result(out, server, phases, queue);
   metrics.finalize_ns.add(obs::wall_ns_count_since(finalize_start));
   return out;
 }

@@ -25,6 +25,13 @@
 // reuse the sync engine's fork tags: a single-tier async run with the
 // constant staleness function replays a sync VanillaPolicy run *exactly*
 // (a ctest asserts bitwise-equal weights).
+//
+// Both run paths (run_static, run_dynamic) and hier::TreeEngine share one
+// copy of the plumbing: cohort training (fl::CohortTrainer), the tier-round
+// fold (fl::fold_round), cross-slot aggregation (aggregate_slots below),
+// the version record (fl::VersionRecorder), config validation
+// (validate_async_config below), and the snapshot codec and checkpointer
+// (fl/snapshot).
 #pragma once
 
 #include <cstdint>
@@ -88,6 +95,15 @@ std::vector<double> cross_tier_weights(StalenessFn fn, double alpha,
 void aggregate_global(const std::vector<std::vector<float>>& tier_models,
                       const std::vector<double>& weights,
                       std::vector<float>& global, std::vector<double>& accum);
+
+// Slot ages at `version` (0 for never-submitted slots) ->
+// cross_tier_weights -> aggregate_global into `global`; returns the
+// weights.  Slots are the flat loops' tiers or a fl/hier node's inputs.
+std::vector<double> aggregate_slots(
+    StalenessFn fn, double alpha, std::span<const std::size_t> update_counts,
+    std::span<const std::size_t> last_version, std::size_t version,
+    const std::vector<std::vector<float>>& models, std::vector<float>& global,
+    std::vector<double>& accum);
 
 struct AsyncConfig {
   StalenessFn staleness = StalenessFn::kConstant;
@@ -158,6 +174,12 @@ struct AsyncConfig {
   // deterministic retry/backoff (see sim::FaultModel).
   sim::FaultConfig fault;
 };
+
+// The checks of the inputs both async engines read, called from the
+// AsyncEngine and hier::TreeEngine constructors: throws
+// std::invalid_argument, naming `engine`, on the first bad one.
+void validate_async_config(const AsyncConfig& async, const ClientPool* clients,
+                           const data::Dataset* test, const char* engine);
 
 // Callbacks the dynamic lifecycle path raises toward the tiering layer
 // (core::TiflSystem wires these to an OnlineReTierer; the engine itself
@@ -270,13 +292,11 @@ class AsyncEngine {
   // Train on a specific pool instead of the process-global one (the
   // cross-pool determinism tests pin pool sizes 1/2/8).  Non-owning;
   // nullptr restores the global pool.
-  void set_thread_pool(util::ThreadPool* pool) { pool_ = pool; }
+  void set_thread_pool(util::ThreadPool* pool) {
+    trainer_.set_thread_pool(pool);
+  }
 
  private:
-  struct PendingRound;  // one in-flight tier round (defined in the .cc)
-
-  nn::Sequential& scratch_model(std::size_t slot);
-  util::ThreadPool& pool();
   void validate() const;
 
   AsyncRunResult run_static(std::uint64_t seed, SelectionPolicy& policy);
@@ -296,8 +316,7 @@ class AsyncEngine {
   LifecycleHooks hooks_;
   SelectionPolicy* policy_ = nullptr;  // non-owning; null = uniform default
   std::vector<std::vector<std::size_t>> tier_eval_indices_;
-  util::ThreadPool* pool_ = nullptr;
-  std::vector<nn::Sequential> scratch_;  // slot 0 = eval, 1.. = training
+  CohortTrainer trainer_{factory_, config_.local};
 };
 
 }  // namespace tifl::fl

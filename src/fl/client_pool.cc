@@ -4,6 +4,8 @@
 #include <stdexcept>
 
 #include "obs/metrics.h"
+#include "obs/phase.h"
+#include "util/thread_pool.h"
 
 namespace tifl::fl {
 
@@ -231,6 +233,39 @@ ClientPool::Lease& ClientPool::Lease::operator=(Lease&& other) noexcept {
 
 ClientPool::Lease::~Lease() {
   if (pool_ != nullptr) pool_->release(id_);
+}
+
+nn::Sequential& CohortTrainer::scratch(std::size_t slot) {
+  while (scratch_.size() <= slot) {
+    scratch_.push_back(factory_(/*seed=*/slot + 1));
+  }
+  return scratch_[slot];
+}
+
+void CohortTrainer::train(ClientPool& clients,
+                          std::span<const std::size_t> ids,
+                          std::span<const float> global, double lr,
+                          std::uint64_t seed, std::uint64_t seq,
+                          std::vector<LocalUpdate>& updates,
+                          obs::PhaseTimer& phases) {
+  LocalTrainParams params = params_;
+  params.lr = lr;
+  const std::size_t count = ids.size();
+  // Grown serially: lazy growth inside the parallel region is not safe.
+  for (std::size_t i = 0; i < count; ++i) scratch(i + 1);
+  updates.assign(count, LocalUpdate{});
+  obs::ScopedPhase phase(&phases, obs::Phase::kTrain);
+  leases_.clear();
+  leases_.reserve(count);
+  for (std::size_t id : ids) leases_.push_back(clients.lease(id));
+  util::ThreadPool& pool = pool_ != nullptr ? *pool_ : util::global_pool();
+  pool.parallel_for(0, count, [&](std::size_t i) {
+    const Client& client = *leases_[i];
+    util::Rng client_rng(util::mix_seed(seed, seq, client.id()));
+    updates[i] =
+        client.local_update(global, scratch_[i + 1], params, client_rng);
+  });
+  leases_.clear();
 }
 
 }  // namespace tifl::fl

@@ -27,16 +27,26 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <list>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "data/partition.h"
 #include "fl/client.h"
+#include "nn/sequential.h"
 #include "sim/resource_profile.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
+
+namespace tifl::obs {
+class PhaseTimer;
+}
+namespace tifl::util {
+class ThreadPool;
+}
 
 namespace tifl::fl {
 
@@ -157,6 +167,38 @@ class ClientPool {
   std::atomic<std::size_t> total_live_{0};
   std::atomic<std::size_t> peak_live_{0};
   std::atomic<std::size_t> materializations_{0};
+};
+
+// Trains cohorts from a model snapshot: one scratch model per cohort slot
+// (slot 0 is the evaluation model), a lease per member for exactly the
+// training call, and client RNGs forked by mix_seed(seed, seq, client id),
+// so a cohort trains the same on any thread pool.
+class CohortTrainer {
+ public:
+  // `params` is the local training config; train() sets its lr.
+  CohortTrainer(nn::ModelFactory factory, LocalTrainParams params)
+      : factory_(std::move(factory)), params_(params) {}
+
+  // Non-owning; nullptr = the process-global pool.
+  void set_thread_pool(util::ThreadPool* pool) { pool_ = pool; }
+  util::ThreadPool* thread_pool() const { return pool_; }
+  nn::Sequential& eval_model() { return scratch(0); }
+
+  // Trains `ids` from `global` at learning rate `lr` into `updates`
+  // (same order).
+  void train(ClientPool& clients, std::span<const std::size_t> ids,
+             std::span<const float> global, double lr, std::uint64_t seed,
+             std::uint64_t seq, std::vector<LocalUpdate>& updates,
+             obs::PhaseTimer& phases);
+
+ private:
+  nn::Sequential& scratch(std::size_t slot);
+
+  nn::ModelFactory factory_;
+  LocalTrainParams params_;
+  util::ThreadPool* pool_ = nullptr;
+  std::vector<nn::Sequential> scratch_;
+  std::vector<ClientPool::Lease> leases_;
 };
 
 }  // namespace tifl::fl

@@ -83,6 +83,7 @@ RunResult Engine::run(SelectionPolicy& policy,
     if (selection.clients.empty()) {
       throw std::logic_error("Engine: policy selected no clients");
     }
+    check_distinct_clients("Engine", selection.clients);
     const std::size_t n = selection.clients.size();
 
     // Pre-create scratch models serially (lazy growth is not thread-safe).

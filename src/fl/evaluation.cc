@@ -5,6 +5,9 @@
 #include <stdexcept>
 #include <string>
 
+#include "obs/phase.h"
+#include "obs/trace.h"
+
 namespace tifl::fl {
 namespace {
 
@@ -83,6 +86,50 @@ void check_tier_eval_indices(
       }
     }
   }
+}
+
+void VersionRecorder::record(RoundRecord record,
+                             std::span<const float> weights,
+                             std::int64_t actor, SelectionPolicy* policy,
+                             std::size_t staleness) {
+  const std::size_t version = rounds->size();
+  record.round = version;
+  last_evaluated = version % eval_every == 0 || version + 1 == total_updates;
+  std::vector<double> tier_accuracies;
+  if (last_evaluated) {
+    obs::ScopedPhase phase(phases, obs::Phase::kEval);
+    Evaluation r = evaluate(weights);
+    phase.stop();
+    record.global_accuracy = r.accuracy;
+    record.global_loss = r.loss;
+    tier_accuracies = std::move(r.subset_accuracies);
+    if (obs::Tracer* t = obs::tracer()) {
+      t->instant(record.virtual_time, category, "eval", actor,
+                 {obs::field("version", version),
+                  obs::field("accuracy", r.accuracy)});
+    }
+  } else if (!rounds->empty()) {
+    record.global_accuracy = rounds->back().global_accuracy;
+    record.global_loss = rounds->back().global_loss;
+  }
+  if (policy != nullptr) {
+    policy->observe({.round = version,
+                     .virtual_time = record.virtual_time,
+                     .global_accuracy = record.global_accuracy,
+                     .global_loss = record.global_loss,
+                     .tier_accuracies = std::move(tier_accuracies),
+                     .submitting_tier = record.selected_tier,
+                     .staleness = staleness});
+  }
+  rounds->push_back(std::move(record));
+}
+
+void VersionRecorder::finish(std::span<const float> weights) {
+  if (rounds->empty() || last_evaluated) return;
+  obs::ScopedPhase phase(phases, obs::Phase::kEval);
+  const Evaluation r = evaluate(weights);
+  rounds->back().global_accuracy = r.accuracy;
+  rounds->back().global_loss = r.loss;
 }
 
 }  // namespace tifl::fl

@@ -17,11 +17,20 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "data/dataset.h"
+#include "fl/metrics.h"
+#include "fl/policy.h"
 #include "nn/sequential.h"
+
+namespace tifl::obs {
+class PhaseTimer;
+}
 
 namespace tifl::fl {
 
@@ -45,5 +54,25 @@ Evaluation evaluate_weights(
 void check_tier_eval_indices(
     const char* who, std::span<const std::vector<std::size_t>> indices,
     std::size_t rows);
+
+// record() appends `record` as version rounds->size(): evaluated on the
+// cadence (v % eval_every == 0 or the last of total_updates) with the
+// instant traced on `actor`, else carrying the previous accuracy forward;
+// `policy`, when given, observes the version first.  finish() refreshes a
+// last record left with a carried-forward accuracy.
+struct VersionRecorder {
+  std::vector<RoundRecord>* rounds;
+  std::size_t eval_every;
+  std::size_t total_updates;
+  std::string_view category;  // of the eval trace instants
+  std::function<Evaluation(std::span<const float>)> evaluate;
+  obs::PhaseTimer* phases;
+  bool last_evaluated = false;  // snapshots store it
+
+  void record(RoundRecord record, std::span<const float> weights,
+              std::int64_t actor, SelectionPolicy* policy = nullptr,
+              std::size_t staleness = 0);
+  void finish(std::span<const float> weights);
+};
 
 }  // namespace tifl::fl

@@ -1,39 +1,10 @@
 #include "fl/hier/node.h"
 
-#include <array>
 #include <stdexcept>
 
+#include "fl/snapshot.h"
+
 namespace tifl::fl::hier {
-
-namespace {
-
-void put_rng(util::ByteSink& sink, const util::Rng& rng) {
-  for (std::uint64_t word : rng.state()) sink.put_u64(word);
-}
-
-void get_rng(util::ByteSource& source, util::Rng& rng) {
-  std::array<std::uint64_t, 4> state;
-  for (std::uint64_t& word : state) word = source.get_u64();
-  rng.set_state(state);
-}
-
-void put_update(util::ByteSink& sink, const LocalUpdate& update) {
-  sink.put_f32_vec(update.weights);
-  sink.put_u64(update.num_samples);
-  sink.put_f64(update.train_loss);
-  sink.put_f64(update.train_accuracy);
-}
-
-LocalUpdate get_update(util::ByteSource& source) {
-  LocalUpdate update;
-  update.weights = source.get_f32_vec();
-  update.num_samples = static_cast<std::size_t>(source.get_u64());
-  update.train_loss = source.get_f64();
-  update.train_accuracy = source.get_f64();
-  return update;
-}
-
-}  // namespace
 
 void AggregatorNode::save_state(util::ByteSink& sink) const {
   sink.put_u64(slot_count());
@@ -56,11 +27,7 @@ void AggregatorNode::save_state(util::ByteSink& sink) const {
   sink.put_f64_vec(tier_lr);
   sink.put_f64_vec(staleness_sum);
   for (const PendingTierRound& round : pending) {
-    sink.put_size_vec(round.selected);
-    sink.put_u64(round.updates.size());
-    for (const LocalUpdate& update : round.updates) put_update(sink, update);
-    sink.put_u64(round.dispatch_version);
-    sink.put_f64(round.latency);
+    put_pending(sink, round);
     sink.put_bool(round.active);
   }
   sink.put_size_vec(retry_count);
@@ -98,15 +65,7 @@ void AggregatorNode::restore_state(util::ByteSource& source) {
   tier_lr = source.get_f64_vec();
   staleness_sum = source.get_f64_vec();
   for (PendingTierRound& round : pending) {
-    round.selected = source.get_size_vec();
-    const std::size_t count = source.checked_count(source.get_u64(), 24);
-    round.updates.clear();
-    round.updates.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      round.updates.push_back(get_update(source));
-    }
-    round.dispatch_version = static_cast<std::size_t>(source.get_u64());
-    round.latency = source.get_f64();
+    get_pending(source, round);
     round.active = source.get_bool();
   }
   retry_count = source.get_size_vec();

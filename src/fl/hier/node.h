@@ -10,32 +10,22 @@
 // into its subtree with the same mathematics the flat server uses across
 // tiers.
 //
-// Nodes serialize through save_state/restore_state into the PR 8
-// fl/snapshot container: models, cadence accumulators, per-tier learning
-// rates, pending tier rounds (trained at dispatch, so their updates
-// travel with the snapshot) and every RNG stream position — the complete
-// mid-tree resume state.
+// Nodes serialize through save_state/restore_state, with the fl/snapshot
+// codec the flat engine uses: models, cadence accumulators, per-tier
+// learning rates, pending tier rounds (fl::PendingTierRound, trained at
+// dispatch, so their updates travel with the snapshot) and every RNG
+// stream position — the complete mid-tree resume state.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
-#include "fl/client.h"
+#include "fl/aggregator.h"
 #include "util/rng.h"
 #include "util/serial.h"
 
 namespace tifl::fl::hier {
-
-// A leaf tier round in flight: trained at dispatch (flat-engine
-// convention), completion fires after the slowest member's latency.
-struct PendingTierRound {
-  std::vector<std::size_t> selected;  // client ids, selection order
-  std::vector<LocalUpdate> updates;   // same order
-  std::size_t dispatch_version = 0;   // node version at dispatch
-  double latency = 0.0;
-  bool active = false;  // completion event scheduled and unconsumed
-};
 
 class AggregatorNode {
  public:

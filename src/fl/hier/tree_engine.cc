@@ -1,28 +1,22 @@
 #include "fl/hier/tree_engine.h"
 
 #include <algorithm>
-#include <array>
 #include <bit>
-#include <cmath>
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <stdexcept>
 #include <utility>
 
-#include "fl/aggregator.h"
 #include "fl/evaluation.h"
 #include "fl/policy.h"
 #include "fl/snapshot.h"
 #include "obs/metrics.h"
 #include "obs/phase.h"
 #include "obs/trace.h"
-#include "obs/wall_time.h"
 #include "sim/fault_model.h"
 #include "sim/sharded_event_queue.h"
 #include "util/log.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace tifl::fl::hier {
 
@@ -37,10 +31,6 @@ constexpr std::uint64_t kOutage = 3;
 constexpr std::uint64_t kRejoin = 4;
 constexpr std::uint64_t kRetier = 5;
 constexpr std::uint64_t kTierBase = 0x100;
-
-// Snapshot payload tag ("HIR1") — hier snapshots are never interchangeable
-// with the flat engine's.
-constexpr std::uint64_t kSnapHier = 0x48495231;
 
 // A model in transit on a tree link, keyed by its delivery event's seq.
 struct LinkPayload {
@@ -59,9 +49,6 @@ struct HierMetrics {
   obs::Counter& rejoins;
   obs::Counter& reprofiles;
   obs::Counter& root_link_bytes;
-  obs::Counter& checkpoint_writes;
-  obs::Counter& checkpoint_bytes;
-  obs::Counter& checkpoint_write_ns;
   obs::Counter& lost_updates;
   obs::Counter& dropped_updates;
   obs::Histo& link_delay;
@@ -80,9 +67,6 @@ HierMetrics& hier_metrics() {
       reg.counter("hier.rejoins"),
       reg.counter("hier.reprofiles"),
       reg.counter("hier.root_link_bytes"),
-      reg.counter("checkpoint.writes"),
-      reg.counter("checkpoint.bytes"),
-      reg.counter("checkpoint.write_ns"),
       reg.counter("fault.lost_updates"),
       reg.counter("fault.dropped_updates"),
       reg.histogram("hier.link_delay"),
@@ -90,82 +74,6 @@ HierMetrics& hier_metrics() {
       reg.histogram("hier.event_batch"),
   };
   return m;
-}
-
-void put_records(util::ByteSink& sink,
-                 const std::vector<RoundRecord>& records) {
-  sink.put_u64(records.size());
-  for (const RoundRecord& r : records) {
-    sink.put_u64(r.round);
-    sink.put_f64(r.virtual_time);
-    sink.put_f64(r.round_latency);
-    sink.put_f64(r.global_accuracy);
-    sink.put_f64(r.global_loss);
-    sink.put_f64(r.train_loss);
-    sink.put_i64(r.selected_tier);
-    sink.put_size_vec(r.selected_clients);
-  }
-}
-
-std::vector<RoundRecord> get_records(util::ByteSource& source) {
-  const std::size_t count = source.checked_count(source.get_u64(), 8 * 7);
-  std::vector<RoundRecord> records;
-  records.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    RoundRecord r;
-    r.round = static_cast<std::size_t>(source.get_u64());
-    r.virtual_time = source.get_f64();
-    r.round_latency = source.get_f64();
-    r.global_accuracy = source.get_f64();
-    r.global_loss = source.get_f64();
-    r.train_loss = source.get_f64();
-    r.selected_tier = static_cast<int>(source.get_i64());
-    r.selected_clients = source.get_size_vec();
-    records.push_back(std::move(r));
-  }
-  return records;
-}
-
-void put_queue(util::ByteSink& sink, const sim::ShardedEventQueue& queue) {
-  sink.put_f64(queue.now());
-  sink.put_u64(queue.next_seq());
-  const std::vector<sim::Event> events = queue.pending();
-  sink.put_u64(events.size());
-  for (const sim::Event& e : events) {
-    sink.put_f64(e.time);
-    sink.put_u64(e.seq);
-    sink.put_u64(e.kind);
-    sink.put_u64(e.actor);
-  }
-}
-
-void get_queue(util::ByteSource& source, sim::ShardedEventQueue& queue) {
-  const double now = source.get_f64();
-  const std::uint64_t next_seq = source.get_u64();
-  const std::size_t count = source.checked_count(source.get_u64(), 32);
-  std::vector<sim::Event> events(count);
-  for (sim::Event& e : events) {
-    e.time = source.get_f64();
-    e.seq = source.get_u64();
-    e.kind = source.get_u64();
-    e.actor = source.get_u64();
-  }
-  queue.restore(now, next_seq, events);
-}
-
-void put_metrics(util::ByteSink& sink, const sim::ShardedEventQueue& queue) {
-  obs::Registry merged;
-  merged.merge_from(obs::Registry::global());
-  queue.merge_metrics_into(merged);
-  util::ByteSink blob;
-  merged.save(blob);
-  sink.put_string(blob.bytes());
-}
-
-void get_metrics(util::ByteSource& source) {
-  const std::string blob = source.get_string();
-  util::ByteSource blob_source(blob);
-  obs::Registry::global().restore(blob_source);
 }
 
 // Every knob that shapes a hier run's deterministic trajectory, including
@@ -225,25 +133,7 @@ TreeEngine::TreeEngine(
 }
 
 void TreeEngine::validate() const {
-  if (clients_ == nullptr || clients_->size() == 0) {
-    throw std::invalid_argument("TreeEngine: no clients");
-  }
-  if (test_ == nullptr) {
-    throw std::invalid_argument("TreeEngine: null test dataset");
-  }
-  if (async_.total_updates == 0) {
-    throw std::invalid_argument("TreeEngine: total_updates must be > 0");
-  }
-  if (async_.clients_per_tier_round == 0) {
-    throw std::invalid_argument(
-        "TreeEngine: clients_per_tier_round must be > 0");
-  }
-  if (async_.eval_every == 0) {
-    throw std::invalid_argument("TreeEngine: eval_every must be > 0");
-  }
-  if (async_.shards == 0) {
-    throw std::invalid_argument("TreeEngine: shards must be > 0");
-  }
+  validate_async_config(async_, clients_, test_, "TreeEngine");
   hier_.topology.validate(clients_->size());
   if (hier_.topology.is_flat()) return;  // the delegate re-validates
 
@@ -257,10 +147,6 @@ void TreeEngine::validate() const {
     throw std::invalid_argument(
         "TreeEngine: the event log is a flat-engine facility; multi-region "
         "trees checkpoint through fl/snapshot only");
-  }
-  if (async_.checkpoint_every > 0.0 && async_.checkpoint_path.empty()) {
-    throw std::invalid_argument(
-        "TreeEngine: checkpoint_every > 0 requires a checkpoint_path");
   }
   const std::vector<std::size_t> leaf_nodes = hier_.topology.leaves();
   if (leaf_tiers_.size() != leaf_nodes.size()) {
@@ -299,17 +185,6 @@ void TreeEngine::set_lifecycle_hooks(HierLifecycleHooks hooks) {
   hooks_ = std::move(hooks);
 }
 
-nn::Sequential& TreeEngine::scratch_model(std::size_t slot) {
-  while (scratch_.size() <= slot) {
-    scratch_.push_back(factory_(/*seed=*/slot + 1));
-  }
-  return scratch_[slot];
-}
-
-util::ThreadPool& TreeEngine::pool() {
-  return pool_ != nullptr ? *pool_ : util::global_pool();
-}
-
 HierRunResult TreeEngine::run(std::optional<std::uint64_t> seed_override) {
   if (hier_.topology.is_flat()) return run_flat(seed_override);
   if (policy_ != nullptr) {
@@ -333,7 +208,7 @@ HierRunResult TreeEngine::run_flat(std::optional<std::uint64_t> seed_override) {
   AsyncEngine engine(config_, async_, factory_, clients_, flat_tiers_, test_,
                      latency_model_);
   engine.set_policy(policy_);
-  if (pool_ != nullptr) engine.set_thread_pool(pool_);
+  engine.set_thread_pool(trainer_.thread_pool());
   AsyncRunResult flat = engine.run(seed_override);
 
   HierRunResult out;
@@ -420,31 +295,26 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
 
   std::size_t dispatch_seq = 0;
   bool stopping = false;
-  bool last_evaluated = false;
-  double next_checkpoint_due = async_.checkpoint_every > 0.0
-                                   ? async_.checkpoint_every
-                                   : std::numeric_limits<double>::infinity();
-  std::vector<std::size_t> age_scratch;
+  Checkpointer checkpointer(async_.checkpoint_every, async_.checkpoint_path);
   std::vector<double> accum_scratch;
 
-  const auto evaluate = [&](std::span<const float> weights) {
-    return evaluate_weights(scratch_model(0), weights, *test_,
-                            config_.eval_chunk);
-  };
+  // Root versions follow the flat engine's cadence (eval_every + always
+  // the final round); skipped versions carry the previous accuracy.
+  VersionRecorder recorder{
+      &out.result.rounds, async_.eval_every, async_.total_updates, "hier",
+      [this](std::span<const float> weights) {
+        return evaluate_weights(trainer_.eval_model(), weights, *test_,
+                                config_.eval_chunk);
+      },
+      &phases};
 
   // Staleness-weighted cross-slot aggregation — the flat engine's
   // cross-tier operator with this node's slots as the tiers.  One call =
   // one node "round" (local version).
   const auto recompute_node = [&](AggregatorNode& node) {
-    age_scratch.assign(node.slot_count(), 0);
-    for (std::size_t s = 0; s < node.slot_count(); ++s) {
-      if (node.slot_updates[s] > 0) {
-        age_scratch[s] = node.version - node.slot_last_version[s];
-      }
-    }
-    const std::vector<double> weights = cross_tier_weights(
-        async_.staleness, async_.poly_alpha, node.slot_updates, age_scratch);
-    aggregate_global(node.slot_models, weights, node.model, accum_scratch);
+    aggregate_slots(async_.staleness, async_.poly_alpha, node.slot_updates,
+                    node.slot_last_version, node.version, node.slot_models,
+                    node.model, accum_scratch);
     node.update_mass = 0;
     const std::size_t inputs =
         node.slot_count() - (node.has_parent_view() ? 1 : 0);
@@ -475,26 +345,8 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
     for (std::size_t pick : picks) round.selected.push_back(members[pick]);
     round.dispatch_version = node.version;
 
-    LocalTrainParams params = config_.local;
-    params.lr = node.tier_lr[tier];
-
-    for (std::size_t i = 0; i < count; ++i) scratch_model(i + 1);
-    round.updates.assign(count, LocalUpdate{});
-    std::vector<ClientPool::Lease> leases;
-    leases.reserve(count);
-    {
-      obs::ScopedPhase phase(&phases, obs::Phase::kTrain);
-      for (std::size_t id : round.selected) {
-        leases.push_back(clients_->lease(id));
-      }
-      pool().parallel_for(0, count, [&](std::size_t i) {
-        const Client& client = *leases[i];
-        util::Rng client_rng(util::mix_seed(seed, dispatch_seq, client.id()));
-        round.updates[i] = client.local_update(node.model, scratch_[i + 1],
-                                               params, client_rng);
-      });
-      leases.clear();
-    }
+    trainer_.train(*clients_, round.selected, node.model, node.tier_lr[tier],
+                   seed, dispatch_seq, round.updates, phases);
     ++dispatch_seq;
 
     round.latency = 0.0;
@@ -503,7 +355,7 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
           round.latency,
           latency_model_.sample_latency(clients_->resource(id),
                                         clients_->train_size(id),
-                                        params.epochs,
+                                        config_.local.epochs,
                                         node.latency_rng[tier]));
     }
     queue.schedule(round.latency, kTierBase + tier, node.id);
@@ -516,69 +368,71 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
     }
   };
 
-  const auto send_uplink = [&](AggregatorNode& node) {
-    const NodeSpec& spec = topo.nodes[node.id];
-    const std::size_t parent = static_cast<std::size_t>(spec.parent);
+  // Ships `node`'s model to node `to` over `link`, whose delay draws come
+  // from `rng` (the child end's stream, in both directions).
+  const auto send = [&](AggregatorNode& node, std::size_t to,
+                        std::uint64_t kind, const sim::LinkProfile& link,
+                        util::Rng& rng, const char* name) {
     const std::size_t bytes = node.model.size() * sizeof(float);
-    const double delay =
-        latency_model_.sample_link_delay(spec.link, bytes, node.link_rng);
-    const std::uint64_t seq = queue.schedule(delay, kUplink, parent);
+    const double delay = latency_model_.sample_link_delay(link, bytes, rng);
+    const std::uint64_t seq = queue.schedule(delay, kind, to);
     in_flight[seq] =
         LinkPayload{node.id, node.model, node.update_mass, queue.now()};
-    node.since_report = 0;
     if (obs::Tracer* t = obs::tracer()) {
-      t->span(queue.now(), delay, "hier", "uplink",
+      t->span(queue.now(), delay, "hier", name,
               static_cast<std::int64_t>(node.id),
-              {obs::field("to", parent), obs::field("bytes", bytes)});
+              {obs::field("to", to), obs::field("bytes", bytes)});
     }
   };
-
+  const auto send_uplink = [&](AggregatorNode& node) {
+    const NodeSpec& spec = topo.nodes[node.id];
+    send(node, static_cast<std::size_t>(spec.parent), kUplink, spec.link,
+         node.link_rng, "uplink");
+    node.since_report = 0;
+  };
   const auto send_downlinks = [&](AggregatorNode& node) {
     for (std::size_t child : node.children) {
-      const NodeSpec& spec = topo.nodes[child];
-      const std::size_t bytes = node.model.size() * sizeof(float);
-      const double delay = latency_model_.sample_link_delay(
-          spec.link, bytes, nodes[child].link_rng);
-      const std::uint64_t seq = queue.schedule(delay, kDownlink, child);
-      in_flight[seq] =
-          LinkPayload{node.id, node.model, node.update_mass, queue.now()};
-      if (obs::Tracer* t = obs::tracer()) {
-        t->span(queue.now(), delay, "hier", "downlink",
-                static_cast<std::int64_t>(node.id),
-                {obs::field("to", child), obs::field("bytes", bytes)});
-      }
+      send(node, child, kDownlink, topo.nodes[child].link,
+           nodes[child].link_rng, "downlink");
     }
   };
-
-  // The root aggregated: one global round.  Evaluation follows the flat
-  // engine's cadence (eval_every + always the final round); skipped
-  // versions carry the previous accuracy forward.
-  const auto record_root_round = [&](std::size_t child_slot, double delay) {
-    const std::size_t version = out.result.rounds.size();
-    RoundRecord record;
-    record.round = version;
-    record.virtual_time = queue.now();
-    record.round_latency = delay;
-    record.selected_tier = static_cast<int>(child_slot);
-    record.selected_clients = {nodes[0].children[child_slot]};
-    last_evaluated = version % async_.eval_every == 0 ||
-                     version + 1 == async_.total_updates;
-    if (last_evaluated) {
-      obs::ScopedPhase phase(&phases, obs::Phase::kEval);
-      const Evaluation r = evaluate(nodes[0].model);
-      phase.stop();
-      record.global_accuracy = r.accuracy;
-      record.global_loss = r.loss;
-      if (obs::Tracer* t = obs::tracer()) {
-        t->instant(queue.now(), "hier", "eval", /*actor=*/0,
-                   {obs::field("version", version),
-                    obs::field("accuracy", r.accuracy)});
-      }
-    } else if (!out.result.rounds.empty()) {
-      record.global_accuracy = out.result.rounds.back().global_accuracy;
-      record.global_loss = out.result.rounds.back().global_loss;
+  // Counts an outage, rejoin or re-tiering and traces it on the node.
+  const auto count_node_event = [&](const AggregatorNode& node,
+                                    const char* name, obs::Counter& counter,
+                                    std::size_t& count) {
+    ++count;
+    counter.add();
+    if (obs::Tracer* t = obs::tracer()) {
+      t->instant(queue.now(), "hier", name,
+                 static_cast<std::int64_t>(node.id), {});
     }
-    out.result.rounds.push_back(std::move(record));
+  };
+  // Takes the model a link delivery carries and accounts the transfer.
+  const auto receive = [&](const sim::Event& event, const char* name,
+                           obs::Counter& counter, std::size_t& count) {
+    const auto it = in_flight.find(event.seq);
+    if (it == in_flight.end()) {
+      throw std::logic_error(std::string("TreeEngine: ") + name +
+                             " payload missing");
+    }
+    LinkPayload payload = std::move(it->second);
+    in_flight.erase(it);
+    const std::size_t bytes = payload.model.size() * sizeof(float);
+    ++count;
+    counter.add();
+    metrics.link_delay.record(queue.now() - payload.send_time);
+    metrics.link_bytes.record(static_cast<double>(bytes));
+    node_link_bytes[payload.from]->add(bytes);
+    return payload;
+  };
+
+  // The root aggregated: one global round.
+  const auto record_root_round = [&](std::size_t child_slot, double delay) {
+    recorder.record({.virtual_time = queue.now(),
+                     .round_latency = delay,
+                     .selected_tier = static_cast<int>(child_slot),
+                     .selected_clients = {nodes[0].children[child_slot]}},
+                    nodes[0].model, /*actor=*/0);
     if (out.result.rounds.size() % 50 == 0) {
       util::log_debug("hier v", out.result.rounds.size(),
                       " acc=", out.result.rounds.back().global_accuracy,
@@ -595,19 +449,17 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
   };
 
   // --- snapshot payload ------------------------------------------------------
-  const std::uint64_t fingerprint = hier_fingerprint(
-      config_, async_, hier_, seed, clients_->size(), weight_count);
+  const SnapshotPrologue prologue{
+      kSnapHier,
+      hier_fingerprint(config_, async_, hier_, seed, clients_->size(),
+                       weight_count),
+      num_nodes, clients_->size(), weight_count, out.result.policy_name};
   const auto save_state = [&](util::ByteSink& sink) {
-    sink.put_u64(kSnapHier);
-    sink.put_u64(fingerprint);
-    sink.put_u64(num_nodes);
-    sink.put_u64(clients_->size());
-    sink.put_u64(weight_count);
-    sink.put_string(out.result.policy_name);
+    put_prologue(sink, prologue);
     for (const AggregatorNode& node : nodes) node.save_state(sink);
     sink.put_u64(dispatch_seq);
     put_records(sink, out.result.rounds);
-    sink.put_bool(last_evaluated);
+    sink.put_bool(recorder.last_evaluated);
     sink.put_u64(out.uplinks);
     sink.put_u64(out.downlinks);
     sink.put_u64(out.outage_count);
@@ -616,7 +468,7 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
     sink.put_u64(out.root_link_bytes);
     sink.put_u64(out.processed_events);
     sink.put_u64(out.max_event_batch);
-    sink.put_f64(next_checkpoint_due);
+    sink.put_f64(checkpointer.next_due());
     sink.put_u64(in_flight.size());
     for (const auto& [seq, payload] : in_flight) {  // map order: seq asc
       sink.put_u64(seq);
@@ -626,16 +478,8 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
       sink.put_f32_vec(payload.model);
     }
     put_queue(sink, queue);
-    {
-      util::ByteSink blob;
-      fault.save_state(blob);
-      sink.put_string(blob.bytes());
-    }
-    {
-      util::ByteSink blob;
-      if (hooks_.save_state) hooks_.save_state(blob);
-      sink.put_string(blob.bytes());
-    }
+    put_blob(sink, [&](util::ByteSink& blob) { fault.save_state(blob); });
+    put_blob(sink, hooks_.save_state);
     put_metrics(sink, queue);
   };
 
@@ -643,29 +487,11 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
   if (resuming) {
     const std::string payload = load_snapshot(async_.resume_path);
     util::ByteSource source(payload);
-    if (source.get_u64() != kSnapHier) {
-      throw std::runtime_error(
-          "TreeEngine: snapshot was not taken by the hier engine");
-    }
-    if (source.get_u64() != fingerprint) {
-      throw std::runtime_error(
-          "TreeEngine: snapshot config/topology fingerprint mismatch "
-          "(resume requires the same seed, tree, schedule and fault "
-          "configuration)");
-    }
-    if (source.get_u64() != num_nodes ||
-        source.get_u64() != clients_->size() ||
-        source.get_u64() != weight_count) {
-      throw std::runtime_error(
-          "TreeEngine: snapshot tree/population/model dimensions mismatch");
-    }
-    if (source.get_string() != out.result.policy_name) {
-      throw std::runtime_error("TreeEngine: snapshot policy name mismatch");
-    }
+    check_prologue(source, prologue, "TreeEngine");
     for (AggregatorNode& node : nodes) node.restore_state(source);
     dispatch_seq = static_cast<std::size_t>(source.get_u64());
     out.result.rounds = get_records(source);
-    last_evaluated = source.get_bool();
+    recorder.last_evaluated = source.get_bool();
     out.uplinks = static_cast<std::size_t>(source.get_u64());
     out.downlinks = static_cast<std::size_t>(source.get_u64());
     out.outage_count = static_cast<std::size_t>(source.get_u64());
@@ -687,43 +513,14 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
       in_flight.emplace(seq, std::move(flight));
     }
     get_queue(source, queue);
-    {
-      const std::string blob = source.get_string();
-      util::ByteSource blob_source(blob);
-      fault.restore_state(blob_source);
-    }
-    {
-      const std::string blob = source.get_string();
-      if (hooks_.restore_state) {
-        util::ByteSource blob_source(blob);
-        hooks_.restore_state(blob_source);
-      }
-    }
+    checkpointer.resume(queue.now());
+    get_blob(source,
+             [&](util::ByteSource& blob) { fault.restore_state(blob); });
+    get_blob(source, hooks_.restore_state);
     get_metrics(source);
-    if (async_.checkpoint_every > 0.0) {
-      next_checkpoint_due =
-          (std::floor(queue.now() / async_.checkpoint_every) + 1.0) *
-          async_.checkpoint_every;
-    }
     util::log_info("hier: resumed from ", async_.resume_path, " at root v",
                    out.result.rounds.size(), ", t=", queue.now());
   }
-
-  const auto write_checkpoint = [&]() {
-    const auto start = obs::wall_now();
-    util::ByteSink sink;
-    save_state(sink);
-    const std::size_t bytes =
-        save_snapshot(async_.checkpoint_path, sink.bytes());
-    metrics.checkpoint_writes.add();
-    metrics.checkpoint_bytes.add(bytes);
-    metrics.checkpoint_write_ns.add(obs::wall_ns_count_since(start));
-    if (obs::Tracer* t = obs::tracer()) {
-      t->instant(queue.now(), "durability", "checkpoint", /*actor=*/0,
-                 {obs::field("version", out.result.rounds.size()),
-                  obs::field("events", out.processed_events)});
-    }
-  };
 
   if (!resuming) {
     for (std::size_t leaf : leaf_nodes) {
@@ -749,12 +546,7 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
   // --- event loop ------------------------------------------------------------
   std::vector<sim::Event> batch;
   while (!queue.empty() && !stopping) {
-    if (fault.crash_at() > 0.0 && queue.peek().time >= fault.crash_at()) {
-      // Die before popping or drawing anything, so the crashed run's
-      // streams stay aligned with the uninterrupted oracle (see the flat
-      // engine's identical check).
-      throw sim::SimulatedCrash(queue.peek().time);
-    }
+    checkpointer.crash_if_due(fault.crash_at(), queue.peek().time);
     queue.pop_batch(batch);
     out.max_event_batch = std::max(out.max_event_batch, batch.size());
     metrics.event_batch.record(static_cast<double>(batch.size()));
@@ -810,14 +602,7 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
         // --- tier-level FedAvg into the tier's slot ----------------------
         round.active = false;
         obs::ScopedPhase agg_phase(&phases, obs::Phase::kAggregate);
-        std::vector<WeightedUpdate> weighted;
-        weighted.reserve(round.updates.size());
-        for (const LocalUpdate& update : round.updates) {
-          weighted.push_back(WeightedUpdate{
-              .weights = update.weights,
-              .sample_count = static_cast<double>(update.num_samples)});
-        }
-        node.slot_models[tier] = fedavg(weighted);
+        node.slot_models[tier] = fold_round(round);
         node.slot_updates[tier] += round.selected.size();
         node.slot_last_version[tier] = node.version;
         node.staleness_sum[tier] +=
@@ -836,19 +621,10 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
         }
         dispatch_tier(node, tier);
       } else if (event.kind == kUplink) {
-        const auto it = in_flight.find(event.seq);
-        if (it == in_flight.end()) {
-          throw std::logic_error("TreeEngine: uplink payload missing");
-        }
-        LinkPayload payload = std::move(it->second);
-        in_flight.erase(it);
+        LinkPayload payload =
+            receive(event, "uplink", metrics.uplinks, out.uplinks);
         const double delay = queue.now() - payload.send_time;
         const std::size_t bytes = payload.model.size() * sizeof(float);
-        ++out.uplinks;
-        metrics.uplinks.add();
-        metrics.link_delay.record(delay);
-        metrics.link_bytes.record(static_cast<double>(bytes));
-        node_link_bytes[payload.from]->add(bytes);
         if (node.is_root) {
           out.root_link_bytes += bytes;
           metrics.root_link_bytes.add(bytes);
@@ -881,19 +657,8 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
           send_downlinks(node);
         }
       } else if (event.kind == kDownlink) {
-        const auto it = in_flight.find(event.seq);
-        if (it == in_flight.end()) {
-          throw std::logic_error("TreeEngine: downlink payload missing");
-        }
-        LinkPayload payload = std::move(it->second);
-        in_flight.erase(it);
-        const double delay = queue.now() - payload.send_time;
-        const std::size_t bytes = payload.model.size() * sizeof(float);
-        ++out.downlinks;
-        metrics.downlinks.add();
-        metrics.link_delay.record(delay);
-        metrics.link_bytes.record(static_cast<double>(bytes));
-        node_link_bytes[payload.from]->add(bytes);
+        LinkPayload payload =
+            receive(event, "downlink", metrics.downlinks, out.downlinks);
         const std::size_t slot = node.parent_slot();
         node.slot_models[slot] = std::move(payload.model);
         node.slot_updates[slot] = static_cast<std::size_t>(payload.updates);
@@ -907,20 +672,10 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
         }
       } else if (event.kind == kOutage) {
         node.offline = true;
-        ++out.outage_count;
-        metrics.outages.add();
-        if (obs::Tracer* t = obs::tracer()) {
-          t->instant(queue.now(), "hier", "outage",
-                     static_cast<std::int64_t>(node.id), {});
-        }
+        count_node_event(node, "outage", metrics.outages, out.outage_count);
       } else if (event.kind == kRejoin) {
         node.offline = false;
-        ++out.rejoin_count;
-        metrics.rejoins.add();
-        if (obs::Tracer* t = obs::tracer()) {
-          t->instant(queue.now(), "hier", "rejoin",
-                     static_cast<std::int64_t>(node.id), {});
-        }
+        count_node_event(node, "rejoin", metrics.rejoins, out.rejoin_count);
         for (std::size_t t = 0; t < node.tiers.size(); ++t) {
           if (!node.pending[t].active) dispatch_tier(node, t);
         }
@@ -932,12 +687,8 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
               "TreeEngine: retier hook changed the leaf's tier count");
         }
         node.tiers = std::move(new_tiers);
-        ++out.reprofile_count;
-        metrics.reprofiles.add();
-        if (obs::Tracer* t = obs::tracer()) {
-          t->instant(queue.now(), "hier", "retier",
-                     static_cast<std::int64_t>(node.id), {});
-        }
+        count_node_event(node, "retier", metrics.reprofiles,
+                         out.reprofile_count);
         if (!node.offline) {
           for (std::size_t t = 0; t < node.tiers.size(); ++t) {
             if (!node.pending[t].active) dispatch_tier(node, t);
@@ -952,20 +703,13 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
         queue.now() >= async_.time_budget_seconds) {
       stopping = true;
     }
-    if (!stopping && queue.now() >= next_checkpoint_due) {
-      write_checkpoint();
-      next_checkpoint_due =
-          (std::floor(queue.now() / async_.checkpoint_every) + 1.0) *
-          async_.checkpoint_every;
+    if (!stopping) {
+      checkpointer.write_if_due(queue.now(), out.result.rounds.size(),
+                                out.processed_events, save_state);
     }
   }
 
-  if (!out.result.rounds.empty() && !last_evaluated) {
-    obs::ScopedPhase phase(&phases, obs::Phase::kEval);
-    const Evaluation r = evaluate(nodes[0].model);
-    out.result.rounds.back().global_accuracy = r.accuracy;
-    out.result.rounds.back().global_loss = r.loss;
-  }
+  recorder.finish(nodes[0].model);
 
   out.final_weights = nodes[0].model;
   out.node_rounds.reserve(num_nodes);

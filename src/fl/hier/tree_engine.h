@@ -20,9 +20,10 @@
 // trees put all state mutation in event-pop order on a
 // sim::ShardedEventQueue, fork every RNG stream per (node, tier) or per
 // link, and reduce in selection/slot order — bit-reproducible across
-// --shards and thread-pool sizes.  Full-run snapshots (fl/snapshot)
-// serialize every node mid-tree, so --resume replays a killed run
-// exactly; `--rounds` counts *root* aggregations.
+// --shards and thread-pool sizes.  Full-run snapshots serialize every
+// node mid-tree through the flat engine's codec and checkpointer
+// (fl/snapshot), so --resume replays a killed run exactly; `--rounds`
+// counts *root* aggregations.
 #pragma once
 
 #include <cstdint>
@@ -119,12 +120,12 @@ class TreeEngine {
   // uniform per-tier self-sampling (throws otherwise).
   void set_policy(SelectionPolicy* policy) { policy_ = policy; }
   void set_lifecycle_hooks(HierLifecycleHooks hooks);
-  void set_thread_pool(util::ThreadPool* pool) { pool_ = pool; }
+  void set_thread_pool(util::ThreadPool* pool) {
+    trainer_.set_thread_pool(pool);
+  }
 
  private:
   void validate() const;
-  nn::Sequential& scratch_model(std::size_t slot);
-  util::ThreadPool& pool();
   HierRunResult run_flat(std::optional<std::uint64_t> seed_override);
   HierRunResult run_tree(std::uint64_t seed);
 
@@ -138,9 +139,8 @@ class TreeEngine {
   const data::Dataset* test_;
   sim::LatencyModel latency_model_;
   SelectionPolicy* policy_ = nullptr;
-  util::ThreadPool* pool_ = nullptr;
   HierLifecycleHooks hooks_;
-  std::vector<nn::Sequential> scratch_;
+  CohortTrainer trainer_{factory_, config_.local};
 };
 
 }  // namespace tifl::fl::hier

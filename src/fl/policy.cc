@@ -1,5 +1,6 @@
 #include "fl/policy.h"
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 #include <stdexcept>
@@ -9,6 +10,17 @@ namespace tifl::fl {
 
 std::string engine_kind_name(EngineKind kind) {
   return kind == EngineKind::kSync ? "sync" : "async";
+}
+
+void check_distinct_clients(const char* engine,
+                            std::span<const std::size_t> clients) {
+  std::vector<std::size_t> sorted(clients.begin(), clients.end());
+  std::sort(sorted.begin(), sorted.end());
+  const auto repeat = std::adjacent_find(sorted.begin(), sorted.end());
+  if (repeat != sorted.end()) {
+    throw std::logic_error(std::string(engine) + ": policy selected client " +
+                           std::to_string(*repeat) + " more than once");
+  }
 }
 
 std::vector<std::size_t> sample_without_replacement(std::size_t n,

@@ -42,6 +42,7 @@ enum class EngineKind { kSync, kAsync };
 std::string engine_kind_name(EngineKind kind);
 
 struct Selection {
+  // Distinct ids: every engine rejects a repeat (check_distinct_clients).
   std::vector<std::size_t> clients;
   int tier = -1;  // tier index the clients came from; -1 = untiered
   // When > 0 and < clients.size(), the engine aggregates only the
@@ -52,6 +53,12 @@ struct Selection {
   // engine only.
   std::size_t aggregate_count = 0;
 };
+
+// Throws std::logic_error, naming `engine` and the id, when `clients`
+// repeats an id; engines call it before training or scheduling.  A repeat
+// would count one update twice, or stall an async dynamic-loop cohort.
+void check_distinct_clients(const char* engine,
+                            std::span<const std::size_t> clients);
 
 // Read-only view of the engine's tier state at selection time.  The sync
 // engine is tier-agnostic and passes an empty view (sync policies carry

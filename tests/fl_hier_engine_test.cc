@@ -16,11 +16,14 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "fl/async_engine.h"
@@ -360,6 +363,43 @@ TEST(HierValidation, RejectsUnsupportedFlatEngineFacilities) {
                  tiny_factory(), &pool, two_tiers(kClients),
                  two_region_tiers(), &fed.data.test, fed.latency),
       std::invalid_argument);
+}
+
+TEST(HierValidation, RejectsWhatAsyncEngineRejects) {
+  TinyFederation fed =
+      FederationBuilder().clients(kClients).jitter(0.05).build();
+  ClientPool pool(&fed.clients);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<const char*, std::function<void(AsyncConfig&)>>>
+      cases = {
+          {"poly_alpha -1", [](AsyncConfig& a) { a.poly_alpha = -1.0; }},
+          {"reprofile_every -1",
+           [](AsyncConfig& a) { a.reprofile_every = -1.0; }},
+          {"reprofile_every NaN",
+           [nan](AsyncConfig& a) { a.reprofile_every = nan; }},
+          {"checkpoint_every -1",
+           [](AsyncConfig& a) { a.checkpoint_every = -1.0; }},
+          {"checkpoint_every NaN",
+           [nan](AsyncConfig& a) { a.checkpoint_every = nan; }},
+          {"barrier_window NaN",
+           [nan](AsyncConfig& a) { a.barrier_window = nan; }},
+          {"churn.join_rate NaN",
+           [nan](AsyncConfig& a) { a.churn.join_rate = nan; }},
+      };
+  for (const auto& [label, mutate] : cases) {
+    AsyncConfig async = base_async();
+    mutate(async);
+    EXPECT_THROW(AsyncEngine(tiny_engine_config(1), async, tiny_factory(),
+                             &pool, two_tiers(kClients), &fed.data.test,
+                             fed.latency),
+                 std::invalid_argument)
+        << label;
+    EXPECT_THROW(TreeEngine(tiny_engine_config(1), async, two_regions(),
+                            tiny_factory(), &pool, two_tiers(kClients),
+                            two_region_tiers(), &fed.data.test, fed.latency),
+                 std::invalid_argument)
+        << label;
+  }
 }
 
 // --- crash + resume ----------------------------------------------------------

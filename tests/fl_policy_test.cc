@@ -5,7 +5,12 @@
 #include <algorithm>
 #include <numeric>
 #include <set>
+#include <stdexcept>
 #include <vector>
+
+#include "fl/async_engine.h"
+#include "fl/engine.h"
+#include "test_helpers.h"
 
 namespace tifl::fl {
 namespace {
@@ -232,6 +237,79 @@ TEST(UniformTierPolicy, CapsAtCandidateCountAndRejectsUntieredCalls) {
   EXPECT_EQ(policy.select(context).clients.size(), 3u);
   EXPECT_THROW(policy.select(0, rng), std::logic_error);
   EXPECT_THROW(UniformTierPolicy(0), std::invalid_argument);
+}
+
+// --- repeated clients ------------------------------------------------------
+
+TEST(CheckDistinctClients, NamesTheEngineAndTheRepeatedId) {
+  EXPECT_NO_THROW(check_distinct_clients("Engine", {}));
+  EXPECT_NO_THROW(
+      check_distinct_clients("Engine", std::vector<std::size_t>{4, 1, 9, 0}));
+  try {
+    check_distinct_clients("AsyncEngine",
+                           std::vector<std::size_t>{7, 3, 12, 3});
+    FAIL() << "a repeated id was accepted";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("AsyncEngine"), std::string::npos) << what;
+    EXPECT_NE(what.find(" 3 "), std::string::npos) << what;
+  }
+}
+
+// Returns the first candidate twice (client 0 on the sync engine, which
+// passes no candidates), and counts the versions it is told about.
+class RepeatingPolicy final : public SelectionPolicy {
+ public:
+  using SelectionPolicy::select;
+  Selection select(const SelectionContext& context) override {
+    const std::size_t id =
+        context.candidates.empty() ? 0 : context.candidates.front();
+    Selection selection;
+    selection.clients = {id, id};
+    selection.tier = context.tier;
+    return selection;
+  }
+  void observe(const RoundFeedback&) override { ++observed; }
+  std::string name() const override { return "repeating"; }
+  bool supports(EngineKind) const override { return true; }
+
+  std::size_t observed = 0;
+};
+
+// 10 clients in two tiers, 40 versions, 2 clients per tier round.
+void expect_async_loop_rejects_repeat(bool dynamic) {
+  testing::TinyFederation fed =
+      testing::FederationBuilder().clients(10).build();
+  AsyncConfig async;
+  async.total_updates = 40;
+  async.clients_per_tier_round = 2;
+  async.dynamic_lifecycle = dynamic;
+  AsyncEngine engine(testing::tiny_engine_config(1), async,
+                     testing::tiny_factory(), &fed.clients,
+                     testing::two_tiers(10), &fed.data.test, fed.latency);
+  ASSERT_EQ(engine.dynamic(), dynamic);
+  RepeatingPolicy policy;
+  engine.set_policy(&policy);
+  EXPECT_THROW(engine.run(), std::logic_error);
+  EXPECT_EQ(policy.observed, 0u);  // thrown at the first dispatch
+}
+
+TEST(RepeatedClient, StaticAsyncLoopThrows) {
+  expect_async_loop_rejects_repeat(/*dynamic=*/false);
+}
+
+TEST(RepeatedClient, DynamicAsyncLoopThrows) {
+  expect_async_loop_rejects_repeat(/*dynamic=*/true);
+}
+
+TEST(RepeatedClient, SyncEngineThrows) {
+  testing::TinyFederation fed =
+      testing::FederationBuilder().clients(10).build();
+  Engine engine(testing::tiny_engine_config(5), testing::tiny_factory(),
+                fed.clients, &fed.data.test, fed.latency);
+  RepeatingPolicy policy;
+  EXPECT_THROW(engine.run(policy), std::logic_error);
+  EXPECT_EQ(policy.observed, 0u);
 }
 
 }  // namespace
