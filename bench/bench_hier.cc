@@ -4,9 +4,9 @@
 // Three runs over the same MNIST-shaped scenario (identical seed and
 // federation, fresh build per point):
 //
-//   1. flat      — the async engine via a single-node topology (the tree
-//                  engine's collapse path, so the comparison shares every
-//                  code path the tree adds).
+//   1. flat      — the async engine via a single-node topology (run_hier's
+//                  collapse path onto run_async, so the comparison goes
+//                  through the same entry point as the trees).
 //   2. 2 regions — clients split across two regional aggregators under
 //                  one root; regional links cost latency + bandwidth.
 //   3. 4 regions — the same population under four regional aggregators.

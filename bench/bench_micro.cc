@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical
-// substrate pieces: GEMM kernels, conv2d forward/backward, FedAvg
-// reductions (flat vs hierarchical), client selection and profiling
-// throughput, thread-pool dispatch, one cohort's local training and one
-// evaluated version with per-tier feedback.
+// substrate pieces: GEMM kernels, conv2d forward/backward, the FedAvg
+// reduction, client selection and profiling throughput, thread-pool
+// dispatch, one cohort's local training and one evaluated version with
+// per-tier feedback.
 // These guard the constants behind the figure benches.
 #include <benchmark/benchmark.h>
 
@@ -113,25 +113,6 @@ void BM_FedAvgFlat(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * clients * params);
 }
 BENCHMARK(BM_FedAvgFlat)->Arg(5)->Arg(10)->Arg(50);
-
-void BM_FedAvgHierarchical(benchmark::State& state) {
-  const std::size_t clients = 50;
-  const std::size_t params = 100000;
-  util::Rng rng(7);
-  std::vector<std::vector<float>> weights(clients,
-                                          std::vector<float>(params));
-  for (auto& w : weights) {
-    for (float& v : w) v = static_cast<float>(rng.normal());
-  }
-  std::vector<fl::WeightedUpdate> updates;
-  for (auto& w : weights) updates.push_back({w, 100.0});
-  fl::HierarchicalAggregator agg(state.range(0));
-  for (auto _ : state) {
-    auto result = agg.aggregate(updates);
-    benchmark::DoNotOptimize(result.data());
-  }
-}
-BENCHMARK(BM_FedAvgHierarchical)->Arg(2)->Arg(5)->Arg(10);
 
 core::TierInfo micro_tiers(std::size_t tiers, std::size_t per_tier) {
   core::TierInfo info;

@@ -138,19 +138,8 @@ fl::RunResult TiflSystem::run(fl::SelectionPolicy& policy,
   return result;
 }
 
-fl::AsyncRunResult TiflSystem::run_async(
-    std::optional<fl::AsyncConfig> async,
-    std::optional<std::uint64_t> seed_override,
-    fl::SelectionPolicy* policy) {
-  bool any_members = false;
-  for (const std::vector<std::size_t>& members : tiers_.members) {
-    any_members = any_members || !members.empty();
-  }
-  if (!any_members) {
-    throw std::runtime_error(
-        "TiflSystem::run_async: no live clients remain (a previous churned "
-        "run drained the population); call reprofile() to re-admit them");
-  }
+fl::AsyncConfig TiflSystem::resolve_async(
+    std::optional<fl::AsyncConfig> async) {
   fl::AsyncConfig resolved = async.value_or(config_.async);
   if (resolved.total_updates == 0) {
     resolved.total_updates = config_.engine.rounds;
@@ -169,6 +158,23 @@ fl::AsyncRunResult TiflSystem::run_async(
       pool_->live_clients() == 0) {
     pool_->set_cache_segments(resolved.shards);
   }
+  return resolved;
+}
+
+fl::AsyncRunResult TiflSystem::run_async(
+    std::optional<fl::AsyncConfig> async,
+    std::optional<std::uint64_t> seed_override,
+    fl::SelectionPolicy* policy) {
+  bool any_members = false;
+  for (const std::vector<std::size_t>& members : tiers_.members) {
+    any_members = any_members || !members.empty();
+  }
+  if (!any_members) {
+    throw std::runtime_error(
+        "TiflSystem::run_async: no live clients remain (a previous churned "
+        "run drained the population); call reprofile() to re-admit them");
+  }
+  const fl::AsyncConfig resolved = resolve_async(std::move(async));
   fl::AsyncEngine engine(config_.engine, resolved, factory_, &*pool_,
                          tiers_.members, test_, latency_model_);
   if (policy != nullptr) {
@@ -320,21 +326,7 @@ fl::hier::HierRunResult TiflSystem::run_hier(
         "(collapse) path; multi-region leaves sample uniformly per tier");
   }
 
-  fl::AsyncConfig resolved = async.value_or(config_.async);
-  if (resolved.total_updates == 0) {
-    resolved.total_updates = config_.engine.rounds;
-  }
-  if (resolved.clients_per_tier_round == 0) {
-    resolved.clients_per_tier_round = config_.clients_per_round;
-  }
-  if (resolved.time_budget_seconds == 0.0) {
-    resolved.time_budget_seconds = config_.engine.time_budget_seconds;
-  }
-  if (pool_->virtualized() && resolved.shards != pool_->cache_segments() &&
-      pool_->live_clients() == 0) {
-    pool_->set_cache_segments(resolved.shards);
-  }
-
+  const fl::AsyncConfig resolved = resolve_async(std::move(async));
   const std::size_t num_clients = pool_->size();
   hier.topology.validate(num_clients);
   const std::vector<std::size_t> leaf_nodes = hier.topology.leaves();
@@ -372,8 +364,8 @@ fl::hier::HierRunResult TiflSystem::run_hier(
   }
 
   fl::hier::TreeEngine engine(config_.engine, resolved, std::move(hier),
-                              factory_, &*pool_, tiers_.members,
-                              std::move(leaf_tiers), test_, latency_model_);
+                              factory_, &*pool_, std::move(leaf_tiers), test_,
+                              latency_model_);
 
   // One OnlineReTierer per leaf region: each rebuilds its own region's
   // tiers from what that region's training rounds observed, exactly as

@@ -130,8 +130,9 @@ class TiflSystem {
   // (fl::hier::TreeEngine).  `async` resolves exactly like run_async's;
   // `--rounds` (total_updates) counts root aggregations.  A flat (single
   // node) topology delegates to run_async outright — byte-for-byte the
-  // flat federation, with full policy / dynamic-lifecycle support —
-  // while multi-region trees accept a policy only on that collapse path.
+  // flat federation, with full policy / dynamic-lifecycle support.  This
+  // is the only flat collapse (TreeEngine rejects flat topologies), and
+  // multi-region trees accept a policy only on it.
   // When async.reprofile_every > 0, one core::OnlineReTierer per leaf
   // rebuilds that region's tier membership from observed latencies; the
   // re-tierers' state rides the run snapshot, so --resume re-tiers
@@ -163,6 +164,10 @@ class TiflSystem {
 
  private:
   void profile_and_tier();
+  // `async` (or config().async) with zero total_updates /
+  // clients_per_tier_round / time_budget_seconds inherited from the sync
+  // config; also splits a virtual pool's cache into one segment per shard.
+  fl::AsyncConfig resolve_async(std::optional<fl::AsyncConfig> async);
   // Splices the profiling phase's wall time ahead of a run's own phase
   // stats, so `tifl_run --report` shows the full profile/select/train/
   // aggregate/eval breakdown.

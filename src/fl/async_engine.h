@@ -278,7 +278,6 @@ class AsyncEngine {
   // past the test set's end.
   void set_tier_eval_indices(std::vector<std::vector<std::size_t>> indices);
 
-  const AsyncConfig& async_config() const { return async_; }
   std::size_t tier_count() const { return tier_members_.size(); }
   // True when this configuration takes the dynamic lifecycle path.
   bool dynamic() const {

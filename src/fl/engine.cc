@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "fl/aggregator.h"
 #include "fl/evaluation.h"
 #include "fl/secure_aggregation.h"
 
@@ -27,26 +28,15 @@ Engine::Engine(EngineConfig config, nn::ModelFactory factory,
   if (test_ == nullptr) {
     throw std::invalid_argument("Engine: null test dataset");
   }
+  if (config_.eval_every == 0) {
+    throw std::invalid_argument("Engine: eval_every must be > 0");
+  }
 }
 
 void Engine::set_tier_eval_indices(
     std::vector<std::vector<std::size_t>> indices) {
   check_tier_eval_indices("Engine", indices, test_->size());
   tier_eval_indices_ = std::move(indices);
-}
-
-nn::Sequential& Engine::scratch_model(std::size_t slot) {
-  while (scratch_.size() <= slot) {
-    // Seed is irrelevant: scratch weights are always overwritten.
-    scratch_.push_back(factory_(/*seed=*/slot + 1));
-  }
-  return scratch_[slot];
-}
-
-double Engine::expected_client_latency(std::size_t client_id) const {
-  const Client& client = clients_.at(client_id);
-  return latency_model_.expected_latency(
-      client.resource(), client.train_size(), config_.local.epochs);
 }
 
 RunResult Engine::run(SelectionPolicy& policy,
@@ -63,18 +53,25 @@ RunResult Engine::run(SelectionPolicy& policy,
 
   std::vector<float> global = factory_(seed).weights();
   double lr = config_.local.optimizer.lr;
+  double virtual_time = 0.0;
 
-  sim::VirtualClock clock;
   RunResult result;
   result.policy_name = policy.name();
   result.rounds.reserve(config_.rounds);
 
-  HierarchicalAggregator hierarchical(config_.aggregator_fanout);
   obs::PhaseTimer phases;
+  ClientPool pool(&clients_);
+  VersionRecorder recorder{
+      &result.rounds, config_.eval_every, config_.rounds, "sync",
+      [this](std::span<const float> w) {
+        return evaluate_weights(trainer_.eval_model(), w, *test_,
+                                config_.eval_chunk, tier_eval_indices_);
+      },
+      &phases};
 
   for (std::size_t round = 0; round < config_.rounds; ++round) {
     SelectionContext context = SelectionContext::untiered(round, policy_rng);
-    context.virtual_time = clock.now();
+    context.virtual_time = virtual_time;
     Selection selection;
     {
       obs::ScopedPhase phase(&phases, obs::Phase::kSelect);
@@ -86,24 +83,9 @@ RunResult Engine::run(SelectionPolicy& policy,
     check_distinct_clients("Engine", selection.clients);
     const std::size_t n = selection.clients.size();
 
-    // Pre-create scratch models serially (lazy growth is not thread-safe).
-    for (std::size_t i = 0; i < n; ++i) scratch_model(i + 1);
-
-    LocalTrainParams params = config_.local;
-    params.lr = lr;
-
-    // --- parallel local training -----------------------------------------
-    std::vector<LocalUpdate> updates(n);
-    {
-      obs::ScopedPhase phase(&phases, obs::Phase::kTrain);
-      util::global_pool().parallel_for(0, n, [&](std::size_t i) {
-        const Client& client = clients_.at(selection.clients[i]);
-        // Deterministic stream per (round, client id).
-        util::Rng client_rng(util::mix_seed(seed, round, client.id()));
-        updates[i] =
-            client.local_update(global, scratch_[i + 1], params, client_rng);
-      });
-    }
+    std::vector<LocalUpdate> updates;
+    trainer_.train(pool, selection.clients, global, lr, seed, round, updates,
+                   phases);
 
     // --- simulated round latency (Eq. 1) ---------------------------------
     // With over-provisioning (aggregate_count < n) the aggregator
@@ -114,7 +96,7 @@ RunResult Engine::run(SelectionPolicy& policy,
       const Client& client = clients_.at(selection.clients[i]);
       latency_by_slot[i] = {latency_model_.sample_latency(
                                 client.resource(), client.train_size(),
-                                params.epochs, latency_rng),
+                                config_.local.epochs, latency_rng),
                             i};
     }
     const std::size_t keep =
@@ -134,7 +116,7 @@ RunResult Engine::run(SelectionPolicy& policy,
       train_loss += updates[latency_by_slot[i].second].train_loss;
     }
     train_loss /= static_cast<double>(keep);
-    clock.advance(round_latency);
+    virtual_time += round_latency;
 
     // --- aggregation ------------------------------------------------------
     obs::ScopedPhase agg_phase(&phases, obs::Phase::kAggregate);
@@ -163,13 +145,11 @@ RunResult Engine::run(SelectionPolicy& policy,
             .weights = update.weights,
             .sample_count = static_cast<double>(update.num_samples)});
       }
-      global = config_.hierarchical_aggregation
-                   ? hierarchical.aggregate(weighted)
-                   : fedavg(weighted);
+      global = fedavg(weighted);
     }
     agg_phase.stop();
     if (obs::Tracer* t = obs::tracer()) {
-      t->span(clock.now() - round_latency, round_latency, "sync", "round",
+      t->span(virtual_time - round_latency, round_latency, "sync", "round",
               selection.tier,
               {obs::field("round", round), obs::field("clients", n),
                obs::field("kept", keep)});
@@ -179,42 +159,12 @@ RunResult Engine::run(SelectionPolicy& policy,
 
     // --- evaluation + feedback -------------------------------------------
     RoundRecord record;
-    record.round = round;
     record.round_latency = round_latency;
-    record.virtual_time = clock.now();
+    record.virtual_time = virtual_time;
     record.train_loss = train_loss;
     record.selected_tier = selection.tier;
-    record.selected_clients = selection.clients;
-
-    RoundFeedback feedback;
-    feedback.round = round;
-    feedback.virtual_time = clock.now();
-    feedback.submitting_tier = selection.tier;
-    const bool eval_now =
-        round % config_.eval_every == 0 || round + 1 == config_.rounds;
-    if (eval_now) {
-      obs::ScopedPhase phase(&phases, obs::Phase::kEval);
-      Evaluation r = evaluate_weights(scratch_model(0), global, *test_,
-                                      config_.eval_chunk, tier_eval_indices_);
-      phase.stop();
-      record.global_accuracy = r.accuracy;
-      record.global_loss = r.loss;
-      feedback.tier_accuracies = std::move(r.subset_accuracies);
-      if (obs::Tracer* t = obs::tracer()) {
-        t->instant(clock.now(), "sync", "eval", selection.tier,
-                   {obs::field("round", round),
-                    obs::field("accuracy", r.accuracy)});
-      }
-    } else if (!result.rounds.empty()) {
-      // Carry the last evaluation forward so curves stay well-defined.
-      record.global_accuracy = result.rounds.back().global_accuracy;
-      record.global_loss = result.rounds.back().global_loss;
-    }
-    feedback.global_accuracy = record.global_accuracy;
-    feedback.global_loss = record.global_loss;
-    policy.observe(feedback);
-
-    result.rounds.push_back(std::move(record));
+    record.selected_clients = std::move(selection.clients);
+    recorder.record(std::move(record), global, selection.tier, &policy);
 
     if (round % 50 == 0) {
       util::log_debug("round ", round, " policy=", policy.name(),
@@ -223,12 +173,13 @@ RunResult Engine::run(SelectionPolicy& policy,
     }
 
     if (config_.time_budget_seconds > 0.0 &&
-        clock.now() >= config_.time_budget_seconds) {
+        virtual_time >= config_.time_budget_seconds) {
       util::log_info("time budget of ", config_.time_budget_seconds,
                      "s exhausted after round ", round + 1);
       break;
     }
   }
+  recorder.finish(global);
   result.phases = phases.stats();
   return result;
 }

@@ -3,30 +3,39 @@
 //
 //   per round: policy selects |C| clients -> selected clients train in
 //   parallel on the thread pool -> round latency = max of the clients'
-//   simulated response latencies (Eq. 1) advances the virtual clock ->
+//   simulated response latencies (Eq. 1) advances virtual time ->
 //   FedAvg aggregation -> global model evaluated on the test set (one
 //   forward pass, which also scores the per-tier evaluation index lists
 //   when configured) -> feedback to the policy.
 //
+// Training and recording run through the core the async engines share:
+// fl::CohortTrainer trains the cohort and fl::VersionRecorder evaluates on
+// the cadence, carries accuracy forward and feeds the policy.  What stays
+// here is Eq. 1: selection, latency sampling with over-provisioning,
+// secure aggregation, FedAvg over the kept updates, lr decay and the time
+// budget.
+//
 // Determinism: every client's training RNG is forked from the run seed by
 // (round, client id), and aggregation reduces in selection order with
 // double-precision accumulators, so a run is bit-reproducible regardless
-// of thread scheduling.
+// of thread scheduling or pool size.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
 #include "data/dataset.h"
-#include "fl/aggregator.h"
 #include "fl/client.h"
+#include "fl/client_pool.h"
 #include "fl/metrics.h"
 #include "fl/policy.h"
 #include "nn/sequential.h"
 #include "sim/latency_model.h"
-#include "sim/virtual_clock.h"
+
+namespace tifl::util {
+class ThreadPool;
+}
 
 namespace tifl::fl {
 
@@ -37,8 +46,6 @@ struct EngineConfig {
   std::size_t eval_every = 1;        // global+tier eval cadence (rounds)
   std::size_t eval_chunk = 512;      // eval mini-batch size
   std::uint64_t seed = 1;
-  bool hierarchical_aggregation = false;
-  std::size_t aggregator_fanout = 4;
   // Finite training budget (§4.5: "the training time and resource budget
   // is typically finite"): stop after the first round whose completion
   // pushes virtual time past this many seconds.  0 = unlimited.
@@ -54,6 +61,8 @@ struct EngineConfig {
 
 class Engine {
  public:
+  // Throws std::invalid_argument on an empty population, a null test set
+  // or eval_every == 0.
   Engine(EngineConfig config, nn::ModelFactory factory,
          std::vector<Client> clients, const data::Dataset* test,
          sim::LatencyModel latency_model);
@@ -68,29 +77,31 @@ class Engine {
 
   // Runs the full federation under `policy`, starting from fresh global
   // weights derived from config.seed (or `seed_override` when provided —
-  // used by the bench harness to average over independent runs).
+  // used by the bench harness to average over independent runs).  When
+  // the time budget ends the run on a round the eval cadence skips, the
+  // last record is re-evaluated on the final model.
   RunResult run(SelectionPolicy& policy,
                 std::optional<std::uint64_t> seed_override = {});
 
   const std::vector<Client>& clients() const { return clients_; }
   // Mutable access for mid-run resource drift (re-profiling scenarios).
   std::vector<Client>& mutable_clients() { return clients_; }
-  const sim::LatencyModel& latency_model() const { return latency_model_; }
 
-  // Jitter-free expected response latency of one client for one round —
-  // also used by the profiler and the Table 2 estimator.
-  double expected_client_latency(std::size_t client_id) const;
+  // Train on a specific pool instead of the process-global one (the
+  // cross-pool determinism tests pin pool sizes 1/2/8).  Non-owning;
+  // nullptr restores the global pool.
+  void set_thread_pool(util::ThreadPool* pool) {
+    trainer_.set_thread_pool(pool);
+  }
 
  private:
-  nn::Sequential& scratch_model(std::size_t slot);
-
   EngineConfig config_;
   nn::ModelFactory factory_;
   std::vector<Client> clients_;
   const data::Dataset* test_;
   sim::LatencyModel latency_model_;
   std::vector<std::vector<std::size_t>> tier_eval_indices_;
-  std::vector<nn::Sequential> scratch_;  // one per parallel slot + eval
+  CohortTrainer trainer_{factory_, config_.local};
 };
 
 }  // namespace tifl::fl

@@ -19,8 +19,9 @@
 // key=value pairs tune the link to the parent and the node's cadence.
 // `assign <lo>-<hi> <leaf>` pins an inclusive client-id range to a leaf;
 // without any assign directives clients split contiguously across leaves
-// in declaration order.  A single-node topology ("flat") collapses the
-// tree engine onto the existing flat AsyncEngine byte for byte.
+// in declaration order.  A single-node topology ("flat") is the flat
+// federation: core::TiflSystem::run_hier collapses it onto run_async
+// byte for byte.
 #pragma once
 
 #include <cstddef>

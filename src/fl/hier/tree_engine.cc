@@ -117,7 +117,6 @@ std::uint64_t hier_fingerprint(const EngineConfig& config,
 TreeEngine::TreeEngine(
     EngineConfig config, AsyncConfig async, HierConfig hier,
     nn::ModelFactory factory, ClientPool* pool,
-    std::vector<std::vector<std::size_t>> flat_tiers,
     std::vector<std::vector<std::vector<std::size_t>>> leaf_tiers,
     const data::Dataset* test, sim::LatencyModel latency_model)
     : config_(config),
@@ -125,7 +124,6 @@ TreeEngine::TreeEngine(
       hier_(std::move(hier)),
       factory_(std::move(factory)),
       clients_(pool),
-      flat_tiers_(std::move(flat_tiers)),
       leaf_tiers_(std::move(leaf_tiers)),
       test_(test),
       latency_model_(latency_model) {
@@ -135,7 +133,11 @@ TreeEngine::TreeEngine(
 void TreeEngine::validate() const {
   validate_async_config(async_, clients_, test_, "TreeEngine");
   hier_.topology.validate(clients_->size());
-  if (hier_.topology.is_flat()) return;  // the delegate re-validates
+  if (hier_.topology.is_flat()) {
+    throw std::invalid_argument(
+        "TreeEngine: a flat topology has no regions to aggregate; run it "
+        "through AsyncEngine or TiflSystem::run_hier");
+  }
 
   if (async_.churn.active() || async_.dynamic_lifecycle) {
     throw std::invalid_argument(
@@ -186,44 +188,12 @@ void TreeEngine::set_lifecycle_hooks(HierLifecycleHooks hooks) {
 }
 
 HierRunResult TreeEngine::run(std::optional<std::uint64_t> seed_override) {
-  if (hier_.topology.is_flat()) return run_flat(seed_override);
-  if (policy_ != nullptr) {
-    throw std::invalid_argument(
-        "TreeEngine: custom selection policies only drive the flat "
-        "(collapse) path; multi-region leaves sample uniformly per tier");
-  }
   if (async_.reprofile_every > 0.0 && !hooks_.retier) {
     throw std::invalid_argument(
         "TreeEngine: reprofile_every > 0 requires lifecycle hooks with a "
         "retier callback");
   }
   return run_tree(seed_override.value_or(config_.seed));
-}
-
-// Collapse-to-flat: a depth-1 tree IS the flat federation, so delegate to
-// the flat engine with untouched configs — byte-for-byte equality with a
-// direct AsyncEngine run is by construction (no extra RNG draws, metrics
-// or trace events happen before or after the delegate runs).
-HierRunResult TreeEngine::run_flat(std::optional<std::uint64_t> seed_override) {
-  AsyncEngine engine(config_, async_, factory_, clients_, flat_tiers_, test_,
-                     latency_model_);
-  engine.set_policy(policy_);
-  engine.set_thread_pool(trainer_.thread_pool());
-  AsyncRunResult flat = engine.run(seed_override);
-
-  HierRunResult out;
-  out.collapsed = true;
-  out.result = flat.result;
-  out.final_weights = flat.final_weights;
-  out.processed_events = flat.processed_events;
-  out.max_event_batch = flat.max_event_batch;
-  out.node_rounds = {out.result.rounds.size()};
-  out.node_update_mass = {0};
-  for (std::size_t updates : flat.tier_updates) {
-    out.node_update_mass[0] += updates;
-  }
-  out.flat = std::move(flat);
-  return out;
 }
 
 HierRunResult TreeEngine::run_tree(std::uint64_t seed) {

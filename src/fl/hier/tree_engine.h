@@ -15,12 +15,13 @@
 // transfer + optional lognormal jitter from a dedicated mix_seed-per-link
 // stream), so a regional round-trip is never free.
 //
-// Determinism oracle: a single-node topology delegates to fl::AsyncEngine
-// outright (collapse-to-flat, byte-for-byte by construction); multi-region
-// trees put all state mutation in event-pop order on a
-// sim::ShardedEventQueue, fork every RNG stream per (node, tier) or per
-// link, and reduce in selection/slot order — bit-reproducible across
-// --shards and thread-pool sizes.  Full-run snapshots serialize every
+// The engine runs multi-region trees only: a flat (single-node) topology
+// is the flat federation, which core::TiflSystem::run_hier collapses onto
+// run_async (fl::AsyncEngine).  Determinism: all state mutation happens
+// in event-pop order on a sim::ShardedEventQueue, every RNG stream is
+// forked per (node, tier) or per link, and reductions run in
+// selection/slot order — bit-reproducible across --shards and
+// thread-pool sizes.  Full-run snapshots serialize every
 // node mid-tree through the flat engine's codec and checkpointer
 // (fl/snapshot), so --resume replays a killed run exactly; `--rounds`
 // counts *root* aggregations.
@@ -95,30 +96,26 @@ struct HierRunResult {
   std::uint64_t root_link_bytes = 0;  // uplink payload bytes into the root
   std::size_t processed_events = 0;
   std::size_t max_event_batch = 0;
-  // Set when the topology was flat and the run delegated to the async
-  // engine; `flat` then holds that engine's full result.
+  // Set by core::TiflSystem::run_hier when the topology was flat and the
+  // run collapsed onto run_async; `flat` then holds that run's full result.
   bool collapsed = false;
   AsyncRunResult flat;
 };
 
 class TreeEngine {
  public:
-  // `flat_tiers` is the population's flat tiering (collapse path);
-  // `leaf_tiers[ordinal]` the per-region tier membership for each leaf in
-  // Topology::leaves() order (ignored for a flat topology).  All client
-  // ids are global pool ids.
+  // `leaf_tiers[ordinal]` is the per-region tier membership for each leaf
+  // in Topology::leaves() order; all client ids are global pool ids.
+  // Throws std::invalid_argument on a flat topology (run it through
+  // AsyncEngine or TiflSystem::run_hier) and on a bad config.
   TreeEngine(EngineConfig config, AsyncConfig async, HierConfig hier,
              nn::ModelFactory factory, ClientPool* pool,
-             std::vector<std::vector<std::size_t>> flat_tiers,
              std::vector<std::vector<std::vector<std::size_t>>> leaf_tiers,
              const data::Dataset* test, sim::LatencyModel latency_model);
 
+  // Leaves sample uniformly per tier.
   HierRunResult run(std::optional<std::uint64_t> seed_override = {});
 
-  // Collapse path only: a custom selection policy drives the flat
-  // delegate exactly as AsyncEngine::set_policy.  Multi-region trees use
-  // uniform per-tier self-sampling (throws otherwise).
-  void set_policy(SelectionPolicy* policy) { policy_ = policy; }
   void set_lifecycle_hooks(HierLifecycleHooks hooks);
   void set_thread_pool(util::ThreadPool* pool) {
     trainer_.set_thread_pool(pool);
@@ -126,7 +123,6 @@ class TreeEngine {
 
  private:
   void validate() const;
-  HierRunResult run_flat(std::optional<std::uint64_t> seed_override);
   HierRunResult run_tree(std::uint64_t seed);
 
   EngineConfig config_;
@@ -134,11 +130,9 @@ class TreeEngine {
   HierConfig hier_;
   nn::ModelFactory factory_;
   ClientPool* clients_;
-  std::vector<std::vector<std::size_t>> flat_tiers_;
   std::vector<std::vector<std::vector<std::size_t>>> leaf_tiers_;
   const data::Dataset* test_;
   sim::LatencyModel latency_model_;
-  SelectionPolicy* policy_ = nullptr;
   HierLifecycleHooks hooks_;
   CohortTrainer trainer_{factory_, config_.local};
 };

@@ -8,10 +8,6 @@
 
 namespace tifl::fl {
 
-std::string engine_kind_name(EngineKind kind) {
-  return kind == EngineKind::kSync ? "sync" : "async";
-}
-
 void check_distinct_clients(const char* engine,
                             std::span<const std::size_t> clients) {
   std::vector<std::size_t> sorted(clients.begin(), clients.end());

@@ -39,8 +39,6 @@ namespace tifl::fl {
 // Engines a policy can drive (see SelectionPolicy::supports).
 enum class EngineKind { kSync, kAsync };
 
-std::string engine_kind_name(EngineKind kind);
-
 struct Selection {
   // Distinct ids: every engine rejects a repeat (check_distinct_clients).
   std::vector<std::size_t> clients;

@@ -1,8 +1,8 @@
 // Deterministic discrete-event scheduler — the virtual-time core of the
-// asynchronous execution subsystem (and a strict generalization of
-// `VirtualClock`: where the synchronous engine advances time by one
-// round-max latency at a time, the event queue lets any number of actors
-// progress at their own cadence on a single shared timeline).
+// asynchronous execution subsystem: where the synchronous engine advances
+// time by one round-max latency at a time, the event queue lets any
+// number of actors progress at their own cadence on a single shared
+// timeline.
 //
 // Determinism: events are ordered by (time, seq) where `seq` is the
 // monotone insertion index, so simultaneous events pop in the exact order
@@ -49,7 +49,7 @@ struct PendingEvent {
 class EventQueue {
  public:
   // Current virtual time: the timestamp of the last popped event (0
-  // before any pop), like VirtualClock::now().
+  // before any pop).
   double now() const noexcept { return now_; }
 
   std::size_t size() const noexcept { return heap_.size(); }

@@ -73,39 +73,5 @@ TEST(FedAvg, OrderIndependentForDisjointWeights) {
   }
 }
 
-class HierarchicalSweep : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(HierarchicalSweep, MatchesFlatFedAvg) {
-  const std::size_t fanout = GetParam();
-  util::Rng rng(2);
-  std::vector<std::vector<float>> ws(11, std::vector<float>(64));
-  std::vector<double> counts;
-  for (auto& w : ws) {
-    for (float& v : w) v = static_cast<float>(rng.normal());
-    counts.push_back(1.0 + rng.uniform_index(100));
-  }
-  const auto updates = wrap(ws, counts);
-  const auto flat = fedavg(updates);
-  const auto tree = HierarchicalAggregator(fanout).aggregate(updates);
-  ASSERT_EQ(flat.size(), tree.size());
-  for (std::size_t i = 0; i < flat.size(); ++i) {
-    EXPECT_EQ(flat[i], tree[i]) << "fanout " << fanout << " index " << i;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Fanouts, HierarchicalSweep,
-                         ::testing::Values(1, 2, 3, 4, 8, 16, 100));
-
-TEST(Hierarchical, EmptyInputThrows) {
-  HierarchicalAggregator agg(2);
-  EXPECT_THROW(agg.aggregate({}), std::invalid_argument);
-}
-
-TEST(Hierarchical, FanoutZeroBehavesAsSingleChild) {
-  const std::vector<std::vector<float>> ws{{2.0f}, {4.0f}};
-  const auto result = HierarchicalAggregator(0).aggregate(wrap(ws, {1, 1}));
-  EXPECT_FLOAT_EQ(result[0], 3.0f);
-}
-
 }  // namespace
 }  // namespace tifl::fl

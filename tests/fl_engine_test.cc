@@ -5,9 +5,11 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
 
 #include "test_helpers.h"
+#include "util/thread_pool.h"
 
 namespace tifl::fl {
 namespace {
@@ -16,6 +18,14 @@ using testing::tiny_engine_config;
 using testing::tiny_factory;
 using testing::tiny_federation;
 using testing::TinyFederation;
+
+// Jitter-free response latency of client `c` for one round of `config`.
+double expected_latency(const TinyFederation& fed, std::size_t c,
+                        const EngineConfig& config) {
+  return fed.latency.expected_latency(fed.clients[c].resource(),
+                                      fed.clients[c].train_size(),
+                                      config.local.epochs);
+}
 
 TEST(Client, LocalUpdateReturnsShardSizeAndChangesWeights) {
   TinyFederation fed = tiny_federation();
@@ -148,14 +158,15 @@ TEST(Engine, RoundLatencyEqualsMaxSelectedClientLatency) {
   // Eq. 1: with zero jitter the round latency must equal the slowest
   // selected client's expected latency exactly.
   TinyFederation fed = tiny_federation();
-  Engine engine(tiny_engine_config(5), tiny_factory(), fed.clients,
-                &fed.data.test, fed.latency);
+  const EngineConfig config = tiny_engine_config(5);
+  Engine engine(config, tiny_factory(), fed.clients, &fed.data.test,
+                fed.latency);
   VanillaPolicy policy(fed.clients.size(), 4);
   const RunResult result = engine.run(policy);
   for (const RoundRecord& r : result.rounds) {
     double expected = 0.0;
     for (std::size_t c : r.selected_clients) {
-      expected = std::max(expected, engine.expected_client_latency(c));
+      expected = std::max(expected, expected_latency(fed, c, config));
     }
     EXPECT_DOUBLE_EQ(r.round_latency, expected);
   }
@@ -188,25 +199,6 @@ TEST(Engine, DifferentSeedsDiverge) {
   VanillaPolicy p1(fed.clients.size(), 3), p2(fed.clients.size(), 3);
   EXPECT_NE(e1.run(p1).rounds[0].selected_clients,
             e2.run(p2).rounds[0].selected_clients);
-}
-
-TEST(Engine, HierarchicalAggregationMatchesFlat) {
-  TinyFederation fed = tiny_federation();
-  fl::EngineConfig flat_config = tiny_engine_config(5);
-  fl::EngineConfig tree_config = flat_config;
-  tree_config.hierarchical_aggregation = true;
-  tree_config.aggregator_fanout = 3;
-  Engine flat(flat_config, tiny_factory(), fed.clients, &fed.data.test,
-              fed.latency);
-  Engine tree(tree_config, tiny_factory(), fed.clients, &fed.data.test,
-              fed.latency);
-  VanillaPolicy p1(fed.clients.size(), 4), p2(fed.clients.size(), 4);
-  const RunResult r1 = flat.run(p1);
-  const RunResult r2 = tree.run(p2);
-  for (std::size_t i = 0; i < r1.rounds.size(); ++i) {
-    EXPECT_DOUBLE_EQ(r1.rounds[i].global_accuracy,
-                     r2.rounds[i].global_accuracy);
-  }
 }
 
 TEST(Engine, AccuracyImprovesOverTraining) {
@@ -290,15 +282,16 @@ TEST(Engine, OverProvisioningDropsStragglersFromRoundLatency) {
   // selected client's latency — strictly below the slowest selected
   // client's whenever a straggler was among the selection.
   TinyFederation fed = tiny_federation(20);
-  Engine engine(tiny_engine_config(10), tiny_factory(), fed.clients,
-                &fed.data.test, fed.latency);
+  const EngineConfig config = tiny_engine_config(10);
+  Engine engine(config, tiny_factory(), fed.clients, &fed.data.test,
+                fed.latency);
   OverProvisionPolicy policy(fed.clients.size(), 5);  // selects 7
   const RunResult result = engine.run(policy);
   for (const RoundRecord& r : result.rounds) {
     ASSERT_EQ(r.selected_clients.size(), 7u);
     std::vector<double> latencies;
     for (std::size_t c : r.selected_clients) {
-      latencies.push_back(engine.expected_client_latency(c));
+      latencies.push_back(expected_latency(fed, c, config));
     }
     std::sort(latencies.begin(), latencies.end());
     EXPECT_DOUBLE_EQ(r.round_latency, latencies[4]);  // 5th fastest
@@ -398,6 +391,33 @@ TEST(Engine, TimeBudgetStopsEarly) {
             config.time_budget_seconds);
 }
 
+TEST(Engine, TimeBudgetReevaluatesSkippedFinalRound) {
+  // A budget that ends the run on a round the eval cadence skips must
+  // leave the final model's accuracy and loss in the last record, not
+  // values carried forward from an older model: the same six rounds
+  // without a budget evaluate their last round.
+  TinyFederation fed = tiny_federation(10);
+  EngineConfig config = tiny_engine_config(6);
+  config.eval_every = 4;
+  Engine unbudgeted(config, tiny_factory(), fed.clients, &fed.data.test,
+                    fed.latency);
+  VanillaPolicy probe(fed.clients.size(), 3);
+  const RunResult six = unbudgeted.run(probe);
+  ASSERT_EQ(six.rounds.size(), 6u);
+
+  config.rounds = 1000;
+  config.time_budget_seconds = six.rounds[5].virtual_time;
+  Engine budgeted(config, tiny_factory(), fed.clients, &fed.data.test,
+                  fed.latency);
+  VanillaPolicy policy(fed.clients.size(), 3);
+  const RunResult result = budgeted.run(policy);
+  ASSERT_EQ(result.rounds.size(), 6u);
+  EXPECT_EQ(result.rounds[5].global_accuracy, six.rounds[5].global_accuracy);
+  EXPECT_EQ(result.rounds[5].global_loss, six.rounds[5].global_loss);
+  // Round 4's model differs, so a carried-forward record would not match.
+  EXPECT_NE(result.rounds[4].global_loss, six.rounds[5].global_loss);
+}
+
 TEST(Engine, ZeroTimeBudgetMeansUnlimited) {
   TinyFederation fed = tiny_federation(10);
   fl::EngineConfig config = tiny_engine_config(7);
@@ -416,6 +436,70 @@ TEST(Engine, ConstructorValidation) {
   EXPECT_THROW(Engine(tiny_engine_config(1), tiny_factory(), fed.clients,
                       nullptr, fed.latency),
                std::invalid_argument);
+}
+
+TEST(Engine, ZeroEvalEveryThrowsAtConstruction) {
+  // eval_every is the eval cadence's modulus; 0 must not reach run().
+  TinyFederation fed = tiny_federation();
+  EngineConfig config = tiny_engine_config(3);
+  config.eval_every = 0;
+  try {
+    Engine engine(config, tiny_factory(), fed.clients, &fed.data.test,
+                  fed.latency);
+    FAIL() << "eval_every = 0 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("eval_every"), std::string::npos)
+        << e.what();
+  }
+  // TiflSystem's classic mode builds the same engine.
+  core::SystemConfig system_config;
+  system_config.engine = config;
+  EXPECT_THROW(core::TiflSystem(system_config, tiny_factory(), &fed.data.test,
+                                fed.clients, fed.latency),
+               std::invalid_argument);
+}
+
+TEST(Engine, RecordsAreThreadPoolSizeInvariant) {
+  // Client RNGs are forked per (round, client id) and FedAvg reduces in a
+  // fixed order, so every record is bit-identical at pool sizes 1, 2 and
+  // 8 — for a feedback-free policy and for Alg. 2's adaptive policy,
+  // whose tier choice reads the per-tier accuracies.
+  const auto run = [](const std::string& policy_name, std::size_t threads) {
+    TinyFederation fed = tiny_federation(20);
+    core::SystemConfig config;
+    config.num_tiers = 3;
+    config.clients_per_round = 5;  // > 2 workers: chunks actually split
+    config.engine = tiny_engine_config(8);
+    config.engine.eval_every = 2;
+    config.profiler.tmax = 1e6;
+    core::TiflSystem system(config, tiny_factory(), &fed.data.test,
+                            fed.clients, fed.latency);
+    util::ThreadPool workers(threads);
+    system.engine().set_thread_pool(&workers);
+    const std::unique_ptr<SelectionPolicy> policy =
+        system.make_policy(policy_name);
+    return system.engine().run(*policy);
+  };
+  for (const std::string policy : {"vanilla", "adaptive"}) {
+    const RunResult baseline = run(policy, 1);
+    ASSERT_EQ(baseline.rounds.size(), 8u) << policy;
+    for (const std::size_t threads : {2u, 8u}) {
+      const RunResult other = run(policy, threads);
+      ASSERT_EQ(other.rounds.size(), baseline.rounds.size()) << policy;
+      for (std::size_t i = 0; i < baseline.rounds.size(); ++i) {
+        const RoundRecord& a = baseline.rounds[i];
+        const RoundRecord& b = other.rounds[i];
+        const std::string label = policy + " threads=" +
+                                  std::to_string(threads) + " round " +
+                                  std::to_string(i);
+        EXPECT_EQ(a.selected_clients, b.selected_clients) << label;
+        EXPECT_EQ(a.round_latency, b.round_latency) << label;
+        EXPECT_EQ(a.global_accuracy, b.global_accuracy) << label;
+        EXPECT_EQ(a.global_loss, b.global_loss) << label;
+        EXPECT_EQ(a.train_loss, b.train_loss) << label;
+      }
+    }
+  }
 }
 
 // --- metrics --------------------------------------------------------------------

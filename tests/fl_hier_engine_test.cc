@@ -1,9 +1,7 @@
 // Aggregator-tree engine (fl/hier): the determinism oracle and the
-// regional failure modes.
+// regional failure modes.  (The flat collapse lives in
+// core::TiflSystem::run_hier; integration_test holds its oracle.)
 //
-//  - Collapse-to-flat: a depth-1 topology replays the flat AsyncEngine
-//    byte for byte — same final weights, same round series, byte-equal
-//    trace stream and metrics snapshot.
 //  - Multi-region runs are bit-reproducible across event-queue shard
 //    counts 1/2/4/8 and training thread pools 1/2/8.
 //  - Regional outages (sim::regional_outages composition) degrade the
@@ -114,8 +112,7 @@ HierOutput run_tree(const HierConfig& hier, const AsyncConfig& async,
     AsyncConfig sharded = async;
     sharded.shards = shards;
     TreeEngine engine(tiny_engine_config(1), sharded, hier, tiny_factory(),
-                      &pool, two_tiers(kClients), two_region_tiers(),
-                      &fed.data.test, fed.latency);
+                      &pool, two_region_tiers(), &fed.data.test, fed.latency);
     engine.set_lifecycle_hooks(std::move(hooks));
     util::ThreadPool workers(threads);
     engine.set_thread_pool(&workers);
@@ -151,55 +148,6 @@ void expect_identical(const HierOutput& a, const HierOutput& b,
   EXPECT_EQ(a.metrics, b.metrics) << label;
 }
 
-// --- collapse-to-flat oracle -------------------------------------------------
-
-TEST(HierCollapse, FlatTopologyReplaysAsyncEngineByteForByte) {
-  const AsyncConfig async = base_async();
-
-  // Oracle: the flat engine run directly.
-  obs::Registry::global().reset();
-  std::ostringstream flat_trace;
-  AsyncRunResult oracle;
-  {
-    obs::Tracer tracer(&flat_trace);
-    obs::TracerScope scope(&tracer);
-    TinyFederation fed =
-        FederationBuilder().clients(kClients).jitter(0.05).build();
-    ClientPool pool(&fed.clients);
-    AsyncEngine engine(tiny_engine_config(1), async, tiny_factory(), &pool,
-                       two_tiers(kClients), &fed.data.test, fed.latency);
-    util::ThreadPool workers(2);
-    engine.set_thread_pool(&workers);
-    oracle = engine.run();
-    tracer.flush();
-  }
-  const std::string oracle_metrics = metrics_snapshot();
-
-  // Same federation through a depth-1 tree.
-  HierConfig flat;
-  flat.topology = Topology::flat();
-  const HierOutput collapsed = run_tree(flat, async, /*shards=*/1,
-                                        /*threads=*/2);
-
-  EXPECT_TRUE(collapsed.run.collapsed);
-  EXPECT_EQ(collapsed.run.final_weights, oracle.final_weights);
-  EXPECT_EQ(weight_hash(collapsed.run.final_weights),
-            weight_hash(oracle.final_weights));
-  ASSERT_EQ(collapsed.run.result.rounds.size(), oracle.result.rounds.size());
-  for (std::size_t i = 0; i < oracle.result.rounds.size(); ++i) {
-    EXPECT_EQ(collapsed.run.result.rounds[i].selected_clients,
-              oracle.result.rounds[i].selected_clients);
-    EXPECT_DOUBLE_EQ(collapsed.run.result.rounds[i].virtual_time,
-                     oracle.result.rounds[i].virtual_time);
-    EXPECT_DOUBLE_EQ(collapsed.run.result.rounds[i].global_accuracy,
-                     oracle.result.rounds[i].global_accuracy);
-  }
-  EXPECT_EQ(collapsed.trace, flat_trace.str());
-  EXPECT_EQ(collapsed.metrics, oracle_metrics);
-  // The collapse also forwards the flat engine's full result.
-  EXPECT_EQ(collapsed.run.flat.final_weights, oracle.final_weights);
-}
-
 // --- multi-region determinism ------------------------------------------------
 
 TEST(HierDeterminism, ShardAndPoolSizeInvariant) {
@@ -230,8 +178,7 @@ TEST(HierDeterminism, SeedChangesTheTrajectory) {
       FederationBuilder().clients(kClients).jitter(0.05).build();
   ClientPool pool(&fed.clients);
   TreeEngine engine(tiny_engine_config(1), async, hier, tiny_factory(),
-                    &pool, two_tiers(kClients), two_region_tiers(),
-                    &fed.data.test, fed.latency);
+                    &pool, two_region_tiers(), &fed.data.test, fed.latency);
   const HierRunResult a = engine.run(std::uint64_t{111});
   const HierRunResult b = engine.run(std::uint64_t{222});
   EXPECT_NE(weight_hash(a.final_weights), weight_hash(b.final_weights));
@@ -327,8 +274,8 @@ TEST(HierRetier, ReprofileWithoutHooksThrows) {
       FederationBuilder().clients(kClients).jitter(0.05).build();
   ClientPool pool(&fed.clients);
   TreeEngine engine(tiny_engine_config(1), async, two_regions(),
-                    tiny_factory(), &pool, two_tiers(kClients),
-                    two_region_tiers(), &fed.data.test, fed.latency);
+                    tiny_factory(), &pool, two_region_tiers(), &fed.data.test,
+                    fed.latency);
   EXPECT_THROW(engine.run(), std::invalid_argument);
 }
 
@@ -340,8 +287,8 @@ TEST(HierValidation, RejectsUnsupportedFlatEngineFacilities) {
   ClientPool pool(&fed.clients);
   const auto make = [&](const AsyncConfig& async) {
     return TreeEngine(tiny_engine_config(1), async, two_regions(),
-                      tiny_factory(), &pool, two_tiers(kClients),
-                      two_region_tiers(), &fed.data.test, fed.latency);
+                      tiny_factory(), &pool, two_region_tiers(),
+                      &fed.data.test, fed.latency);
   };
   AsyncConfig churned = base_async();
   churned.churn.join_rate = 0.1;
@@ -360,9 +307,22 @@ TEST(HierValidation, RejectsUnsupportedFlatEngineFacilities) {
   EXPECT_THROW(
       TreeEngine(tiny_engine_config(1), ok,
                  two_regions({sim::RegionalOutage{5, 1.0, 1.0}}),
-                 tiny_factory(), &pool, two_tiers(kClients),
-                 two_region_tiers(), &fed.data.test, fed.latency),
+                 tiny_factory(), &pool, two_region_tiers(), &fed.data.test,
+                 fed.latency),
       std::invalid_argument);
+
+  // A flat topology is the flat federation, which has one collapse path:
+  // TiflSystem::run_hier onto run_async.
+  HierConfig flat;
+  flat.topology = Topology::flat();
+  try {
+    TreeEngine(tiny_engine_config(1), ok, flat, tiny_factory(), &pool, {},
+               &fed.data.test, fed.latency);
+    FAIL() << "a flat topology was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("run_hier"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(HierValidation, RejectsWhatAsyncEngineRejects) {
@@ -395,8 +355,8 @@ TEST(HierValidation, RejectsWhatAsyncEngineRejects) {
                  std::invalid_argument)
         << label;
     EXPECT_THROW(TreeEngine(tiny_engine_config(1), async, two_regions(),
-                            tiny_factory(), &pool, two_tiers(kClients),
-                            two_region_tiers(), &fed.data.test, fed.latency),
+                            tiny_factory(), &pool, two_region_tiers(),
+                            &fed.data.test, fed.latency),
                  std::invalid_argument)
         << label;
   }

@@ -121,9 +121,8 @@ Outcome run_tree(const AsyncConfig& async) {
   ClientPool pool(&fed.clients);
   hier::TreeEngine engine(
       tiny_engine_config(1), async, two_regions_with_outage(), tiny_factory(),
-      &pool, two_tiers(12),
-      {{{0, 1, 2}, {3, 4, 5}}, {{6, 7, 8}, {9, 10, 11}}}, &fed.data.test,
-      fed.latency);
+      &pool, {{{0, 1, 2}, {3, 4, 5}}, {{6, 7, 8}, {9, 10, 11}}},
+      &fed.data.test, fed.latency);
   util::ThreadPool workers(2);
   engine.set_thread_pool(&workers);
   hier::HierRunResult out = engine.run();

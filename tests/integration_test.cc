@@ -6,13 +6,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/system.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "test_helpers.h"
 
 namespace tifl::core {
 namespace {
 
+using testing::FederationBuilder;
 using testing::tiny_engine_config;
 using testing::tiny_factory;
 using testing::tiny_federation;
@@ -219,26 +227,6 @@ TEST(TiflSystem, DpEnabledFederationStillLearns) {
   EXPECT_GT(result.final_accuracy(), 0.4);  // chance = 0.25
 }
 
-TEST(TiflSystem, HierarchicalAggregationEndToEnd) {
-  TinyFederation fed = tiny_federation(20);
-  SystemConfig flat_config = tiny_system_config(8, 3);
-  SystemConfig tree_config = flat_config;
-  tree_config.engine.hierarchical_aggregation = true;
-  tree_config.engine.aggregator_fanout = 3;
-  TiflSystem flat(flat_config, tiny_factory(), &fed.data.test, fed.clients,
-                  fed.latency);
-  TiflSystem tree(tree_config, tiny_factory(), &fed.data.test, fed.clients,
-                  fed.latency);
-  auto p1 = flat.make_static("uniform");
-  auto p2 = tree.make_static("uniform");
-  const fl::RunResult r1 = flat.run(*p1);
-  const fl::RunResult r2 = tree.run(*p2);
-  for (std::size_t i = 0; i < r1.rounds.size(); ++i) {
-    EXPECT_DOUBLE_EQ(r1.rounds[i].global_accuracy,
-                     r2.rounds[i].global_accuracy);
-  }
-}
-
 TEST(TiflSystem, NonIidDataHurtsVanillaAccuracy) {
   // Fig. 1b's qualitative claim: fewer classes per client -> lower
   // accuracy after the same number of rounds.
@@ -317,6 +305,122 @@ TEST(TiflSystem, AsyncDefaultIsBitIdenticalWithAndWithoutNullPolicy) {
   const fl::AsyncRunResult a = system.run_async(async);
   const fl::AsyncRunResult b = system.run_async(async, {}, nullptr);
   EXPECT_EQ(a.final_weights, b.final_weights);
+}
+
+// --- hierarchical runs -----------------------------------------------------
+
+void expect_same_records(const std::vector<fl::RoundRecord>& a,
+                         const std::vector<fl::RoundRecord>& b,
+                         const std::string& label) {
+  ASSERT_EQ(a.size(), b.size()) << label;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].round, b[i].round) << label << " record " << i;
+    EXPECT_EQ(a[i].virtual_time, b[i].virtual_time) << label << " record " << i;
+    EXPECT_EQ(a[i].round_latency, b[i].round_latency)
+        << label << " record " << i;
+    EXPECT_EQ(a[i].global_accuracy, b[i].global_accuracy)
+        << label << " record " << i;
+    EXPECT_EQ(a[i].global_loss, b[i].global_loss) << label << " record " << i;
+    EXPECT_EQ(a[i].train_loss, b[i].train_loss) << label << " record " << i;
+    EXPECT_EQ(a[i].selected_tier, b[i].selected_tier)
+        << label << " record " << i;
+    EXPECT_EQ(a[i].selected_clients, b[i].selected_clients)
+        << label << " record " << i;
+  }
+}
+
+struct CollapseRun {
+  std::vector<float> final_weights;
+  std::vector<fl::RoundRecord> rounds;
+  std::string trace;
+  std::string metrics;
+};
+
+// One async run on a fresh system, registry and tracer: through run_hier
+// on a flat topology when `hier`, else through run_async.  An empty
+// `policy_name` runs the engine's default uniform sampling.
+CollapseRun run_collapse(bool hier, const std::string& policy_name) {
+  obs::Registry::global().reset();
+  std::ostringstream trace_out;
+  CollapseRun out;
+  {
+    obs::Tracer tracer(&trace_out);
+    obs::TracerScope scope(&tracer);
+    TinyFederation fed = FederationBuilder().clients(20).jitter(0.05).build();
+    TiflSystem system(tiny_system_config(12, 3), tiny_factory(),
+                      &fed.data.test, fed.clients, fed.latency);
+    const std::unique_ptr<fl::SelectionPolicy> policy =
+        policy_name.empty() ? nullptr : system.make_policy(policy_name);
+    fl::AsyncConfig async;
+    async.clients_per_tier_round = 3;
+    async.eval_every = 2;
+    if (hier) {
+      fl::hier::HierConfig flat;
+      flat.topology = fl::hier::Topology::flat();
+      fl::hier::HierRunResult run =
+          system.run_hier(flat, async, {}, policy.get());
+      EXPECT_TRUE(run.collapsed);
+      EXPECT_EQ(run.flat.final_weights, run.final_weights);
+      out.final_weights = std::move(run.final_weights);
+      out.rounds = std::move(run.result.rounds);
+    } else {
+      fl::AsyncRunResult run = system.run_async(async, {}, policy.get());
+      out.final_weights = std::move(run.final_weights);
+      out.rounds = std::move(run.result.rounds);
+    }
+    tracer.flush();
+  }
+  out.trace = trace_out.str();
+  // Host-dependent instruments (wall clocks, cache locality) are excluded;
+  // everything else must match bit for bit.
+  out.metrics = obs::Registry::global().to_json([](std::string_view name) {
+    return !name.ends_with("_ns") && name.substr(0, 5) != "pool." &&
+           name != "sim.schedule_horizon";
+  });
+  return out;
+}
+
+TEST(TiflSystem, RunHierFlatTopologyReplaysRunAsyncByteForByte) {
+  // run_hier's flat branch is the one flat collapse: a depth-1 tree is
+  // the flat federation, so it must replay run_async exactly — final
+  // weights, every record, the trace stream and the metrics snapshot —
+  // with the default sampling and under a selection policy.
+  for (const std::string policy : {"", "adaptive"}) {
+    const CollapseRun oracle = run_collapse(/*hier=*/false, policy);
+    const CollapseRun collapsed = run_collapse(/*hier=*/true, policy);
+    const std::string label = "policy '" + policy + "'";
+    ASSERT_EQ(oracle.rounds.size(), 12u) << label;
+    EXPECT_EQ(collapsed.final_weights, oracle.final_weights) << label;
+    expect_same_records(collapsed.rounds, oracle.rounds, label);
+    EXPECT_EQ(collapsed.trace, oracle.trace) << label;
+    EXPECT_EQ(collapsed.metrics, oracle.metrics) << label;
+  }
+}
+
+TEST(TiflSystem, RunHierReprofilesPerRegion) {
+  // run_hier backs a multi-region tree's observe/retier hooks (and their
+  // snapshot save/restore) with one OnlineReTierer per leaf region.  The
+  // re-tierings must fire, and two runs must agree bit for bit.
+  const auto run = [] {
+    TinyFederation fed = FederationBuilder().clients(20).jitter(0.05).build();
+    TiflSystem system(tiny_system_config(12, 3), tiny_factory(),
+                      &fed.data.test, fed.clients, fed.latency);
+    fl::hier::HierConfig hier;
+    hier.topology = fl::hier::Topology::regions(2);
+    fl::AsyncConfig async;
+    async.clients_per_tier_round = 3;
+    async.eval_every = 2;
+    async.reprofile_every = 3.0;
+    return system.run_hier(hier, async);
+  };
+  const fl::hier::HierRunResult a = run();
+  const fl::hier::HierRunResult b = run();
+  EXPECT_FALSE(a.collapsed);
+  EXPECT_GT(a.reprofile_count, 0u);
+  EXPECT_EQ(a.reprofile_count, b.reprofile_count);
+  ASSERT_EQ(a.result.rounds.size(), 12u);
+  EXPECT_EQ(a.final_weights, b.final_weights);
+  expect_same_records(a.result.rounds, b.result.rounds, "reprofiled");
 }
 
 }  // namespace

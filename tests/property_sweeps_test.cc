@@ -14,18 +14,17 @@
 namespace tifl {
 namespace {
 
-// --- engine invariants over (clients_per_round, eval_every, hierarchical) ---
+// --- engine invariants over (clients_per_round, eval_every) -----------------
 
-using EngineGrid = std::tuple<std::size_t, std::size_t, bool>;
+using EngineGrid = std::tuple<std::size_t, std::size_t>;
 
 class EngineSweep : public ::testing::TestWithParam<EngineGrid> {};
 
 TEST_P(EngineSweep, RunInvariantsHold) {
-  const auto [per_round, eval_every, hierarchical] = GetParam();
+  const auto [per_round, eval_every] = GetParam();
   testing::TinyFederation fed = testing::tiny_federation(12);
   fl::EngineConfig config = testing::tiny_engine_config(6);
   config.eval_every = eval_every;
-  config.hierarchical_aggregation = hierarchical;
   fl::Engine engine(config, testing::tiny_factory(), fed.clients,
                     &fed.data.test, fed.latency);
   fl::VanillaPolicy policy(fed.clients.size(), per_round);
@@ -50,8 +49,7 @@ TEST_P(EngineSweep, RunInvariantsHold) {
 INSTANTIATE_TEST_SUITE_P(
     Grid, EngineSweep,
     ::testing::Combine(::testing::Values(1, 3, 6),      // clients per round
-                       ::testing::Values(1, 2, 5),      // eval cadence
-                       ::testing::Bool()));             // aggregation tree
+                       ::testing::Values(1, 2, 5)));    // eval cadence
 
 // --- tiering invariants over (clients, tiers, strategy) ----------------------
 

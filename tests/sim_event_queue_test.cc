@@ -309,9 +309,9 @@ TEST(EventQueue, PopUntilDrainsHorizonInOrder) {
   EXPECT_DOUBLE_EQ(queue.now(), 3.0);
 }
 
-TEST(EventQueue, GeneralizesVirtualClockAdvance) {
-  // A single repeatedly-rescheduled actor reduces to VirtualClock: now()
-  // is the cumulative sum of the scheduled delays.
+TEST(EventQueue, SingleActorAdvancesByCumulativeDelay) {
+  // A single repeatedly-rescheduled actor reduces to the sync engine's
+  // clock: now() is the cumulative sum of the scheduled delays.
   EventQueue queue;
   double expected = 0.0;
   for (double delay : {3.0, 1.5, 0.0, 2.25}) {

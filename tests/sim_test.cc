@@ -5,27 +5,9 @@
 
 #include "sim/latency_model.h"
 #include "sim/resource_profile.h"
-#include "sim/virtual_clock.h"
 
 namespace tifl::sim {
 namespace {
-
-TEST(VirtualClock, AdvancesAndResets) {
-  VirtualClock clock;
-  EXPECT_EQ(clock.now(), 0.0);
-  clock.advance(2.5);
-  clock.advance(1.5);
-  EXPECT_DOUBLE_EQ(clock.now(), 4.0);
-  clock.reset();
-  EXPECT_EQ(clock.now(), 0.0);
-}
-
-TEST(VirtualClock, IgnoresNonPositiveAdvance) {
-  VirtualClock clock;
-  clock.advance(-1.0);
-  clock.advance(0.0);
-  EXPECT_EQ(clock.now(), 0.0);
-}
 
 TEST(ResourceGroups, PaperPresets) {
   EXPECT_EQ(casestudy_cpu_groups(),
