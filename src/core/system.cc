@@ -308,8 +308,8 @@ fl::hier::HierRunResult TiflSystem::run_hier(
                                         policy);
     fl::hier::HierRunResult out;
     out.collapsed = true;
-    out.result = flat.result;
-    out.final_weights = flat.final_weights;
+    out.result = std::move(flat.result);
+    out.final_weights = std::move(flat.final_weights);
     out.processed_events = flat.processed_events;
     out.max_event_batch = flat.max_event_batch;
     out.node_rounds = {out.result.rounds.size()};
@@ -317,7 +317,6 @@ fl::hier::HierRunResult TiflSystem::run_hier(
     for (std::size_t updates : flat.tier_updates) {
       out.node_update_mass[0] += updates;
     }
-    out.flat = std::move(flat);
     return out;
   }
   if (policy != nullptr) {

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <map>
 #include <stdexcept>
 #include <utility>
 
@@ -211,7 +212,6 @@ struct AsyncMetrics {
   obs::Counter& leaves;
   obs::Counter& slowdowns;
   obs::Counter& reprofiles;
-  obs::Counter& barriers;
   // One-time run setup (per-client state arrays, membership sets, initial
   // heap fill) and end-of-run finalization (flat membership reporting,
   // per-shard metric merges) — wall time, so benches can report
@@ -224,7 +224,6 @@ struct AsyncMetrics {
   obs::Counter& dropped_updates;
   obs::Histo& staleness;
   obs::Histo& event_batch;
-  obs::Histo& barrier_tasks;
 };
 
 AsyncMetrics& async_metrics() {
@@ -239,24 +238,21 @@ AsyncMetrics& async_metrics() {
       reg.counter("async.leaves"),
       reg.counter("async.slowdowns"),
       reg.counter("async.reprofiles"),
-      reg.counter("async.barriers"),
       reg.counter("async.setup_ns"),
       reg.counter("async.finalize_ns"),
       reg.counter("fault.lost_updates"),
       reg.counter("fault.dropped_updates"),
       reg.histogram("async.staleness"),
       reg.histogram("async.event_batch"),
-      reg.histogram("async.barrier_tasks"),
   };
   return m;
 }
 
 // Guards a resume against a drifted configuration: every knob that shapes
 // the deterministic trajectory is folded in.  Deliberately excluded:
-// shards and barrier_window (bit-invariant runtime knobs — a snapshot
-// taken at --shards 8 may resume at --shards 1), fault.crash_at (the
-// crash point is process fate, not trajectory) and the durability paths
-// themselves.
+// shards (a bit-invariant runtime knob — a snapshot taken at --shards 8
+// may resume at --shards 1), fault.crash_at (the crash point is process
+// fate, not trajectory) and the durability paths themselves.
 std::uint64_t config_fingerprint(const EngineConfig& config,
                                  const AsyncConfig& async, std::uint64_t seed,
                                  std::size_t num_tiers,
@@ -325,22 +321,41 @@ void put_head(util::ByteSink& sink, const ServerState& server,
   sink.put_u64(server.dispatch_seq);
 }
 
+// A CRC-valid payload can still hold a value this run cannot index with:
+// throws std::runtime_error naming the field unless `ok`.
+void check_snapshot(bool ok, const char* field) {
+  if (!ok) throw std::runtime_error(std::string("AsyncEngine: snapshot ") +
+                                    field + " is out of range");
+}
+
 void get_head(util::ByteSource& source, ServerState& server,
               std::vector<RoundRecord>& records) {
-  for (std::size_t t = 0; t < server.tier_models.size(); ++t) {
+  const std::size_t num_tiers = server.tier_models.size();
+  const std::size_t weight_count = server.global.size();
+  for (std::size_t t = 0; t < num_tiers; ++t) {
     get_rng(source, server.selection_rng[t]);
     get_rng(source, server.latency_rng[t]);
   }
   server.global = source.get_f32_vec();
+  check_snapshot(server.global.size() == weight_count, "global model length");
   for (std::vector<float>& model : server.tier_models) {
     model = source.get_f32_vec();
+    check_snapshot(model.size() == weight_count, "tier model length");
   }
   server.tier_updates = source.get_size_vec();
   server.last_submit_version = source.get_size_vec();
   server.tier_lr = source.get_f64_vec();
   server.staleness_sum = source.get_f64_vec();
   records = get_records(source);
-  server.current_weights = source.get_f64_vec();
+  server.current_weights = source.get_f64_vec();  // empty before a fold
+  check_snapshot(server.tier_updates.size() == num_tiers &&
+                     server.last_submit_version.size() == num_tiers &&
+                     server.tier_lr.size() == num_tiers &&
+                     server.staleness_sum.size() == num_tiers &&
+                     (server.current_weights.empty() ||
+                      server.current_weights.size() == num_tiers),
+                 "per-tier vector (tier_updates, last_submit_version, "
+                 "tier_lr, staleness_sum or current_weights) length");
   server.dispatch_seq = static_cast<std::size_t>(source.get_u64());
 }
 
@@ -462,7 +477,6 @@ void validate_async_config(const AsyncConfig& async, const ClientPool* clients,
       {async.eval_every == 0, "eval_every must be > 0"},
       {bad(async.reprofile_every), "negative reprofile_every"},
       {async.shards == 0, "shards must be > 0"},
-      {bad(async.barrier_window), "negative or NaN barrier_window"},
       {bad(async.checkpoint_every), "negative or NaN checkpoint_every"},
       {async.checkpoint_every > 0.0 && async.checkpoint_path.empty(),
        "checkpoint_every > 0 requires a checkpoint_path"},
@@ -648,6 +662,9 @@ AsyncRunResult AsyncEngine::run_static(std::uint64_t seed,
     for (char& parked : server.parked) parked = source.get_bool() ? 1 : 0;
     server.parked_at = source.get_size_vec();
     retry_count = source.get_size_vec();
+    check_snapshot(server.parked_at.size() == num_tiers &&
+                       retry_count.size() == num_tiers,
+                   "parked_at or retry_count length");
     for (PendingTierRound& round : pending) get_pending(source, round);
     recorder.last_evaluated = source.get_bool();
     get_tail(source, out, checkpointer, queue, fault, policy);
@@ -785,7 +802,7 @@ AsyncRunResult AsyncEngine::run_static(std::uint64_t seed,
     }
   }
 
-  recorder.finish(global);
+  recorder.finish(global, recorder.last_tier());
 
   const auto finalize_start = obs::wall_now();
   out.final_members = tier_members_;
@@ -805,7 +822,8 @@ AsyncRunResult AsyncEngine::run_static(std::uint64_t seed,
 // triggers one cross-tier aggregation — so a straggler whose multiplier
 // changed mid-flight lands late and is discounted by its own age, while
 // its on-time cohort already moved the model.  A tier re-dispatches when
-// every awaited member has arrived or left.
+// every awaited member has arrived or left.  Like the static loop and the
+// tree's leaves, a cohort trains at its dispatch.
 AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
                                         SelectionPolicy& policy) {
   const std::size_t num_tiers = tier_members_.size();
@@ -827,10 +845,7 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
   // selection policies, re-tier callbacks, final reporting).  Both views
   // iterate in ascending id order, exactly like the flat sorted vectors
   // they replace, so sampling and picks are bit-identical.
-  std::vector<std::vector<std::size_t>> tiers_flat = tier_members_;
-  for (std::vector<std::size_t>& members : tiers_flat) {
-    std::sort(members.begin(), members.end());
-  }
+  std::vector<std::vector<std::size_t>> tiers_flat(num_tiers);
 
   // Same stream layout as the static path; churn draws come from the
   // ChurnModel's own forked streams, so enabling re-profiling alone does
@@ -850,20 +865,10 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
   };
   std::vector<DynRound> rounds(num_tiers);
 
-  // Per-client lifecycle state.
+  // Per-client lifecycle state; a client is live iff it has a tier.
   constexpr std::size_t kNoTier = static_cast<std::size_t>(-1);
-  std::vector<char> live(num_clients, 0);
   std::vector<std::size_t> tier_of(num_clients, kNoTier);
   std::vector<double> latency_scale(num_clients, 1.0);
-  std::vector<char> in_flight(num_clients, 0);
-  std::size_t in_flight_count = 0;
-  std::vector<double> arrival_time(num_clients, 0.0);
-  std::vector<double> flight_dispatch_time(num_clients, 0.0);
-  std::vector<std::size_t> flight_dispatch_version(num_clients, 0);
-  std::vector<std::size_t> flight_tier(num_clients, 0);
-  std::vector<LocalUpdate> flight_update(num_clients);
-  // Redelivery attempts for a lost in-flight update (fault injection).
-  std::vector<std::size_t> flight_retries(num_clients, 0);
 
   std::vector<util::SegmentedIdSet> tier_sets;
   tier_sets.reserve(num_tiers);
@@ -873,16 +878,21 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
   std::vector<char> tier_dirty(num_tiers, 0);
   util::SegmentedIdSet live_set(num_clients);
   util::SegmentedIdSet inactive_set(num_clients);  // join reserve
-  for (std::size_t t = 0; t < num_tiers; ++t) {
-    for (std::size_t id : tiers_flat[t]) {
-      live[id] = 1;
-      tier_of[id] = t;
-      tier_sets[t].insert(id);
+
+  // Start, resume and re-tiering install the tier membership here: one id
+  // list per tier, together covering exactly the live clients.
+  const auto set_tiers = [&](std::vector<std::vector<std::size_t>> members) {
+    tiers_flat = std::move(members);
+    for (std::size_t t = 0; t < num_tiers; ++t) {
+      std::sort(tiers_flat[t].begin(), tiers_flat[t].end());
+      tier_dirty[t] = 0;
+      tier_sets[t].clear();
+      for (std::size_t id : tiers_flat[t]) {
+        tier_of[id] = t;
+        tier_sets[t].insert(id);
+      }
     }
-  }
-  for (std::size_t c = 0; c < num_clients; ++c) {
-    (live[c] ? live_set : inactive_set).insert(c);
-  }
+  };
 
   // Refresh + return the flat membership copies; every plain-vector
   // consumer below goes through this.
@@ -896,20 +906,18 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
     return tiers_flat;
   };
 
-  // In-flight members keyed by their *current* tier (cohort-sized sorted
-  // vectors).  The default-policy fast path subtracts these from a tier
-  // by rank instead of scanning its whole membership for busy clients;
-  // rebucketed on re-tiering, erased on arrival and departure.
-  std::vector<std::vector<std::size_t>> inflight_by_tier(num_tiers);
-  const auto sorted_insert = [](std::vector<std::size_t>& ids,
-                                std::size_t id) {
-    ids.insert(std::lower_bound(ids.begin(), ids.end(), id), id);
+  // One record per in-flight client, keyed (and so iterated) by ascending
+  // id.  The cohort trained at dispatch, so the update travels with it.
+  struct Flight {
+    std::size_t tier = 0;  // the dispatching tier
+    double dispatch_time = 0.0;
+    std::size_t dispatch_version = 0;
+    double arrival = 0.0;  // time of the arrival event that counts
+    std::size_t retries = 0;  // redeliveries of a lost update
+    LocalUpdate update;
   };
-  const auto sorted_erase = [](std::vector<std::size_t>& ids,
-                               std::size_t id) {
-    const auto it = std::lower_bound(ids.begin(), ids.end(), id);
-    if (it != ids.end() && *it == id) ids.erase(it);
-  };
+  std::map<std::size_t, Flight> flights;
+  std::vector<LocalUpdate> cohort_updates;  // CohortTrainer output scratch
 
   // Clients are the actor space: each shard owns a contiguous id range
   // and its own heap, and pops replay the single-heap (time, seq) order
@@ -924,46 +932,6 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
   VersionRecorder recorder{
       &out.result.rounds, async_.eval_every, async_.total_updates, "async",
       [this](std::span<const float> w) { return evaluate(w); }, &phases};
-
-  // Deferred cohort training (barrier windows).  A dispatch snapshots the
-  // global model and its dispatch seq into a TrainTask instead of
-  // training inline; tasks flush through the thread pool at the window
-  // barrier, or early when one of their members' arrival lands inside the
-  // same window.  Training is order-independent — each client's RNG is
-  // forked from (dispatch seq, client id) and reads only the snapshot —
-  // so any flush point (including the window-0 default) produces
-  // byte-identical weights to the legacy train-at-dispatch.
-  struct TrainTask {
-    std::vector<std::size_t> members;  // selection order
-    std::vector<float> snapshot;       // global at dispatch time
-    double lr = 0.0;
-    std::size_t seq = 0;  // dispatch_seq at creation (RNG fork key)
-    bool done = false;
-  };
-  std::vector<TrainTask> window_tasks;
-  constexpr std::size_t kNoTask = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> task_of(num_clients, kNoTask);
-  std::vector<std::size_t> train_ids;       // run_task scratch
-  std::vector<LocalUpdate> cohort_updates;  // run_task scratch
-
-  const auto run_task = [&](std::size_t index) {
-    TrainTask& task = window_tasks[index];
-    if (task.done) return;
-    task.done = true;
-    // Only members still awaiting *this* dispatch train: a mid-window
-    // leave clears in_flight, and a same-window re-dispatch of a member
-    // (leave + rejoin) re-points its task_of at the newer task.
-    train_ids.clear();
-    for (std::size_t c : task.members) {
-      if (in_flight[c] && task_of[c] == index) train_ids.push_back(c);
-    }
-    if (train_ids.empty()) return;
-    trainer_.train(*clients_, train_ids, task.snapshot, task.lr, seed,
-                   task.seq, cohort_updates, phases);
-    for (std::size_t i = 0; i < train_ids.size(); ++i) {
-      flight_update[train_ids[i]] = std::move(cohort_updates[i]);
-    }
-  };
 
   const auto expected_latency = [&](std::size_t c) {
     return latency_model_.expected_latency(clients_->resource(c),
@@ -1018,21 +986,20 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
       // eligible list per dispatch.  Both paths consume the exact same
       // selection-stream values, so installing an explicit
       // UniformTierPolicy replays this path bit for bit (ctest-pinned).
-      const std::size_t busy = inflight_by_tier[tier].size();
-      const std::size_t eligible_count = tier_sets[tier].size() - busy;
+      // The holes are the flights whose *current* tier is this one, in
+      // ascending id order, so their ranks ascend too.
+      std::vector<std::size_t> blocked;
+      for (const auto& [c, flight] : flights) {
+        if (tier_of[c] == tier) blocked.push_back(tier_sets[tier].rank(c));
+      }
+      const std::size_t eligible_count =
+          tier_sets[tier].size() - blocked.size();
       if (eligible_count == 0) return;
       obs::ScopedPhase phase(&phases, obs::Phase::kSelect);
       const std::size_t count =
           std::min(async_.clients_per_tier_round, eligible_count);
       const std::vector<std::size_t> draws = sample_without_replacement(
           eligible_count, count, server.selection_rng[tier]);
-      // Ranks of the busy members within the tier's ascending id order
-      // (ascending, because inflight_by_tier is sorted by id).
-      std::vector<std::size_t> blocked;
-      blocked.reserve(busy);
-      for (std::size_t id : inflight_by_tier[tier]) {
-        blocked.push_back(tier_sets[tier].rank(id));
-      }
       selected.reserve(count);
       for (std::size_t local : draws) {
         std::size_t idx = local;
@@ -1051,7 +1018,7 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
       // re-tiering migration) cannot take a second task.
       std::vector<std::size_t> eligible;
       for (std::size_t id : flat_tiers()[tier]) {
-        if (!in_flight[id]) eligible.push_back(id);
+        if (!flights.contains(id)) eligible.push_back(id);
       }
       if (eligible.empty()) return;
       Selection selection =
@@ -1059,7 +1026,8 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
                         eligible, tiers_flat);
       if (selection.clients.empty()) return;
       for (std::size_t id : selection.clients) {
-        if (id >= num_clients || !live[id] || in_flight[id]) {
+        if (id >= num_clients || tier_of[id] == kNoTier ||
+            flights.contains(id)) {
           throw std::logic_error(
               "AsyncEngine: policy selected a dead or busy client");
         }
@@ -1075,15 +1043,8 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
     round.accum.assign(weight_count, 0.0);
     round.weight_total = 0.0;
 
-    // Snapshot the model and dispatch seq; training runs at the window
-    // barrier (or at the cohort's first same-window arrival).
-    const std::size_t task_index = window_tasks.size();
-    window_tasks.push_back(TrainTask{});
-    TrainTask& task = window_tasks.back();
-    task.members = std::move(selected);
-    task.snapshot = global;
-    task.lr = server.tier_lr[tier];
-    task.seq = server.dispatch_seq;
+    trainer_.train(*clients_, selected, global, server.tier_lr[tier], seed,
+                   server.dispatch_seq, cohort_updates, phases);
     ++server.dispatch_seq;
 
     // One bulk insert for the whole cohort: same (time, seq) keys as the
@@ -1091,22 +1052,18 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
     std::vector<sim::PendingEvent> cohort;
     cohort.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
-      const std::size_t c = task.members[i];
+      const std::size_t c = selected[i];
       const double latency =
           latency_model_.sample_latency(clients_->resource(c),
                                         clients_->train_size(c),
                                         config_.local.epochs,
                                         server.latency_rng[tier]) *
           latency_scale[c];
-      in_flight[c] = 1;
-      ++in_flight_count;
-      flight_retries[c] = 0;
-      sorted_insert(inflight_by_tier[tier], c);
-      task_of[c] = task_index;
-      flight_tier[c] = tier;
-      flight_dispatch_time[c] = queue.now();
-      flight_dispatch_version[c] = version;
-      arrival_time[c] = queue.now() + latency;
+      flights[c] = Flight{.tier = tier,
+                          .dispatch_time = queue.now(),
+                          .dispatch_version = version,
+                          .arrival = queue.now() + latency,
+                          .update = std::move(cohort_updates[i])};
       cohort.push_back(sim::PendingEvent{
           .delay = latency,
           .kind = static_cast<std::uint64_t>(sim::EventKind::kClientUpdate),
@@ -1124,12 +1081,22 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
   // A round whose last awaited member arrived or departed: decay the lr
   // (once per completed cohort, matching the static path's per-round
   // decay) and start the tier's next round.
-  const auto complete_round = [&](std::size_t tier) {
+  const auto complete_if_drained = [&](std::size_t tier) {
+    if (rounds[tier].awaiting > 0) return;
     if (rounds[tier].arrivals > 0) {
       server.tier_lr[tier] *= config_.lr_decay_per_round;
       metrics.tier_rounds.add();
     }
     dispatch(tier);
+  };
+
+  // Arrival, a drop after the last retry and a mid-flight leave all end a
+  // flight here: its cohort stops awaiting it.
+  const auto end_flight = [&](std::map<std::size_t, Flight>::iterator it) {
+    Flight flight = std::move(it->second);
+    flights.erase(it);
+    --rounds[flight.tier].awaiting;
+    return flight;
   };
 
   // Lifecycle event source: exactly one churn event is scheduled at a
@@ -1154,15 +1121,16 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
     }
   }
 
-  metrics.setup_ns.add(obs::wall_ns_count_since(setup_start));
-
   bool stopped = false;
-  double window_end = -std::numeric_limits<double>::infinity();
 
   // --- snapshot payload (dynamic path) ---------------------------------------
-  // Between the shared head and tail: the evolved membership, in-flight
-  // cohorts (trained updates travel with the snapshot; untrained cohorts
-  // as their deferred TrainTask), and the churn and re-tierer state.
+  // Between the shared head and tail: the evolved membership, the flights
+  // (each with its trained update), the open rounds, and the churn and
+  // re-tierer state.  The deferred-cohort lists and the window end that
+  // follow the rounds are kept for the layout: they are written empty
+  // (and the window end as the batch time) because cohorts train at
+  // dispatch, and read for snapshots of older builds, which could defer
+  // a cohort's training to the end of a virtual-time window.
   const SnapshotPrologue prologue{
       kSnapDynamic,
       config_fingerprint(config_, async_, seed, num_tiers, num_clients,
@@ -1184,20 +1152,16 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
         sink.put_f64(latency_scale[c]);
       }
     }
-    // In-flight cohort members, ascending id order (restore re-buckets
-    // inflight_by_tier from tier_of, so per-tier lists stay sorted).
-    sink.put_u64(in_flight_count);
-    for (std::size_t c = 0; c < num_clients; ++c) {
-      if (!in_flight[c]) continue;
+    sink.put_u64(flights.size());
+    for (const auto& [c, flight] : flights) {
       sink.put_u64(c);
-      sink.put_u64(flight_tier[c]);
-      sink.put_f64(flight_dispatch_time[c]);
-      sink.put_u64(flight_dispatch_version[c]);
-      sink.put_f64(arrival_time[c]);
-      sink.put_u64(flight_retries[c]);
-      const bool trained = !flight_update[c].weights.empty();
-      sink.put_bool(trained);
-      if (trained) put_update(sink, flight_update[c]);
+      sink.put_u64(flight.tier);
+      sink.put_f64(flight.dispatch_time);
+      sink.put_u64(flight.dispatch_version);
+      sink.put_f64(flight.arrival);
+      sink.put_u64(flight.retries);
+      sink.put_bool(true);  // trained
+      put_update(sink, flight.update);
     }
     for (const DynRound& round : rounds) {
       sink.put_bool(round.active);
@@ -1206,25 +1170,9 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
       sink.put_f64(round.weight_total);
       sink.put_f64_vec(round.accum);
     }
-    // Deferred window tasks, their membership pointers, the open window.
-    sink.put_u64(window_tasks.size());
-    for (const TrainTask& task : window_tasks) {
-      sink.put_size_vec(task.members);
-      sink.put_f32_vec(task.snapshot);
-      sink.put_f64(task.lr);
-      sink.put_u64(task.seq);
-      sink.put_bool(task.done);
-    }
-    std::uint64_t tasked = 0;
-    for (std::size_t t : task_of) tasked += t != kNoTask ? 1 : 0;
-    sink.put_u64(tasked);
-    for (std::size_t c = 0; c < num_clients; ++c) {
-      if (task_of[c] != kNoTask) {
-        sink.put_u64(c);
-        sink.put_u64(task_of[c]);
-      }
-    }
-    sink.put_f64(window_end);
+    sink.put_u64(0);  // deferred cohorts
+    sink.put_u64(0);  // member -> deferred cohort pairs
+    sink.put_f64(queue.now());  // window end
     for (char parked : server.parked) sink.put_bool(parked != 0);
     sink.put_size_vec(server.parked_at);
     put_blob(sink, [&](util::ByteSink& blob) { churn.save_state(blob); });
@@ -1249,48 +1197,35 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
     util::ByteSource source(payload);
     check_prologue(source, prologue, "AsyncEngine");
     get_head(source, server, out.result.rounds);
-    // Rebuild every membership view from the snapshot's flat tiers.
-    std::fill(live.begin(), live.end(), 0);
-    std::fill(tier_of.begin(), tier_of.end(), kNoTier);
-    live_set.clear();
-    inactive_set.clear();
+    std::vector<std::vector<std::size_t>> members(num_tiers);
     for (std::size_t t = 0; t < num_tiers; ++t) {
-      tiers_flat[t] = source.get_size_vec();
-      tier_sets[t].clear();
-      tier_dirty[t] = 0;
-      for (std::size_t id : tiers_flat[t]) {
-        if (id >= num_clients) {
-          throw std::runtime_error(
-              "AsyncEngine: snapshot member out of range");
-        }
-        live[id] = 1;
+      members[t] = source.get_size_vec();
+      for (std::size_t id : members[t]) {
+        check_snapshot(id < num_clients && tier_of[id] == kNoTier,
+                       "tier member (in range, listed once)");
         tier_of[id] = t;
-        tier_sets[t].insert(id);
       }
     }
-    for (std::size_t c = 0; c < num_clients; ++c) {
-      (live[c] ? live_set : inactive_set).insert(c);
-    }
-    std::fill(latency_scale.begin(), latency_scale.end(), 1.0);
+    set_tiers(std::move(members));
     const std::size_t scaled = source.checked_count(source.get_u64(), 16);
     for (std::size_t i = 0; i < scaled; ++i) {
       const std::size_t c = static_cast<std::size_t>(source.get_u64());
-      latency_scale.at(c) = source.get_f64();
+      check_snapshot(c < num_clients, "latency multiplier client");
+      latency_scale[c] = source.get_f64();
     }
-    std::fill(in_flight.begin(), in_flight.end(), 0);
-    for (std::vector<std::size_t>& list : inflight_by_tier) list.clear();
-    in_flight_count = source.checked_count(source.get_u64(), 8);
-    for (std::size_t i = 0; i < in_flight_count; ++i) {
+    const std::size_t flying = source.checked_count(source.get_u64(), 8);
+    for (std::size_t i = 0; i < flying; ++i) {
       const std::size_t c = static_cast<std::size_t>(source.get_u64());
-      in_flight.at(c) = 1;
-      flight_tier[c] = static_cast<std::size_t>(source.get_u64());
-      flight_dispatch_time[c] = source.get_f64();
-      flight_dispatch_version[c] = static_cast<std::size_t>(source.get_u64());
-      arrival_time[c] = source.get_f64();
-      flight_retries[c] = static_cast<std::size_t>(source.get_u64());
-      flight_update[c] =
-          source.get_bool() ? get_update(source) : LocalUpdate{};
-      inflight_by_tier[tier_of[c]].push_back(c);
+      check_snapshot(c < num_clients && tier_of[c] != kNoTier,
+                     "in-flight client (live clients only)");
+      Flight& flight = flights[c];
+      flight.tier = static_cast<std::size_t>(source.get_u64());
+      check_snapshot(flight.tier < num_tiers, "in-flight tier");
+      flight.dispatch_time = source.get_f64();
+      flight.dispatch_version = static_cast<std::size_t>(source.get_u64());
+      flight.arrival = source.get_f64();
+      flight.retries = static_cast<std::size_t>(source.get_u64());
+      if (source.get_bool()) flight.update = get_update(source);
     }
     for (DynRound& round : rounds) {
       round.active = source.get_bool();
@@ -1299,26 +1234,38 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
       round.weight_total = source.get_f64();
       round.accum = source.get_f64_vec();
     }
-    window_tasks.clear();
-    const std::size_t task_count = source.checked_count(source.get_u64(), 8);
-    for (std::size_t i = 0; i < task_count; ++i) {
-      TrainTask task;
-      task.members = source.get_size_vec();
-      task.snapshot = source.get_f32_vec();
-      task.lr = source.get_f64();
-      task.seq = static_cast<std::size_t>(source.get_u64());
-      task.done = source.get_bool();
-      window_tasks.push_back(std::move(task));
+    // An older build's deferred cohorts: each one's members that are
+    // still flying under it train once the whole payload is read.
+    struct Deferred {
+      std::vector<std::size_t> members;  // selection order
+      std::vector<float> model;          // global at dispatch time
+      double lr = 0.0;
+      std::uint64_t seq = 0;
+    };
+    std::vector<Deferred> deferred(source.checked_count(source.get_u64(), 8));
+    for (Deferred& cohort : deferred) {
+      cohort.members = source.get_size_vec();
+      cohort.model = source.get_f32_vec();
+      check_snapshot(cohort.model.size() == weight_count,
+                     "deferred cohort model length");
+      cohort.lr = source.get_f64();
+      cohort.seq = source.get_u64();
+      if (source.get_bool()) cohort.members.clear();  // trained already
     }
-    std::fill(task_of.begin(), task_of.end(), kNoTask);
-    const std::size_t tasked = source.checked_count(source.get_u64(), 16);
-    for (std::size_t i = 0; i < tasked; ++i) {
+    // Older builds kept a member's pair until the window flushed, so a
+    // pair whose client no longer flies is skipped.
+    std::map<std::size_t, std::size_t> cohort_of;
+    const std::size_t pairs = source.checked_count(source.get_u64(), 16);
+    for (std::size_t i = 0; i < pairs; ++i) {
       const std::size_t c = static_cast<std::size_t>(source.get_u64());
-      task_of.at(c) = static_cast<std::size_t>(source.get_u64());
+      const std::size_t index = static_cast<std::size_t>(source.get_u64());
+      check_snapshot(index < deferred.size(), "deferred cohort index");
+      cohort_of[c] = index;
     }
-    window_end = source.get_f64();
+    (void)source.get_f64();  // window end
     for (char& parked : server.parked) parked = source.get_bool() ? 1 : 0;
     server.parked_at = source.get_size_vec();
+    check_snapshot(server.parked_at.size() == num_tiers, "parked_at length");
     get_blob(source,
              [&](util::ByteSource& blob) { churn.restore_state(blob); });
     if (source.get_bool()) {
@@ -1338,10 +1285,41 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
     out.slowdown_count = static_cast<std::size_t>(source.get_u64());
     out.reprofile_count = static_cast<std::size_t>(source.get_u64());
     get_tail(source, out, checkpointer, queue, fault, policy);
+    // Train after get_tail restored the metrics, so the training counts
+    // add to the restored totals.
+    for (std::size_t index = 0; index < deferred.size(); ++index) {
+      const Deferred& cohort = deferred[index];
+      std::vector<std::size_t> ids;
+      for (std::size_t c : cohort.members) {
+        const auto it = cohort_of.find(c);
+        if (flights.contains(c) && it != cohort_of.end() &&
+            it->second == index) {
+          ids.push_back(c);
+        }
+      }
+      if (ids.empty()) continue;
+      trainer_.train(*clients_, ids, cohort.model, cohort.lr, seed,
+                     cohort.seq, cohort_updates, phases);
+      for (std::size_t i = 0; i < ids.size(); ++i) {
+        flights[ids[i]].update = std::move(cohort_updates[i]);
+      }
+    }
+    for (const auto& [c, flight] : flights) {
+      check_snapshot(flight.update.weights.size() == weight_count &&
+                         rounds[flight.tier].accum.size() == weight_count,
+                     "in-flight update or round model length");
+    }
     util::log_info("async-dyn: resumed from ", async_.resume_path,
                    " at version ", out.result.rounds.size(),
                    ", t=", queue.now());
+  } else {
+    set_tiers(tier_members_);
   }
+  for (std::size_t c = 0; c < num_clients; ++c) {
+    (tier_of[c] != kNoTier ? live_set : inactive_set).insert(c);
+  }
+
+  metrics.setup_ns.add(obs::wall_ns_count_since(setup_start));
 
   open_event_log(event_log, async_.event_log_path, resuming,
                  out.processed_events);
@@ -1352,33 +1330,11 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
     }
   }
 
-  // Virtual-time barrier: run every deferred task dispatched inside the
-  // window that just closed (dispatch order), then forget them.  task_of
-  // is cleared blindly — every window task has run by then, so a member
-  // re-dispatched within the window already trained under its newer task.
-  const auto flush_window = [&]() {
-    if (window_tasks.empty()) return;
-    metrics.barriers.add();
-    metrics.barrier_tasks.record(static_cast<double>(window_tasks.size()));
-    for (std::size_t i = 0; i < window_tasks.size(); ++i) run_task(i);
-    for (const TrainTask& task : window_tasks) {
-      for (std::size_t c : task.members) task_of[c] = kNoTask;
-    }
-    window_tasks.clear();
-  };
-
   std::vector<sim::Event> batch;  // reused across pop_batch calls
   while (!queue.empty() && !stopped) {
-    // Injected server crash: fires strictly between batches (and before
-    // any window flush), so the last checkpoint is a consistent prefix.
+    // Injected server crash: fires strictly between batches, so the last
+    // checkpoint is a consistent prefix.
     checkpointer.crash_if_due(fault.crash_at(), queue.peek().time);
-    if (queue.peek().time > window_end) {
-      // The next event opens a new barrier window [T, T + window]: flush
-      // the cohorts the closing window deferred.  Window boundaries are a
-      // pure function of event times, so they are shard-count invariant.
-      flush_window();
-      window_end = queue.peek().time + async_.barrier_window;
-    }
     // Same-timestamp batch drain as the static loop: in-batch order is
     // the exact (time, seq) pop order, and anything the handlers schedule
     // sorts after the whole batch, so the replay sequence is unchanged.
@@ -1408,28 +1364,29 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
       switch (static_cast<sim::EventKind>(event.kind)) {
         case sim::EventKind::kClientUpdate: {
           const std::size_t c = static_cast<std::size_t>(event.actor);
+          const auto it = flights.find(c);
           // A leave or slowdown invalidated this arrival: the client either
           // departed or now lands at a different (rescheduled) time.
-          if (!in_flight[c] || event.time != arrival_time[c]) {
+          if (it == flights.end() || event.time != it->second.arrival) {
             metrics.stale_events.add();
             break;
           }
           // Injected network loss: one Bernoulli draw per delivery attempt,
-          // in pop order.  Decided *before* run_task so an untrained cohort
-          // stays deferred across retries.
+          // in pop order.
           if (fault.active() && fault.lose_update()) {
             metrics.lost_updates.add();
-            if (flight_retries[c] < async_.fault.max_retries) {
-              ++flight_retries[c];
-              arrival_time[c] = queue.now() + fault.backoff(flight_retries[c]);
+            Flight& lost = it->second;
+            if (lost.retries < async_.fault.max_retries) {
+              ++lost.retries;
+              lost.arrival = queue.now() + fault.backoff(lost.retries);
               queue.schedule_at(
-                  arrival_time[c],
+                  lost.arrival,
                   static_cast<std::uint64_t>(sim::EventKind::kClientUpdate),
                   event.actor);
               if (obs::Tracer* t = obs::tracer()) {
                 t->instant(queue.now(), "fault", "lost",
                            static_cast<std::int64_t>(c),
-                           {obs::field("attempt", flight_retries[c])});
+                           {obs::field("attempt", lost.retries)});
               }
               break;
             }
@@ -1439,41 +1396,26 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
             if (obs::Tracer* t = obs::tracer()) {
               t->instant(queue.now(), "fault", "dropped",
                          static_cast<std::int64_t>(c),
-                         {obs::field("retries", flight_retries[c])});
+                         {obs::field("retries", lost.retries)});
             }
-            flight_retries[c] = 0;
-            in_flight[c] = 0;
-            --in_flight_count;
-            sorted_erase(inflight_by_tier[tier_of[c]], c);
-            flight_update[c] = LocalUpdate{};
-            DynRound& lost_round = rounds[flight_tier[c]];
-            --lost_round.awaiting;
-            if (lost_round.awaiting == 0) complete_round(flight_tier[c]);
+            complete_if_drained(end_flight(it).tier);
             break;
           }
-          flight_retries[c] = 0;
-          // The cohort may still be awaiting its window barrier: train it
-          // now.  Deferred tasks are order-independent, so an early flush
-          // is byte-identical to flushing at the barrier.
-          if (task_of[c] != kNoTask) run_task(task_of[c]);
-          in_flight[c] = 0;
-          --in_flight_count;
-          sorted_erase(inflight_by_tier[tier_of[c]], c);
-          const std::size_t tier = flight_tier[c];
+          const Flight flight = end_flight(it);
+          const std::size_t tier = flight.tier;
           DynRound& round = rounds[tier];
-          --round.awaiting;
           ++round.arrivals;
 
           const std::size_t version = out.result.rounds.size();
-          const std::size_t age = version - flight_dispatch_version[c];
-          const double observed = queue.now() - flight_dispatch_time[c];
+          const std::size_t age = version - flight.dispatch_version;
+          const double observed = queue.now() - flight.dispatch_time;
           if (hooks_.observe) hooks_.observe(c, observed);
 
           obs::ScopedPhase agg_phase(&phases, obs::Phase::kAggregate);
           // Fold this client into the tier's running FedAvg, discounted by
           // the update's *own* staleness (constant/invfreq leave the
           // factor at 1 and weigh by update counts instead).
-          const LocalUpdate& update = flight_update[c];
+          const LocalUpdate& update = flight.update;
           const double w =
               static_cast<double>(update.num_samples) *
               staleness_factor(async_.staleness, async_.poly_alpha, age);
@@ -1483,10 +1425,6 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
             }
             round.weight_total += w;
           }
-          const double client_train_loss = update.train_loss;
-          // Folded in: release the weight copy (peak flight_update memory
-          // stays bounded by the in-flight set, not the federation size).
-          flight_update[c] = LocalUpdate{};
           if (round.weight_total > 0.0) {
             for (std::size_t i = 0; i < weight_count; ++i) {
               server.tier_models[tier][i] = static_cast<float>(
@@ -1513,7 +1451,7 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
 
           recorder.record({.virtual_time = queue.now(),
                            .round_latency = observed,
-                           .train_loss = client_train_loss,
+                           .train_loss = update.train_loss,
                            .selected_tier = static_cast<int>(tier),
                            .selected_clients = {c}},
                           global, static_cast<std::int64_t>(tier), &policy,
@@ -1531,12 +1469,10 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
             break;
           }
 
-          if (round.awaiting == 0) complete_round(tier);
+          complete_if_drained(tier);
           // A re-tiering may have parked this client's new tier with no
           // eligible members while it was in flight; revive it now.
-          if (tier_of[c] != kNoTier && !rounds[tier_of[c]].active) {
-            dispatch(tier_of[c]);
-          }
+          if (!rounds[tier_of[c]].active) dispatch(tier_of[c]);
           // Policy-parked tiers get another chance at the new version
           // (skipping any tier parked at this very version just above).
           for (std::size_t t = 0; t < num_tiers; ++t) {
@@ -1556,35 +1492,26 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
           if (live_set.empty()) break;
           const std::size_t c =
               live_set.kth(churn_event.pick % live_set.size());
+          const auto flight = flights.find(c);
+          const bool flying = flight != flights.end();
           ++out.leave_count;
           metrics.leaves.add();
           if (obs::Tracer* t = obs::tracer()) {
             t->instant(queue.now(), "churn", "leave",
                        static_cast<std::int64_t>(c),
                        {obs::field("in_flight",
-                                   static_cast<std::int64_t>(in_flight[c]))});
+                                   static_cast<std::int64_t>(flying))});
           }
-          live[c] = 0;
           live_set.erase(c);
           inactive_set.insert(c);
-          if (tier_of[c] != kNoTier) {
-            if (in_flight[c]) sorted_erase(inflight_by_tier[tier_of[c]], c);
-            tier_sets[tier_of[c]].erase(c);
-            tier_dirty[tier_of[c]] = 1;
-            tier_of[c] = kNoTier;
-          }
+          tier_sets[tier_of[c]].erase(c);
+          tier_dirty[tier_of[c]] = 1;
+          tier_of[c] = kNoTier;
           if (hooks_.left) hooks_.left(c);
           policy.on_leave(c);
-          if (in_flight[c]) {
-            // Mid-round departure: its pending update is lost; the cohort
-            // no longer waits for it.
-            in_flight[c] = 0;
-            --in_flight_count;
-            flight_update[c] = LocalUpdate{};
-            DynRound& round = rounds[flight_tier[c]];
-            --round.awaiting;
-            if (round.awaiting == 0) complete_round(flight_tier[c]);
-          }
+          // Mid-round departure: its pending update is lost; the cohort
+          // no longer waits for it.
+          if (flying) complete_if_drained(end_flight(flight).tier);
           break;
         }
 
@@ -1595,7 +1522,6 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
           const std::size_t c =
               inactive_set.kth(churn_event.pick % inactive_set.size());
           ++out.join_count;
-          live[c] = 1;
           inactive_set.erase(c);
           live_set.insert(c);
           const std::size_t tier = hooks_.joined
@@ -1639,14 +1565,15 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
                        static_cast<std::int64_t>(c),
                        {obs::field("factor", churn_event.factor)});
           }
-          if (in_flight[c]) {
+          if (const auto it = flights.find(c); it != flights.end()) {
             // Mid-round straggler: the remaining flight time rescales from
             // the old multiplier to the new one; the stale arrival event is
             // left in the queue and ignored by the time check above.
-            const double remaining = arrival_time[c] - queue.now();
-            arrival_time[c] =
+            Flight& flight = it->second;
+            const double remaining = flight.arrival - queue.now();
+            flight.arrival =
                 queue.now() + remaining * (churn_event.factor / previous);
-            queue.schedule_at(arrival_time[c],
+            queue.schedule_at(flight.arrival,
                               static_cast<std::uint64_t>(
                                   sim::EventKind::kClientUpdate),
                               c);
@@ -1675,10 +1602,9 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
           }
           std::vector<char> seen(num_clients, 0);
           std::size_t total = 0;
-          for (std::vector<std::size_t>& tier : members) {
-            std::sort(tier.begin(), tier.end());
+          for (const std::vector<std::size_t>& tier : members) {
             for (std::size_t id : tier) {
-              if (id >= num_clients || !live[id] || seen[id]) {
+              if (id >= num_clients || tier_of[id] == kNoTier || seen[id]) {
                 throw std::runtime_error(
                     "AsyncEngine: retier hook returned invalid membership");
               }
@@ -1690,26 +1616,7 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
             throw std::runtime_error(
                 "AsyncEngine: retier hook dropped live clients");
           }
-          tiers_flat = std::move(members);
-          // Re-bucket the in-flight lists under the migrated tier_of
-          // (collected ascending, so per-tier order stays sorted).
-          std::vector<std::size_t> migrated;
-          for (std::vector<std::size_t>& list : inflight_by_tier) {
-            migrated.insert(migrated.end(), list.begin(), list.end());
-            list.clear();
-          }
-          std::sort(migrated.begin(), migrated.end());
-          for (std::size_t t = 0; t < num_tiers; ++t) {
-            tier_dirty[t] = 0;
-            tier_sets[t].clear();
-            for (std::size_t id : tiers_flat[t]) {
-              tier_sets[t].insert(id);
-              tier_of[id] = t;
-            }
-          }
-          for (std::size_t id : migrated) {
-            inflight_by_tier[tier_of[id]].push_back(id);
-          }
+          set_tiers(std::move(members));
           policy.on_retier(tiers_flat);
           // Pending cohorts keep running under their dispatching tier; the
           // migrated membership only shapes future sampling.  Tiers that
@@ -1727,7 +1634,7 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
 
       // Training can die out entirely (every client left mid-run).  Churn
       // streams never end, so stop unless a join could revive the run.
-      if (in_flight_count == 0 && async_.churn.join_rate <= 0.0) {
+      if (flights.empty() && async_.churn.join_rate <= 0.0) {
         bool any_active = false;
         for (const DynRound& round : rounds) any_active |= round.active;
         if (!any_active) {
@@ -1744,7 +1651,7 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
     }
   }
 
-  recorder.finish(global);
+  recorder.finish(global, recorder.last_tier());
 
   const auto finalize_start = obs::wall_now();
   out.final_members = std::move(flat_tiers());

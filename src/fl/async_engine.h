@@ -31,7 +31,8 @@
 // fold (fl::fold_round), cross-slot aggregation (aggregate_slots below),
 // the version record (fl::VersionRecorder), config validation
 // (validate_async_config below), and the snapshot codec and checkpointer
-// (fl/snapshot).
+// (fl/snapshot).  All three train a cohort at its dispatch, from the
+// global model of that moment.
 #pragma once
 
 #include <cstdint>
@@ -141,16 +142,6 @@ struct AsyncConfig {
   // count, so results are bit-reproducible across --shards values
   // (determinism ctests pin 1/2/4/8).  Clamped to the actor count.
   std::size_t shards = 1;
-  // Virtual-time barrier window for the dynamic path: events inside
-  // [T, T + barrier_window] are processed in exact global order with
-  // cohort *training* deferred to the window's end, where the pending
-  // tasks flush in dispatch order, each cohort through its own
-  // parallel_for.  Training tasks are order-independent — each trains
-  // from the global snapshot taken at its dispatch with an RNG forked
-  // from (dispatch seq, client id) — so any window (including 0, the
-  // flush-every-timestamp default) produces byte-identical results; the
-  // window only moves where training happens between barriers.
-  double barrier_window = 0.0;
 
   // --- durability ------------------------------------------------------------
   // Virtual seconds between full-run snapshots (fl::save_snapshot into
@@ -164,8 +155,7 @@ struct AsyncConfig {
   std::string checkpoint_path;  // required when checkpoint_every > 0
   // Load this snapshot and continue the run it captured instead of
   // starting fresh.  The snapshot's config fingerprint, population and
-  // policy must match; the shard count and barrier window may differ
-  // (both are bit-invariant knobs).
+  // policy must match; the shard count may differ (a bit-invariant knob).
   std::string resume_path;
   // Append-only CRC-framed log of processed events (sim::EventLogWriter);
   // truncated to the snapshot's horizon on resume.  Empty = off.

@@ -179,7 +179,7 @@ RunResult Engine::run(SelectionPolicy& policy,
       break;
     }
   }
-  recorder.finish(global);
+  recorder.finish(global, recorder.last_tier());
   result.phases = phases.stats();
   return result;
 }

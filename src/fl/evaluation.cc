@@ -31,6 +31,25 @@ double subset_accuracy(const std::vector<std::uint8_t>& hits,
   return total / static_cast<double>(indices.size());
 }
 
+// Evaluates `weights` into `record` (its round set) and traces the
+// instant on `actor`; returns the tier accuracies.
+std::vector<double> evaluate_into(const VersionRecorder& recorder,
+                                  RoundRecord& record,
+                                  std::span<const float> weights,
+                                  std::int64_t actor) {
+  obs::ScopedPhase phase(recorder.phases, obs::Phase::kEval);
+  Evaluation r = recorder.evaluate(weights);
+  phase.stop();
+  record.global_accuracy = r.accuracy;
+  record.global_loss = r.loss;
+  if (obs::Tracer* t = obs::tracer()) {
+    t->instant(record.virtual_time, recorder.category, "eval", actor,
+               {obs::field("version", record.round),
+                obs::field("accuracy", r.accuracy)});
+  }
+  return std::move(r.subset_accuracies);
+}
+
 }  // namespace
 
 Evaluation evaluate_weights(nn::Sequential& model,
@@ -97,17 +116,7 @@ void VersionRecorder::record(RoundRecord record,
   last_evaluated = version % eval_every == 0 || version + 1 == total_updates;
   std::vector<double> tier_accuracies;
   if (last_evaluated) {
-    obs::ScopedPhase phase(phases, obs::Phase::kEval);
-    Evaluation r = evaluate(weights);
-    phase.stop();
-    record.global_accuracy = r.accuracy;
-    record.global_loss = r.loss;
-    tier_accuracies = std::move(r.subset_accuracies);
-    if (obs::Tracer* t = obs::tracer()) {
-      t->instant(record.virtual_time, category, "eval", actor,
-                 {obs::field("version", version),
-                  obs::field("accuracy", r.accuracy)});
-    }
+    tier_accuracies = evaluate_into(*this, record, weights, actor);
   } else if (!rounds->empty()) {
     record.global_accuracy = rounds->back().global_accuracy;
     record.global_loss = rounds->back().global_loss;
@@ -124,12 +133,10 @@ void VersionRecorder::record(RoundRecord record,
   rounds->push_back(std::move(record));
 }
 
-void VersionRecorder::finish(std::span<const float> weights) {
+void VersionRecorder::finish(std::span<const float> weights,
+                             std::int64_t actor) {
   if (rounds->empty() || last_evaluated) return;
-  obs::ScopedPhase phase(phases, obs::Phase::kEval);
-  const Evaluation r = evaluate(weights);
-  rounds->back().global_accuracy = r.accuracy;
-  rounds->back().global_loss = r.loss;
+  evaluate_into(*this, rounds->back(), weights, actor);
 }
 
 }  // namespace tifl::fl

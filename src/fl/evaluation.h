@@ -58,8 +58,10 @@ void check_tier_eval_indices(
 // record() appends `record` as version rounds->size(): evaluated on the
 // cadence (v % eval_every == 0 or the last of total_updates) with the
 // instant traced on `actor`, else carrying the previous accuracy forward;
-// `policy`, when given, observes the version first.  finish() refreshes a
-// last record left with a carried-forward accuracy.
+// `policy`, when given, observes the version first.  finish() re-evaluates
+// a last record left with a carried-forward accuracy and traces that
+// instant on `actor`.  It does not feed the policy again: the policy
+// observed that version when it was recorded, and the run is over.
 struct VersionRecorder {
   std::vector<RoundRecord>* rounds;
   std::size_t eval_every;
@@ -72,7 +74,11 @@ struct VersionRecorder {
   void record(RoundRecord record, std::span<const float> weights,
               std::int64_t actor, SelectionPolicy* policy = nullptr,
               std::size_t staleness = 0);
-  void finish(std::span<const float> weights);
+  void finish(std::span<const float> weights, std::int64_t actor);
+  // The last record's submitting tier: the flat engines' finish() actor.
+  std::int64_t last_tier() const {
+    return rounds->empty() ? 0 : rounds->back().selected_tier;
+  }
 };
 
 }  // namespace tifl::fl

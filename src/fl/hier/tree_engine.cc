@@ -679,7 +679,7 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
     }
   }
 
-  recorder.finish(nodes[0].model);
+  recorder.finish(nodes[0].model, /*actor=*/0);
 
   out.final_weights = nodes[0].model;
   out.node_rounds.reserve(num_nodes);

@@ -97,9 +97,8 @@ struct HierRunResult {
   std::size_t processed_events = 0;
   std::size_t max_event_batch = 0;
   // Set by core::TiflSystem::run_hier when the topology was flat and the
-  // run collapsed onto run_async; `flat` then holds that run's full result.
+  // run collapsed onto run_async.
   bool collapsed = false;
-  AsyncRunResult flat;
 };
 
 class TreeEngine {

@@ -326,7 +326,7 @@ TEST(AsyncDeterminism, DynamicPathTraceIsByteIdenticalAcrossPoolSizes) {
 // shards may never change results.  Final weights, the per-version round
 // series, the JSONL trace stream and the filtered metrics snapshot must
 // be byte-identical across shard counts 1/2/4/8 — at every thread-pool
-// size, on both run paths, with and without a barrier window.
+// size, on both run paths.
 
 // Metrics snapshot with the legitimately shard-variant instruments
 // dropped: `*_ns` histograms record wall time, `pool.*` counters depend
@@ -348,13 +348,11 @@ struct ShardRunOutput {
   std::string metrics;
 };
 
-// One run at a given (shards, threads, window) with the global registry
-// reset around it, so the snapshot covers exactly this run.
+// One run at a given (shards, threads) with the global registry reset
+// around it, so the snapshot covers exactly this run.
 ShardRunOutput run_sharded(AsyncConfig async, std::size_t shards,
-                           std::size_t threads, double window,
-                           bool virtual_pool) {
+                           std::size_t threads, bool virtual_pool) {
   async.shards = shards;
-  async.barrier_window = window;
   obs::Registry::global().reset();
   ShardRunOutput out;
   std::ostringstream trace_out;
@@ -371,16 +369,16 @@ ShardRunOutput run_sharded(AsyncConfig async, std::size_t shards,
   return out;
 }
 
-void expect_shard_count_invariance(const AsyncConfig& async, double window,
+void expect_shard_count_invariance(const AsyncConfig& async,
                                    bool virtual_pool) {
   const ShardRunOutput base =
-      run_sharded(async, 1, /*threads=*/1, window, virtual_pool);
+      run_sharded(async, 1, /*threads=*/1, virtual_pool);
   EXPECT_FALSE(base.trace.empty());
   for (std::size_t shards : {std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
     for (std::size_t threads :
          {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
       const ShardRunOutput run =
-          run_sharded(async, shards, threads, window, virtual_pool);
+          run_sharded(async, shards, threads, virtual_pool);
       EXPECT_EQ(base.result.final_weights, run.result.final_weights)
           << "shards=" << shards << " threads=" << threads;
       EXPECT_EQ(base.result.processed_events, run.result.processed_events);
@@ -406,8 +404,7 @@ TEST(AsyncDeterminism, StaticPathIsShardCountInvariant) {
   async.clients_per_tier_round = 4;
   async.eval_every = 4;
   async.staleness = StalenessFn::kInverseFrequency;
-  expect_shard_count_invariance(async, /*window=*/0.0,
-                                /*virtual_pool=*/false);
+  expect_shard_count_invariance(async, /*virtual_pool=*/false);
 }
 
 TEST(AsyncDeterminism, ChurnedVirtualPathIsShardCountInvariant) {
@@ -419,45 +416,7 @@ TEST(AsyncDeterminism, ChurnedVirtualPathIsShardCountInvariant) {
   async.churn.join_rate = 0.05;
   async.churn.leave_rate = 0.05;
   async.churn.slowdown_rate = 0.1;
-  expect_shard_count_invariance(async, /*window=*/0.0, /*virtual_pool=*/true);
-}
-
-TEST(AsyncDeterminism, BarrierWindowReplaysWindowZeroByteForByte) {
-  // Deferred cohort training: any barrier window must replay the window-0
-  // run exactly — training tasks read only their dispatch-time snapshot
-  // with RNGs forked from (dispatch seq, client id), so the flush point
-  // cannot matter.  Cross-checked over shard counts and a churned run.
-  AsyncConfig async;
-  async.total_updates = 20;
-  async.clients_per_tier_round = 4;
-  async.eval_every = 4;
-  async.staleness = StalenessFn::kPolynomial;
-  async.churn.join_rate = 0.05;
-  async.churn.leave_rate = 0.05;
-  async.churn.slowdown_rate = 0.1;
-  const ShardRunOutput base =
-      run_sharded(async, 1, /*threads=*/2, /*window=*/0.0,
-                  /*virtual_pool=*/false);
-  for (double window : {0.05, 0.5, 5.0}) {
-    for (std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-      const ShardRunOutput run = run_sharded(async, shards, /*threads=*/2,
-                                             window, /*virtual_pool=*/false);
-      EXPECT_EQ(base.result.final_weights, run.result.final_weights)
-          << "window=" << window << " shards=" << shards;
-      EXPECT_EQ(base.trace, run.trace)
-          << "window=" << window << " shards=" << shards;
-    }
-  }
-  // The dynamic-path default config above with a wide window really does
-  // defer: at least one barrier flushed more than one task.
-  obs::Registry::global().reset();
-  AsyncConfig wide = async;
-  wide.shards = 2;
-  wide.barrier_window = 5.0;
-  run_with_pool_size(wide, 2, tiny_factory());
-  const std::string snapshot = obs::Registry::global().to_json();
-  EXPECT_NE(snapshot.find("async.barriers"), std::string::npos);
-  EXPECT_NE(snapshot.find("async.barrier_tasks"), std::string::npos);
+  expect_shard_count_invariance(async, /*virtual_pool=*/true);
 }
 
 }  // namespace

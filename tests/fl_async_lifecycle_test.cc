@@ -10,6 +10,7 @@
 #include "core/system.h"
 #include "core/tiering.h"
 #include "fl/async_engine.h"
+#include "fl/policy.h"
 #include "test_helpers.h"
 
 namespace tifl::fl {
@@ -362,6 +363,41 @@ TEST(AsyncLifecycle, OnlineRetieringMigratesDriftedClients) {
     if (system.tiers().tier_of(c) != before.tier_of(c)) migrated = true;
   }
   EXPECT_TRUE(migrated);
+}
+
+TEST(AsyncLifecycle,
+     DefaultSamplingMatchesExplicitUniformPolicyAcrossRetiering) {
+  // The default policy's fast path skips a tier's in-flight members by
+  // rank, taking them by their current tier.  Re-tiering moves clients
+  // between tiers mid-flight, and churn adds and removes them, so the
+  // fast path must still pick exactly what UniformTierPolicy picks from
+  // the materialized eligible list.
+  TinyFederation fed = FederationBuilder().clients(20).jitter(0.02).build();
+  core::SystemConfig config;
+  config.clients_per_round = 3;
+  config.engine = tiny_engine_config(200);
+  config.profiler.tmax = 1e6;
+  core::TiflSystem implicit(config, tiny_factory(), &fed.data.test,
+                            fed.clients, fed.latency);
+  core::TiflSystem explicit_uniform(config, tiny_factory(), &fed.data.test,
+                                    fed.clients, fed.latency);
+
+  AsyncConfig async;
+  async.total_updates = 200;
+  async.clients_per_tier_round = 3;
+  async.reprofile_every = 2.0;
+  async.churn.slowdown_rate = 1.0;
+  async.churn.slowdown_log_mu = 1.5;
+  async.churn.join_rate = 0.2;
+  async.churn.leave_rate = 0.2;
+  async.latency_ema_alpha = 0.6;
+  const AsyncRunResult fast = implicit.run_async(async);
+  UniformTierPolicy uniform(3);
+  const AsyncRunResult listed =
+      explicit_uniform.run_async(async, {}, &uniform);
+  EXPECT_GT(fast.reprofile_count, 0u);
+  EXPECT_GT(fast.leave_count, 0u);
+  expect_identical(fast, listed);
 }
 
 TEST(AsyncLifecycle, ConstructorRejectsNegativeLifecycleConfig) {

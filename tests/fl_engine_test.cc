@@ -6,8 +6,10 @@
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 
+#include "obs/trace.h"
 #include "test_helpers.h"
 #include "util/thread_pool.h"
 
@@ -410,12 +412,36 @@ TEST(Engine, TimeBudgetReevaluatesSkippedFinalRound) {
   Engine budgeted(config, tiny_factory(), fed.clients, &fed.data.test,
                   fed.latency);
   VanillaPolicy policy(fed.clients.size(), 3);
-  const RunResult result = budgeted.run(policy);
+  std::ostringstream trace_out;
+  RunResult result;
+  {
+    obs::Tracer tracer(&trace_out);
+    obs::TracerScope scope(&tracer);
+    result = budgeted.run(policy);
+    tracer.flush();
+  }
   ASSERT_EQ(result.rounds.size(), 6u);
   EXPECT_EQ(result.rounds[5].global_accuracy, six.rounds[5].global_accuracy);
   EXPECT_EQ(result.rounds[5].global_loss, six.rounds[5].global_loss);
   // Round 4's model differs, so a carried-forward record would not match.
   EXPECT_NE(result.rounds[4].global_loss, six.rounds[5].global_loss);
+
+  // The re-evaluation is traced like any other: the last eval instant
+  // carries the last record's version and accuracy.
+  std::string last_eval;
+  std::istringstream lines(trace_out.str());
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("\"name\": \"eval\"") != std::string::npos) {
+      last_eval = line;
+    }
+  }
+  EXPECT_NE(last_eval.find("\"version\": 5,"), std::string::npos)
+      << last_eval;
+  const std::size_t at = last_eval.find("\"accuracy\": ");
+  ASSERT_NE(at, std::string::npos) << last_eval;
+  EXPECT_EQ(std::stod(last_eval.substr(at + 12)),
+            result.rounds[5].global_accuracy)
+      << last_eval;
 }
 
 TEST(Engine, ZeroTimeBudgetMeansUnlimited) {

@@ -341,8 +341,6 @@ TEST(HierValidation, RejectsWhatAsyncEngineRejects) {
            [](AsyncConfig& a) { a.checkpoint_every = -1.0; }},
           {"checkpoint_every NaN",
            [nan](AsyncConfig& a) { a.checkpoint_every = nan; }},
-          {"barrier_window NaN",
-           [nan](AsyncConfig& a) { a.barrier_window = nan; }},
           {"churn.join_rate NaN",
            [nan](AsyncConfig& a) { a.churn.join_rate = nan; }},
       };

@@ -23,6 +23,8 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "test_helpers.h"
+#include "util/rng.h"
+#include "util/serial.h"
 #include "util/thread_pool.h"
 
 namespace tifl::fl {
@@ -168,7 +170,6 @@ AsyncConfig dynamic_config() {
   async.churn.join_rate = 0.05;
   async.churn.leave_rate = 0.05;
   async.churn.slowdown_rate = 0.1;
-  async.barrier_window = 0.5;
   return async;
 }
 
@@ -236,7 +237,7 @@ TEST(FlResume, DynamicChurnPathCrashResumeIsByteIdenticalAcrossShards) {
 }
 
 TEST(FlResume, DynamicPathWithLossAndAdaptivePolicyCrashResume) {
-  // The hardest composition: churn + barrier windows + update loss + a
+  // The hardest composition: churn + slowdowns + update loss + a
   // stateful policy whose credits/probabilities must ride the snapshot.
   AsyncConfig async = dynamic_config();
   async.fault.loss_prob = 0.15;
@@ -341,13 +342,84 @@ TEST(FlResume, ResumeRejectsMismatchedConfigOrPolicy) {
   wrong_path.resume_path = snap;
   EXPECT_THROW(run_once(wrong_path, 2), std::runtime_error);
 
-  // Shard count and barrier window are deliberately NOT fingerprinted:
-  // resuming under a different partitioning must replay byte for byte.
+  // The shard count is deliberately NOT fingerprinted: resuming under a
+  // different partitioning must replay byte for byte.
   AsyncConfig resharded = async;
   resharded.resume_path = snap;
   resharded.shards = 4;
   const RunOutput resumed = run_once(resharded, 2);
   EXPECT_EQ(full.result.final_weights, resumed.result.final_weights);
+}
+
+TEST(FlResume, DynamicSnapshotWithBadInFlightEntryIsRejected) {
+  // A CRC-valid snapshot can still hold values the run cannot index with.
+  // Patch the first in-flight entry's tier, and separately its client,
+  // then re-wrap the payload with a valid CRC: the resume must refuse it
+  // cleanly instead of crashing.
+  const AsyncConfig async = dynamic_config();
+  const RunOutput full = run_once(async, /*threads=*/2);
+  const double span = full.result.result.rounds.back().virtual_time;
+  const std::string snap = ::testing::TempDir() + "/resume_bad_flight.snap";
+  AsyncConfig crashing = async;
+  crashing.checkpoint_every = 0.15 * span;
+  crashing.checkpoint_path = snap;
+  crashing.fault.crash_at = 0.55 * span;
+  EXPECT_THROW(run_once(crashing, 2), sim::SimulatedCrash);
+
+  // Walk the payload to the first in-flight entry: the prologue, the
+  // shared head, the tier lists and the latency multipliers precede it.
+  const std::string payload = load_snapshot(snap);
+  util::ByteSource source(payload);
+  for (int field = 0; field < 5; ++field) source.get_u64();
+  source.get_string();  // policy name
+  constexpr std::size_t kTiers = 2;
+  util::Rng rng(0);
+  for (std::size_t t = 0; t < 2 * kTiers; ++t) get_rng(source, rng);
+  for (std::size_t m = 0; m < 1 + kTiers; ++m) source.get_f32_vec();
+  source.get_size_vec();  // tier_updates
+  source.get_size_vec();  // last_submit_version
+  source.get_f64_vec();   // tier_lr
+  source.get_f64_vec();   // staleness_sum
+  get_records(source);
+  source.get_f64_vec();  // current_weights
+  source.get_u64();      // dispatch_seq
+  std::vector<bool> tiered(10, false);
+  for (std::size_t t = 0; t < kTiers; ++t) {
+    for (std::size_t id : source.get_size_vec()) tiered.at(id) = true;
+  }
+  const std::uint64_t scaled = source.get_u64();
+  for (std::uint64_t i = 0; i < scaled; ++i) {
+    source.get_u64();
+    source.get_f64();
+  }
+  ASSERT_GT(source.get_u64(), 0u) << "no client in flight at the snapshot";
+  const std::size_t client_at = source.offset();
+  const std::size_t tier_at = client_at + 8;
+  const auto reserve =
+      std::find(tiered.begin(), tiered.end(), false) - tiered.begin();
+  ASSERT_LT(reserve, 10) << "no client left before the snapshot";
+
+  const auto expect_rejected = [&](std::size_t at, std::uint64_t value,
+                                   const std::string& field) {
+    std::string patched = payload;
+    for (std::size_t i = 0; i < 8; ++i) {
+      patched[at + i] = static_cast<char>((value >> (8 * i)) & 0xFF);
+    }
+    const std::string path = ::testing::TempDir() + "/resume_patched.snap";
+    save_snapshot(path, patched);
+    AsyncConfig resuming = async;
+    resuming.resume_path = path;
+    try {
+      run_once(resuming, 2);
+      ADD_FAILURE() << field << ": the patched snapshot resumed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_rejected(tier_at, kTiers, "in-flight tier");
+  expect_rejected(client_at, static_cast<std::uint64_t>(reserve),
+                  "in-flight client");
 }
 
 TEST(FlResume, CheckpointConfigIsValidated) {

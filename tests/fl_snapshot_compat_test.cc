@@ -12,6 +12,11 @@
 // them and must reproduce the uninterrupted run of the same config in
 // this build.  A deliberate layout change must bump kSnapshotVersion
 // (fl/snapshot.h) and rewrite the files the same way.
+//
+// compat_dynamic.snap was written under a 0.5 s barrier window, a knob
+// that build had: it deferred a cohort's training to the end of the
+// window, so the file holds deferred cohorts.  This build trains every
+// cohort at dispatch, and trains the file's deferred ones at load.
 #include <gtest/gtest.h>
 
 #include <cstddef>
@@ -65,7 +70,7 @@ AsyncConfig static_config() {
   return async;
 }
 
-// Dynamic loop: churn, slowdowns and barrier windows.
+// Dynamic loop: churn and slowdowns.
 AsyncConfig dynamic_config() {
   AsyncConfig async;
   async.total_updates = 20;
@@ -75,7 +80,6 @@ AsyncConfig dynamic_config() {
   async.churn.join_rate = 0.05;
   async.churn.leave_rate = 0.05;
   async.churn.slowdown_rate = 0.1;
-  async.barrier_window = 0.5;
   return async;
 }
 

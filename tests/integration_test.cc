@@ -360,7 +360,6 @@ CollapseRun run_collapse(bool hier, const std::string& policy_name) {
       fl::hier::HierRunResult run =
           system.run_hier(flat, async, {}, policy.get());
       EXPECT_TRUE(run.collapsed);
-      EXPECT_EQ(run.flat.final_weights, run.final_weights);
       out.final_weights = std::move(run.final_weights);
       out.rounds = std::move(run.result.rounds);
     } else {

@@ -34,9 +34,6 @@
 //                           shard owns a contiguous client range and
 //                           its own event heap/LRU.  Results are
 //                           bit-identical at every shard count.      [1]
-//   --barrier-window SECS   virtual-time barrier window for deferred
-//                           cohort training on the dynamic path; any
-//                           window replays window 0 byte for byte    [0]
 //   --virtual               virtualize the client population: lazy IID
 //                           shards + on-demand client materialization
 //                           (fl::ClientPool), so --clients 1000000 runs
@@ -157,7 +154,7 @@ void print_usage() {
       "  --staleness  constant | poly | invfreq (async)    [constant]\n"
       "  --alpha F    --churn RATE  --reprofile-every SECS\n"
       "  --churn-seed S  --virtual  --samples-per-client N\n"
-      "  --shard-spread F   --shards N [1]   --barrier-window SECS [0]\n"
+      "  --shard-spread F   --shards N [1]\n"
       "  --log-level  debug | info | warn | error          [warn]\n"
       "  --metrics-out FILE   metrics registry snapshot (JSON)\n"
       "  --trace-out FILE     structured event trace (JSONL)\n"
@@ -398,7 +395,6 @@ int main(int argc, char** argv) {
       async.reprofile_every = cli.get_double("reprofile-every", 0.0);
       async.shards =
           static_cast<std::size_t>(cli.get_int("shards", 1));
-      async.barrier_window = cli.get_double("barrier-window", 0.0);
       async.checkpoint_every = cli.get_double("checkpoint-every", 0.0);
       async.checkpoint_path = cli.get("checkpoint", "");
       async.resume_path = cli.get("resume", "");
