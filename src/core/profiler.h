@@ -9,6 +9,18 @@
 // tiering.  Observed latencies come from the simulated latency model
 // (with jitter), exactly what the testbed's wall-clock measurement would
 // produce.
+//
+// The result is bit-identical to a serial loop of one
+// LatencyModel::sample_latency call per client per round, in client order,
+// and leaves `rng` where that loop would.  Each round works through the
+// population in fixed blocks of 2^18 clients: the block's Box-Muller
+// uniforms are drawn serially from `rng` in that order, then the global
+// thread pool runs the transforms, the tmax clamps and the per-client
+// sums, and the round's maximum is merged from per-chunk maxima (max is
+// exact, so the merge order does not matter).  The compute term, which
+// does not change between rounds, is taken once per client.  A profile of
+// a few thousand clients, or one called inside a parallel region, runs
+// serially.
 #pragma once
 
 #include <cstddef>

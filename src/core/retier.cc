@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace tifl::core {
 
@@ -105,6 +106,13 @@ void OnlineReTierer::restore_state(util::ByteSource& source) {
   std::vector<double> latency = source.get_f64_vec();
   if (latency.size() != latency_.size()) {
     throw std::runtime_error("OnlineReTierer: snapshot population mismatch");
+  }
+  // The checks observe() applies to a live observation.
+  for (std::size_t c = 0; c < latency.size(); ++c) {
+    if (std::isnan(latency[c]) || latency[c] < 0.0) {
+      throw std::runtime_error("OnlineReTierer: bad snapshot latency for "
+                               "client " + std::to_string(c));
+    }
   }
   latency_ = std::move(latency);
   const std::size_t flags = source.checked_count(source.get_u64(), 1);

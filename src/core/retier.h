@@ -73,7 +73,9 @@ class OnlineReTierer {
 
   // Checkpoint/resume: EMA estimates, live flags and the current tier
   // partition.  restore_state expects a retierer built for the same
-  // population size (the config itself is not serialized).
+  // population size (the config itself is not serialized), and throws
+  // std::runtime_error on a NaN or negative latency, which observe()
+  // would have rejected.
   void save_state(util::ByteSink& sink) const;
   void restore_state(util::ByteSource& source);
 

@@ -68,6 +68,7 @@ TierInfo build_tiers(std::span<const double> mean_latency,
       strategy == TieringStrategy::kQuantile ? util::BinningMode::kQuantile
                                              : util::BinningMode::kEqualWidth);
 
+  // alive_ids ascend, so every tier lists its members in id order.
   std::vector<util::RunningStat> stats(num_tiers);
   for (std::size_t i = 0; i < alive_ids.size(); ++i) {
     const std::size_t tier = histogram.bin_of(alive_latency[i]);
@@ -76,7 +77,6 @@ TierInfo build_tiers(std::span<const double> mean_latency,
   }
   for (std::size_t t = 0; t < num_tiers; ++t) {
     info.avg_latency[t] = stats[t].mean();
-    std::sort(info.members[t].begin(), info.members[t].end());
   }
   return info;
 }

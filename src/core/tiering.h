@@ -18,7 +18,8 @@ namespace tifl::core {
 enum class TieringStrategy { kQuantile, kEqualWidth };
 
 struct TierInfo {
-  // members[t] = client ids of tier t, fastest tier first.
+  // members[t] = client ids of tier t in ascending order, fastest tier
+  // first.
   std::vector<std::vector<std::size_t>> members;
   // Mean profiled response latency per tier (the scheduler's L_tier_i).
   std::vector<double> avg_latency;
@@ -32,6 +33,8 @@ struct TierInfo {
 };
 
 // Builds tiers from profiled mean latencies; dropout clients are excluded.
+// A NaN latency of a live client throws std::invalid_argument (from
+// util::Histogram, whose index counts live clients only).
 // `num_tiers` is m in the paper (5 in all experiments).  Empty tiers are
 // possible with equal-width binning of skewed latency distributions and
 // are kept (the scheduler never assigns them probability mass).

@@ -10,25 +10,36 @@ double LatencyModel::expected_latency(const ResourceProfile& profile,
                                       std::size_t samples,
                                       std::size_t epochs) const {
   if (profile.unavailable) return std::numeric_limits<double>::infinity();
-  const double cpus = std::max(profile.cpus, 1e-6);
-  const double compute = static_cast<double>(epochs) *
-                         static_cast<double>(samples) *
-                         cost_.seconds_per_sample / cpus;
-  return compute + cost_.fixed_overhead + profile.comm_seconds;
+  return compute_seconds(profile, samples, epochs) + cost_.fixed_overhead +
+         profile.comm_seconds;
 }
 
 double LatencyModel::sample_latency(const ResourceProfile& profile,
                                     std::size_t samples, std::size_t epochs,
                                     util::Rng& rng) const {
-  if (profile.unavailable) return std::numeric_limits<double>::infinity();
+  const util::Rng::NormalDraw draw =
+      draws_jitter(profile) ? rng.normal_draw() : util::Rng::NormalDraw{};
+  return latency_from(profile, compute_seconds(profile, samples, epochs),
+                      draw);
+}
+
+double LatencyModel::compute_seconds(const ResourceProfile& profile,
+                                     std::size_t samples,
+                                     std::size_t epochs) const {
   const double cpus = std::max(profile.cpus, 1e-6);
-  const double compute = static_cast<double>(epochs) *
-                         static_cast<double>(samples) *
-                         cost_.seconds_per_sample / cpus;
+  return static_cast<double>(epochs) * static_cast<double>(samples) *
+         cost_.seconds_per_sample / cpus;
+}
+
+double LatencyModel::latency_from(const ResourceProfile& profile,
+                                  double compute,
+                                  util::Rng::NormalDraw draw) const {
+  if (profile.unavailable) return std::numeric_limits<double>::infinity();
   // E[lognormal(mu, s)] = exp(mu + s^2/2); center it at 1 so the jitter is
   // mean-preserving and the profiler's mean latency matches expectation.
   const double s = profile.jitter_sigma;
-  const double jitter = s > 0 ? rng.lognormal(-0.5 * s * s, s) : 1.0;
+  const double jitter =
+      s > 0 ? util::Rng::lognormal_from(draw, -0.5 * s * s, s) : 1.0;
   return compute * jitter + cost_.fixed_overhead + profile.comm_seconds;
 }
 

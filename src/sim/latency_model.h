@@ -44,9 +44,30 @@ class LatencyModel {
   double expected_latency(const ResourceProfile& profile,
                           std::size_t samples, std::size_t epochs) const;
 
-  // One observed latency draw with lognormal jitter.
+  // One observed latency draw with lognormal jitter.  Equal, bit for bit,
+  // to its two steps below:
+  //   latency_from(profile, compute_seconds(profile, samples, epochs),
+  //                draws_jitter(profile) ? rng.normal_draw()
+  //                                      : util::Rng::NormalDraw{})
   double sample_latency(const ResourceProfile& profile, std::size_t samples,
                         std::size_t epochs, util::Rng& rng) const;
+
+  // The jitter-free compute term epochs * samples * seconds_per_sample /
+  // cpus, which does not change between draws for one client.
+  double compute_seconds(const ResourceProfile& profile, std::size_t samples,
+                         std::size_t epochs) const;
+
+  // Draw step: whether a latency draw for `profile` consumes one
+  // Box-Muller draw (an available client with jitter on).  The others
+  // draw nothing.
+  static bool draws_jitter(const ResourceProfile& profile) {
+    return !profile.unavailable && profile.jitter_sigma > 0;
+  }
+
+  // Transform step, pure: the observed latency from the compute term and
+  // the draw, which is read only when draws_jitter(profile).
+  double latency_from(const ResourceProfile& profile, double compute,
+                      util::Rng::NormalDraw draw) const;
 
   // Expected (jitter-free) one-way delivery delay of `payload_bytes` over
   // `link`: latency floor + bytes * 8 / bandwidth.

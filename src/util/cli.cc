@@ -38,6 +38,13 @@ Cli::Cli(int argc, const char* const* argv) {
   }
 }
 
+std::vector<std::string> Cli::keys() const {
+  std::vector<std::string> keys;
+  keys.reserve(options_.size());
+  for (const auto& option : options_) keys.push_back(option.first);
+  return keys;
+}
+
 bool Cli::has(const std::string& key) const {
   return options_.count(key) != 0;
 }

@@ -20,6 +20,9 @@ class Cli {
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback = false) const;
 
+  // Every `--key` parsed, in sorted order, so a program can reject the
+  // ones it does not know.
+  std::vector<std::string> keys() const;
   const std::vector<std::string>& positionals() const { return positionals_; }
   const std::string& program() const { return program_; }
 

@@ -6,6 +6,7 @@
 #include <cstddef>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 namespace tifl::util {
 
@@ -14,10 +15,19 @@ Histogram::Histogram(std::span<const double> values, std::size_t bins,
   if (values.empty()) throw std::invalid_argument("Histogram: empty input");
   if (bins == 0) throw std::invalid_argument("Histogram: bins must be >= 1");
 
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  const double lo = sorted.front();
-  const double hi = sorted.back();
+  // NaN has no place in the order below (sorting or selecting over it is
+  // undefined behaviour), so it is rejected along with its index.
+  double lo = values[0];
+  double hi = values[0];
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const double v = values[i];
+    if (std::isnan(v)) {
+      throw std::invalid_argument("Histogram: NaN at index " +
+                                  std::to_string(i));
+    }
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+  }
 
   edges_.resize(bins + 1);
   if (mode == BinningMode::kEqualWidth) {
@@ -28,13 +38,22 @@ Histogram::Histogram(std::span<const double> values, std::size_t bins,
   } else {
     // Quantile edges: bin b spans the [b/bins, (b+1)/bins) quantiles so
     // populations are balanced within +-1 even with repeated values.
+    // Edge b is the order statistic sorted[min(n - 1, b * n / bins)];
+    // the indices ascend in b, so each selection only has to search the
+    // part of the copy above the previous one.
     edges_[0] = lo;
     edges_[bins] = hi;
-    const std::size_t n = sorted.size();
+    std::vector<double> order(values.begin(), values.end());
+    const std::size_t n = order.size();
+    auto unselected = order.begin();
     for (std::size_t b = 1; b < bins; ++b) {
-      const std::size_t idx =
-          std::min(n - 1, b * n / bins);
-      edges_[b] = sorted[idx];
+      const auto nth = order.begin() + static_cast<std::ptrdiff_t>(
+                                           std::min(n - 1, b * n / bins));
+      if (nth >= unselected) {
+        std::nth_element(unselected, nth, order.end());
+        unselected = nth + 1;
+      }
+      edges_[b] = *nth;
     }
   }
   // Degenerate spread (all values equal) collapses edges; nudge the last
@@ -45,7 +64,7 @@ Histogram::Histogram(std::span<const double> values, std::size_t bins,
   }
 
   counts_.assign(bins, 0);
-  for (double v : sorted) ++counts_[bin_of(v)];
+  for (double v : values) ++counts_[bin_of(v)];
 }
 
 std::size_t Histogram::bin_of(double value) const {

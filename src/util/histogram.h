@@ -4,6 +4,12 @@
 //   * equal-width: m bins of equal latency width between min and max;
 //   * quantile:    m bins of (near-)equal population.
 // Bin edges are exposed so the tiering module can map a latency to a tier.
+//
+// Construction is O(n) in the sample count, plus selection work in
+// quantile mode: one pass takes min and max, the m - 1 interior quantile
+// edges are order statistics picked by successive std::nth_element calls
+// on one copy (the values a full sort would put at those ranks), and the
+// bins are counted over the unsorted input.
 #pragma once
 
 #include <cstddef>
@@ -17,6 +23,7 @@ enum class BinningMode { kEqualWidth, kQuantile };
 class Histogram {
  public:
   // Builds `bins` bins over `values` (must be non-empty, bins >= 1).
+  // Throws std::invalid_argument naming the index of a NaN value.
   Histogram(std::span<const double> values, std::size_t bins,
             BinningMode mode);
 

@@ -100,23 +100,44 @@ class Rng {
     }
   }
 
-  // Standard normal via Box–Muller (no cached spare: keeps the generator
-  // stateless-per-call so forked streams never interleave differently).
-  double normal() {
+  // The two uniforms of one Box–Muller normal, split from the transform
+  // so a caller can draw many serially and transform them in parallel:
+  // u1 in (0, 1), redrawn while it is 0, then u2 in [0, 1).
+  struct NormalDraw {
+    double u1 = 1.0;
+    double u2 = 0.0;
+  };
+
+  NormalDraw normal_draw() {
     double u1 = uniform();
     while (u1 <= 0.0) u1 = uniform();
-    const double u2 = uniform();
-    return std::sqrt(-2.0 * std::log(u1)) *
-           std::cos(2.0 * std::numbers::pi * u2);
+    return {u1, uniform()};
   }
 
+  // Pure transforms of one draw; normal() and lognormal() are exactly
+  // these applied to normal_draw().
+  static double normal_from(NormalDraw draw) {
+    return std::sqrt(-2.0 * std::log(draw.u1)) *
+           std::cos(2.0 * std::numbers::pi * draw.u2);
+  }
+  static double normal_from(NormalDraw draw, double mean, double stddev) {
+    return mean + stddev * normal_from(draw);
+  }
+  static double lognormal_from(NormalDraw draw, double mu, double sigma) {
+    return std::exp(normal_from(draw, mu, sigma));
+  }
+
+  // Standard normal via Box–Muller (no cached spare: keeps the generator
+  // stateless-per-call so forked streams never interleave differently).
+  double normal() { return normal_from(normal_draw()); }
+
   double normal(double mean, double stddev) {
-    return mean + stddev * normal();
+    return normal_from(normal_draw(), mean, stddev);
   }
 
   // Log-normal with the given *underlying* normal parameters.
   double lognormal(double mu, double sigma) {
-    return std::exp(normal(mu, sigma));
+    return lognormal_from(normal_draw(), mu, sigma);
   }
 
   // Bernoulli trial.

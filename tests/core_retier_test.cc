@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
+#include <string>
 
 #include "core/profiler.h"
 #include "sim/latency_model.h"
@@ -134,6 +136,22 @@ TEST(OnlineReTierer, ConstructorValidation) {
                std::invalid_argument);
   OnlineReTierer ok(tiers5(), {1.0, 2.0}, {false, false});
   EXPECT_THROW(ok.observe(0, -1.0), std::invalid_argument);
+}
+
+TEST(OnlineReTierer, RestoreRejectsNaNOrNegativeSnapshotLatency) {
+  for (const double bad : {std::nan(""), -1.0}) {
+    // seed_latency does not validate, so it can write what a corrupt
+    // snapshot would hold.
+    OnlineReTierer source(tiers5(), {1.0, 2.0}, {false, false});
+    source.seed_latency(1, bad);
+    util::ByteSink sink;
+    source.save_state(sink);
+    const std::string bytes = sink.take();
+    util::ByteSource in(bytes);
+    OnlineReTierer target(tiers5(), {1.0, 2.0}, {false, false});
+    EXPECT_THROW(target.restore_state(in), std::runtime_error) << bad;
+    EXPECT_EQ(target.latency(1), 2.0);
+  }
 }
 
 TEST(OnlineReTierer, RebuildWithEveryoneInactiveThrows) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <functional>
 
 #include "test_helpers.h"
 
@@ -130,6 +132,31 @@ TEST(Tiering, ErrorsOnBadInput) {
 
   std::vector<bool> ok{false, false};
   EXPECT_THROW(build_tiers(latencies, ok, 0), std::invalid_argument);
+
+  // A NaN latency has no tier; a dropped-out client's is never read.
+  const std::vector<double> with_nan{1.0, std::nan(""), 2.0};
+  EXPECT_THROW(build_tiers(with_nan, {false, false, false}, 2),
+               std::invalid_argument);
+  EXPECT_NO_THROW(build_tiers(with_nan, {false, true, false}, 2));
+}
+
+TEST(Tiering, MembersAreListedInAscendingIdOrder) {
+  util::Rng rng(8);
+  std::vector<double> latencies(500);
+  std::vector<bool> dropout(latencies.size());
+  for (std::size_t c = 0; c < latencies.size(); ++c) {
+    latencies[c] = rng.lognormal(1.0, 1.0);
+    dropout[c] = c % 17 == 3;
+  }
+  for (const TieringStrategy strategy :
+       {TieringStrategy::kQuantile, TieringStrategy::kEqualWidth}) {
+    const TierInfo info = build_tiers(latencies, dropout, 5, strategy);
+    for (const std::vector<std::size_t>& members : info.members) {
+      EXPECT_TRUE(std::adjacent_find(members.begin(), members.end(),
+                                     std::greater_equal<>()) ==
+                  members.end());
+    }
+  }
 }
 
 TEST(Tiering, EndToEndFromProfilerMatchesResourceGroups) {

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "util/cli.h"
 #include "util/log.h"
@@ -111,6 +113,16 @@ TEST(Cli, FlagFollowedByFlagIsBoolean) {
   Cli cli(4, argv);
   EXPECT_TRUE(cli.get_bool("x"));
   EXPECT_EQ(cli.get_int("y", 0), 7);
+}
+
+TEST(Cli, KeysListsEveryParsedFlagSorted) {
+  const char* argv[] = {"prog",  "--round",           "3",    "--virtual",
+                        "--a=1", "--barrier-window", "0.5", "stray"};
+  Cli cli(8, argv);
+  EXPECT_EQ(cli.keys(), (std::vector<std::string>{"a", "barrier-window",
+                                                  "round", "virtual"}));
+  const char* none[] = {"prog"};
+  EXPECT_TRUE(Cli(1, none).keys().empty());
 }
 
 // --- Log ---------------------------------------------------------------------

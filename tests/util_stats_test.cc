@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/histogram.h"
@@ -290,6 +294,92 @@ TEST(Histogram, PercentileNegativeValues) {
   const double median = h.percentile(0.5);
   EXPECT_GE(median, -8.0);
   EXPECT_LE(median, -1.0);
+}
+
+// The sort-based construction the selection-based one replaced: sort a
+// copy, read min, max and the quantile edges off it, count the sorted
+// values.
+struct SortedHistogram {
+  std::vector<double> edges;
+  std::vector<std::size_t> counts;
+};
+
+SortedHistogram sorted_histogram(std::vector<double> sorted, std::size_t bins,
+                                 BinningMode mode) {
+  std::sort(sorted.begin(), sorted.end());
+  const double lo = sorted.front();
+  const double hi = sorted.back();
+  SortedHistogram out;
+  out.edges.resize(bins + 1);
+  if (mode == BinningMode::kEqualWidth) {
+    const double width = (hi - lo) / static_cast<double>(bins);
+    for (std::size_t b = 0; b <= bins; ++b) {
+      out.edges[b] = lo + width * static_cast<double>(b);
+    }
+  } else {
+    out.edges[0] = lo;
+    out.edges[bins] = hi;
+    const std::size_t n = sorted.size();
+    for (std::size_t b = 1; b < bins; ++b) {
+      out.edges[b] = sorted[std::min(n - 1, b * n / bins)];
+    }
+  }
+  if (out.edges.back() <= out.edges.front()) {
+    out.edges.back() = out.edges.front() +
+                       std::max(1e-12, std::abs(out.edges.front()) * 1e-12);
+  }
+  out.counts.assign(bins, 0);
+  for (double v : sorted) {
+    const auto it =
+        std::upper_bound(out.edges.begin() + 1, out.edges.end() - 1, v);
+    ++out.counts[static_cast<std::size_t>(it - (out.edges.begin() + 1))];
+  }
+  return out;
+}
+
+TEST(Histogram, SelectionMatchesSortBasedConstructionBitForBit) {
+  Rng rng(23);
+  for (const std::size_t n : {1, 2, 3, 5, 6, 7, 10, 64, 333}) {
+    for (const bool ties : {false, true}) {
+      std::vector<double> xs(n);
+      for (double& x : xs) {
+        x = ties ? std::floor(rng.uniform() * 3.0) : rng.lognormal(0.0, 1.0);
+      }
+      for (std::size_t bins = 1; bins <= 7; ++bins) {
+        for (const BinningMode mode :
+             {BinningMode::kQuantile, BinningMode::kEqualWidth}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "n=" << n << " ties=" << ties << " bins=" << bins
+                       << " quantile=" << (mode == BinningMode::kQuantile));
+          const Histogram h(xs, bins, mode);
+          const SortedHistogram want = sorted_histogram(xs, bins, mode);
+          ASSERT_EQ(h.edges().size(), want.edges.size());
+          for (std::size_t b = 0; b <= bins; ++b) {
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(h.edges()[b]),
+                      std::bit_cast<std::uint64_t>(want.edges[b]))
+                << "edge " << b;
+          }
+          for (std::size_t b = 0; b < bins; ++b) {
+            EXPECT_EQ(h.count(b), want.counts[b]) << "bin " << b;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Histogram, RejectsNaNNamingItsIndex) {
+  const std::vector<double> xs{1.0, 2.0, std::nan(""), 4.0};
+  for (const BinningMode mode :
+       {BinningMode::kQuantile, BinningMode::kEqualWidth}) {
+    try {
+      const Histogram h(xs, 2, mode);
+      ADD_FAILURE() << "NaN accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("index 2"), std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 // --- hdr log-linear buckets (obs::Histo geometry) ---------------------------

@@ -92,7 +92,9 @@
 //
 // All output locations (--csv, --metrics-out, --trace-out, --checkpoint,
 // --event-log) are checked for writability up front: an unwritable
-// directory fails fast with a clear message before any data loads.
+// directory fails fast with a clear message before any data loads.  A
+// flag that `--help` does not list, or a bare argument, exits with
+// status 2 before anything runs.
 //
 // With --engine async every tier trains at its own cadence; --policy
 // drives per-tier member selection (e.g. `--policy adaptive` runs Alg. 2
@@ -108,13 +110,17 @@
 // the static async engine bit for bit.
 #include <unistd.h>
 
+#include <cctype>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <iterator>
 #include <optional>
+#include <set>
 #include <sstream>
+#include <string_view>
 
 #include "core/policy_registry.h"
 #include "fl/hier/topology.h"
@@ -132,52 +138,60 @@ namespace {
 using namespace tifl;
 using namespace tifl::bench;
 
+// The flags tifl_run accepts are the ones this text names (see
+// unknown_argument), so the two cannot drift apart.
+constexpr char kUsage[] =
+    "tifl_run — config-driven experiment runner\n"
+    "\n"
+    "usage: tifl_run [flags]\n"
+    "  --dataset    cifar | mnist | fmnist | femnist            [cifar]\n"
+    "  --partition  iid | classes | quantity | combine | leaf   [iid]\n"
+    "  --classes N  --affinity F  (partition knobs)\n"
+    "  --policy     selection policy by name (see list below)\n"
+    "               [sync default: adaptive; async default: uniform\n"
+    "               self-sampling]\n"
+    "  --rounds N [100]   --clients N [50]   --per-round N [5]\n"
+    "  --tiers M [5]      --seed S [1]       --scale S [0.25]\n"
+    "  --time-budget SECONDS [0 = unlimited]   --csv FILE\n"
+    "  --engine     sync | async                                [sync]\n"
+    "  --staleness  constant | poly | invfreq (async)    [constant]\n"
+    "  --alpha F    --churn RATE  --reprofile-every SECS\n"
+    "  --churn-seed S  --virtual  --samples-per-client N\n"
+    "  --shard-spread F   --shards N [1]\n"
+    "  --log-level  debug | info | warn | error          [warn]\n"
+    "  --metrics-out FILE   metrics registry snapshot (JSON)\n"
+    "  --trace-out FILE     structured event trace (JSONL)\n"
+    "  --report             wall-clock phase profile table\n"
+    "  --checkpoint FILE    atomic snapshot target (async)\n"
+    "  --checkpoint-every SECS  virtual-time checkpoint period [0]\n"
+    "  --resume FILE        resume from a snapshot; byte-identical to\n"
+    "                       the uninterrupted run\n"
+    "  --event-log FILE     append-only CRC-framed event record\n"
+    "  --fault-loss P       update loss probability [0]\n"
+    "  --fault-retries N    retries before an update is dropped [3]\n"
+    "  --fault-backoff SECS base retry backoff, doubles per try [0.5]\n"
+    "  --fault-crash-at T   inject a server crash at virtual time T\n"
+    "                       (exit status 3)\n"
+    "  --fault-seed S       pin the fault stream (0 = derive) [0]\n"
+    "  --topology FILE      aggregator-tree topology file (async)\n"
+    "  --regions N          root + N leaf regions; 1 = flat [0]\n"
+    "  --region-tiers M     tiers per leaf region [2]\n"
+    "  --region-outage-rate R       regional outages per virtual sec [0]\n"
+    "  --region-outage-duration S   outage window length [500]\n"
+    "  --region-outage-horizon S    outage sampling horizon [5000]\n"
+    "  --help               this text and the live policy list\n"
+    "\n";
+
+// BenchOptions::from_cli reads these as well (scale, seed, csv and
+// rounds are already in the usage text).
+constexpr const char* kBenchFlags[] = {"full", "runs"};
+
 // The policy list is rendered from the live registry so the help text
 // cannot drift from the code.
 void print_usage() {
   core::register_builtin_policies();
   const fl::PolicyRegistry& registry = fl::PolicyRegistry::instance();
-  std::cout <<
-      "tifl_run — config-driven experiment runner\n"
-      "\n"
-      "usage: tifl_run [flags]\n"
-      "  --dataset    cifar | mnist | fmnist | femnist            [cifar]\n"
-      "  --partition  iid | classes | quantity | combine | leaf   [iid]\n"
-      "  --classes N  --affinity F  (partition knobs)\n"
-      "  --policy     selection policy by name (see list below)\n"
-      "               [sync default: adaptive; async default: uniform\n"
-      "               self-sampling]\n"
-      "  --rounds N [100]   --clients N [50]   --per-round N [5]\n"
-      "  --tiers M [5]      --seed S [1]       --scale S [0.25]\n"
-      "  --time-budget SECONDS [0 = unlimited]   --csv FILE\n"
-      "  --engine     sync | async                                [sync]\n"
-      "  --staleness  constant | poly | invfreq (async)    [constant]\n"
-      "  --alpha F    --churn RATE  --reprofile-every SECS\n"
-      "  --churn-seed S  --virtual  --samples-per-client N\n"
-      "  --shard-spread F   --shards N [1]\n"
-      "  --log-level  debug | info | warn | error          [warn]\n"
-      "  --metrics-out FILE   metrics registry snapshot (JSON)\n"
-      "  --trace-out FILE     structured event trace (JSONL)\n"
-      "  --report             wall-clock phase profile table\n"
-      "  --checkpoint FILE    atomic snapshot target (async)\n"
-      "  --checkpoint-every SECS  virtual-time checkpoint period [0]\n"
-      "  --resume FILE        resume from a snapshot; byte-identical to\n"
-      "                       the uninterrupted run\n"
-      "  --event-log FILE     append-only CRC-framed event record\n"
-      "  --fault-loss P       update loss probability [0]\n"
-      "  --fault-retries N    retries before an update is dropped [3]\n"
-      "  --fault-backoff SECS base retry backoff, doubles per try [0.5]\n"
-      "  --fault-crash-at T   inject a server crash at virtual time T\n"
-      "                       (exit status 3)\n"
-      "  --fault-seed S       pin the fault stream (0 = derive) [0]\n"
-      "  --topology FILE      aggregator-tree topology file (async)\n"
-      "  --regions N          root + N leaf regions; 1 = flat [0]\n"
-      "  --region-tiers M     tiers per leaf region [2]\n"
-      "  --region-outage-rate R       regional outages per virtual sec [0]\n"
-      "  --region-outage-duration S   outage window length [500]\n"
-      "  --region-outage-horizon S    outage sampling horizon [5000]\n"
-      "\n"
-      "selection policies (from the registry):\n";
+  std::cout << kUsage << "selection policies (from the registry):\n";
   for (const std::string& name : registry.names()) {
     const fl::PolicyRegistry::Entry& entry = registry.entry(name);
     std::string engines = entry.sync && entry.async ? "sync+async"
@@ -187,6 +201,33 @@ void print_usage() {
     for (std::size_t pad = name.size(); pad < 14; ++pad) std::cout << ' ';
     std::cout << "[" << engines << "]  " << entry.summary << "\n";
   }
+}
+
+// The first argument tifl_run does not know, described for an error
+// message, or nothing.  A mistyped or retired flag must stop the run:
+// ignored, it would silently run the defaults instead.
+std::optional<std::string> unknown_argument(const util::Cli& cli) {
+  std::set<std::string> known(std::begin(kBenchFlags), std::end(kBenchFlags));
+  const std::string_view usage = kUsage;
+  for (std::size_t at = usage.find("--"); at != std::string_view::npos;
+       at = usage.find("--", at)) {
+    at += 2;
+    std::size_t end = at;
+    while (end < usage.size() &&
+           (std::isalnum(static_cast<unsigned char>(usage[end])) != 0 ||
+            usage[end] == '-')) {
+      ++end;
+    }
+    known.emplace(usage.substr(at, end - at));
+    at = end;
+  }
+  for (const std::string& key : cli.keys()) {
+    if (known.count(key) == 0) return "unknown flag --" + key;
+  }
+  if (!cli.positionals().empty()) {
+    return "unexpected argument '" + cli.positionals().front() + "'";
+  }
+  return std::nullopt;
 }
 
 // Fail fast on unwritable output locations *before* any data loads: a
@@ -284,6 +325,10 @@ int main(int argc, char** argv) {
   if (cli.has("help")) {
     print_usage();
     return 0;
+  }
+  if (const std::optional<std::string> bad = unknown_argument(cli)) {
+    std::cerr << "tifl_run: " << *bad << " (see --help)\n";
+    return 2;
   }
   BenchOptions options = BenchOptions::from_cli(argc, argv);
 
