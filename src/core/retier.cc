@@ -25,6 +25,17 @@ void validate(const RetierConfig& config, const std::vector<double>& latency,
   }
 }
 
+// A latency estimate is a non-negative number: throws
+// std::invalid_argument naming the client and what supplied the value.
+void check_latency(std::size_t client, double latency, const char* what) {
+  if (std::isnan(latency) || latency < 0.0) {
+    throw std::invalid_argument("OnlineReTierer: bad latency " +
+                                std::string(what) + " " +
+                                std::to_string(latency) + " for client " +
+                                std::to_string(client));
+  }
+}
+
 }  // namespace
 
 OnlineReTierer::OnlineReTierer(RetierConfig config,
@@ -53,9 +64,7 @@ OnlineReTierer::OnlineReTierer(RetierConfig config,
 }
 
 void OnlineReTierer::observe(std::size_t client, double latency) {
-  if (std::isnan(latency) || latency < 0.0) {
-    throw std::invalid_argument("OnlineReTierer: bad latency observation");
-  }
+  check_latency(client, latency, "observation");
   double& estimate = latency_.at(client);
   estimate = (1.0 - config_.ema_alpha) * estimate +
              config_.ema_alpha * latency;
@@ -66,6 +75,7 @@ void OnlineReTierer::set_active(std::size_t client, bool active) {
 }
 
 void OnlineReTierer::seed_latency(std::size_t client, double latency) {
+  check_latency(client, latency, "seed");
   latency_.at(client) = latency;
 }
 

@@ -48,6 +48,8 @@ class OnlineReTierer {
                  std::vector<bool> inactive, TierInfo initial_tiers);
 
   // Fold one observed end-to-end response latency into client c's EMA.
+  // Throws std::invalid_argument, naming the client, on a NaN or negative
+  // latency.
   void observe(std::size_t client, double latency);
 
   // Join/leave bookkeeping.  Joins of never-seen clients should also
@@ -55,7 +57,7 @@ class OnlineReTierer {
   void set_active(std::size_t client, bool active);
 
   // Overwrite client c's latency estimate (expected latency prior for a
-  // joiner with no observations yet).
+  // joiner with no observations yet).  Rejects what observe() rejects.
   void seed_latency(std::size_t client, double latency);
 
   // Tier whose average profiled latency is nearest to client c's current

@@ -63,18 +63,18 @@ TierInfo build_tiers(std::span<const double> mean_latency,
     throw std::invalid_argument("build_tiers: every client dropped out");
   }
 
+  // The histogram hands back the bin it counts each live client into, so
+  // each latency is binned once.  alive_ids ascend, so every tier lists
+  // its members in id order.
+  std::vector<util::RunningStat> stats(num_tiers);
   const util::Histogram histogram(
       alive_latency, num_tiers,
       strategy == TieringStrategy::kQuantile ? util::BinningMode::kQuantile
-                                             : util::BinningMode::kEqualWidth);
-
-  // alive_ids ascend, so every tier lists its members in id order.
-  std::vector<util::RunningStat> stats(num_tiers);
-  for (std::size_t i = 0; i < alive_ids.size(); ++i) {
-    const std::size_t tier = histogram.bin_of(alive_latency[i]);
-    info.members[tier].push_back(alive_ids[i]);
-    stats[tier].add(alive_latency[i]);
-  }
+                                             : util::BinningMode::kEqualWidth,
+      [&](std::size_t i, std::size_t tier) {
+        info.members[tier].push_back(alive_ids[i]);
+        stats[tier].add(alive_latency[i]);
+      });
   for (std::size_t t = 0; t < num_tiers; ++t) {
     info.avg_latency[t] = stats[t].mean();
   }

@@ -24,8 +24,8 @@ struct WeightedUpdate {
 // mismatch, or non-positive total weight.
 std::vector<float> fedavg(std::span<const WeightedUpdate> updates);
 
-// A tier round in flight on the async loops: trained at dispatch, it
-// completes after its slowest member's latency.  `active` is the tree's
+// A tier round in flight on the static async loop and the tree: trained
+// at dispatch, it completes after its slowest member's latency.  `active` is the tree's
 // "completion event scheduled and unconsumed" flag.
 struct PendingTierRound {
   std::vector<std::size_t> selected;  // client ids, selection order

@@ -222,6 +222,9 @@ struct AsyncMetrics {
   // The fault model's lost-then-retried vs permanently-dropped updates.
   obs::Counter& lost_updates;
   obs::Counter& dropped_updates;
+  // Cross-cohort flushes of the dynamic loop and the cohorts each trained.
+  obs::Counter& flushes;
+  obs::Histo& flush_cohorts;
   obs::Histo& staleness;
   obs::Histo& event_batch;
 };
@@ -242,6 +245,8 @@ AsyncMetrics& async_metrics() {
       reg.counter("async.finalize_ns"),
       reg.counter("fault.lost_updates"),
       reg.counter("fault.dropped_updates"),
+      reg.counter("async.flushes"),
+      reg.histogram("async.flush_cohorts"),
       reg.histogram("async.staleness"),
       reg.histogram("async.event_batch"),
   };
@@ -803,6 +808,7 @@ AsyncRunResult AsyncEngine::run_static(std::uint64_t seed,
   }
 
   recorder.finish(global, recorder.last_tier());
+  clients_->check_leases_returned("AsyncEngine");
 
   const auto finalize_start = obs::wall_now();
   out.final_members = tier_members_;
@@ -822,8 +828,13 @@ AsyncRunResult AsyncEngine::run_static(std::uint64_t seed,
 // triggers one cross-tier aggregation — so a straggler whose multiplier
 // changed mid-flight lands late and is discounted by its own age, while
 // its on-time cohort already moved the model.  A tier re-dispatches when
-// every awaited member has arrived or left.  Like the static loop and the
-// tree's leaves, a cohort trains at its dispatch.
+// every awaited member has arrived or left.  Unlike the static loop and
+// the tree's leaves, a cohort does not train at its dispatch: it waits,
+// with a copy of the global model of that moment, until the first update
+// of any waiting cohort is needed, and then every waiting cohort trains
+// in one CohortTrainer call (a flush), so one fork-join serves several
+// small cohorts.  A pair reads only its cohort's base model and its
+// mix_seed(seed, seq, id) stream, so the bytes match training at dispatch.
 AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
                                         SelectionPolicy& policy) {
   const std::size_t num_tiers = tier_members_.size();
@@ -907,17 +918,29 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
   };
 
   // One record per in-flight client, keyed (and so iterated) by ascending
-  // id.  The cohort trained at dispatch, so the update travels with it.
+  // id.  Its update joins it when its cohort's flush trains it.
   struct Flight {
     std::size_t tier = 0;  // the dispatching tier
     double dispatch_time = 0.0;
     std::size_t dispatch_version = 0;
     double arrival = 0.0;  // time of the arrival event that counts
     std::size_t retries = 0;  // redeliveries of a lost update
+    std::uint64_t seq = 0;    // its cohort's dispatch_seq
+    bool trained = false;
     LocalUpdate update;
   };
   std::map<std::size_t, Flight> flights;
-  std::vector<LocalUpdate> cohort_updates;  // CohortTrainer output scratch
+
+  // Dispatched cohorts waiting for the next flush: members in selection
+  // order and the global model, lr and dispatch_seq of their dispatch.
+  struct PendingCohort {
+    std::vector<std::size_t> members;
+    std::vector<float> base;
+    double lr = 0.0;
+    std::uint64_t seq = 0;
+    std::vector<LocalUpdate> updates;  // CohortTrainer output
+  };
+  std::vector<PendingCohort> pending;
 
   // Clients are the actor space: each shard owns a contiguous id range
   // and its own heap, and pops replay the single-heap (time, seq) order
@@ -967,6 +990,36 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
   Checkpointer checkpointer(async_.checkpoint_every, async_.checkpoint_path,
                             &event_log);
   const bool resuming = !async_.resume_path.empty();
+
+  // Trains every pending cohort in one call and hands each update to its
+  // flight.  A pair whose client no longer flies under that cohort (it
+  // left, or left, rejoined and flies a newer one) trains all the same, so
+  // the pool leases every dispatched pair, and its update is dropped.
+  const auto flush = [&]() {
+    if (pending.empty()) return;
+    std::vector<CohortTrainer::Cohort> cohorts;
+    cohorts.reserve(pending.size());
+    for (PendingCohort& cohort : pending) {
+      cohorts.push_back({.ids = cohort.members,
+                         .base = cohort.base,
+                         .lr = cohort.lr,
+                         .seq = cohort.seq,
+                         .updates = &cohort.updates});
+    }
+    trainer_.train(*clients_, cohorts, seed, phases);
+    metrics.flushes.add();
+    metrics.flush_cohorts.record(static_cast<double>(pending.size()));
+    for (PendingCohort& cohort : pending) {
+      for (std::size_t i = 0; i < cohort.members.size(); ++i) {
+        const auto it = flights.find(cohort.members[i]);
+        if (it != flights.end() && it->second.seq == cohort.seq) {
+          it->second.update = std::move(cohort.updates[i]);
+          it->second.trained = true;
+        }
+      }
+    }
+    pending.clear();
+  };
 
   const auto dispatch = [&](std::size_t tier) {
     DynRound& round = rounds[tier];
@@ -1043,9 +1096,7 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
     round.accum.assign(weight_count, 0.0);
     round.weight_total = 0.0;
 
-    trainer_.train(*clients_, selected, global, server.tier_lr[tier], seed,
-                   server.dispatch_seq, cohort_updates, phases);
-    ++server.dispatch_seq;
+    const std::uint64_t seq = server.dispatch_seq++;
 
     // One bulk insert for the whole cohort: same (time, seq) keys as the
     // per-client schedule_at calls this replaces, one heap rebuild.
@@ -1063,13 +1114,20 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
                           .dispatch_time = queue.now(),
                           .dispatch_version = version,
                           .arrival = queue.now() + latency,
-                          .update = std::move(cohort_updates[i])};
+                          .seq = seq,
+                          .trained = false,
+                          .update = {}};
       cohort.push_back(sim::PendingEvent{
           .delay = latency,
           .kind = static_cast<std::uint64_t>(sim::EventKind::kClientUpdate),
           .actor = c});
     }
     queue.schedule_bulk(cohort);
+    pending.push_back({.members = std::move(selected),
+                       .base = global,
+                       .lr = server.tier_lr[tier],
+                       .seq = seq,
+                       .updates = {}});
     if (obs::Tracer* t = obs::tracer()) {
       t->instant(queue.now(), "async", "cohort",
                  static_cast<std::int64_t>(tier),
@@ -1128,9 +1186,10 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
   // (each with its trained update), the open rounds, and the churn and
   // re-tierer state.  The deferred-cohort lists and the window end that
   // follow the rounds are kept for the layout: they are written empty
-  // (and the window end as the batch time) because cohorts train at
-  // dispatch, and read for snapshots of older builds, which could defer
-  // a cohort's training to the end of a virtual-time window.
+  // (and the window end as the batch time) because the loop flushes the
+  // pending cohorts before it writes, and read for snapshots of older
+  // builds, which could defer a cohort's training to the end of a
+  // virtual-time window.
   const SnapshotPrologue prologue{
       kSnapDynamic,
       config_fingerprint(config_, async_, seed, num_tiers, num_clients,
@@ -1160,7 +1219,7 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
       sink.put_u64(flight.dispatch_version);
       sink.put_f64(flight.arrival);
       sink.put_u64(flight.retries);
-      sink.put_bool(true);  // trained
+      sink.put_bool(true);  // trained: flushed before the write
       put_update(sink, flight.update);
     }
     for (const DynRound& round : rounds) {
@@ -1225,7 +1284,8 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
       flight.dispatch_version = static_cast<std::size_t>(source.get_u64());
       flight.arrival = source.get_f64();
       flight.retries = static_cast<std::size_t>(source.get_u64());
-      if (source.get_bool()) flight.update = get_update(source);
+      flight.trained = source.get_bool();
+      if (flight.trained) flight.update = get_update(source);
     }
     for (DynRound& round : rounds) {
       round.active = source.get_bool();
@@ -1235,18 +1295,14 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
       round.accum = source.get_f64_vec();
     }
     // An older build's deferred cohorts: each one's members that are
-    // still flying under it train once the whole payload is read.
-    struct Deferred {
-      std::vector<std::size_t> members;  // selection order
-      std::vector<float> model;          // global at dispatch time
-      double lr = 0.0;
-      std::uint64_t seq = 0;
-    };
-    std::vector<Deferred> deferred(source.checked_count(source.get_u64(), 8));
-    for (Deferred& cohort : deferred) {
+    // still flying under it train in one flush once the whole payload is
+    // read.
+    std::vector<PendingCohort> deferred(
+        source.checked_count(source.get_u64(), 8));
+    for (PendingCohort& cohort : deferred) {
       cohort.members = source.get_size_vec();
-      cohort.model = source.get_f32_vec();
-      check_snapshot(cohort.model.size() == weight_count,
+      cohort.base = source.get_f32_vec();
+      check_snapshot(cohort.base.size() == weight_count,
                      "deferred cohort model length");
       cohort.lr = source.get_f64();
       cohort.seq = source.get_u64();
@@ -1288,22 +1344,16 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
     // Train after get_tail restored the metrics, so the training counts
     // add to the restored totals.
     for (std::size_t index = 0; index < deferred.size(); ++index) {
-      const Deferred& cohort = deferred[index];
-      std::vector<std::size_t> ids;
-      for (std::size_t c : cohort.members) {
+      PendingCohort& cohort = deferred[index];
+      std::erase_if(cohort.members, [&](std::size_t c) {
         const auto it = cohort_of.find(c);
-        if (flights.contains(c) && it != cohort_of.end() &&
-            it->second == index) {
-          ids.push_back(c);
-        }
-      }
-      if (ids.empty()) continue;
-      trainer_.train(*clients_, ids, cohort.model, cohort.lr, seed,
-                     cohort.seq, cohort_updates, phases);
-      for (std::size_t i = 0; i < ids.size(); ++i) {
-        flights[ids[i]].update = std::move(cohort_updates[i]);
-      }
+        return !flights.contains(c) || it == cohort_of.end() ||
+               it->second != index;
+      });
+      for (std::size_t c : cohort.members) flights[c].seq = cohort.seq;
+      if (!cohort.members.empty()) pending.push_back(std::move(cohort));
     }
+    flush();
     for (const auto& [c, flight] : flights) {
       check_snapshot(flight.update.weights.size() == weight_count &&
                          rounds[flight.tier].accum.size() == weight_count,
@@ -1401,6 +1451,7 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
             complete_if_drained(end_flight(it).tier);
             break;
           }
+          if (!it->second.trained) flush();
           const Flight flight = end_flight(it);
           const std::size_t tier = flight.tier;
           DynRound& round = rounds[tier];
@@ -1646,12 +1697,18 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
       }
     }
     if (!stopped) {
+      // The writer stores every flight trained.
+      if (checkpointer.due(queue.now())) flush();
       checkpointer.write_if_due(queue.now(), out.result.rounds.size(),
                                 out.processed_events, save_state);
     }
   }
+  // However the loop ended, every dispatched pair trains: the pool's
+  // lease count is the run's count of trained updates.
+  flush();
 
   recorder.finish(global, recorder.last_tier());
+  clients_->check_leases_returned("AsyncEngine");
 
   const auto finalize_start = obs::wall_now();
   out.final_members = std::move(flat_tiers());

@@ -31,8 +31,10 @@
 // fold (fl::fold_round), cross-slot aggregation (aggregate_slots below),
 // the version record (fl::VersionRecorder), config validation
 // (validate_async_config below), and the snapshot codec and checkpointer
-// (fl/snapshot).  All three train a cohort at its dispatch, from the
-// global model of that moment.
+// (fl/snapshot).  Every cohort trains from the global model of its
+// dispatch: run_static and the tree's leaves train it at dispatch, and
+// run_dynamic keeps a copy of that model and trains it, together with
+// every other waiting cohort, when the first of their updates is needed.
 #pragma once
 
 #include <cstdint>

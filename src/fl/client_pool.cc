@@ -1,7 +1,10 @@
 #include "fl/client_pool.h"
 
 #include <algorithm>
+#include <exception>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "obs/metrics.h"
 #include "obs/phase.h"
@@ -72,7 +75,8 @@ ClientPool::ClientPool(ClientPool&& other) noexcept
       segments_(std::move(other.segments_)),
       total_live_(other.total_live_.load()),
       peak_live_(other.peak_live_.load()),
-      materializations_(other.materializations_.load()) {}
+      materializations_(other.materializations_.load()),
+      outstanding_(other.outstanding_.load()) {}
 
 ClientPool& ClientPool::operator=(ClientPool&& other) noexcept {
   if (this != &other) {
@@ -85,6 +89,7 @@ ClientPool& ClientPool::operator=(ClientPool&& other) noexcept {
     total_live_.store(other.total_live_.load());
     peak_live_.store(other.peak_live_.load());
     materializations_.store(other.materializations_.load());
+    outstanding_.store(other.outstanding_.load());
   }
   return *this;
 }
@@ -140,7 +145,9 @@ std::size_t ClientPool::train_size(std::size_t id) const {
 
 ClientPool::Lease ClientPool::lease(std::size_t id) {
   if (clients_ != nullptr) {
-    return Lease(&clients_->at(id), nullptr, id);
+    const Client* client = &clients_->at(id);
+    outstanding_.fetch_add(1, std::memory_order_relaxed);
+    return Lease(client, this, id);
   }
   if (id >= shards_.num_clients()) {
     throw std::out_of_range("ClientPool: client out of range");
@@ -171,10 +178,13 @@ ClientPool::Lease ClientPool::lease(std::size_t id) {
     }
   }
   ++it->second->pins;
+  outstanding_.fetch_add(1, std::memory_order_relaxed);
   return Lease(&it->second->client, this, id);
 }
 
 void ClientPool::release(std::size_t id) {
+  outstanding_.fetch_sub(1, std::memory_order_relaxed);
+  if (clients_ != nullptr) return;
   Segment& segment = *segments_[segment_of(id)];
   util::MutexLock lock(segment.mutex);
   const auto it = segment.cache.find(id);
@@ -213,6 +223,20 @@ std::size_t ClientPool::materializations() const {
   return materializations_.load(std::memory_order_relaxed);
 }
 
+std::size_t ClientPool::outstanding_leases() const {
+  return outstanding_.load(std::memory_order_relaxed);
+}
+
+void ClientPool::check_leases_returned(const char* engine) const {
+  const std::size_t outstanding = outstanding_leases();
+  if (outstanding != 0) {
+    throw std::logic_error(std::string(engine) + ": " +
+                           std::to_string(outstanding) +
+                           " client lease(s) still outstanding at the end "
+                           "of the run");
+  }
+}
+
 ClientPool::Lease::Lease(Lease&& other) noexcept
     : client_(other.client_), pool_(other.pool_), id_(other.id_) {
   other.client_ = nullptr;
@@ -243,29 +267,49 @@ nn::Sequential& CohortTrainer::scratch(std::size_t slot) {
 }
 
 void CohortTrainer::train(ClientPool& clients,
-                          std::span<const std::size_t> ids,
-                          std::span<const float> global, double lr,
-                          std::uint64_t seed, std::uint64_t seq,
-                          std::vector<LocalUpdate>& updates,
+                          std::span<const Cohort> cohorts, std::uint64_t seed,
                           obs::PhaseTimer& phases) {
-  LocalTrainParams params = params_;
-  params.lr = lr;
-  const std::size_t count = ids.size();
+  // (cohort, member) pairs in cohort order, then selection order.
+  std::vector<std::pair<const Cohort*, std::size_t>> pairs;
+  for (const Cohort& cohort : cohorts) {
+    cohort.updates->assign(cohort.ids.size(), LocalUpdate{});
+    for (std::size_t i = 0; i < cohort.ids.size(); ++i) {
+      pairs.emplace_back(&cohort, i);
+    }
+  }
+  const std::size_t count = pairs.size();
   // Grown serially: lazy growth inside the parallel region is not safe.
-  for (std::size_t i = 0; i < count; ++i) scratch(i + 1);
-  updates.assign(count, LocalUpdate{});
+  for (std::size_t k = 0; k < count; ++k) scratch(k + 1);
   obs::ScopedPhase phase(&phases, obs::Phase::kTrain);
-  leases_.clear();
-  leases_.reserve(count);
-  for (std::size_t id : ids) leases_.push_back(clients.lease(id));
+  // Local, so every lease is released however the call exits.
+  std::vector<ClientPool::Lease> leases;
+  leases.reserve(count);
+  for (const auto& [cohort, i] : pairs) {
+    leases.push_back(clients.lease(cohort->ids[i]));
+  }
+  std::vector<std::exception_ptr> errors(count);
+  std::atomic<std::size_t> next{0};
   util::ThreadPool& pool = pool_ != nullptr ? *pool_ : util::global_pool();
-  pool.parallel_for(0, count, [&](std::size_t i) {
-    const Client& client = *leases_[i];
-    util::Rng client_rng(util::mix_seed(seed, seq, client.id()));
-    updates[i] =
-        client.local_update(global, scratch_[i + 1], params, client_rng);
+  const std::size_t participants = std::min(count, pool.size() + 1);
+  pool.parallel_for(0, participants, [&](std::size_t) {
+    for (std::size_t k = next.fetch_add(1); k < count;
+         k = next.fetch_add(1)) {
+      const auto& [cohort, i] = pairs[k];
+      LocalTrainParams params = params_;
+      params.lr = cohort->lr;
+      const Client& client = *leases[k];
+      try {
+        (*cohort->updates)[i] = client.local_update(
+            cohort->base, scratch_[k + 1], params,
+            util::Rng(util::mix_seed(seed, cohort->seq, client.id())));
+      } catch (...) {
+        errors[k] = std::current_exception();
+      }
+    }
   });
-  leases_.clear();
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
 }
 
 }  // namespace tifl::fl

@@ -99,6 +99,7 @@ class ClientPool {
   // Pins client `id`'s materialized state for the lease's lifetime.
   // Virtual backend: a cache hit is free, a miss generates the shard's
   // index vector from its ShardView.  Move-only RAII; unpinning may evict.
+  // Both backends count the leases outstanding.
   class Lease {
    public:
     Lease() = default;
@@ -117,7 +118,7 @@ class ClientPool {
         : client_(client), pool_(pool), id_(id) {}
 
     const Client* client_ = nullptr;
-    ClientPool* pool_ = nullptr;  // null for the materialized backend
+    ClientPool* pool_ = nullptr;  // null when empty or moved from
     std::size_t id_ = 0;
   };
   Lease lease(std::size_t id);
@@ -128,6 +129,12 @@ class ClientPool {
   std::size_t live_clients() const;
   std::size_t peak_live_clients() const;
   std::size_t materializations() const;
+
+  // Leases taken and not yet released, on either backend.
+  std::size_t outstanding_leases() const;
+  // The end-of-run invariant the engines check: throws std::logic_error,
+  // naming `engine` and the count, while any lease is outstanding.
+  void check_leases_returned(const char* engine) const;
 
  private:
   struct Entry {
@@ -167,15 +174,17 @@ class ClientPool {
   std::atomic<std::size_t> total_live_{0};
   std::atomic<std::size_t> peak_live_{0};
   std::atomic<std::size_t> materializations_{0};
+  std::atomic<std::size_t> outstanding_{0};
 };
 
-// Trains cohorts from a model snapshot: one scratch model per cohort slot
-// (slot 0 is the evaluation model), a lease per member for exactly the
-// training call, and client RNGs forked by mix_seed(seed, seq, client id),
-// so a cohort trains the same on any thread pool.
+// Trains cohorts from model snapshots: one scratch model per (cohort,
+// member) pair of a call (slot 0 is the evaluation model), a lease per
+// pair for exactly the training call, and client RNGs forked by
+// mix_seed(seed, seq, client id), so a pair trains the same on any thread
+// pool and in any batch of cohorts.
 class CohortTrainer {
  public:
-  // `params` is the local training config; train() sets its lr.
+  // `params` is the local training config; each cohort sets its lr.
   CohortTrainer(nn::ModelFactory factory, LocalTrainParams params)
       : factory_(std::move(factory)), params_(params) {}
 
@@ -184,12 +193,34 @@ class CohortTrainer {
   util::ThreadPool* thread_pool() const { return pool_; }
   nn::Sequential& eval_model() { return scratch(0); }
 
-  // Trains `ids` from `global` at learning rate `lr` into `updates`
-  // (same order).
+  // One cohort of a training call: `ids` train from `base` at learning
+  // rate `lr` with the streams of dispatch `seq`, into `*updates` (same
+  // order as `ids`; each cohort of a call needs its own vector).
+  struct Cohort {
+    std::span<const std::size_t> ids;
+    std::span<const float> base;
+    double lr = 0.0;
+    std::uint64_t seq = 0;
+    std::vector<LocalUpdate>* updates = nullptr;
+  };
+
+  // Trains every (cohort, member) pair in one fork-join region.  The
+  // pairs are leased for the call only, and each participant claims them
+  // one at a time from a shared counter, so uneven clients balance
+  // across the pool.  Records one kTrain phase.  If pairs throw, every
+  // pair still runs and the first throwing pair's exception (in cohort,
+  // then member order) is rethrown.
+  void train(ClientPool& clients, std::span<const Cohort> cohorts,
+             std::uint64_t seed, obs::PhaseTimer& phases);
+
+  // One cohort: trains `ids` from `global` at `lr` into `updates`.
   void train(ClientPool& clients, std::span<const std::size_t> ids,
              std::span<const float> global, double lr, std::uint64_t seed,
              std::uint64_t seq, std::vector<LocalUpdate>& updates,
-             obs::PhaseTimer& phases);
+             obs::PhaseTimer& phases) {
+    const Cohort cohort{ids, global, lr, seq, &updates};
+    train(clients, std::span<const Cohort>(&cohort, 1), seed, phases);
+  }
 
  private:
   nn::Sequential& scratch(std::size_t slot);
@@ -198,7 +229,6 @@ class CohortTrainer {
   LocalTrainParams params_;
   util::ThreadPool* pool_ = nullptr;
   std::vector<nn::Sequential> scratch_;
-  std::vector<ClientPool::Lease> leases_;
 };
 
 }  // namespace tifl::fl

@@ -680,6 +680,7 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
   }
 
   recorder.finish(nodes[0].model, /*actor=*/0);
+  clients_->check_leases_returned("TreeEngine");
 
   out.final_weights = nodes[0].model;
   out.node_rounds.reserve(num_nodes);

@@ -131,6 +131,8 @@ class Checkpointer {
   // counts (checkpoint.*) and traces it, and re-arms after `now`.
   void write_if_due(double now, std::size_t version, std::size_t events,
                     const std::function<void(util::ByteSink&)>& save);
+  // True when write_if_due(now, ...) would write.
+  bool due(double now) const { return now >= next_due_; }
   // The injected server crash (sim::FaultConfig::crash_at, 0 = off):
   // throws sim::SimulatedCrash once the next event reaches it, before
   // anything is popped or drawn, so the streams stay aligned with the

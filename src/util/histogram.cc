@@ -10,8 +10,9 @@
 
 namespace tifl::util {
 
-Histogram::Histogram(std::span<const double> values, std::size_t bins,
-                     BinningMode mode) {
+Histogram::Histogram(
+    std::span<const double> values, std::size_t bins, BinningMode mode,
+    const std::function<void(std::size_t, std::size_t)>& counted) {
   if (values.empty()) throw std::invalid_argument("Histogram: empty input");
   if (bins == 0) throw std::invalid_argument("Histogram: bins must be >= 1");
 
@@ -64,7 +65,11 @@ Histogram::Histogram(std::span<const double> values, std::size_t bins,
   }
 
   counts_.assign(bins, 0);
-  for (double v : values) ++counts_[bin_of(v)];
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const std::size_t b = bin_of(values[i]);
+    ++counts_[b];
+    if (counted) counted(i, b);
+  }
 }
 
 std::size_t Histogram::bin_of(double value) const {

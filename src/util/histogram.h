@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -23,9 +24,13 @@ enum class BinningMode { kEqualWidth, kQuantile };
 class Histogram {
  public:
   // Builds `bins` bins over `values` (must be non-empty, bins >= 1).
-  // Throws std::invalid_argument naming the index of a NaN value.
+  // Throws std::invalid_argument naming the index of a NaN value.  When
+  // `counted` is set, the counting pass calls counted(i, b) for each
+  // index i in ascending order with the bin b it counted values[i] into,
+  // so a caller that needs every value's bin does not bin it again.
   Histogram(std::span<const double> values, std::size_t bins,
-            BinningMode mode);
+            BinningMode mode,
+            const std::function<void(std::size_t, std::size_t)>& counted = {});
 
   std::size_t bin_count() const noexcept { return counts_.size(); }
   // Bin index for a value; values outside [min,max] clamp to first/last.

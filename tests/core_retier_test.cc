@@ -140,17 +140,50 @@ TEST(OnlineReTierer, ConstructorValidation) {
 
 TEST(OnlineReTierer, RestoreRejectsNaNOrNegativeSnapshotLatency) {
   for (const double bad : {std::nan(""), -1.0}) {
-    // seed_latency does not validate, so it can write what a corrupt
-    // snapshot would hold.
     OnlineReTierer source(tiers5(), {1.0, 2.0}, {false, false});
-    source.seed_latency(1, bad);
     util::ByteSink sink;
     source.save_state(sink);
-    const std::string bytes = sink.take();
+    std::string bytes = sink.take();
+    // The state opens with the estimates as a length-prefixed f64 vector:
+    // client 1's sits after the 8-byte length and client 0's value.
+    ASSERT_EQ(bytes.substr(16, 8), [] {
+      util::ByteSink two;
+      two.put_f64(2.0);
+      return two.take();
+    }());
+    util::ByteSink patch;
+    patch.put_f64(bad);
+    bytes.replace(16, 8, patch.take());
     util::ByteSource in(bytes);
     OnlineReTierer target(tiers5(), {1.0, 2.0}, {false, false});
     EXPECT_THROW(target.restore_state(in), std::runtime_error) << bad;
     EXPECT_EQ(target.latency(1), 2.0);
+  }
+}
+
+TEST(OnlineReTierer, SeedLatencyRejectsNaNOrNegative) {
+  for (const double bad : {std::nan(""), -1.0}) {
+    OnlineReTierer retierer(tiers5(), {1.0, 2.0}, {false, false});
+    try {
+      retierer.seed_latency(1, bad);
+      ADD_FAILURE() << "accepted " << bad;
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find("client 1"),
+                std::string::npos)
+          << error.what();
+    }
+    EXPECT_EQ(retierer.latency(1), 2.0);
+    EXPECT_NO_THROW(retierer.rebuild());
+  }
+  OnlineReTierer retierer(tiers5(), {1.0, 2.0}, {false, false});
+  retierer.seed_latency(1, 0.0);
+  EXPECT_EQ(retierer.latency(1), 0.0);
+  try {
+    retierer.observe(0, -1.0);
+    ADD_FAILURE() << "observe accepted a negative latency";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_NE(std::string(error.what()).find("client 0"), std::string::npos)
+        << error.what();
   }
 }
 

@@ -7,6 +7,8 @@
 #include <functional>
 
 #include "test_helpers.h"
+#include "util/histogram.h"
+#include "util/stats.h"
 
 namespace tifl::core {
 namespace {
@@ -155,6 +157,43 @@ TEST(Tiering, MembersAreListedInAscendingIdOrder) {
       EXPECT_TRUE(std::adjacent_find(members.begin(), members.end(),
                                      std::greater_equal<>()) ==
                   members.end());
+    }
+  }
+}
+
+TEST(Tiering, TierSizesEqualTheHistogramCounts) {
+  // The tiers are the histogram's bins over the live latencies: each
+  // tier holds exactly its bin's count, and the members and mean latency
+  // a per-client bin_of pass gives.
+  util::Rng rng(9);
+  std::vector<double> latencies(700);
+  std::vector<bool> dropout(latencies.size());
+  std::vector<double> alive;
+  for (std::size_t c = 0; c < latencies.size(); ++c) {
+    latencies[c] = rng.lognormal(1.0, 1.0);
+    dropout[c] = c % 11 == 5;
+    if (!dropout[c]) alive.push_back(latencies[c]);
+  }
+  for (const TieringStrategy strategy :
+       {TieringStrategy::kQuantile, TieringStrategy::kEqualWidth}) {
+    const TierInfo info = build_tiers(latencies, dropout, 5, strategy);
+    const util::Histogram histogram(
+        alive, 5,
+        strategy == TieringStrategy::kQuantile
+            ? util::BinningMode::kQuantile
+            : util::BinningMode::kEqualWidth);
+    std::vector<std::vector<std::size_t>> members(5);
+    std::vector<util::RunningStat> stats(5);
+    for (std::size_t c = 0; c < latencies.size(); ++c) {
+      if (dropout[c]) continue;
+      const std::size_t tier = histogram.bin_of(latencies[c]);
+      members[tier].push_back(c);
+      stats[tier].add(latencies[c]);
+    }
+    for (std::size_t t = 0; t < 5; ++t) {
+      EXPECT_EQ(info.members[t].size(), histogram.count(t)) << t;
+      EXPECT_EQ(info.members[t], members[t]) << t;
+      EXPECT_EQ(info.avg_latency[t], stats[t].mean()) << t;
     }
   }
 }

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 
 #include "core/adaptive_policy.h"
@@ -206,6 +207,29 @@ TEST(AsyncEngine, SeedOverrideDiverges) {
   const AsyncRunResult a = engine.run(/*seed_override=*/111);
   const AsyncRunResult b = engine.run(/*seed_override=*/222);
   EXPECT_NE(a.final_weights, b.final_weights);
+}
+
+TEST(AsyncEngine, RunThrowsWhileAClientLeaseIsOutstanding) {
+  // Both loops return every lease they take; a lease held from outside
+  // breaks the end-of-run balance and is reported with the count.
+  TinyFederation fed = FederationBuilder().clients(10).build();
+  ClientPool pool(&fed.clients);
+  for (const bool dynamic : {false, true}) {
+    AsyncConfig async = tiny_async_config(4);
+    async.dynamic_lifecycle = dynamic;
+    AsyncEngine engine(tiny_engine_config(1), async, tiny_factory(), &pool,
+                       two_tiers(10), &fed.data.test, fed.latency);
+    EXPECT_NO_THROW(engine.run()) << dynamic;
+    const ClientPool::Lease held = pool.lease(0);
+    try {
+      engine.run();
+      ADD_FAILURE() << "outstanding lease not reported, dynamic=" << dynamic;
+    } catch (const std::logic_error& error) {
+      EXPECT_NE(std::string(error.what()).find("AsyncEngine: 1 client lease"),
+                std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 // --- reduction to the sync engine -------------------------------------------

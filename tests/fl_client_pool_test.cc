@@ -6,13 +6,18 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/profiler.h"
 #include "core/system.h"
 #include "data/partition.h"
 #include "data/synthetic.h"
+#include "fl/async_engine.h"
+#include "obs/metrics.h"
+#include "obs/phase.h"
 #include "test_helpers.h"
+#include "util/thread_pool.h"
 
 namespace tifl::fl {
 namespace {
@@ -285,6 +290,208 @@ TEST(ClientPool, VirtualSystemRunsAsyncWithChurnInBoundedLiveSet) {
     EXPECT_DOUBLE_EQ(replay.result.rounds[i].virtual_time,
                      run.result.rounds[i].virtual_time);
   }
+}
+
+LocalTrainParams sgd_params() {
+  LocalTrainParams params;
+  params.epochs = 1;
+  params.batch_size = 10;
+  params.optimizer.kind = nn::OptimizerConfig::Kind::kSgd;
+  return params;
+}
+
+TEST(CohortTrainer, MultiCohortCallEqualsSingleCohortCallsBitForBit) {
+  // Three cohorts with different bases, learning rates and seqs, client 3
+  // in two of them: one call must train each pair exactly as one call per
+  // cohort does, on any pool.
+  const data::SyntheticData data = tiny_data();
+  ClientPool pool = make_virtual_pool(&data.train, 12, /*cache=*/4);
+  const std::vector<std::size_t> ids[3] = {{3, 0, 7}, {1, 5}, {9, 3, 4, 2}};
+  const std::vector<float> bases[3] = {tiny_factory()(11).weights(),
+                                       tiny_factory()(12).weights(),
+                                       tiny_factory()(13).weights()};
+  const double lrs[3] = {0.05, 0.1, 0.02};
+  const std::uint64_t seqs[3] = {7, 8, 20};
+  const std::uint64_t seed = 99;
+
+  std::vector<LocalUpdate> expected[3];
+  {
+    util::ThreadPool serial(1);
+    CohortTrainer single(tiny_factory(), sgd_params());
+    single.set_thread_pool(&serial);
+    obs::PhaseTimer phases;
+    for (std::size_t k = 0; k < 3; ++k) {
+      single.train(pool, ids[k], bases[k], lrs[k], seed, seqs[k], expected[k],
+                   phases);
+    }
+  }
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+    util::ThreadPool threads_pool(threads);
+    CohortTrainer batched(tiny_factory(), sgd_params());
+    batched.set_thread_pool(&threads_pool);
+    std::vector<LocalUpdate> got[3];
+    std::vector<CohortTrainer::Cohort> cohorts;
+    for (std::size_t k = 0; k < 3; ++k) {
+      cohorts.push_back({.ids = ids[k],
+                         .base = bases[k],
+                         .lr = lrs[k],
+                         .seq = seqs[k],
+                         .updates = &got[k]});
+    }
+    obs::PhaseTimer phases;
+    batched.train(pool, cohorts, seed, phases);
+    EXPECT_EQ(phases.calls(obs::Phase::kTrain), 1u) << threads;
+    EXPECT_EQ(pool.outstanding_leases(), 0u) << threads;
+    for (std::size_t k = 0; k < 3; ++k) {
+      ASSERT_EQ(got[k].size(), ids[k].size()) << threads;
+      for (std::size_t i = 0; i < ids[k].size(); ++i) {
+        EXPECT_EQ(got[k][i].weights, expected[k][i].weights)
+            << threads << " threads, cohort " << k << " member " << i;
+        EXPECT_EQ(got[k][i].num_samples, expected[k][i].num_samples);
+        EXPECT_EQ(got[k][i].train_loss, expected[k][i].train_loss);
+      }
+    }
+  }
+}
+
+TEST(CohortTrainer, ReleasesEveryLeaseWhenAPairThrows) {
+  const data::SyntheticData data = tiny_data();
+  ClientPool pool = make_virtual_pool(&data.train, 12, /*cache=*/2);
+  util::ThreadPool threads(2);
+  CohortTrainer trainer(tiny_factory(), sgd_params());
+  trainer.set_thread_pool(&threads);
+  const std::vector<std::size_t> ids = {0, 1, 2, 3, 4};
+  const std::vector<float> short_base(5, 0.0f);  // set_weights rejects it
+  std::vector<LocalUpdate> updates;
+  obs::PhaseTimer phases;
+  EXPECT_THROW(trainer.train(pool, ids, short_base, 0.05, 1, 0, updates,
+                             phases),
+               std::invalid_argument);
+  EXPECT_EQ(pool.outstanding_leases(), 0u);
+  EXPECT_EQ(pool.live_clients(), 2u);  // unpinned, so shrunk to capacity
+}
+
+TEST(ClientPool, CountsOutstandingLeasesOnBothBackends) {
+  TinyFederation fed = FederationBuilder().clients(4).build();
+  const data::SyntheticData data = tiny_data();
+  ClientPool materialized(&fed.clients);
+  ClientPool virtual_pool = make_virtual_pool(&data.train, 4, /*cache=*/2);
+  for (ClientPool* pool : {&materialized, &virtual_pool}) {
+    {
+      ClientPool::Lease a = pool->lease(1);
+      ClientPool::Lease b = pool->lease(1);
+      EXPECT_EQ(pool->outstanding_leases(), 2u);
+      ClientPool::Lease moved = std::move(a);
+      EXPECT_EQ(pool->outstanding_leases(), 2u);
+      try {
+        pool->check_leases_returned("Test");
+        ADD_FAILURE() << "outstanding leases not reported";
+      } catch (const std::logic_error& error) {
+        EXPECT_NE(std::string(error.what()).find("Test: 2 client lease"),
+                  std::string::npos)
+            << error.what();
+      }
+    }
+    EXPECT_EQ(pool->outstanding_leases(), 0u);
+    EXPECT_NO_THROW(pool->check_leases_returned("Test"));
+  }
+}
+
+// Counts the clients the dynamic loop dispatches: it trains every
+// non-empty selection as one cohort.  observe() runs at every recorded
+// version, so it also keeps how many pairs the pool had leased by the
+// last one.
+class CountingPolicy final : public SelectionPolicy {
+ public:
+  explicit CountingPolicy(std::size_t per_round) : inner_(per_round) {}
+  using SelectionPolicy::select;
+  Selection select(const SelectionContext& context) override {
+    Selection selection = inner_.select(context);
+    dispatched += selection.clients.size();
+    return selection;
+  }
+  void observe(const RoundFeedback& feedback) override {
+    (void)feedback;
+    leased_at_last_version = pool_leases();
+  }
+  std::string name() const override { return "counting"; }
+  bool supports(EngineKind kind) const override {
+    return kind == EngineKind::kAsync;
+  }
+
+  static std::uint64_t pool_leases() {
+    obs::Registry& reg = obs::Registry::global();
+    return reg.counter("pool.lease_hits").value() +
+           reg.counter("pool.lease_misses").value();
+  }
+
+  std::size_t dispatched = 0;
+  std::uint64_t leased_at_last_version = 0;
+
+ private:
+  UniformTierPolicy inner_;
+};
+
+struct LeaseCount {
+  AsyncRunResult run;
+  std::size_t dispatched = 0;
+  std::uint64_t leases = 0;
+  std::uint64_t leased_at_last_version = 0;
+};
+
+LeaseCount count_leases(const AsyncConfig& async) {
+  const data::SyntheticData data = tiny_data();
+  const std::size_t num_clients = 400;
+  ClientPool pool = make_virtual_pool(&data.train, num_clients, 8);
+  std::vector<std::vector<std::size_t>> tiers(3);
+  for (std::size_t c = 0; c < num_clients; ++c) tiers[c % 3].push_back(c);
+  EngineConfig config = tiny_engine_config(async.total_updates);
+  config.local.optimizer.kind = nn::OptimizerConfig::Kind::kSgd;
+  config.local.optimizer.lr = 0.05;
+  AsyncEngine engine(config, async, tiny_factory(), &pool, tiers, &data.test,
+                     sim::LatencyModel({0.01, 1.0}));
+  CountingPolicy policy(async.clients_per_tier_round);
+  engine.set_policy(&policy);
+  obs::Registry::global().reset();
+  LeaseCount out;
+  out.run = engine.run();
+  out.dispatched = policy.dispatched;
+  out.leases = CountingPolicy::pool_leases();
+  out.leased_at_last_version = policy.leased_at_last_version;
+  EXPECT_EQ(pool.outstanding_leases(), 0u);
+  return out;
+}
+
+TEST(ClientPool, DynamicRunLeasesExactlyTheDispatchedPairs) {
+  // Stops at total_updates while cohorts dispatched after the last flush
+  // are still pending: the end-of-run flush trains them too.
+  AsyncConfig async;
+  async.total_updates = 50;
+  async.clients_per_tier_round = 5;
+  async.eval_every = 20;
+  async.churn.join_rate = 0.2;
+  async.churn.leave_rate = 0.2;
+  async.churn.slowdown_rate = 0.3;
+  const LeaseCount count = count_leases(async);
+  EXPECT_EQ(count.run.result.rounds.size(), 50u);
+  EXPECT_EQ(count.leases, count.dispatched);
+  EXPECT_GT(count.leases, count.leased_at_last_version)
+      << "no cohort was pending when the run stopped";
+  EXPECT_GT(count.run.leave_count, 0u);
+}
+
+TEST(ClientPool, LeaveHeavyDynamicRunLeasesExactlyTheDispatchedPairs) {
+  // Most in-flight clients leave before they arrive: their pairs still
+  // train (and are dropped), one lease each.
+  AsyncConfig async;
+  async.total_updates = 60;
+  async.clients_per_tier_round = 5;
+  async.eval_every = 20;
+  async.churn.join_rate = 10.0;
+  async.churn.leave_rate = 30.0;
+  const LeaseCount count = count_leases(async);
+  EXPECT_EQ(count.leases, count.dispatched);
+  EXPECT_GT(count.run.leave_count, count.run.result.rounds.size());
 }
 
 }  // namespace

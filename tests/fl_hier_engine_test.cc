@@ -170,6 +170,24 @@ TEST(HierDeterminism, ShardAndPoolSizeInvariant) {
   }
 }
 
+TEST(HierValidation, RunThrowsWhileAClientLeaseIsOutstanding) {
+  TinyFederation fed = FederationBuilder().clients(kClients).build();
+  ClientPool pool(&fed.clients);
+  TreeEngine engine(tiny_engine_config(1), base_async(), two_regions(),
+                    tiny_factory(), &pool, two_region_tiers(), &fed.data.test,
+                    fed.latency);
+  EXPECT_NO_THROW(engine.run());
+  const ClientPool::Lease held = pool.lease(0);
+  try {
+    engine.run();
+    ADD_FAILURE() << "outstanding lease not reported";
+  } catch (const std::logic_error& error) {
+    EXPECT_NE(std::string(error.what()).find("TreeEngine: 1 client lease"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
 TEST(HierDeterminism, SeedChangesTheTrajectory) {
   const AsyncConfig async = base_async();
   const HierConfig hier = two_regions();

@@ -39,10 +39,14 @@ using testing::TinyFederation;
 // Like the determinism suite's filter, additionally dropping the
 // checkpoint instruments: the full run writes no checkpoints while the
 // crashed run does, and that difference is the point, not a regression.
+// The dynamic loop's flush instruments go with them: a checkpoint first
+// trains the cohorts then pending, so a run that writes checkpoints
+// batches its cohorts into more, smaller flushes.
 std::string resume_metrics_snapshot() {
   return obs::Registry::global().to_json([](std::string_view name) {
     return !name.ends_with("_ns") && name.substr(0, 5) != "pool." &&
            name.substr(0, 11) != "checkpoint." &&
+           name.substr(0, 11) != "async.flush" &&
            name != "sim.schedule_horizon";
   });
 }
@@ -232,6 +236,35 @@ TEST(FlResume, DynamicChurnPathCrashResumeIsByteIdenticalAcrossShards) {
     const RunOutput resumed =
         crash_and_resume(async, full, /*every_frac=*/0.15, /*crash_frac=*/0.55,
                          /*threads=*/2, tag);
+    expect_identical(full, resumed, tag);
+  }
+}
+
+TEST(FlResume, DynamicCrashResumeWithCohortsPendingAtTheCheckpoints) {
+  // Checkpoints due at every batch boundary: a batch that dispatched a
+  // cohort leaves it pending there, so the loop flushes it before the
+  // writer stores every flight trained.  The flushes that outnumber the
+  // uninterrupted run's are those checkpoints.
+  for (std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
+    AsyncConfig async = dynamic_config();
+    async.shards = shards;
+    const std::string tag = "pending_s" + std::to_string(shards);
+    const RunOutput full = run_once(async, /*threads=*/2);
+    obs::Registry& reg = obs::Registry::global();
+    const std::uint64_t full_flushes = reg.counter("async.flushes").value();
+
+    const double span = full.result.result.rounds.back().virtual_time;
+    AsyncConfig checkpointing = async;
+    checkpointing.checkpoint_every = 1e-6 * span;
+    checkpointing.checkpoint_path =
+        ::testing::TempDir() + "/resume_" + tag + "_full.snap";
+    const RunOutput written = run_once(checkpointing, /*threads=*/2);
+    EXPECT_EQ(written.result.final_weights, full.result.final_weights) << tag;
+    EXPECT_GT(reg.counter("async.flushes").value(), full_flushes) << tag;
+
+    const RunOutput resumed =
+        crash_and_resume(async, full, /*every_frac=*/1e-6,
+                         /*crash_frac=*/0.55, /*threads=*/2, tag);
     expect_identical(full, resumed, tag);
   }
 }

@@ -15,8 +15,9 @@
 //
 // compat_dynamic.snap was written under a 0.5 s barrier window, a knob
 // that build had: it deferred a cohort's training to the end of the
-// window, so the file holds deferred cohorts.  This build trains every
-// cohort at dispatch, and trains the file's deferred ones at load.
+// window, so the file holds deferred cohorts.  This build's dynamic loop
+// trains its pending cohorts in flushes and flushes before every write,
+// and it trains the file's deferred ones in one flush at load.
 #include <gtest/gtest.h>
 
 #include <cstddef>

@@ -215,6 +215,27 @@ TEST(Histogram, EqualWidthSkewedDataUnbalanced) {
   EXPECT_GT(h.count(0), 600u);  // the long tail packs the first bin
 }
 
+TEST(Histogram, CountedHandsBackEachValuesBinInInputOrder) {
+  const std::vector<double> xs = {5.0, 0.5, 9.0, 3.0, 3.0, 7.5, 1.0, 6.0};
+  for (const BinningMode mode :
+       {BinningMode::kEqualWidth, BinningMode::kQuantile}) {
+    std::vector<std::size_t> indices;
+    std::vector<std::size_t> bins;
+    const Histogram h(xs, 3, mode, [&](std::size_t i, std::size_t b) {
+      indices.push_back(i);
+      bins.push_back(b);
+    });
+    std::vector<std::size_t> tally(3, 0);
+    ASSERT_EQ(indices.size(), xs.size());
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+      EXPECT_EQ(indices[i], i);
+      EXPECT_EQ(bins[i], h.bin_of(xs[i])) << i;
+      ++tally[bins[i]];
+    }
+    for (std::size_t b = 0; b < 3; ++b) EXPECT_EQ(tally[b], h.count(b));
+  }
+}
+
 TEST(Histogram, BinOfClampsOutOfRange) {
   const std::vector<double> xs{1.0, 2.0, 3.0, 4.0};
   Histogram h(xs, 2, BinningMode::kEqualWidth);
