@@ -15,6 +15,7 @@
 #include "data/synthetic.h"
 #include "fl/aggregator.h"
 #include "fl/client.h"
+#include "fl/client_pool.h"
 #include "fl/evaluation.h"
 #include "fl/policy.h"
 #include "nn/conv2d.h"
@@ -215,50 +216,51 @@ void BM_CohortLocalUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_CohortLocalUpdate)->Arg(1)->Arg(5)->Arg(8)->UseRealTime();
 
-// One evaluated version of fig7_sync_tifl's sync loop: MLP-48 over 1250
-// test rows of 3x8x8 in 512-row chunks, plus Alg. 2's five per-tier
-// accuracies over ~250-row index subsets with duplicates.  /0 is the work
-// before single-pass evaluation: the global pass, then one pass over each
-// materialized subset.  /1 scores the subsets from the global pass's hit
-// flags.  Wall time: the 512-row chunks fan out over the pool.
+// One evaluated version of fig7_sync_tifl's sync loop, as the engines run
+// it (fl::CohortTrainer::evaluate): MLP-48 over 1250 test rows of 3x8x8
+// in 16-row blocks, folded in 512-row chunks, plus Alg. 2's five per-tier
+// accuracies over ~250-row index subsets with duplicates, scored from the
+// pass's hit flags.  /1 runs it on one thread: a global pool worker,
+// where the region and every kernel under it run serially.  /0 runs it
+// from the top level on the global pool: one participant per worker plus
+// the caller.  Wall time.
 void BM_EvalTierFeedback(benchmark::State& state) {
   constexpr std::size_t kTiers = 5, kTierRows = 250, kChunk = 512;
-  const bool single_pass = state.range(0) == 1;
+  const bool one_thread = state.range(0) == 1;
   data::SyntheticSpec spec;
   spec.dims = data::ImageDims{3, 8, 8};
   spec.train_samples = 10;
   spec.test_samples = 1250;
   const data::SyntheticData data = data::make_synthetic(spec);
-  nn::Sequential model = nn::mlp(spec.dims.flat(), 48, spec.classes, 11);
-  const std::vector<float> weights = model.weights();
+  const nn::ModelFactory factory = [&spec](std::uint64_t seed) {
+    return nn::mlp(spec.dims.flat(), 48, spec.classes, seed);
+  };
+  const std::vector<float> weights = factory(11).weights();
 
   util::Rng rng(5);
   std::vector<std::vector<std::size_t>> tiers(kTiers);
-  std::vector<data::Dataset> materialized;
   for (std::vector<std::size_t>& tier : tiers) {
     for (std::size_t i = 0; i < kTierRows; ++i) {
       tier.push_back(rng.uniform_index(data.test.size()));
     }
     std::sort(tier.begin(), tier.end());
-    materialized.push_back(data.test.subset(tier));
   }
+  fl::CohortTrainer trainer(factory, fl::LocalTrainParams{});
+  fl::Evaluation r = trainer.evaluate(weights, data.test, kChunk, tiers);
   for (auto _ : state) {
-    if (single_pass) {
-      fl::Evaluation r =
-          fl::evaluate_weights(model, weights, data.test, kChunk, tiers);
-      benchmark::DoNotOptimize(r);
+    if (one_thread) {
+      util::global_pool()
+          .submit([&] {
+            r = trainer.evaluate(weights, data.test, kChunk, tiers);
+          })
+          .get();
     } else {
-      fl::Evaluation r =
-          fl::evaluate_weights(model, weights, data.test, kChunk);
-      benchmark::DoNotOptimize(r);
-      for (const data::Dataset& set : materialized) {
-        fl::Evaluation t = fl::evaluate_weights(model, weights, set, kChunk);
-        benchmark::DoNotOptimize(t);
-      }
+      r = trainer.evaluate(weights, data.test, kChunk, tiers);
     }
+    benchmark::DoNotOptimize(r);
   }
 }
-BENCHMARK(BM_EvalTierFeedback)->Arg(0)->Arg(1)->UseRealTime();
+BENCHMARK(BM_EvalTierFeedback)->Arg(1)->Arg(0)->UseRealTime();
 
 }  // namespace
 

@@ -469,7 +469,8 @@ AsyncEngine::AsyncEngine(EngineConfig config, AsyncConfig async,
   validate();
 }
 
-void validate_async_config(const AsyncConfig& async, const ClientPool* clients,
+void validate_async_config(const EngineConfig& config,
+                           const AsyncConfig& async, const ClientPool* clients,
                            const data::Dataset* test, const char* engine) {
   const auto bad = [](double v) { return std::isnan(v) || v < 0.0; };
   const std::pair<bool, const char*> checks[] = {
@@ -480,6 +481,7 @@ void validate_async_config(const AsyncConfig& async, const ClientPool* clients,
        "clients_per_tier_round must be > 0"},
       {async.poly_alpha < 0.0, "negative poly_alpha"},
       {async.eval_every == 0, "eval_every must be > 0"},
+      {config.eval_chunk == 0, "eval_chunk must be > 0"},
       {bad(async.reprofile_every), "negative reprofile_every"},
       {async.shards == 0, "shards must be > 0"},
       {bad(async.checkpoint_every), "negative or NaN checkpoint_every"},
@@ -495,7 +497,7 @@ void validate_async_config(const AsyncConfig& async, const ClientPool* clients,
 }
 
 void AsyncEngine::validate() const {
-  validate_async_config(async_, clients_, test_, "AsyncEngine");
+  validate_async_config(config_, async_, clients_, test_, "AsyncEngine");
   bool any_members = false;
   for (const std::vector<std::size_t>& members : tier_members_) {
     any_members = any_members || !members.empty();
@@ -534,8 +536,8 @@ void AsyncEngine::set_tier_eval_indices(
 }
 
 Evaluation AsyncEngine::evaluate(std::span<const float> weights) {
-  return evaluate_weights(trainer_.eval_model(), weights, *test_,
-                          config_.eval_chunk, tier_eval_indices_);
+  return trainer_.evaluate(weights, *test_, config_.eval_chunk,
+                           tier_eval_indices_);
 }
 
 AsyncRunResult AsyncEngine::run(std::optional<std::uint64_t> seed_override) {

@@ -170,7 +170,8 @@ struct AsyncConfig {
 // The checks of the inputs both async engines read, called from the
 // AsyncEngine and hier::TreeEngine constructors: throws
 // std::invalid_argument, naming `engine`, on the first bad one.
-void validate_async_config(const AsyncConfig& async, const ClientPool* clients,
+void validate_async_config(const EngineConfig& config,
+                           const AsyncConfig& async, const ClientPool* clients,
                            const data::Dataset* test, const char* engine);
 
 // Callbacks the dynamic lifecycle path raises toward the tiering layer
@@ -280,9 +281,9 @@ class AsyncEngine {
   // Tiering-layer callbacks for the dynamic path (no-op otherwise).
   void set_lifecycle_hooks(LifecycleHooks hooks);
 
-  // Train on a specific pool instead of the process-global one (the
-  // cross-pool determinism tests pin pool sizes 1/2/8).  Non-owning;
-  // nullptr restores the global pool.
+  // Train and evaluate on a specific pool instead of the process-global
+  // one (the cross-pool determinism tests pin pool sizes 1/2/8).
+  // Non-owning; nullptr restores the global pool.
   void set_thread_pool(util::ThreadPool* pool) {
     trainer_.set_thread_pool(pool);
   }
@@ -292,8 +293,9 @@ class AsyncEngine {
 
   AsyncRunResult run_static(std::uint64_t seed, SelectionPolicy& policy);
   AsyncRunResult run_dynamic(std::uint64_t seed, SelectionPolicy& policy);
-  // One pass over the test set; subset_accuracies holds the tier
-  // accuracies (empty without tier eval index lists).
+  // One pass over the test set through trainer_.evaluate;
+  // subset_accuracies holds the tier accuracies (empty without tier eval
+  // index lists).
   Evaluation evaluate(std::span<const float> weights);
 
   EngineConfig config_;

@@ -266,6 +266,21 @@ nn::Sequential& CohortTrainer::scratch(std::size_t slot) {
   return scratch_[slot];
 }
 
+util::ThreadPool& CohortTrainer::thread_pool() const {
+  return pool_ != nullptr ? *pool_ : util::global_pool();
+}
+
+Evaluation CohortTrainer::evaluate(
+    std::span<const float> weights, const data::Dataset& dataset,
+    std::size_t chunk, std::span<const std::vector<std::size_t>> subsets) {
+  util::ThreadPool& threads = thread_pool();
+  const std::size_t participants = threads.size() + 1;
+  // Grown before the span is taken: growing scratch_ moves the models.
+  scratch(participants - 1);
+  return evaluate_weights(std::span(scratch_).first(participants), threads,
+                          weights, dataset, chunk, subsets);
+}
+
 void CohortTrainer::train(ClientPool& clients,
                           std::span<const Cohort> cohorts, std::uint64_t seed,
                           obs::PhaseTimer& phases) {
@@ -289,9 +304,9 @@ void CohortTrainer::train(ClientPool& clients,
   }
   std::vector<std::exception_ptr> errors(count);
   std::atomic<std::size_t> next{0};
-  util::ThreadPool& pool = pool_ != nullptr ? *pool_ : util::global_pool();
-  const std::size_t participants = std::min(count, pool.size() + 1);
-  pool.parallel_for(0, participants, [&](std::size_t) {
+  util::ThreadPool& threads = thread_pool();
+  const std::size_t participants = std::min(count, threads.size() + 1);
+  threads.parallel_for(0, participants, [&](std::size_t) {
     for (std::size_t k = next.fetch_add(1); k < count;
          k = next.fetch_add(1)) {
       const auto& [cohort, i] = pairs[k];

@@ -36,6 +36,7 @@
 
 #include "data/partition.h"
 #include "fl/client.h"
+#include "fl/evaluation.h"
 #include "nn/sequential.h"
 #include "sim/resource_profile.h"
 #include "util/mutex.h"
@@ -177,11 +178,14 @@ class ClientPool {
   std::atomic<std::size_t> outstanding_{0};
 };
 
-// Trains cohorts from model snapshots: one scratch model per (cohort,
-// member) pair of a call (slot 0 is the evaluation model), a lease per
-// pair for exactly the training call, and client RNGs forked by
-// mix_seed(seed, seq, client id), so a pair trains the same on any thread
-// pool and in any batch of cohorts.
+// Trains cohorts from model snapshots, and evaluates the global model,
+// on one set of scratch models: one per (cohort, member) pair of a
+// training call, from slot 1, and one per participant of an evaluation,
+// from slot 0.  A lease is held per pair for exactly the training call,
+// and client RNGs are forked by mix_seed(seed, seq, client id), so a pair
+// trains the same on any thread pool and in any batch of cohorts.
+// Evaluation caches nothing in a layer (inference forward passes), so it
+// leaves training on the same models untouched.
 class CohortTrainer {
  public:
   // `params` is the local training config; each cohort sets its lr.
@@ -190,8 +194,18 @@ class CohortTrainer {
 
   // Non-owning; nullptr = the process-global pool.
   void set_thread_pool(util::ThreadPool* pool) { pool_ = pool; }
-  util::ThreadPool* thread_pool() const { return pool_; }
-  nn::Sequential& eval_model() { return scratch(0); }
+  // The pool training and evaluation run on.
+  util::ThreadPool& thread_pool() const;
+
+  // fl::evaluate_weights on this trainer's pool, one scratch model per
+  // participant (pool size + 1): 16-row blocks of `dataset` in one
+  // parallel_for region, folded in `chunk`-sized steps.  That gives the
+  // doubles a serial loop over `chunk`-row mini-batches gave, except for
+  // a layer with K > kKC where that loop's chunk or tail held at most 12
+  // rows (the stream GEMM path; evaluation.h).
+  Evaluation evaluate(std::span<const float> weights,
+                      const data::Dataset& dataset, std::size_t chunk,
+                      std::span<const std::vector<std::size_t>> subsets = {});
 
   // One cohort of a training call: `ids` train from `base` at learning
   // rate `lr` with the streams of dispatch `seq`, into `*updates` (same

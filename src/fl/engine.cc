@@ -31,6 +31,9 @@ Engine::Engine(EngineConfig config, nn::ModelFactory factory,
   if (config_.eval_every == 0) {
     throw std::invalid_argument("Engine: eval_every must be > 0");
   }
+  if (config_.eval_chunk == 0) {
+    throw std::invalid_argument("Engine: eval_chunk must be > 0");
+  }
 }
 
 void Engine::set_tier_eval_indices(
@@ -64,8 +67,8 @@ RunResult Engine::run(SelectionPolicy& policy,
   VersionRecorder recorder{
       &result.rounds, config_.eval_every, config_.rounds, "sync",
       [this](std::span<const float> w) {
-        return evaluate_weights(trainer_.eval_model(), w, *test_,
-                                config_.eval_chunk, tier_eval_indices_);
+        return trainer_.evaluate(w, *test_, config_.eval_chunk,
+                                 tier_eval_indices_);
       },
       &phases};
 

@@ -131,7 +131,7 @@ TreeEngine::TreeEngine(
 }
 
 void TreeEngine::validate() const {
-  validate_async_config(async_, clients_, test_, "TreeEngine");
+  validate_async_config(config_, async_, clients_, test_, "TreeEngine");
   hier_.topology.validate(clients_->size());
   if (hier_.topology.is_flat()) {
     throw std::invalid_argument(
@@ -273,8 +273,7 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
   VersionRecorder recorder{
       &out.result.rounds, async_.eval_every, async_.total_updates, "hier",
       [this](std::span<const float> weights) {
-        return evaluate_weights(trainer_.eval_model(), weights, *test_,
-                                config_.eval_chunk);
+        return trainer_.evaluate(weights, *test_, config_.eval_chunk);
       },
       &phases};
 

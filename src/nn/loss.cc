@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "tensor/ops.h"
 
@@ -10,7 +11,8 @@ namespace tifl::nn {
 LossResult SoftmaxCrossEntropy::compute(const tensor::Tensor& logits,
                                         std::span<const std::int32_t> labels,
                                         bool with_grad,
-                                        std::span<std::uint8_t> hits) const {
+                                        std::span<std::uint8_t> hits,
+                                        std::span<float> log_probs) const {
   if (logits.rank() != 2) {
     throw std::invalid_argument("SoftmaxCrossEntropy: want [B, C] logits");
   }
@@ -22,6 +24,11 @@ LossResult SoftmaxCrossEntropy::compute(const tensor::Tensor& logits,
   if (!hits.empty() && static_cast<std::int64_t>(hits.size()) != batch) {
     throw std::invalid_argument("SoftmaxCrossEntropy: hit flag count mismatch");
   }
+  if (!log_probs.empty() &&
+      static_cast<std::int64_t>(log_probs.size()) != batch) {
+    throw std::invalid_argument(
+        "SoftmaxCrossEntropy: log-probability count mismatch");
+  }
 
   tensor::Tensor probs(logits.shape());
   tensor::softmax_rows(logits, probs);
@@ -32,10 +39,14 @@ LossResult SoftmaxCrossEntropy::compute(const tensor::Tensor& logits,
   for (std::int64_t b = 0; b < batch; ++b) {
     const std::int32_t label = labels[static_cast<std::size_t>(b)];
     if (label < 0 || label >= classes) {
-      throw std::out_of_range("SoftmaxCrossEntropy: label out of range");
+      throw std::out_of_range("SoftmaxCrossEntropy: label " +
+                              std::to_string(label) + " out of range for " +
+                              std::to_string(classes) + " classes");
     }
     const float* row = probs.data() + b * classes;
-    loss -= std::log(std::max(row[label], 1e-12f));
+    const float log_prob = std::log(std::max(row[label], 1e-12f));
+    loss -= log_prob;
+    if (!log_probs.empty()) log_probs[static_cast<std::size_t>(b)] = log_prob;
     // One NaN or +inf logit turns the whole row NaN, and nothing compares
     // greater than NaN: without the finiteness check such a row would
     // read as a class-0 prediction.

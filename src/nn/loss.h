@@ -24,10 +24,14 @@ class SoftmaxCrossEntropy {
   // (from a NaN or +inf logit) is a miss, and the loss is left NaN.  When
   // `hits` is non-empty it must hold B entries and receives each row's hit
   // flag (1 or 0), so callers can score any subset of rows from one pass.
+  // A non-empty `log_probs` must hold B entries too and receives each
+  // row's log(max(p_label, 1e-12f)): the loss is minus their sum, taken
+  // from 0.0 in row order, over B.
   LossResult compute(const tensor::Tensor& logits,
                      std::span<const std::int32_t> labels,
                      bool with_grad = true,
-                     std::span<std::uint8_t> hits = {}) const;
+                     std::span<std::uint8_t> hits = {},
+                     std::span<float> log_probs = {}) const;
 };
 
 }  // namespace tifl::nn

@@ -79,10 +79,11 @@ LossResult Sequential::train_batch(const Tensor& x,
 
 LossResult Sequential::evaluate(const Tensor& x,
                                 std::span<const std::int32_t> labels,
-                                std::span<std::uint8_t> hits) {
+                                std::span<std::uint8_t> hits,
+                                std::span<float> log_probs) {
   PassContext ctx{.training = false, .rng = nullptr};
   Tensor logits = forward(x, ctx);
-  return loss_.compute(logits, labels, /*with_grad=*/false, hits);
+  return loss_.compute(logits, labels, /*with_grad=*/false, hits, log_probs);
 }
 
 std::size_t Sequential::weight_count() const {

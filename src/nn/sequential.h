@@ -41,10 +41,13 @@ class Sequential {
                          std::span<const std::int32_t> labels,
                          Optimizer& optimizer, util::Rng& rng);
 
-  // Inference-mode loss/accuracy (dropout off, no gradient).  A non-empty
-  // `hits` receives one hit flag per row (SoftmaxCrossEntropy::compute).
+  // Inference-mode loss/accuracy (dropout off, no gradient, nothing
+  // cached for a backward).  A non-empty `hits` receives one hit flag per
+  // row and a non-empty `log_probs` one log-probability of the label per
+  // row (SoftmaxCrossEntropy::compute).
   LossResult evaluate(const Tensor& x, std::span<const std::int32_t> labels,
-                      std::span<std::uint8_t> hits = {});
+                      std::span<std::uint8_t> hits = {},
+                      std::span<float> log_probs = {});
 
   // --- FL weight exchange -------------------------------------------------
   std::size_t weight_count() const;

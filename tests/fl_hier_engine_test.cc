@@ -348,31 +348,33 @@ TEST(HierValidation, RejectsWhatAsyncEngineRejects) {
       FederationBuilder().clients(kClients).jitter(0.05).build();
   ClientPool pool(&fed.clients);
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  const std::vector<std::pair<const char*, std::function<void(AsyncConfig&)>>>
-      cases = {
-          {"poly_alpha -1", [](AsyncConfig& a) { a.poly_alpha = -1.0; }},
-          {"reprofile_every -1",
-           [](AsyncConfig& a) { a.reprofile_every = -1.0; }},
-          {"reprofile_every NaN",
-           [nan](AsyncConfig& a) { a.reprofile_every = nan; }},
-          {"checkpoint_every -1",
-           [](AsyncConfig& a) { a.checkpoint_every = -1.0; }},
-          {"checkpoint_every NaN",
-           [nan](AsyncConfig& a) { a.checkpoint_every = nan; }},
-          {"churn.join_rate NaN",
-           [nan](AsyncConfig& a) { a.churn.join_rate = nan; }},
-      };
+  using Mutation = std::function<void(EngineConfig&, AsyncConfig&)>;
+  const std::vector<std::pair<const char*, Mutation>> cases = {
+      {"poly_alpha -1",
+       [](EngineConfig&, AsyncConfig& a) { a.poly_alpha = -1.0; }},
+      {"reprofile_every -1",
+       [](EngineConfig&, AsyncConfig& a) { a.reprofile_every = -1.0; }},
+      {"reprofile_every NaN",
+       [nan](EngineConfig&, AsyncConfig& a) { a.reprofile_every = nan; }},
+      {"checkpoint_every -1",
+       [](EngineConfig&, AsyncConfig& a) { a.checkpoint_every = -1.0; }},
+      {"checkpoint_every NaN",
+       [nan](EngineConfig&, AsyncConfig& a) { a.checkpoint_every = nan; }},
+      {"churn.join_rate NaN",
+       [nan](EngineConfig&, AsyncConfig& a) { a.churn.join_rate = nan; }},
+      {"eval_chunk 0", [](EngineConfig& c, AsyncConfig&) { c.eval_chunk = 0; }},
+  };
   for (const auto& [label, mutate] : cases) {
+    EngineConfig config = tiny_engine_config(1);
     AsyncConfig async = base_async();
-    mutate(async);
-    EXPECT_THROW(AsyncEngine(tiny_engine_config(1), async, tiny_factory(),
-                             &pool, two_tiers(kClients), &fed.data.test,
-                             fed.latency),
+    mutate(config, async);
+    EXPECT_THROW(AsyncEngine(config, async, tiny_factory(), &pool,
+                             two_tiers(kClients), &fed.data.test, fed.latency),
                  std::invalid_argument)
         << label;
-    EXPECT_THROW(TreeEngine(tiny_engine_config(1), async, two_regions(),
-                            tiny_factory(), &pool, two_region_tiers(),
-                            &fed.data.test, fed.latency),
+    EXPECT_THROW(TreeEngine(config, async, two_regions(), tiny_factory(),
+                            &pool, two_region_tiers(), &fed.data.test,
+                            fed.latency),
                  std::invalid_argument)
         << label;
   }

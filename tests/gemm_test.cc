@@ -636,11 +636,12 @@ TEST(GemmBlocked, PoolWorkerAlongsideTopLevelCall) {
   EXPECT_EQ(blocked.value() - before, calls + worker_calls);
 }
 
-// --- row independence: what single-pass evaluation rests on ------------------
-// fl::evaluate_weights scores per-tier subsets of the test set from the hit
-// flags of one pass over all of it, in place of a pass per subset.  That is
-// exact only while a row's output does not depend on how many rows share
-// its call.  For K <= kKC the small, stream and blocked paths all sum each
+// --- row independence: what block-parallel evaluation rests on --------------
+// fl::evaluate_weights runs the test set in 16-row blocks and scores
+// per-tier subsets from the hit flags of that one pass, in place of one
+// serial pass over larger chunks plus a pass per subset.  That is exact
+// only while a row's output does not depend on how many rows share its
+// call.  For K <= kKC the small, stream and blocked paths all sum each
 // element from +0.0f over p ascending, so row i of C must be the same bits
 // at every row count.  The counts below cross small -> stream -> blocked
 // and the M-parallel threshold (2 * kMC rows); the shapes are the dense

@@ -66,6 +66,27 @@ TEST(Loss, HitFlagsMarkEachRow) {
                std::invalid_argument);
 }
 
+TEST(Loss, LogProbsAreTheTermsOfTheLoss) {
+  // A caller folding rows from several calls needs each row's term:
+  // minus their sum from 0.0, over the row count, is the loss itself.
+  Tensor logits({3, 3}, std::vector<float>{2, 1, 0,  //
+                                           0, 0, 9,  //
+                                           1, 5, -30});
+  const std::vector<std::int32_t> labels{0, 0, 2};
+  SoftmaxCrossEntropy loss;
+  std::vector<float> log_probs(3, 7.0f);
+  const LossResult r = loss.compute(logits, labels, false, {}, log_probs);
+  double sum = 0.0;
+  for (const float lp : log_probs) sum -= lp;
+  EXPECT_EQ(sum / 3.0, r.loss);
+  EXPECT_EQ(r.loss, loss.compute(logits, labels).loss);
+  EXPECT_LT(log_probs[0], 0.0f);
+  EXPECT_EQ(log_probs[2], std::log(1e-12f));  // clamped probability
+  std::vector<float> short_log_probs(2);
+  EXPECT_THROW(loss.compute(logits, labels, false, {}, short_log_probs),
+               std::invalid_argument);
+}
+
 TEST(Loss, NonFiniteRowIsAMissNotAClassZeroHit) {
   // A NaN or +inf logit turns its softmax row NaN.  Such a row must not
   // read as a class-0 prediction: a diverged model would otherwise report
