@@ -139,7 +139,7 @@ fl::RunResult TiflSystem::run(fl::SelectionPolicy& policy,
 }
 
 fl::AsyncConfig TiflSystem::resolve_async(
-    std::optional<fl::AsyncConfig> async) {
+    std::optional<fl::AsyncConfig> async) const {
   fl::AsyncConfig resolved = async.value_or(config_.async);
   if (resolved.total_updates == 0) {
     resolved.total_updates = config_.engine.rounds;
@@ -149,14 +149,6 @@ fl::AsyncConfig TiflSystem::resolve_async(
   }
   if (resolved.time_budget_seconds == 0.0) {
     resolved.time_budget_seconds = config_.engine.time_budget_seconds;
-  }
-  // Match the pool's cache segmentation to the worker-shard count so each
-  // event-queue shard's clients age in their own LRU.  Performance-only:
-  // materialization is a pure function of the id, so skipping (a previous
-  // run's cache still holds entries) never changes results.
-  if (pool_->virtualized() && resolved.shards != pool_->cache_segments() &&
-      pool_->live_clients() == 0) {
-    pool_->set_cache_segments(resolved.shards);
   }
   return resolved;
 }

@@ -166,8 +166,8 @@ class TiflSystem {
   void profile_and_tier();
   // `async` (or config().async) with zero total_updates /
   // clients_per_tier_round / time_budget_seconds inherited from the sync
-  // config; also splits a virtual pool's cache into one segment per shard.
-  fl::AsyncConfig resolve_async(std::optional<fl::AsyncConfig> async);
+  // config.
+  fl::AsyncConfig resolve_async(std::optional<fl::AsyncConfig> async) const;
   // Splices the profiling phase's wall time ahead of a run's own phase
   // stats, so `tifl_run --report` shows the full profile/select/train/
   // aggregate/eval breakdown.

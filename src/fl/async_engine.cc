@@ -16,7 +16,7 @@
 #include "obs/trace.h"
 #include "obs/wall_time.h"
 #include "sim/event_log.h"
-#include "sim/sharded_event_queue.h"
+#include "sim/event_queue.h"
 #include "util/log.h"
 #include "util/segmented_id_set.h"
 
@@ -134,12 +134,9 @@ struct ServerState {
 };
 
 // End-of-run accounting shared by both run paths (final_members and
-// final_live_clients stay path-specific).  The per-shard queue registries
-// fold into the process-global one under the single-queue instrument
-// names (sim.events_popped etc.).
+// final_live_clients stay path-specific).
 void finalize_result(AsyncRunResult& out, ServerState& server,
-                     const obs::PhaseTimer& phases,
-                     sim::ShardedEventQueue& queue) {
+                     const obs::PhaseTimer& phases) {
   const std::size_t num_tiers = server.tier_updates.size();
   out.final_weights = std::move(server.global);
   out.tier_updates = server.tier_updates;
@@ -155,7 +152,6 @@ void finalize_result(AsyncRunResult& out, ServerState& server,
     out.final_tier_weights.assign(num_tiers, 0.0);
   }
   out.result.phases = phases.stats();
-  queue.merge_metrics_into(obs::Registry::global());
 }
 
 }  // namespace
@@ -213,10 +209,9 @@ struct AsyncMetrics {
   obs::Counter& slowdowns;
   obs::Counter& reprofiles;
   // One-time run setup (per-client state arrays, membership sets, initial
-  // heap fill) and end-of-run finalization (flat membership reporting,
-  // per-shard metric merges) — wall time, so benches can report
-  // steady-state event throughput separately from the O(population)
-  // bookends.
+  // heap fill) and end-of-run finalization (flat membership reporting) —
+  // wall time, so benches can report steady-state event throughput
+  // separately from the O(population) bookends.
   obs::Counter& setup_ns;
   obs::Counter& finalize_ns;
   // The fault model's lost-then-retried vs permanently-dropped updates.
@@ -255,9 +250,8 @@ AsyncMetrics& async_metrics() {
 
 // Guards a resume against a drifted configuration: every knob that shapes
 // the deterministic trajectory is folded in.  Deliberately excluded:
-// shards (a bit-invariant runtime knob — a snapshot taken at --shards 8
-// may resume at --shards 1), fault.crash_at (the crash point is process
-// fate, not trajectory) and the durability paths themselves.
+// fault.crash_at (the crash point is process fate, not trajectory) and
+// the durability paths themselves.
 std::uint64_t config_fingerprint(const EngineConfig& config,
                                  const AsyncConfig& async, std::uint64_t seed,
                                  std::size_t num_tiers,
@@ -369,7 +363,7 @@ void get_head(util::ByteSource& source, ServerState& server,
 // from its own config), the queue, fault and policy state, the metrics.
 void put_tail(util::ByteSink& sink, const AsyncRunResult& out,
               const Checkpointer& checkpointer,
-              const sim::ShardedEventQueue& queue,
+              const sim::EventQueue& queue,
               const sim::FaultModel& fault, const SelectionPolicy& policy) {
   sink.put_u64(out.processed_events);
   sink.put_u64(out.max_event_batch);
@@ -377,16 +371,17 @@ void put_tail(util::ByteSink& sink, const AsyncRunResult& out,
   put_queue(sink, queue);
   put_blob(sink, [&](util::ByteSink& blob) { fault.save_state(blob); });
   put_blob(sink, [&](util::ByteSink& blob) { policy.save_state(blob); });
-  put_metrics(sink, queue);
+  put_metrics(sink);
 }
 
 void get_tail(util::ByteSource& source, AsyncRunResult& out,
-              Checkpointer& checkpointer, sim::ShardedEventQueue& queue,
-              sim::FaultModel& fault, SelectionPolicy& policy) {
+              Checkpointer& checkpointer, sim::EventQueue& queue,
+              std::size_t actors, sim::FaultModel& fault,
+              SelectionPolicy& policy) {
   out.processed_events = static_cast<std::size_t>(source.get_u64());
   out.max_event_batch = static_cast<std::size_t>(source.get_u64());
   (void)source.get_f64();
-  get_queue(source, queue);
+  get_queue(source, queue, actors);
   checkpointer.resume(queue.now());
   get_blob(source, [&](util::ByteSource& blob) { fault.restore_state(blob); });
   get_blob(source,
@@ -483,7 +478,6 @@ void validate_async_config(const EngineConfig& config,
       {async.eval_every == 0, "eval_every must be > 0"},
       {config.eval_chunk == 0, "eval_chunk must be > 0"},
       {bad(async.reprofile_every), "negative reprofile_every"},
-      {async.shards == 0, "shards must be > 0"},
       {bad(async.checkpoint_every), "negative or NaN checkpoint_every"},
       {async.checkpoint_every > 0.0 && async.checkpoint_path.empty(),
        "checkpoint_every > 0 requires a checkpoint_path"},
@@ -566,9 +560,8 @@ AsyncRunResult AsyncEngine::run_static(std::uint64_t seed,
   std::vector<PendingTierRound> pending(num_tiers);
 
   // Tier-round completions are the only scheduled events here, so tiers
-  // are the actor space.  Any shard count pops the single-heap (time,
-  // seq) order (oracle-pinned), so results don't depend on async_.shards.
-  sim::ShardedEventQueue queue(async_.shards, num_tiers);
+  // are the actor space.
+  sim::EventQueue queue;
   AsyncRunResult out;
   out.result.policy_name =
       policy_ != nullptr
@@ -674,7 +667,7 @@ AsyncRunResult AsyncEngine::run_static(std::uint64_t seed,
                    "parked_at or retry_count length");
     for (PendingTierRound& round : pending) get_pending(source, round);
     recorder.last_evaluated = source.get_bool();
-    get_tail(source, out, checkpointer, queue, fault, policy);
+    get_tail(source, out, checkpointer, queue, num_tiers, fault, policy);
     util::log_info("async: resumed from ", async_.resume_path, " at version ",
                    out.result.rounds.size(), ", t=", queue.now());
   }
@@ -711,7 +704,7 @@ AsyncRunResult AsyncEngine::run_static(std::uint64_t seed,
           if (retry_count[tier] < async_.fault.max_retries) {
             // Lost in transit: park the round and retry the delivery after
             // a deterministic backoff (no RNG draw — the rescheduled event
-            // flows through the queue, so the retry is shard-invariant).
+            // flows through the queue in (time, seq) order).
             ++retry_count[tier];
             queue.schedule(fault.backoff(retry_count[tier]), /*kind=*/0,
                            /*actor=*/tier);
@@ -817,7 +810,7 @@ AsyncRunResult AsyncEngine::run_static(std::uint64_t seed,
   for (const std::vector<std::size_t>& members : tier_members_) {
     out.final_live_clients += members.size();
   }
-  finalize_result(out, server, phases, queue);
+  finalize_result(out, server, phases);
   metrics.finalize_ns.add(obs::wall_ns_count_since(finalize_start));
   return out;
 }
@@ -944,10 +937,9 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
   };
   std::vector<PendingCohort> pending;
 
-  // Clients are the actor space: each shard owns a contiguous id range
-  // and its own heap, and pops replay the single-heap (time, seq) order
-  // at every shard count (lifecycle/reprofile events ride on actor 0).
-  sim::ShardedEventQueue queue(async_.shards, num_clients);
+  // Clients are the actor space (lifecycle/reprofile events ride on
+  // actor 0).
+  sim::EventQueue queue;
   AsyncRunResult out;
   out.result.policy_name =
       policy_ != nullptr ? "async-dyn/" + policy.name() + "/" +
@@ -1342,7 +1334,7 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
     out.leave_count = static_cast<std::size_t>(source.get_u64());
     out.slowdown_count = static_cast<std::size_t>(source.get_u64());
     out.reprofile_count = static_cast<std::size_t>(source.get_u64());
-    get_tail(source, out, checkpointer, queue, fault, policy);
+    get_tail(source, out, checkpointer, queue, num_clients, fault, policy);
     // Train after get_tail restored the metrics, so the training counts
     // add to the restored totals.
     for (std::size_t index = 0; index < deferred.size(); ++index) {
@@ -1715,7 +1707,7 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
   const auto finalize_start = obs::wall_now();
   out.final_members = std::move(flat_tiers());
   out.final_live_clients = live_set.size();
-  finalize_result(out, server, phases, queue);
+  finalize_result(out, server, phases);
   metrics.finalize_ns.add(obs::wall_ns_count_since(finalize_start));
   return out;
 }

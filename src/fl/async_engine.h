@@ -137,12 +137,7 @@ struct AsyncConfig {
   // version with churned runs.
   bool dynamic_lifecycle = false;
 
-  // --- sharded runtime -------------------------------------------------------
-  // Worker shards for the event queue (sim::ShardedEventQueue): each
-  // shard owns a contiguous actor range and its own event heap.  The
-  // global pop order is the single-heap (time, seq) order at every shard
-  // count, so results are bit-reproducible across --shards values
-  // (determinism ctests pin 1/2/4/8).  Clamped to the actor count.
+  // Inert: nothing reads it; bench/tifl_bench still sets and prints it.
   std::size_t shards = 1;
 
   // --- durability ------------------------------------------------------------
@@ -157,7 +152,7 @@ struct AsyncConfig {
   std::string checkpoint_path;  // required when checkpoint_every > 0
   // Load this snapshot and continue the run it captured instead of
   // starting fresh.  The snapshot's config fingerprint, population and
-  // policy must match; the shard count may differ (a bit-invariant knob).
+  // policy must match.
   std::string resume_path;
   // Append-only CRC-framed log of processed events (sim::EventLogWriter);
   // truncated to the snapshot's horizon on resume.  Empty = off.

@@ -56,14 +56,14 @@ ClientPool::ClientPool(VirtualConfig config)
     : train_(config.train),
       shards_(std::move(config.shards)),
       profiles_(std::move(config.profiles)),
-      cache_capacity_(std::max<std::size_t>(1, config.cache_capacity)) {
+      cache_capacity_(std::max<std::size_t>(1, config.cache_capacity)),
+      cache_(std::make_unique<Cache>()) {
   if (train_ == nullptr) {
     throw std::invalid_argument("ClientPool: null training dataset");
   }
   if (profiles_.size() != shards_.num_clients()) {
     throw std::invalid_argument("ClientPool: profile/shard count mismatch");
   }
-  rebuild_segments(1);
 }
 
 ClientPool::ClientPool(ClientPool&& other) noexcept
@@ -72,8 +72,7 @@ ClientPool::ClientPool(ClientPool&& other) noexcept
       shards_(std::move(other.shards_)),
       profiles_(std::move(other.profiles_)),
       cache_capacity_(other.cache_capacity_),
-      segments_(std::move(other.segments_)),
-      total_live_(other.total_live_.load()),
+      cache_(std::move(other.cache_)),
       peak_live_(other.peak_live_.load()),
       materializations_(other.materializations_.load()),
       outstanding_(other.outstanding_.load()) {}
@@ -85,8 +84,7 @@ ClientPool& ClientPool::operator=(ClientPool&& other) noexcept {
     shards_ = std::move(other.shards_);
     profiles_ = std::move(other.profiles_);
     cache_capacity_ = other.cache_capacity_;
-    segments_ = std::move(other.segments_);
-    total_live_.store(other.total_live_.load());
+    cache_ = std::move(other.cache_);
     peak_live_.store(other.peak_live_.load());
     materializations_.store(other.materializations_.load());
     outstanding_.store(other.outstanding_.load());
@@ -98,36 +96,6 @@ ClientPool::~ClientPool() = default;
 
 std::size_t ClientPool::size() const {
   return clients_ != nullptr ? clients_->size() : shards_.num_clients();
-}
-
-void ClientPool::rebuild_segments(std::size_t n) {
-  n = std::clamp<std::size_t>(n, 1, std::max<std::size_t>(1, size()));
-  segments_.clear();
-  segments_.reserve(n);
-  // Equal capacity shares, rounded up so n segments never hold fewer
-  // total entries than the single-cache capacity they replace.
-  const std::size_t share = (cache_capacity_ + n - 1) / n;
-  for (std::size_t s = 0; s < n; ++s) {
-    segments_.push_back(std::make_unique<Segment>());
-    segments_.back()->capacity = std::max<std::size_t>(1, share);
-  }
-}
-
-void ClientPool::set_cache_segments(std::size_t n) {
-  if (clients_ != nullptr) return;  // materialized backend: nothing to split
-  if (total_live_.load(std::memory_order_relaxed) != 0) {
-    throw std::logic_error(
-        "ClientPool: cannot re-segment while clients are materialized");
-  }
-  rebuild_segments(n);
-}
-
-std::size_t ClientPool::segment_of(std::size_t id) const {
-  const std::size_t n = segments_.size();
-  const std::size_t population = size();
-  if (n <= 1 || population == 0) return 0;
-  if (id >= population) return n - 1;
-  return id * n / population;
 }
 
 const sim::ResourceProfile& ClientPool::resource(std::size_t id) const {
@@ -153,10 +121,10 @@ ClientPool::Lease ClientPool::lease(std::size_t id) {
     throw std::out_of_range("ClientPool: client out of range");
   }
   PoolMetrics& metrics = pool_metrics();
-  Segment& segment = *segments_[segment_of(id)];
-  util::MutexLock lock(segment.mutex);
-  auto it = segment.cache.find(id);
-  if (it == segment.cache.end()) {
+  Cache& cache = *cache_;
+  util::MutexLock lock(cache.mutex);
+  auto it = cache.entries.find(id);
+  if (it == cache.entries.end()) {
     // Miss: generate the shard from its view.  Virtual clients carry no
     // matched test shard — per-tier eval sets are a materialized-path
     // feature; the async engine evaluates on the shared test set.
@@ -165,16 +133,15 @@ ClientPool::Lease ClientPool::lease(std::size_t id) {
     auto entry = std::make_unique<Entry>(
         Client(id, train_, shards_.shard(id).materialize(), {},
                profiles_[id]));
-    it = segment.cache.emplace(id, std::move(entry)).first;
-    const std::size_t live =
-        total_live_.fetch_add(1, std::memory_order_relaxed) + 1;
+    it = cache.entries.emplace(id, std::move(entry)).first;
+    const std::size_t live = cache.entries.size();
     raise_max(peak_live_, live);
     metrics.live.set(static_cast<double>(live));
     metrics.peak_live.set_max(static_cast<double>(live));
   } else {
     metrics.lease_hits.add();
     if (it->second->pins == 0) {
-      segment.lru.erase(it->second->lru);  // pinned entries leave the list
+      cache.lru.erase(it->second->lru);  // pinned entries leave the list
     }
   }
   ++it->second->pins;
@@ -185,33 +152,32 @@ ClientPool::Lease ClientPool::lease(std::size_t id) {
 void ClientPool::release(std::size_t id) {
   outstanding_.fetch_sub(1, std::memory_order_relaxed);
   if (clients_ != nullptr) return;
-  Segment& segment = *segments_[segment_of(id)];
-  util::MutexLock lock(segment.mutex);
-  const auto it = segment.cache.find(id);
-  if (it == segment.cache.end() || it->second->pins == 0) return;
+  Cache& cache = *cache_;
+  util::MutexLock lock(cache.mutex);
+  const auto it = cache.entries.find(id);
+  if (it == cache.entries.end() || it->second->pins == 0) return;
   if (--it->second->pins == 0) {
-    segment.lru.push_front(id);
-    it->second->lru = segment.lru.begin();
-    evict_overflow_locked(segment);
+    cache.lru.push_front(id);
+    it->second->lru = cache.lru.begin();
+    evict_overflow_locked(cache);
   }
 }
 
-void ClientPool::evict_overflow_locked(Segment& segment) {
+void ClientPool::evict_overflow_locked(Cache& cache) {
   PoolMetrics& metrics = pool_metrics();
-  while (segment.cache.size() > segment.capacity && !segment.lru.empty()) {
-    const std::size_t victim = segment.lru.back();
-    segment.lru.pop_back();
-    segment.cache.erase(victim);
-    total_live_.fetch_sub(1, std::memory_order_relaxed);
+  while (cache.entries.size() > cache_capacity_ && !cache.lru.empty()) {
+    const std::size_t victim = cache.lru.back();
+    cache.lru.pop_back();
+    cache.entries.erase(victim);
     metrics.evictions.add();
   }
-  metrics.live.set(
-      static_cast<double>(total_live_.load(std::memory_order_relaxed)));
+  metrics.live.set(static_cast<double>(cache.entries.size()));
 }
 
 std::size_t ClientPool::live_clients() const {
   if (clients_ != nullptr) return clients_->size();
-  return total_live_.load(std::memory_order_relaxed);
+  util::MutexLock lock(cache_->mutex);
+  return cache_->entries.size();
 }
 
 std::size_t ClientPool::peak_live_clients() const {

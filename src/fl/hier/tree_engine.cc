@@ -13,8 +13,8 @@
 #include "obs/metrics.h"
 #include "obs/phase.h"
 #include "obs/trace.h"
+#include "sim/event_queue.h"
 #include "sim/fault_model.h"
-#include "sim/sharded_event_queue.h"
 #include "util/log.h"
 #include "util/rng.h"
 
@@ -77,8 +77,8 @@ HierMetrics& hier_metrics() {
 }
 
 // Every knob that shapes a hier run's deterministic trajectory, including
-// the full tree shape.  Shards are deliberately excluded (bit-invariant),
-// as is fault.crash_at (process fate, not trajectory).
+// the full tree shape.  fault.crash_at is deliberately excluded (process
+// fate, not trajectory).
 std::uint64_t hier_fingerprint(const EngineConfig& config,
                                const AsyncConfig& async,
                                const HierConfig& hier, std::uint64_t seed,
@@ -254,7 +254,7 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
     if (!node.is_root) node.link_rng = sim::link_stream(seed, n);
   }
 
-  sim::ShardedEventQueue queue(async_.shards, num_nodes);
+  sim::EventQueue queue;
   sim::FaultModel fault(async_.fault, seed);
   std::map<std::uint64_t, LinkPayload> in_flight;
 
@@ -449,7 +449,7 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
     put_queue(sink, queue);
     put_blob(sink, [&](util::ByteSink& blob) { fault.save_state(blob); });
     put_blob(sink, hooks_.save_state);
-    put_metrics(sink, queue);
+    put_metrics(sink);
   };
 
   const bool resuming = !async_.resume_path.empty();
@@ -481,7 +481,7 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
       flight.model = source.get_f32_vec();
       in_flight.emplace(seq, std::move(flight));
     }
-    get_queue(source, queue);
+    get_queue(source, queue, num_nodes);
     checkpointer.resume(queue.now());
     get_blob(source,
              [&](util::ByteSource& blob) { fault.restore_state(blob); });
@@ -689,7 +689,6 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
     out.node_update_mass.push_back(node.update_mass);
   }
   out.result.phases = phases.stats();
-  queue.merge_metrics_into(obs::Registry::global());
   return out;
 }
 

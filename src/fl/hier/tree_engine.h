@@ -18,13 +18,12 @@
 // The engine runs multi-region trees only: a flat (single-node) topology
 // is the flat federation, which core::TiflSystem::run_hier collapses onto
 // run_async (fl::AsyncEngine).  Determinism: all state mutation happens
-// in event-pop order on a sim::ShardedEventQueue, every RNG stream is
-// forked per (node, tier) or per link, and reductions run in
-// selection/slot order — bit-reproducible across --shards and
-// thread-pool sizes.  Full-run snapshots serialize every
-// node mid-tree through the flat engine's codec and checkpointer
-// (fl/snapshot), so --resume replays a killed run exactly; `--rounds`
-// counts *root* aggregations.
+// in (time, seq) event-pop order on one sim::EventQueue, every RNG stream
+// is forked per (node, tier) or per link, and reductions run in
+// selection/slot order — bit-reproducible across thread-pool sizes.
+// Full-run snapshots serialize every node mid-tree through the flat
+// engine's codec and checkpointer (fl/snapshot), so --resume replays a
+// killed run exactly; `--rounds` counts *root* aggregations.
 #pragma once
 
 #include <cstdint>

@@ -15,8 +15,8 @@
 #include "obs/trace.h"
 #include "obs/wall_time.h"
 #include "sim/event_log.h"
+#include "sim/event_queue.h"
 #include "sim/fault_model.h"
-#include "sim/sharded_event_queue.h"
 
 namespace tifl::fl {
 
@@ -260,7 +260,7 @@ std::vector<RoundRecord> get_records(util::ByteSource& source) {
   return records;
 }
 
-void put_queue(util::ByteSink& sink, const sim::ShardedEventQueue& queue) {
+void put_queue(util::ByteSink& sink, const sim::EventQueue& queue) {
   sink.put_f64(queue.now());
   sink.put_u64(queue.next_seq());
   const std::vector<sim::Event> events = queue.pending();
@@ -273,16 +273,42 @@ void put_queue(util::ByteSink& sink, const sim::ShardedEventQueue& queue) {
   }
 }
 
-void get_queue(util::ByteSource& source, sim::ShardedEventQueue& queue) {
+void get_queue(util::ByteSource& source, sim::EventQueue& queue,
+               std::size_t actors) {
   const double now = source.get_f64();
   const std::uint64_t next_seq = source.get_u64();
   const std::size_t count = source.checked_count(source.get_u64(), 32);
+  if (!std::isfinite(now)) {
+    throw std::runtime_error("snapshot: queue event clock is not finite");
+  }
+  // A CRC-valid section can still hold an actor the loop indexes out of
+  // bounds with, a clock that would run backwards, or a NaN the heap
+  // comparator cannot order.  An event at +inf is legitimate: an
+  // unavailable client that joins a churned run is dispatched with an
+  // infinite latency.
   std::vector<sim::Event> events(count);
-  for (sim::Event& e : events) {
+  for (std::size_t i = 0; i < count; ++i) {
+    sim::Event& e = events[i];
     e.time = source.get_f64();
     e.seq = source.get_u64();
     e.kind = source.get_u64();
     e.actor = source.get_u64();
+    const char* fault = nullptr;
+    if (std::isnan(e.time) || e.time < now) {
+      fault = "time is NaN or lies before the clock";
+    } else if (e.seq >= next_seq) {
+      fault = "seq is not below the next seq";
+    } else if (e.actor >= actors) {
+      fault = "actor is out of range";
+    } else if (i > 0 && (e.time < events[i - 1].time ||
+                         (e.time == events[i - 1].time &&
+                          e.seq <= events[i - 1].seq))) {
+      fault = "is out of strictly increasing (time, seq) order";
+    }
+    if (fault != nullptr) {
+      throw std::runtime_error("snapshot: queue event " + std::to_string(i) +
+                               ": " + fault);
+    }
   }
   queue.restore(now, next_seq, events);
 }
@@ -302,11 +328,10 @@ void get_blob(util::ByteSource& source,
   restore(blob_source);
 }
 
-void put_metrics(util::ByteSink& sink, const sim::ShardedEventQueue& queue) {
-  obs::Registry merged;
-  merged.merge_from(obs::Registry::global());
-  queue.merge_metrics_into(merged);
-  put_blob(sink, [&](util::ByteSink& blob) { merged.save(blob); });
+void put_metrics(util::ByteSink& sink) {
+  put_blob(sink, [](util::ByteSink& blob) {
+    obs::Registry::global().save(blob);
+  });
 }
 
 void get_metrics(util::ByteSource& source) {

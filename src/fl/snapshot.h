@@ -45,7 +45,7 @@ class Counter;
 }
 namespace tifl::sim {
 class EventLogWriter;
-class ShardedEventQueue;
+class EventQueue;
 }  // namespace tifl::sim
 
 namespace tifl::fl {
@@ -95,8 +95,15 @@ void put_pending(util::ByteSink& sink, const PendingTierRound& round);
 void get_pending(util::ByteSource& source, PendingTierRound& round);
 void put_records(util::ByteSink& sink, const std::vector<RoundRecord>& records);
 std::vector<RoundRecord> get_records(util::ByteSource& source);
-void put_queue(util::ByteSink& sink, const sim::ShardedEventQueue& queue);
-void get_queue(util::ByteSource& source, sim::ShardedEventQueue& queue);
+// The queue's clock, seq counter and pending events in (time, seq) order.
+void put_queue(util::ByteSink& sink, const sim::EventQueue& queue);
+// Throws std::runtime_error, naming the queue event, unless the clock is
+// finite and the events come in strictly increasing (time, seq) order,
+// each at a time no earlier than the clock (+inf included, NaN not), with
+// a seq below the stored next seq and an actor below `actors` (the loop's
+// tier, client or node count, which its handlers index with).
+void get_queue(util::ByteSource& source, sim::EventQueue& queue,
+               std::size_t actors);
 
 // A nested state blob (fault model, policy, churn model, lifecycle
 // hooks) as one length-prefixed string; an absent `save` stores it empty.
@@ -106,18 +113,16 @@ void put_blob(util::ByteSink& sink,
 void get_blob(util::ByteSource& source,
               const std::function<void(util::ByteSource&)>& restore);
 
-// The global registry merged with the queue's per-shard registries (which
-// fold into the global one only at finalize); get_metrics restores it
-// into the global registry, so a resumed run's totals equal the
-// uninterrupted run's for every deterministic instrument.
-void put_metrics(util::ByteSink& sink, const sim::ShardedEventQueue& queue);
+// The global registry; get_metrics restores it into the global registry,
+// so a resumed run's totals equal the uninterrupted run's for every
+// deterministic instrument.
+void put_metrics(util::ByteSink& sink);
 void get_metrics(util::ByteSource& source);
 
 // --- checkpointing ----------------------------------------------------------
 
 // A run's durability points, checked between event batches (a pure
-// function of event times, so shard-count invariant and never a queue
-// event).  `log`, when open, is fsync'd after every snapshot and before
+// function of event times, never a queue event).  `log`, when open, is fsync'd after every snapshot and before
 // the crash.
 class Checkpointer {
  public:

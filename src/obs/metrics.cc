@@ -94,36 +94,6 @@ void Histo::reset() noexcept {
   max_.store(0.0, std::memory_order_relaxed);
 }
 
-void Histo::merge_from(const Histo& other) noexcept {
-  const std::uint64_t n = other.count_.load(std::memory_order_relaxed);
-  if (n == 0) return;
-  for (int b = 0; b < util::hdr::kBucketCount; ++b) {
-    const std::uint64_t c = other.counts_[b].load(std::memory_order_relaxed);
-    if (c > 0) counts_[b].fetch_add(c, std::memory_order_relaxed);
-  }
-  const std::uint64_t prior = count_.fetch_add(n, std::memory_order_relaxed);
-  const double other_sum = other.sum_.load(std::memory_order_relaxed);
-  double cur = sum_.load(std::memory_order_relaxed);
-  while (!sum_.compare_exchange_weak(cur, cur + other_sum,
-                                     std::memory_order_relaxed)) {
-  }
-  const double other_min = other.min_.load(std::memory_order_relaxed);
-  const double other_max = other.max_.load(std::memory_order_relaxed);
-  if (prior == 0) {
-    min_.store(other_min, std::memory_order_relaxed);
-    max_.store(other_max, std::memory_order_relaxed);
-    return;
-  }
-  cur = min_.load(std::memory_order_relaxed);
-  while (other_min < cur && !min_.compare_exchange_weak(
-                                cur, other_min, std::memory_order_relaxed)) {
-  }
-  cur = max_.load(std::memory_order_relaxed);
-  while (other_max > cur && !max_.compare_exchange_weak(
-                                cur, other_max, std::memory_order_relaxed)) {
-  }
-}
-
 void Histo::save(util::ByteSink& sink) const {
   // Sparse (index, count) pairs: most of the 164 buckets are empty.
   std::uint64_t nonzero = 0;
@@ -224,35 +194,6 @@ void Registry::reset() {
   for (auto& [name, c] : counters_) c->reset();
   for (auto& [name, g] : gauges_) g->reset();
   for (auto& [name, h] : histograms_) h->reset();
-}
-
-void Registry::merge_from(const Registry& other) {
-  if (&other == this) return;
-  // Snapshot `other` under its lock, then fold without holding both locks
-  // at once (no lock-order cycle regardless of merge direction).
-  std::vector<std::pair<std::string, std::uint64_t>> counters;
-  std::vector<std::pair<std::string, double>> gauges;
-  std::vector<std::pair<std::string, const Histo*>> histos;
-  {
-    util::MutexLock lock(other.mutex_);
-    for (const auto& [name, c] : other.counters_) {
-      counters.emplace_back(name, c->value());
-    }
-    for (const auto& [name, g] : other.gauges_) {
-      gauges.emplace_back(name, g->value());
-    }
-    for (const auto& [name, h] : other.histograms_) {
-      histos.emplace_back(name, h.get());
-    }
-  }
-  for (const auto& [name, v] : counters) {
-    if (v > 0) counter(name).add(v);
-  }
-  for (const auto& [name, v] : gauges) gauge(name).set_max(v);
-  // Instrument addresses are stable for the life of `other`, so folding
-  // bucket contents outside its lock only races with concurrent records —
-  // the same relaxed-atomic tolerance every snapshot already has.
-  for (const auto& [name, h] : histos) histogram(name).merge_from(*h);
 }
 
 void Registry::save(util::ByteSink& sink) const {

@@ -106,13 +106,6 @@ class Histo {
 
   void reset() noexcept;
 
-  // Folds `other`'s samples into this histogram: bucket counts, count and
-  // sum add; min/max take the combined extremes.  The merged state is
-  // exactly what recording both sample multisets into one histogram would
-  // produce (sum aside: addition order can differ in the last ulp, which
-  // is why deterministic merges fold shards in a fixed order).
-  void merge_from(const Histo& other) noexcept;
-
   // Non-empty buckets as (lower_edge, upper_edge, count), in value order.
   struct Bucket {
     double lo;
@@ -146,14 +139,6 @@ class Registry {
 
   // Zeroes every registered instrument.  References stay valid.
   void reset() EXCLUDES(mutex_);
-
-  // Folds every instrument of `other` into this registry, creating
-  // same-named instruments on first sight: counters and histograms sum
-  // (order-independent integer adds, bucket-by-bucket), gauges merge by
-  // max — the high-water interpretation every built-in gauge uses.
-  // Merging per-shard registries in shard-index order therefore yields
-  // one snapshot whose values do not depend on how work was sharded.
-  void merge_from(const Registry& other) EXCLUDES(mutex_);
 
   // Deterministic snapshot: one JSON object with "counters", "gauges" and
   // "histograms" sub-objects, keys in lexicographic order.  Histograms

@@ -16,7 +16,7 @@
 //     `max_retries` attempts, then dropped permanently (the timeout case).
 //
 // The loss stream draws exactly one Bernoulli per delivery attempt, in
-// queue pop order — shard-count invariant because pop order is.
+// the queue's deterministic (time, seq) pop order.
 #pragma once
 
 #include <cstdint>

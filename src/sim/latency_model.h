@@ -90,7 +90,7 @@ class LatencyModel {
 // The dedicated RNG stream of one tree link, derived by mix_seed so that
 // sampling delays on one link never perturbs another link's stream (and
 // therefore no other node's delivery times) regardless of event
-// interleaving or shard count.  `link_id` is the child node's id — each
+// interleaving.  `link_id` is the child node's id — each
 // parent↔child edge is owned by its child end.
 util::Rng link_stream(std::uint64_t run_seed, std::uint64_t link_id);
 

@@ -113,67 +113,6 @@ TEST(ClientPool, LruEvictsColdClientsButNeverPinnedOnes) {
   EXPECT_GE(pool.materializations(), 50u);
 }
 
-TEST(ClientPool, CacheSegmentsPartitionContiguousIdRanges) {
-  const data::SyntheticData data = tiny_data();
-  ClientPool pool = make_virtual_pool(&data.train, 100, /*cache=*/8);
-  EXPECT_EQ(pool.cache_segments(), 1u);
-  pool.set_cache_segments(4);
-  EXPECT_EQ(pool.cache_segments(), 4u);
-  // Contiguous, monotone ownership covering every segment.
-  std::size_t previous = 0;
-  for (std::size_t id = 0; id < 100; ++id) {
-    const std::size_t s = pool.segment_of(id);
-    ASSERT_LT(s, 4u);
-    ASSERT_GE(s, previous);
-    previous = s;
-  }
-  EXPECT_EQ(pool.segment_of(0), 0u);
-  EXPECT_EQ(pool.segment_of(99), 3u);
-
-  // Each segment ages its own LRU: 3 distinct clients per segment with a
-  // per-segment capacity share of 2 evicts one per segment.
-  for (std::size_t id : {0ul, 1ul, 2ul, 30ul, 31ul, 32ul}) pool.lease(id);
-  EXPECT_EQ(pool.live_clients(), 4u);
-  EXPECT_EQ(pool.peak_live_clients(), 5u);
-
-  // Re-segmenting with materialized clients is rejected.
-  EXPECT_THROW(pool.set_cache_segments(2), std::logic_error);
-
-  // Segment count clamps: zero is one, huge is the population.
-  ClientPool fresh = make_virtual_pool(&data.train, 10, 4);
-  fresh.set_cache_segments(0);
-  EXPECT_EQ(fresh.cache_segments(), 1u);
-  fresh.set_cache_segments(1000);
-  EXPECT_EQ(fresh.cache_segments(), 10u);
-
-  // Materialized backend: no-op.
-  TinyFederation fed = FederationBuilder().clients(4).build();
-  ClientPool materialized(&fed.clients);
-  materialized.set_cache_segments(8);
-  EXPECT_EQ(materialized.cache_segments(), 0u);
-}
-
-TEST(ClientPool, SegmentCountNeverChangesClientBytes) {
-  // Segmentation moves cache boundaries, never data: a lease must yield
-  // identical training state at every segment count.
-  const data::SyntheticData data = tiny_data();
-  std::vector<std::vector<std::size_t>> golden;
-  for (std::size_t segments : {1ul, 2ul, 4ul, 8ul}) {
-    ClientPool pool = make_virtual_pool(&data.train, 64, /*cache=*/4);
-    pool.set_cache_segments(segments);
-    std::vector<std::vector<std::size_t>> indices;
-    for (std::size_t id = 0; id < 64; id += 7) {
-      ClientPool::Lease lease = pool.lease(id);
-      indices.push_back(lease->train_indices());
-    }
-    if (golden.empty()) {
-      golden = std::move(indices);
-    } else {
-      EXPECT_EQ(indices, golden) << "segments " << segments;
-    }
-  }
-}
-
 TEST(ClientPool, VirtualClientsTrainIdenticallyToMaterializedTwins) {
   // A client materialized through the pool must behave exactly like a
   // Client built eagerly from the same shard: same indices, same local

@@ -2,8 +2,8 @@
 // regional failure modes.  (The flat collapse lives in
 // core::TiflSystem::run_hier; integration_test holds its oracle.)
 //
-//  - Multi-region runs are bit-reproducible across event-queue shard
-//    counts 1/2/4/8 and training thread pools 1/2/8.
+//  - Multi-region runs are bit-reproducible across training thread pools
+//    1/2/8.
 //  - Regional outages (sim::regional_outages composition) degrade the
 //    affected region gracefully and never break determinism.
 //  - A run crashed mid-tree and resumed from its checkpoint reproduces
@@ -57,14 +57,12 @@ std::uint64_t weight_hash(const std::vector<float>& weights) {
   return hash;
 }
 
-// Host-dependent instruments (wall clocks, cache locality) and checkpoint
-// accounting (a crashed run writes checkpoints, the oracle run does not)
-// are excluded; everything else must match bit for bit.
+// Wall clocks and checkpoint accounting (a crashed run writes
+// checkpoints, the oracle run does not) are excluded; everything else
+// must match bit for bit.
 std::string metrics_snapshot() {
   return obs::Registry::global().to_json([](std::string_view name) {
-    return !name.ends_with("_ns") && name.substr(0, 5) != "pool." &&
-           name.substr(0, 11) != "checkpoint." &&
-           name != "sim.schedule_horizon";
+    return !name.ends_with("_ns") && name.substr(0, 11) != "checkpoint.";
   });
 }
 
@@ -98,8 +96,7 @@ struct HierOutput {
 // One tree run over the tiny federation with a fresh registry and tracer.
 // Throws sim::SimulatedCrash through.
 HierOutput run_tree(const HierConfig& hier, const AsyncConfig& async,
-                    std::size_t shards, std::size_t threads,
-                    HierLifecycleHooks hooks = {}) {
+                    std::size_t threads, HierLifecycleHooks hooks = {}) {
   obs::Registry::global().reset();
   HierOutput out;
   std::ostringstream trace_out;
@@ -109,9 +106,7 @@ HierOutput run_tree(const HierConfig& hier, const AsyncConfig& async,
     TinyFederation fed =
         FederationBuilder().clients(kClients).jitter(0.05).build();
     ClientPool pool(&fed.clients);
-    AsyncConfig sharded = async;
-    sharded.shards = shards;
-    TreeEngine engine(tiny_engine_config(1), sharded, hier, tiny_factory(),
+    TreeEngine engine(tiny_engine_config(1), async, hier, tiny_factory(),
                       &pool, two_region_tiers(), &fed.data.test, fed.latency);
     engine.set_lifecycle_hooks(std::move(hooks));
     util::ThreadPool workers(threads);
@@ -150,23 +145,19 @@ void expect_identical(const HierOutput& a, const HierOutput& b,
 
 // --- multi-region determinism ------------------------------------------------
 
-TEST(HierDeterminism, ShardAndPoolSizeInvariant) {
+TEST(HierDeterminism, PoolSizeInvariant) {
   const AsyncConfig async = base_async();
   const HierConfig hier = two_regions();
-  const HierOutput baseline = run_tree(hier, async, 1, 1);
+  const HierOutput baseline = run_tree(hier, async, 1);
   EXPECT_FALSE(baseline.run.collapsed);
   EXPECT_EQ(baseline.run.result.rounds.size(), async.total_updates);
   EXPECT_GT(baseline.run.uplinks, 0u);
   EXPECT_GT(baseline.run.downlinks, 0u);
   EXPECT_GT(baseline.run.root_link_bytes, 0u);
 
-  for (std::size_t shards : {1u, 2u, 4u, 8u}) {
-    for (std::size_t threads : {1u, 2u, 8u}) {
-      if (shards == 1 && threads == 1) continue;
-      expect_identical(baseline, run_tree(hier, async, shards, threads),
-                       "shards=" + std::to_string(shards) +
-                           " threads=" + std::to_string(threads));
-    }
+  for (std::size_t threads : {2u, 8u}) {
+    expect_identical(baseline, run_tree(hier, async, threads),
+                     "threads=" + std::to_string(threads));
   }
 }
 
@@ -245,18 +236,18 @@ TEST(RegionalOutages, DegradeGracefullyAndStayDeterministic) {
       two_regions({sim::RegionalOutage{/*region=*/0, /*start=*/0.5,
                                        /*duration=*/1.0}});
 
-  const HierOutput out = run_tree(hier, async, 1, 2);
+  const HierOutput out = run_tree(hier, async, 2);
   EXPECT_EQ(out.run.outage_count, 1u);
   EXPECT_EQ(out.run.rejoin_count, 1u);
   // Graceful degradation: the federation still completes every root round.
   EXPECT_EQ(out.run.result.rounds.size(), async.total_updates);
 
   // The outage changes the trajectory relative to the healthy run...
-  const HierOutput healthy = run_tree(two_regions(), async, 1, 2);
+  const HierOutput healthy = run_tree(two_regions(), async, 2);
   EXPECT_NE(weight_hash(out.run.final_weights),
             weight_hash(healthy.run.final_weights));
   // ...but never its reproducibility.
-  expect_identical(out, run_tree(hier, async, 8, 8), "outage shards=8");
+  expect_identical(out, run_tree(hier, async, 8), "outage threads=8");
 }
 
 // --- re-tiering hooks --------------------------------------------------------
@@ -274,14 +265,14 @@ TEST(HierRetier, PerLeafHooksFireAndStayDeterministic) {
   };
   hooks.retier = [&leaf_tiers](std::size_t leaf) { return leaf_tiers[leaf]; };
 
-  const HierOutput out = run_tree(two_regions(), async, 1, 2, hooks);
+  const HierOutput out = run_tree(two_regions(), async, 2, hooks);
   EXPECT_GT(out.run.reprofile_count, 0u);
   EXPECT_GT(observed, 0u);
   EXPECT_EQ(out.run.result.rounds.size(), async.total_updates);
 
   observed = 0;
-  expect_identical(out, run_tree(two_regions(), async, 4, 2, hooks),
-                   "retier shards=4");
+  expect_identical(out, run_tree(two_regions(), async, 8, hooks),
+                   "retier threads=8");
 }
 
 TEST(HierRetier, ReprofileWithoutHooksThrows) {
@@ -385,7 +376,7 @@ TEST(HierValidation, RejectsWhatAsyncEngineRejects) {
 TEST(HierResume, CrashedRunResumesToTheUninterruptedResult) {
   const AsyncConfig async = base_async();
   const HierConfig hier = two_regions();
-  const HierOutput full = run_tree(hier, async, 2, 2);
+  const HierOutput full = run_tree(hier, async, 2);
   const double span = full.run.result.rounds.back().virtual_time;
   const std::string snap = ::testing::TempDir() + "/hier_resume.snap";
 
@@ -395,7 +386,7 @@ TEST(HierResume, CrashedRunResumesToTheUninterruptedResult) {
   crashing.fault.crash_at = 0.65 * span;
   bool crashed = false;
   try {
-    run_tree(hier, crashing, 2, 2);
+    run_tree(hier, crashing, 2);
   } catch (const sim::SimulatedCrash&) {
     crashed = true;
   }
@@ -403,7 +394,7 @@ TEST(HierResume, CrashedRunResumesToTheUninterruptedResult) {
 
   AsyncConfig resuming = async;
   resuming.resume_path = snap;
-  const HierOutput resumed = run_tree(hier, resuming, 2, 2);
+  const HierOutput resumed = run_tree(hier, resuming, 2);
   EXPECT_EQ(full.run.final_weights, resumed.run.final_weights);
   ASSERT_EQ(full.run.result.rounds.size(),
             resumed.run.result.rounds.size());
@@ -422,8 +413,8 @@ TEST(HierResume, CrashedRunResumesToTheUninterruptedResult) {
             resumed.trace);
   EXPECT_EQ(full.metrics, resumed.metrics);
 
-  // Resuming across shard counts is equally exact.
-  const HierOutput resumed8 = run_tree(hier, resuming, 8, 4);
+  // Resuming on another pool size is equally exact.
+  const HierOutput resumed8 = run_tree(hier, resuming, 8);
   EXPECT_EQ(full.run.final_weights, resumed8.run.final_weights);
 }
 
@@ -437,7 +428,7 @@ TEST(HierResume, SnapshotRefusesADifferentTree) {
   crashing.checkpoint_path = snap;
   crashing.fault.crash_at = 4.0;
   try {
-    run_tree(hier, crashing, 1, 1);
+    run_tree(hier, crashing, 1);
   } catch (const sim::SimulatedCrash&) {
   }
 
@@ -446,7 +437,7 @@ TEST(HierResume, SnapshotRefusesADifferentTree) {
   // Different link latency = different tree fingerprint.
   HierConfig other = two_regions();
   other.topology.nodes[1].link.latency_seconds = 0.25;
-  EXPECT_THROW(run_tree(other, resuming, 1, 1), std::runtime_error);
+  EXPECT_THROW(run_tree(other, resuming, 1), std::runtime_error);
 }
 
 }  // namespace

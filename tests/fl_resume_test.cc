@@ -2,9 +2,9 @@
 // checkpoint must be indistinguishable from the uninterrupted run — same
 // final weights bit for bit, same per-version round series, the resumed
 // trace a byte-exact suffix of the full trace, and the same metrics
-// totals.  Asserted across worker-shard counts 1/2/4/8 and thread pools
-// 1/2/8, on both async paths, with and without injected update loss, and
-// through a stateful (adaptive) selection policy.
+// totals.  Asserted across thread pools 1/2/8, on both async paths, with
+// and without injected update loss, and through a stateful (adaptive)
+// selection policy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -41,13 +41,13 @@ using testing::TinyFederation;
 // crashed run does, and that difference is the point, not a regression.
 // The dynamic loop's flush instruments go with them: a checkpoint first
 // trains the cohorts then pending, so a run that writes checkpoints
-// batches its cohorts into more, smaller flushes.
+// batches its cohorts into more, smaller flushes.  The pool.* cache
+// counters go too: a resumed run starts with a cold client cache.
 std::string resume_metrics_snapshot() {
   return obs::Registry::global().to_json([](std::string_view name) {
     return !name.ends_with("_ns") && name.substr(0, 5) != "pool." &&
            name.substr(0, 11) != "checkpoint." &&
-           name.substr(0, 11) != "async.flush" &&
-           name != "sim.schedule_horizon";
+           name.substr(0, 11) != "async.flush";
   });
 }
 
@@ -177,20 +177,6 @@ AsyncConfig dynamic_config() {
   return async;
 }
 
-TEST(FlResume, StaticPathCrashResumeIsByteIdenticalAcrossShards) {
-  for (std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4},
-                             std::size_t{8}}) {
-    AsyncConfig async = static_config();
-    async.shards = shards;
-    const std::string tag = "static_s" + std::to_string(shards);
-    const RunOutput full = run_once(async, /*threads=*/2);
-    const RunOutput resumed =
-        crash_and_resume(async, full, /*every_frac=*/0.2, /*crash_frac=*/0.6,
-                         /*threads=*/2, tag);
-    expect_identical(full, resumed, tag);
-  }
-}
-
 TEST(FlResume, StaticPathCrashResumeIsThreadPoolSizeInvariant) {
   const AsyncConfig async = static_config();
   const RunOutput full = run_once(async, /*threads=*/1);
@@ -213,29 +199,25 @@ TEST(FlResume, StaticPathWithInjectedLossCrashResume) {
   async.fault.backoff_base = 0.25;
   const RunOutput full = run_once(async, /*threads=*/2);
   EXPECT_NE(full.metrics.find("fault.lost_updates"), std::string::npos);
-  for (std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-    AsyncConfig sharded = async;
-    sharded.shards = shards;
-    const std::string tag = "static_loss_s" + std::to_string(shards);
-    const RunOutput sharded_full = run_once(sharded, /*threads=*/2);
-    expect_identical(full, sharded_full, tag + "_full");
+  for (std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+    const std::string tag = "static_loss_t" + std::to_string(threads);
+    expect_identical(full, run_once(async, threads), tag + "_full");
     const RunOutput resumed =
-        crash_and_resume(sharded, full, /*every_frac=*/0.2, /*crash_frac=*/0.5,
-                         /*threads=*/2, tag);
+        crash_and_resume(async, full, /*every_frac=*/0.2, /*crash_frac=*/0.5,
+                         threads, tag);
     expect_identical(full, resumed, tag);
   }
 }
 
-TEST(FlResume, DynamicChurnPathCrashResumeIsByteIdenticalAcrossShards) {
-  for (std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4},
-                             std::size_t{8}}) {
-    AsyncConfig async = dynamic_config();
-    async.shards = shards;
-    const std::string tag = "dyn_s" + std::to_string(shards);
-    const RunOutput full = run_once(async, /*threads=*/2);
+TEST(FlResume, DynamicChurnPathCrashResumeIsThreadPoolSizeInvariant) {
+  const AsyncConfig async = dynamic_config();
+  const RunOutput full = run_once(async, /*threads=*/1);
+  for (std::size_t threads : {std::size_t{1}, std::size_t{2},
+                              std::size_t{8}}) {
+    const std::string tag = "dyn_t" + std::to_string(threads);
     const RunOutput resumed =
         crash_and_resume(async, full, /*every_frac=*/0.15, /*crash_frac=*/0.55,
-                         /*threads=*/2, tag);
+                         threads, tag);
     expect_identical(full, resumed, tag);
   }
 }
@@ -245,28 +227,24 @@ TEST(FlResume, DynamicCrashResumeWithCohortsPendingAtTheCheckpoints) {
   // cohort leaves it pending there, so the loop flushes it before the
   // writer stores every flight trained.  The flushes that outnumber the
   // uninterrupted run's are those checkpoints.
-  for (std::size_t shards : {std::size_t{1}, std::size_t{8}}) {
-    AsyncConfig async = dynamic_config();
-    async.shards = shards;
-    const std::string tag = "pending_s" + std::to_string(shards);
-    const RunOutput full = run_once(async, /*threads=*/2);
-    obs::Registry& reg = obs::Registry::global();
-    const std::uint64_t full_flushes = reg.counter("async.flushes").value();
+  const AsyncConfig async = dynamic_config();
+  const RunOutput full = run_once(async, /*threads=*/2);
+  obs::Registry& reg = obs::Registry::global();
+  const std::uint64_t full_flushes = reg.counter("async.flushes").value();
 
-    const double span = full.result.result.rounds.back().virtual_time;
-    AsyncConfig checkpointing = async;
-    checkpointing.checkpoint_every = 1e-6 * span;
-    checkpointing.checkpoint_path =
-        ::testing::TempDir() + "/resume_" + tag + "_full.snap";
-    const RunOutput written = run_once(checkpointing, /*threads=*/2);
-    EXPECT_EQ(written.result.final_weights, full.result.final_weights) << tag;
-    EXPECT_GT(reg.counter("async.flushes").value(), full_flushes) << tag;
+  const double span = full.result.result.rounds.back().virtual_time;
+  AsyncConfig checkpointing = async;
+  checkpointing.checkpoint_every = 1e-6 * span;
+  checkpointing.checkpoint_path =
+      ::testing::TempDir() + "/resume_pending_full.snap";
+  const RunOutput written = run_once(checkpointing, /*threads=*/2);
+  EXPECT_EQ(written.result.final_weights, full.result.final_weights);
+  EXPECT_GT(reg.counter("async.flushes").value(), full_flushes);
 
-    const RunOutput resumed =
-        crash_and_resume(async, full, /*every_frac=*/1e-6,
-                         /*crash_frac=*/0.55, /*threads=*/2, tag);
-    expect_identical(full, resumed, tag);
-  }
+  const RunOutput resumed =
+      crash_and_resume(async, full, /*every_frac=*/1e-6,
+                       /*crash_frac=*/0.55, /*threads=*/2, "pending");
+  expect_identical(full, resumed, "pending");
 }
 
 TEST(FlResume, DynamicPathWithLossAndAdaptivePolicyCrashResume) {
@@ -374,14 +352,6 @@ TEST(FlResume, ResumeRejectsMismatchedConfigOrPolicy) {
   AsyncConfig wrong_path = dynamic_config();
   wrong_path.resume_path = snap;
   EXPECT_THROW(run_once(wrong_path, 2), std::runtime_error);
-
-  // The shard count is deliberately NOT fingerprinted: resuming under a
-  // different partitioning must replay byte for byte.
-  AsyncConfig resharded = async;
-  resharded.resume_path = snap;
-  resharded.shards = 4;
-  const RunOutput resumed = run_once(resharded, 2);
-  EXPECT_EQ(full.result.final_weights, resumed.result.final_weights);
 }
 
 TEST(FlResume, DynamicSnapshotWithBadInFlightEntryIsRejected) {

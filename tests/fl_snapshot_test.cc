@@ -9,8 +9,10 @@
 #include <array>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -19,7 +21,6 @@
 #include "sim/churn_model.h"
 #include "sim/event_queue.h"
 #include "sim/fault_model.h"
-#include "sim/sharded_event_queue.h"
 #include "test_helpers.h"
 #include "util/rng.h"
 #include "util/serial.h"
@@ -131,16 +132,19 @@ TEST(FlSnapshot, EventQueueHorizonRoundTrips) {
     queue.schedule(rng.uniform() * 10.0, /*kind=*/i % 4,
                    /*actor=*/static_cast<std::uint64_t>(i % 16));
   }
+  // An unavailable client's arrival: dispatched with infinite latency.
+  queue.schedule(std::numeric_limits<double>::infinity(), /*kind=*/1,
+                 /*actor=*/15);
   std::vector<sim::Event> drained;
   queue.pop_batch(drained);  // advance the clock mid-run
 
-  const double now = queue.now();
-  const std::uint64_t next_seq = queue.next_seq();
-  const std::vector<sim::Event> pending = queue.pending();
-
+  util::ByteSink sink;
+  fl::put_queue(sink, queue);
   sim::EventQueue restored;
-  restored.restore(now, next_seq, pending);
-  EXPECT_EQ(restored.now(), now);
+  util::ByteSource source(sink.bytes());
+  fl::get_queue(source, restored, /*actors=*/16);
+  EXPECT_EQ(restored.now(), queue.now());
+  EXPECT_EQ(restored.next_seq(), queue.next_seq());
   EXPECT_EQ(restored.size(), queue.size());
   while (!queue.empty()) {
     ASSERT_FALSE(restored.empty());
@@ -154,40 +158,88 @@ TEST(FlSnapshot, EventQueueHorizonRoundTrips) {
   EXPECT_TRUE(restored.empty());
 }
 
-TEST(FlSnapshot, ShardedQueueRestoresAcrossShardCounts) {
-  // A horizon captured from a 2-shard queue must replay identically when
-  // restored into 1-, 4- and 8-shard queues: the shard partitioning is a
-  // performance choice, never part of the durable state.
-  sim::ShardedEventQueue source_queue(2, 64);
-  util::Rng rng(5);
-  for (int i = 0; i < 300; ++i) {
-    source_queue.schedule(rng.uniform() * 20.0, /*kind=*/1,
-                          /*actor=*/static_cast<std::uint64_t>(
-                              rng.next() % 64));
+// A queue section laid out as fl::put_queue writes it.
+std::string queue_section(double now, std::uint64_t next_seq,
+                          const std::vector<sim::Event>& events) {
+  util::ByteSink sink;
+  sink.put_f64(now);
+  sink.put_u64(next_seq);
+  sink.put_u64(events.size());
+  for (const sim::Event& e : events) {
+    sink.put_f64(e.time);
+    sink.put_u64(e.seq);
+    sink.put_u64(e.kind);
+    sink.put_u64(e.actor);
   }
-  std::vector<sim::Event> drained;
-  source_queue.pop_batch(drained);
+  return sink.take();
+}
 
-  const double now = source_queue.now();
-  const std::uint64_t next_seq = source_queue.next_seq();
-  const std::vector<sim::Event> pending = source_queue.pending();
-
-  std::vector<sim::Event> reference;
+TEST(FlSnapshot, QueueSectionRejectsEachMalformedField) {
+  // The loops index per-actor arrays with event.actor and the heap
+  // compares times, so a CRC-valid section must still be checked field by
+  // field.  The valid base sits on every boundary: an event at the clock,
+  // the largest seq below next_seq, the largest actor below the count and
+  // an event at +inf (an unavailable client's arrival).
+  constexpr std::size_t kActors = 4;
+  constexpr double kNow = 2.0;
+  constexpr std::uint64_t kNextSeq = 10;
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<sim::Event> valid = {
+      {.time = kNow, .seq = 3, .kind = 0, .actor = 0},
+      {.time = 2.5, .seq = 1, .kind = 0, .actor = kActors - 1},
+      {.time = 2.5, .seq = kNextSeq - 1, .kind = 0, .actor = 2},
+      {.time = inf, .seq = 4, .kind = 0, .actor = 1},
+  };
   {
-    sim::ShardedEventQueue replay(2, 64);
-    replay.restore(now, next_seq, pending);
-    while (!replay.empty()) reference.push_back(replay.pop());
+    sim::EventQueue queue;
+    const std::string bytes = queue_section(kNow, kNextSeq, valid);
+    util::ByteSource source(bytes);
+    fl::get_queue(source, queue, kActors);
+    EXPECT_EQ(queue.size(), valid.size());
   }
-  for (std::size_t shards : {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
-    sim::ShardedEventQueue replay(shards, 64);
-    replay.restore(now, next_seq, pending);
-    std::vector<sim::Event> events;
-    while (!replay.empty()) events.push_back(replay.pop());
-    ASSERT_EQ(events.size(), reference.size()) << "shards=" << shards;
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      EXPECT_EQ(events[i].seq, reference[i].seq) << "shards=" << shards;
+
+  const auto expect_rejected = [&](double now,
+                                   const std::vector<sim::Event>& events,
+                                   const char* label) {
+    sim::EventQueue queue;
+    const std::string bytes = queue_section(now, kNextSeq, events);
+    util::ByteSource source(bytes);
+    try {
+      fl::get_queue(source, queue, kActors);
+      ADD_FAILURE() << label << ": accepted";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("queue event"),
+                std::string::npos)
+          << label << ": " << error.what();
     }
-  }
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  expect_rejected(nan, valid, "NaN clock");
+  expect_rejected(inf, valid, "infinite clock");
+
+  const auto with = [&](std::size_t i, auto edit) {
+    std::vector<sim::Event> events = valid;
+    edit(events[i]);
+    return events;
+  };
+  expect_rejected(kNow, with(1, [&](sim::Event& e) { e.time = nan; }),
+                  "NaN time");
+  expect_rejected(kNow, with(0, [&](sim::Event& e) { e.time = -inf; }),
+                  "time at -inf");
+  expect_rejected(kNow, with(0, [](sim::Event& e) { e.time = kNow - 0.5; }),
+                  "time before the clock");
+  expect_rejected(kNow, with(2, [](sim::Event& e) { e.seq = kNextSeq; }),
+                  "seq at next_seq");
+  expect_rejected(kNow, with(1, [](sim::Event& e) { e.actor = kActors; }),
+                  "actor at the actor count");
+  expect_rejected(kNow, {valid[1], valid[0], valid[2], valid[3]},
+                  "time out of order");
+  expect_rejected(kNow, {valid[0], valid[2], valid[1], valid[3]},
+                  "seq out of order at one time");
+  expect_rejected(kNow, {valid[0], valid[1], valid[1], valid[3]},
+                  "duplicate key");
+  expect_rejected(kNow, {valid[0], valid[1], valid[2], valid[3], valid[3]},
+                  "duplicate key at +inf");
 }
 
 TEST(FlSnapshot, ChurnModelStreamRoundTrips) {

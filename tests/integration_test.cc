@@ -370,12 +370,9 @@ CollapseRun run_collapse(bool hier, const std::string& policy_name) {
     tracer.flush();
   }
   out.trace = trace_out.str();
-  // Host-dependent instruments (wall clocks, cache locality) are excluded;
-  // everything else must match bit for bit.
-  out.metrics = obs::Registry::global().to_json([](std::string_view name) {
-    return !name.ends_with("_ns") && name.substr(0, 5) != "pool." &&
-           name != "sim.schedule_horizon";
-  });
+  // Wall clocks are excluded; everything else must match bit for bit.
+  out.metrics = obs::Registry::global().to_json(
+      [](std::string_view name) { return !name.ends_with("_ns"); });
   return out;
 }
 

@@ -29,11 +29,6 @@
 //                           restarting the run (async only)          [0]
 //   --churn-seed S          pin the churn stream independently of
 //                           --seed (0 = derive from the run seed)    [0]
-//   --shards N              worker shards for the event queue and the
-//                           virtual client cache (async only): each
-//                           shard owns a contiguous client range and
-//                           its own event heap/LRU.  Results are
-//                           bit-identical at every shard count.      [1]
 //   --virtual               virtualize the client population: lazy IID
 //                           shards + on-demand client materialization
 //                           (fl::ClientPool), so --clients 1000000 runs
@@ -59,7 +54,7 @@
 //   --resume FILE           resume a run from a snapshot; the completed
 //                           run is byte-identical to the uninterrupted
 //                           one (same final model hash, same trace
-//                           suffix) at every --shards count
+//                           suffix)
 //   --event-log FILE        append-only CRC-framed record of every
 //                           processed event (torn tails tolerated; on
 //                           resume the log is truncated back to the
@@ -157,7 +152,7 @@ constexpr char kUsage[] =
     "  --staleness  constant | poly | invfreq (async)    [constant]\n"
     "  --alpha F    --churn RATE  --reprofile-every SECS\n"
     "  --churn-seed S  --virtual  --samples-per-client N\n"
-    "  --shard-spread F   --shards N [1]\n"
+    "  --shard-spread F\n"
     "  --log-level  debug | info | warn | error          [warn]\n"
     "  --metrics-out FILE   metrics registry snapshot (JSON)\n"
     "  --trace-out FILE     structured event trace (JSONL)\n"
@@ -438,8 +433,6 @@ int main(int argc, char** argv) {
       async.churn.seed =
           static_cast<std::uint64_t>(cli.get_int("churn-seed", 0));
       async.reprofile_every = cli.get_double("reprofile-every", 0.0);
-      async.shards =
-          static_cast<std::size_t>(cli.get_int("shards", 1));
       async.checkpoint_every = cli.get_double("checkpoint-every", 0.0);
       async.checkpoint_path = cli.get("checkpoint", "");
       async.resume_path = cli.get("resume", "");
