@@ -25,10 +25,10 @@ namespace {
 
 using namespace tifl;
 
-// The whole extension surface: select() and observe().  The context form
-// also hands policies the virtual time, a live tier view and the
-// dispatching tier on the async engine — this one only needs the round's
-// RNG stream, so it stays sync-only (the default supports()).
+// The whole extension surface: select() and observe().  On the async
+// engine the context also names the dispatching tier and its selectable
+// members (`context.candidates`) — this one only needs the round's RNG
+// stream, so it stays sync-only (the default supports()).
 class StickyTierPolicy final : public fl::SelectionPolicy {
  public:
   StickyTierPolicy(std::vector<std::vector<std::size_t>> members,
@@ -39,12 +39,10 @@ class StickyTierPolicy final : public fl::SelectionPolicy {
   fl::Selection select(const fl::SelectionContext& context) override {
     // Skip tiers that cannot fill a round.
     while (members_[tier_].size() < clients_per_round_) advance();
-    const auto& pool = members_[tier_];
-    const auto picks = fl::sample_without_replacement(
-        pool.size(), clients_per_round_, context.stream());
     fl::Selection selection;
     selection.tier = static_cast<int>(tier_);
-    for (std::size_t p : picks) selection.clients.push_back(pool[p]);
+    selection.clients = fl::Candidates(members_[tier_])
+                            .draw(clients_per_round_, context.stream());
     return selection;
   }
 

@@ -138,15 +138,11 @@ fl::Selection AdaptiveTierPolicy::select(const fl::SelectionContext& context) {
   current_tier_ = context.stream().weighted_index(effective);
   credits_[current_tier_] -= 1.0;  // Alg. 2 line 11
 
-  const std::vector<std::size_t>& pool = members_[current_tier_];
-  const std::vector<std::size_t> picks = fl::sample_without_replacement(
-      pool.size(), config_.clients_per_round, context.stream());
-
-  fl::Selection selection;
-  selection.tier = static_cast<int>(current_tier_);
-  selection.clients.reserve(picks.size());
-  for (std::size_t p : picks) selection.clients.push_back(pool[p]);
-  return selection;
+  return fl::Selection{
+      .clients = fl::Candidates(members_[current_tier_])
+                     .draw(config_.clients_per_round, context.stream()),
+      .tier = static_cast<int>(current_tier_),
+      .aggregate_count = 0};
 }
 
 // Async per-tier cadence: the engine fixed the tier; Alg. 2's
@@ -176,16 +172,10 @@ fl::Selection AdaptiveTierPolicy::select_tier_round(
   if (count == 0) return {};  // parked; the engine retries next version
 
   if (credits_[tier] > 0.0) credits_[tier] -= 1.0;
-  const std::vector<std::size_t> picks = fl::sample_without_replacement(
-      context.candidates.size(), count, context.stream());
-
-  fl::Selection selection;
-  selection.tier = context.tier;
-  selection.clients.reserve(picks.size());
-  for (std::size_t p : picks) {
-    selection.clients.push_back(context.candidates[p]);
-  }
-  return selection;
+  return fl::Selection{
+      .clients = context.candidates.draw(count, context.stream()),
+      .tier = context.tier,
+      .aggregate_count = 0};
 }
 
 void AdaptiveTierPolicy::observe(const fl::RoundFeedback& feedback) {

@@ -24,12 +24,11 @@ DeadlinePolicy::DeadlinePolicy(const ProfileResult& profile,
 }
 
 fl::Selection DeadlinePolicy::select(const fl::SelectionContext& context) {
-  const std::vector<std::size_t> picks = fl::sample_without_replacement(
-      eligible_.size(), clients_per_round_, context.stream());
-  fl::Selection selection;
-  selection.clients.reserve(picks.size());
-  for (std::size_t p : picks) selection.clients.push_back(eligible_[p]);
-  return selection;
+  return fl::Selection{
+      .clients = fl::Candidates(eligible_).draw(clients_per_round_,
+                                                context.stream()),
+      .tier = -1,
+      .aggregate_count = 0};
 }
 
 }  // namespace tifl::core

@@ -50,27 +50,18 @@ fl::Selection StaticTierPolicy::select(const fl::SelectionContext& context) {
     const std::size_t count =
         std::min(static_cast<std::size_t>(std::llround(share)),
                  context.candidates.size());
-    fl::Selection selection;
-    selection.tier = context.tier;
-    if (count == 0) return selection;
-    selection.clients.reserve(count);
-    for (std::size_t p : fl::sample_without_replacement(
-             context.candidates.size(), count, context.stream())) {
-      selection.clients.push_back(context.candidates[p]);
-    }
-    return selection;
+    return fl::Selection{
+        .clients = context.candidates.draw(count, context.stream()),
+        .tier = context.tier,
+        .aggregate_count = 0};
   }
 
   const std::size_t tier = context.stream().weighted_index(probs_);
-  const std::vector<std::size_t>& pool = members_[tier];
-
-  const std::vector<std::size_t> picks = fl::sample_without_replacement(
-      pool.size(), clients_per_round_, context.stream());
-  fl::Selection selection;
-  selection.tier = static_cast<int>(tier);
-  selection.clients.reserve(picks.size());
-  for (std::size_t p : picks) selection.clients.push_back(pool[p]);
-  return selection;
+  return fl::Selection{
+      .clients = fl::Candidates(members_[tier])
+                     .draw(clients_per_round_, context.stream()),
+      .tier = static_cast<int>(tier),
+      .aggregate_count = 0};
 }
 
 std::vector<double> table1_probs(const std::string& name,

@@ -277,7 +277,7 @@ std::uint64_t config_fingerprint(const EngineConfig& config,
   h = util::mix_seed(h, f(config.local.optimizer.lr),
                      f(config.lr_decay_per_round));
   h = util::mix_seed(h, static_cast<std::uint64_t>(config.local.optimizer.kind),
-                     config.eval_chunk);
+                     kEvalChunk);
   h = util::mix_seed(h, f(config.local.dp_clip_norm),
                      f(config.local.dp_noise_sigma));
   h = util::mix_seed(h, num_tiers, num_clients);
@@ -389,27 +389,18 @@ void get_tail(util::ByteSource& source, AsyncRunResult& out,
   get_metrics(source);
 }
 
-// Asks `policy` for tier `tier`'s cohort at `version`, sampled from
-// `candidates`; an empty answer parks the tier.
+// Asks `policy` for tier `tier`'s cohort at `version`, drawn from
+// `candidates`; an empty answer parks the tier.  Throws std::logic_error
+// on an id at or past `population` or a repeated one.
 Selection select_cohort(SelectionPolicy& policy, ServerState& server,
                         obs::PhaseTimer& phases, std::size_t tier,
                         std::size_t version, double now,
-                        std::span<const std::size_t> candidates,
-                        std::span<const std::vector<std::size_t>> members) {
-  std::vector<std::size_t> staleness(server.tier_updates.size(), 0);
-  for (std::size_t t = 0; t < staleness.size(); ++t) {
-    if (server.tier_updates[t] > 0) {
-      staleness[t] = version - server.last_submit_version[t];
-    }
-  }
+                        const Candidates& candidates,
+                        std::size_t population) {
   SelectionContext context;
   context.round = version;
-  context.virtual_time = now;
   context.tier = static_cast<int>(tier);
   context.candidates = candidates;
-  context.tiers = TierView{.members = members,
-                           .update_counts = server.tier_updates,
-                           .staleness = staleness};
   context.rng = &server.selection_rng[tier];
   Selection selection;
   {
@@ -425,6 +416,13 @@ Selection select_cohort(SelectionPolicy& policy, ServerState& server,
                  {obs::field("version", version)});
     }
   }
+  for (std::size_t id : selection.clients) {
+    if (id >= population) {
+      throw std::logic_error(
+          "AsyncEngine: policy selected a client outside the population");
+    }
+  }
+  check_distinct_clients("AsyncEngine", selection.clients);
   return selection;
 }
 
@@ -464,8 +462,7 @@ AsyncEngine::AsyncEngine(EngineConfig config, AsyncConfig async,
   validate();
 }
 
-void validate_async_config(const EngineConfig& config,
-                           const AsyncConfig& async, const ClientPool* clients,
+void validate_async_config(const AsyncConfig& async, const ClientPool* clients,
                            const data::Dataset* test, const char* engine) {
   const auto bad = [](double v) { return std::isnan(v) || v < 0.0; };
   const std::pair<bool, const char*> checks[] = {
@@ -476,7 +473,6 @@ void validate_async_config(const EngineConfig& config,
        "clients_per_tier_round must be > 0"},
       {async.poly_alpha < 0.0, "negative poly_alpha"},
       {async.eval_every == 0, "eval_every must be > 0"},
-      {config.eval_chunk == 0, "eval_chunk must be > 0"},
       {bad(async.reprofile_every), "negative reprofile_every"},
       {bad(async.checkpoint_every), "negative or NaN checkpoint_every"},
       {async.checkpoint_every > 0.0 && async.checkpoint_path.empty(),
@@ -491,7 +487,7 @@ void validate_async_config(const EngineConfig& config,
 }
 
 void AsyncEngine::validate() const {
-  validate_async_config(config_, async_, clients_, test_, "AsyncEngine");
+  validate_async_config(async_, clients_, test_, "AsyncEngine");
   bool any_members = false;
   for (const std::vector<std::size_t>& members : tier_members_) {
     any_members = any_members || !members.empty();
@@ -530,8 +526,7 @@ void AsyncEngine::set_tier_eval_indices(
 }
 
 Evaluation AsyncEngine::evaluate(std::span<const float> weights) {
-  return trainer_.evaluate(weights, *test_, config_.eval_chunk,
-                           tier_eval_indices_);
+  return trainer_.evaluate(weights, *test_, kEvalChunk, tier_eval_indices_);
 }
 
 AsyncRunResult AsyncEngine::run(std::optional<std::uint64_t> seed_override) {
@@ -587,17 +582,10 @@ AsyncRunResult AsyncEngine::run_static(std::uint64_t seed,
   const auto dispatch = [&](std::size_t tier) {
     server.parked[tier] = 0;
     const std::size_t version = out.result.rounds.size();
-    Selection selection =
-        select_cohort(policy, server, phases, tier, version, queue.now(),
-                      tier_members_[tier], tier_members_);
+    Selection selection = select_cohort(
+        policy, server, phases, tier, version, queue.now(),
+        Candidates(tier_members_[tier]), clients_->size());
     if (selection.clients.empty()) return;
-    for (std::size_t id : selection.clients) {
-      if (id >= clients_->size()) {
-        throw std::logic_error(
-            "AsyncEngine: policy selected a client outside the population");
-      }
-    }
-    check_distinct_clients("AsyncEngine", selection.clients);
     const std::size_t count = selection.clients.size();
 
     PendingTierRound& round = pending[tier];
@@ -844,14 +832,11 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
 
   // Membership evolves during the run (leaves, joins, re-tierings), so
   // work on run-local state: repeated run() calls stay a pure function
-  // of the seed.  Authoritative membership lives in order-statistics sets
+  // of the seed.  Each tier's members live in an order-statistics set
   // (SegmentedIdSet: O(block) churn instead of an O(n) memmove per event
-  // at million-client scale); `tiers_flat` is a dirty-cached ascending
-  // copy rebuilt only where an interface needs a plain vector (custom
-  // selection policies, re-tier callbacks, final reporting).  Both views
-  // iterate in ascending id order, exactly like the flat sorted vectors
-  // they replace, so sampling and picks are bit-identical.
-  std::vector<std::vector<std::size_t>> tiers_flat(num_tiers);
+  // at million-client scale) in ascending id order.  Selection reads it
+  // through a Candidates view; the snapshot writer and the final
+  // membership copy it out.
 
   // Same stream layout as the static path; churn draws come from the
   // ChurnModel's own forked streams, so enabling re-profiling alone does
@@ -881,35 +866,28 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
   for (std::size_t t = 0; t < num_tiers; ++t) {
     tier_sets.emplace_back(num_clients);
   }
-  std::vector<char> tier_dirty(num_tiers, 0);
   util::SegmentedIdSet live_set(num_clients);
-  util::SegmentedIdSet inactive_set(num_clients);  // join reserve
+  // Join reserve: the clients outside the tiers that can answer.  An
+  // unavailable one (ResourceProfile::unavailable) never would: a joiner's
+  // arrival would sit at +inf, and its cohort would never drain.
+  util::SegmentedIdSet inactive_set(num_clients);
+  const auto reserve = [&](std::size_t c) {
+    if (!clients_->resource(c).unavailable) inactive_set.insert(c);
+  };
 
   // Start, resume and re-tiering install the tier membership here: one id
-  // list per tier, together covering exactly the live clients.
-  const auto set_tiers = [&](std::vector<std::vector<std::size_t>> members) {
-    tiers_flat = std::move(members);
+  // list per tier, together covering exactly the live clients.  Each list
+  // is sorted in place, so its inserts append to their set blocks and
+  // on_retier sees it ascending.
+  const auto set_tiers = [&](std::vector<std::vector<std::size_t>>& members) {
     for (std::size_t t = 0; t < num_tiers; ++t) {
-      std::sort(tiers_flat[t].begin(), tiers_flat[t].end());
-      tier_dirty[t] = 0;
+      std::sort(members[t].begin(), members[t].end());
       tier_sets[t].clear();
-      for (std::size_t id : tiers_flat[t]) {
+      for (std::size_t id : members[t]) {
         tier_of[id] = t;
         tier_sets[t].insert(id);
       }
     }
-  };
-
-  // Refresh + return the flat membership copies; every plain-vector
-  // consumer below goes through this.
-  const auto flat_tiers = [&]() -> std::vector<std::vector<std::size_t>>& {
-    for (std::size_t t = 0; t < num_tiers; ++t) {
-      if (tier_dirty[t]) {
-        tiers_flat[t] = tier_sets[t].to_vector();
-        tier_dirty[t] = 0;
-      }
-    }
-    return tiers_flat;
   };
 
   // One record per in-flight client, keyed (and so iterated) by ascending
@@ -1022,67 +1000,26 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
     if (out.result.rounds.size() >= async_.total_updates) return;
     const std::size_t version = out.result.rounds.size();
 
-    std::vector<std::size_t> selected;
-    if (policy_ == nullptr) {
-      // Default-policy fast path.  UniformTierPolicy::select draws
-      // sample_without_replacement(|eligible|, count) and returns
-      // eligible[draw], where eligible = tier members minus in-flight
-      // clients in ascending id order.  Replicate that draw-for-draw
-      // against the order-statistics set: the in-flight "holes" are
-      // rank-adjusted away instead of materializing an O(tier size)
-      // eligible list per dispatch.  Both paths consume the exact same
-      // selection-stream values, so installing an explicit
-      // UniformTierPolicy replays this path bit for bit (ctest-pinned).
-      // The holes are the flights whose *current* tier is this one, in
-      // ascending id order, so their ranks ascend too.
-      std::vector<std::size_t> blocked;
-      for (const auto& [c, flight] : flights) {
-        if (tier_of[c] == tier) blocked.push_back(tier_sets[tier].rank(c));
-      }
-      const std::size_t eligible_count =
-          tier_sets[tier].size() - blocked.size();
-      if (eligible_count == 0) return;
-      obs::ScopedPhase phase(&phases, obs::Phase::kSelect);
-      const std::size_t count =
-          std::min(async_.clients_per_tier_round, eligible_count);
-      const std::vector<std::size_t> draws = sample_without_replacement(
-          eligible_count, count, server.selection_rng[tier]);
-      selected.reserve(count);
-      for (std::size_t local : draws) {
-        std::size_t idx = local;
-        for (std::size_t r : blocked) {
-          if (r <= idx) {
-            ++idx;
-          } else {
-            break;
-          }
-        }
-        selected.push_back(tier_sets[tier].kth(idx));
-      }
-    } else {
-      // Custom policy: materialize the eligible list and ask.  A client
-      // already training for another tier (possible right after a
-      // re-tiering migration) cannot take a second task.
-      std::vector<std::size_t> eligible;
-      for (std::size_t id : flat_tiers()[tier]) {
-        if (!flights.contains(id)) eligible.push_back(id);
-      }
-      if (eligible.empty()) return;
-      Selection selection =
-          select_cohort(policy, server, phases, tier, version, queue.now(),
-                        eligible, tiers_flat);
-      if (selection.clients.empty()) return;
-      for (std::size_t id : selection.clients) {
-        if (id >= num_clients || tier_of[id] == kNoTier ||
-            flights.contains(id)) {
-          throw std::logic_error(
-              "AsyncEngine: policy selected a dead or busy client");
-        }
-      }
-      check_distinct_clients("AsyncEngine", selection.clients);
-      selected = std::move(selection.clients);
+    // The tier's in-flight members are the flights whose *current* tier
+    // is this one (a re-tiering can move a client mid-flight), in
+    // ascending id order, so their ranks ascend too.
+    std::vector<std::size_t> in_flight;
+    for (const auto& [c, flight] : flights) {
+      if (tier_of[c] == tier) in_flight.push_back(tier_sets[tier].rank(c));
     }
-    const std::size_t count = selected.size();
+    const Candidates candidates(tier_sets[tier], in_flight);
+    if (candidates.empty()) return;
+    Selection selection =
+        select_cohort(policy, server, phases, tier, version, queue.now(),
+                      candidates, num_clients);
+    if (selection.clients.empty()) return;
+    for (std::size_t id : selection.clients) {
+      if (tier_of[id] == kNoTier || flights.contains(id)) {
+        throw std::logic_error(
+            "AsyncEngine: policy selected a dead or busy client");
+      }
+    }
+    const std::size_t count = selection.clients.size();
 
     round.active = true;
     round.awaiting = count;
@@ -1097,7 +1034,7 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
     std::vector<sim::PendingEvent> cohort;
     cohort.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
-      const std::size_t c = selected[i];
+      const std::size_t c = selection.clients[i];
       const double latency =
           latency_model_.sample_latency(clients_->resource(c),
                                         clients_->train_size(c),
@@ -1117,7 +1054,7 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
           .actor = c});
     }
     queue.schedule_bulk(cohort);
-    pending.push_back({.members = std::move(selected),
+    pending.push_back({.members = std::move(selection.clients),
                        .base = global,
                        .lr = server.tier_lr[tier],
                        .seq = seq,
@@ -1192,8 +1129,8 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
   const auto save_state = [&](util::ByteSink& sink) {
     put_prologue(sink, prologue);
     put_head(sink, server, out.result.rounds);
-    for (const std::vector<std::size_t>& members : flat_tiers()) {
-      sink.put_size_vec(members);
+    for (const util::SegmentedIdSet& members : tier_sets) {
+      sink.put_size_vec(members.to_vector());
     }
     // Latency multipliers, sparse: only clients a slowdown touched.
     std::uint64_t scaled = 0;
@@ -1259,7 +1196,7 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
         tier_of[id] = t;
       }
     }
-    set_tiers(std::move(members));
+    set_tiers(members);
     const std::size_t scaled = source.checked_count(source.get_u64(), 16);
     for (std::size_t i = 0; i < scaled; ++i) {
       const std::size_t c = static_cast<std::size_t>(source.get_u64());
@@ -1357,10 +1294,15 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
                    " at version ", out.result.rounds.size(),
                    ", t=", queue.now());
   } else {
-    set_tiers(tier_members_);
+    std::vector<std::vector<std::size_t>> members = tier_members_;
+    set_tiers(members);
   }
   for (std::size_t c = 0; c < num_clients; ++c) {
-    (tier_of[c] != kNoTier ? live_set : inactive_set).insert(c);
+    if (tier_of[c] != kNoTier) {
+      live_set.insert(c);
+    } else {
+      reserve(c);
+    }
   }
 
   metrics.setup_ns.add(obs::wall_ns_count_since(setup_start));
@@ -1548,9 +1490,8 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
                                    static_cast<std::int64_t>(flying))});
           }
           live_set.erase(c);
-          inactive_set.insert(c);
+          reserve(c);
           tier_sets[tier_of[c]].erase(c);
-          tier_dirty[tier_of[c]] = 1;
           tier_of[c] = kNoTier;
           if (hooks_.left) hooks_.left(c);
           policy.on_leave(c);
@@ -1577,7 +1518,6 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
                 "AsyncEngine: joined hook returned tier out of range");
           }
           tier_sets[tier].insert(c);
-          tier_dirty[tier] = 1;
           tier_of[c] = tier;
           metrics.joins.add();
           if (obs::Tracer* t = obs::tracer()) {
@@ -1661,8 +1601,8 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
             throw std::runtime_error(
                 "AsyncEngine: retier hook dropped live clients");
           }
-          set_tiers(std::move(members));
-          policy.on_retier(tiers_flat);
+          set_tiers(members);
+          policy.on_retier(members);
           // Pending cohorts keep running under their dispatching tier; the
           // migrated membership only shapes future sampling.  Tiers that
           // gained their first members start their cadence now.
@@ -1705,7 +1645,9 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
   clients_->check_leases_returned("AsyncEngine");
 
   const auto finalize_start = obs::wall_now();
-  out.final_members = std::move(flat_tiers());
+  for (const util::SegmentedIdSet& members : tier_sets) {
+    out.final_members.push_back(members.to_vector());
+  }
   out.final_live_clients = live_set.size();
   finalize_result(out, server, phases);
   metrics.finalize_ns.add(obs::wall_ns_count_since(finalize_start));

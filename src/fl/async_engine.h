@@ -27,14 +27,19 @@
 // (a ctest asserts bitwise-equal weights).
 //
 // Both run paths (run_static, run_dynamic) and hier::TreeEngine share one
-// copy of the plumbing: cohort training (fl::CohortTrainer), the tier-round
-// fold (fl::fold_round), cross-slot aggregation (aggregate_slots below),
-// the version record (fl::VersionRecorder), config validation
-// (validate_async_config below), and the snapshot codec and checkpointer
-// (fl/snapshot).  Every cohort trains from the global model of its
-// dispatch: run_static and the tree's leaves train it at dispatch, and
-// run_dynamic keeps a copy of that model and trains it, together with
-// every other waiting cohort, when the first of their updates is needed.
+// copy of the plumbing: the cohort draw (fl::Candidates::draw, which both
+// loops reach through the policy, the default UniformTierPolicy included,
+// and the tree's leaves call directly), cohort training
+// (fl::CohortTrainer), the tier-round fold (fl::fold_round), cross-slot
+// aggregation (aggregate_slots below), the version record
+// (fl::VersionRecorder), config validation (validate_async_config below),
+// and the snapshot codec and checkpointer (fl/snapshot).  On the dynamic
+// loop the policy's candidates are a view of the tier's id set with its
+// in-flight clients skipped by rank, so no selection copies a tier.
+// Every cohort trains from the global model of its dispatch: run_static
+// and the tree's leaves train it at dispatch, and run_dynamic keeps a
+// copy of that model and trains it, together with every other waiting
+// cohort, when the first of their updates is needed.
 #pragma once
 
 #include <cstdint>
@@ -165,8 +170,7 @@ struct AsyncConfig {
 // The checks of the inputs both async engines read, called from the
 // AsyncEngine and hier::TreeEngine constructors: throws
 // std::invalid_argument, naming `engine`, on the first bad one.
-void validate_async_config(const EngineConfig& config,
-                           const AsyncConfig& async, const ClientPool* clients,
+void validate_async_config(const AsyncConfig& async, const ClientPool* clients,
                            const data::Dataset* test, const char* engine);
 
 // Callbacks the dynamic lifecycle path raises toward the tiering layer

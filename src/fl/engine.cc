@@ -31,9 +31,6 @@ Engine::Engine(EngineConfig config, nn::ModelFactory factory,
   if (config_.eval_every == 0) {
     throw std::invalid_argument("Engine: eval_every must be > 0");
   }
-  if (config_.eval_chunk == 0) {
-    throw std::invalid_argument("Engine: eval_chunk must be > 0");
-  }
 }
 
 void Engine::set_tier_eval_indices(
@@ -67,18 +64,15 @@ RunResult Engine::run(SelectionPolicy& policy,
   VersionRecorder recorder{
       &result.rounds, config_.eval_every, config_.rounds, "sync",
       [this](std::span<const float> w) {
-        return trainer_.evaluate(w, *test_, config_.eval_chunk,
-                                 tier_eval_indices_);
+        return trainer_.evaluate(w, *test_, kEvalChunk, tier_eval_indices_);
       },
       &phases};
 
   for (std::size_t round = 0; round < config_.rounds; ++round) {
-    SelectionContext context = SelectionContext::untiered(round, policy_rng);
-    context.virtual_time = virtual_time;
     Selection selection;
     {
       obs::ScopedPhase phase(&phases, obs::Phase::kSelect);
-      selection = policy.select(context);
+      selection = policy.select(round, policy_rng);
     }
     if (selection.clients.empty()) {
       throw std::logic_error("Engine: policy selected no clients");

@@ -13,11 +13,11 @@
 // the cadence, carries accuracy forward and feeds the policy.  Evaluation
 // is fl::CohortTrainer::evaluate: one parallel_for region over the
 // trainer's thread pool, each participant running 16-row blocks of the
-// test set on one of the trainer's scratch models, folded in eval_chunk
+// test set on one of the trainer's scratch models, folded in kEvalChunk
 // steps (fl/evaluation.h).  Blocks of 16 rows or more keep a layer with
 // K > kKC off the stream GEMM path, so every row scores as in one
-// whole-set pass; only a serial loop whose eval_chunk or tail held at
-// most 12 rows rounded such a layer differently.  What stays
+// whole-set pass; only a serial loop whose chunk or tail held at most 12
+// rows rounded such a layer differently.  What stays
 // here is Eq. 1: selection, latency sampling with over-provisioning,
 // secure aggregation, FedAvg over the kept updates, lr decay and the time
 // budget.
@@ -51,10 +51,6 @@ struct EngineConfig {
   LocalTrainParams local;            // epochs / batch / optimizer / DP
   double lr_decay_per_round = 0.995; // applied to the effective lr each round
   std::size_t eval_every = 1;        // global+tier eval cadence (rounds)
-  // Rows per step of the eval fold: the loss and hit counts are summed
-  // per eval_chunk rows, as a serial loop over eval_chunk-row mini-batches
-  // would.  The forward passes themselves run in 16-row blocks.
-  std::size_t eval_chunk = 512;
   std::uint64_t seed = 1;
   // Finite training budget (§4.5: "the training time and resource budget
   // is typically finite"): stop after the first round whose completion
@@ -71,8 +67,8 @@ struct EngineConfig {
 
 class Engine {
  public:
-  // Throws std::invalid_argument on an empty population, a null test set,
-  // eval_every == 0 or eval_chunk == 0.
+  // Throws std::invalid_argument on an empty population, a null test set
+  // or eval_every == 0.
   Engine(EngineConfig config, nn::ModelFactory factory,
          std::vector<Client> clients, const data::Dataset* test,
          sim::LatencyModel latency_model);

@@ -49,6 +49,11 @@ class ThreadPool;
 
 namespace tifl::fl {
 
+// The engines' fold step: evaluate_weights' `chunk` in every engine, so
+// the loss and hit counts are summed per 512 rows, as a serial loop over
+// 512-row mini-batches would.  Run fingerprints mix it in.
+inline constexpr std::size_t kEvalChunk = 512;
+
 struct Evaluation {
   double loss = 0.0;      // sample-weighted mean over `dataset`
   double accuracy = 0.0;

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <map>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "fl/evaluation.h"
@@ -100,7 +101,7 @@ std::uint64_t hier_fingerprint(const EngineConfig& config,
                      f(config.lr_decay_per_round));
   h = util::mix_seed(h,
                      static_cast<std::uint64_t>(config.local.optimizer.kind),
-                     config.eval_chunk);
+                     kEvalChunk);
   h = util::mix_seed(h, f(config.local.dp_clip_norm),
                      f(config.local.dp_noise_sigma));
   h = util::mix_seed(h, hier.topology.fingerprint(), hier.tiers_per_region);
@@ -110,6 +111,16 @@ std::uint64_t hier_fingerprint(const EngineConfig& config,
   }
   h = util::mix_seed(h, num_clients, weight_count);
   return h;
+}
+
+// A CRC-valid payload can still hold a value the loop would index out of
+// bounds with, or an event it cannot handle: throws std::runtime_error
+// naming the field unless `ok`.
+void check_snapshot(bool ok, const char* field) {
+  if (!ok) {
+    throw std::runtime_error(std::string("TreeEngine: snapshot ") + field +
+                             " does not fit the tree");
+  }
 }
 
 }  // namespace
@@ -131,7 +142,7 @@ TreeEngine::TreeEngine(
 }
 
 void TreeEngine::validate() const {
-  validate_async_config(config_, async_, clients_, test_, "TreeEngine");
+  validate_async_config(async_, clients_, test_, "TreeEngine");
   hier_.topology.validate(clients_->size());
   if (hier_.topology.is_flat()) {
     throw std::invalid_argument(
@@ -273,7 +284,7 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
   VersionRecorder recorder{
       &out.result.rounds, async_.eval_every, async_.total_updates, "hier",
       [this](std::span<const float> weights) {
-        return trainer_.evaluate(weights, *test_, config_.eval_chunk);
+        return trainer_.evaluate(weights, *test_, kEvalChunk);
       },
       &phases};
 
@@ -303,15 +314,11 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
 
     const std::size_t count =
         std::min(async_.clients_per_tier_round, members.size());
-    std::vector<std::size_t> picks;
     {
       obs::ScopedPhase phase(&phases, obs::Phase::kSelect);
-      picks = sample_without_replacement(members.size(), count,
-                                         node.selection_rng[tier]);
+      round.selected =
+          Candidates(members).draw(count, node.selection_rng[tier]);
     }
-    round.selected.clear();
-    round.selected.reserve(count);
-    for (std::size_t pick : picks) round.selected.push_back(members[pick]);
     round.dispatch_version = node.version;
 
     trainer_.train(*clients_, round.selected, node.model, node.tier_lr[tier],
@@ -482,6 +489,65 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
       in_flight.emplace(seq, std::move(flight));
     }
     get_queue(source, queue, num_nodes);
+    // Everything the event handlers index with or look up, before any
+    // event runs.
+    for (const AggregatorNode& node : nodes) {
+      for (const std::vector<float>& model : node.slot_models) {
+        check_snapshot(model.size() == weight_count, "slot model length");
+      }
+      check_snapshot(node.model.size() == weight_count, "node model length");
+      const std::size_t tiers = node.tiers.size();
+      check_snapshot(node.tier_lr.size() == tiers, "tier_lr length");
+      check_snapshot(node.staleness_sum.size() == tiers,
+                     "staleness_sum length");
+      check_snapshot(node.retry_count.size() == tiers, "retry_count length");
+      for (const std::vector<std::size_t>& members : node.tiers) {
+        for (std::size_t id : members) {
+          check_snapshot(id < clients_->size(), "tier member");
+        }
+      }
+      for (const PendingTierRound& round : node.pending) {
+        for (std::size_t id : round.selected) {
+          check_snapshot(id < clients_->size(), "pending member");
+        }
+        for (const LocalUpdate& update : round.updates) {
+          check_snapshot(update.weights.size() == weight_count,
+                         "pending update length");
+        }
+      }
+    }
+    for (const auto& [seq, link] : in_flight) {
+      check_snapshot(link.from < num_nodes, "link payload sender");
+      check_snapshot(link.model.size() == weight_count,
+                     "link payload model length");
+    }
+    for (const sim::Event& event : queue.pending()) {
+      const AggregatorNode& node = nodes[event.actor];
+      if (event.kind >= kTierBase) {
+        const std::size_t tier =
+            static_cast<std::size_t>(event.kind - kTierBase);
+        check_snapshot(tier < node.pending.size() &&
+                           !node.pending[tier].updates.empty(),
+                       "tier event (a trained round of a leaf tier)");
+      } else if (event.kind == kUplink || event.kind == kDownlink) {
+        const auto link = in_flight.find(event.seq);
+        check_snapshot(link != in_flight.end(), "link event payload");
+        const bool up = event.kind == kUplink;
+        const std::size_t child = up ? link->second.from : event.actor;
+        const std::size_t parent = up ? event.actor : link->second.from;
+        check_snapshot(topo.nodes[child].parent == static_cast<int>(parent),
+                       "link event endpoints (a child and its parent)");
+      } else {
+        // A retier event calls the hook that only reprofile_every > 0
+        // requires.
+        const bool retier =
+            event.kind == kRetier && async_.reprofile_every > 0.0;
+        check_snapshot(
+            (event.kind == kOutage || event.kind == kRejoin || retier) &&
+                node.is_leaf,
+            "outage, rejoin or retier event (on a leaf)");
+      }
+    }
     checkpointer.resume(queue.now());
     get_blob(source,
              [&](util::ByteSource& blob) { fault.restore_state(blob); });

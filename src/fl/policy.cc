@@ -6,7 +6,32 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "util/segmented_id_set.h"
+
 namespace tifl::fl {
+
+Candidates::Candidates(const util::SegmentedIdSet& set,
+                       std::span<const std::size_t> skip_ranks)
+    : set_(&set), skip_(skip_ranks), size_(set.size() - skip_ranks.size()) {}
+
+std::size_t Candidates::operator[](std::size_t i) const {
+  if (set_ == nullptr) return list_[i];
+  // Each skipped rank at or below the running index shifts it past one
+  // left-out member; the ranks ascend, so the first one above ends it.
+  for (std::size_t rank : skip_) {
+    if (rank > i) break;
+    ++i;
+  }
+  return set_->kth(i);
+}
+
+std::vector<std::size_t> Candidates::draw(std::size_t count,
+                                          util::Rng& rng) const {
+  std::vector<std::size_t> picks =
+      sample_without_replacement(size_, count, rng);
+  for (std::size_t& pick : picks) pick = (*this)[pick];
+  return picks;
+}
 
 void check_distinct_clients(const char* engine,
                             std::span<const std::size_t> clients) {
@@ -119,19 +144,11 @@ Selection UniformTierPolicy::select(const SelectionContext& context) {
         "UniformTierPolicy: async-only policy asked for an untiered "
         "selection (use it with the async engine)");
   }
-  // Bit-for-bit the pre-seam uniform self-sampling: one
-  // sample_without_replacement call over the candidate count on the
-  // tier's selection stream.
   const std::size_t count =
       std::min(clients_per_tier_round_, context.candidates.size());
-  Selection selection;
-  selection.tier = context.tier;
-  selection.clients.reserve(count);
-  for (std::size_t local : sample_without_replacement(
-           context.candidates.size(), count, context.stream())) {
-    selection.clients.push_back(context.candidates[local]);
-  }
-  return selection;
+  return Selection{.clients = context.candidates.draw(count, context.stream()),
+                   .tier = context.tier,
+                   .aggregate_count = 0};
 }
 
 }  // namespace tifl::fl

@@ -17,7 +17,8 @@
 //    sample from `context.candidates` and may bias the tier's cadence by
 //    returning more, fewer, or zero clients (zero parks the tier until
 //    the next global version).  `UniformTierPolicy` is the engine's
-//    default and replays uniform self-sampling bit for bit.
+//    default: every loop, the dynamic one included, asks it like any
+//    installed policy.
 //
 // Policies advertise which engines they can drive via supports(); the
 // engines reject mismatched policies up front instead of silently
@@ -33,6 +34,10 @@
 
 #include "util/rng.h"
 #include "util/serial.h"
+
+namespace tifl::util {
+class SegmentedIdSet;
+}
 
 namespace tifl::fl {
 
@@ -58,40 +63,51 @@ struct Selection {
 void check_distinct_clients(const char* engine,
                             std::span<const std::size_t> clients);
 
-// Read-only view of the engine's tier state at selection time.  The sync
-// engine is tier-agnostic and passes an empty view (sync policies carry
-// their own membership snapshot from core::TierInfo); the async engine
-// fills all three spans, and on its dynamic path `members` reflects the
-// *live* evolving membership after joins, leaves and re-tierings.
-struct TierView {
-  // members[t] = live client ids of tier t (fastest tier first).
-  std::span<const std::vector<std::size_t>> members;
-  // Submissions per tier so far (the async engine's update counts).
-  std::span<const std::size_t> update_counts;
-  // Global versions since each tier last submitted (0 for never-submitted
-  // tiers and for the freshest tier).
-  std::span<const std::size_t> staleness;
+// Read-only view of the members a selection may draw from: a list, in
+// its own order, or a tier's id set in ascending id order minus the
+// members at `skip_ranks` (ascending ranks into the set: the async
+// dynamic loop's in-flight clients).  Nothing is copied: indexing the set
+// costs O(set blocks + skips), and the view lives only as long as what it
+// spans, so a policy reads it during the select() call that gets it.
+// draw() is the one uniform draw of |C| members: the tier policies, the
+// deadline baseline and the tree's leaves all pick through it.
+class Candidates {
+ public:
+  Candidates() = default;
+  explicit Candidates(std::span<const std::size_t> list)
+      : list_(list), size_(list.size()) {}
+  Candidates(const util::SegmentedIdSet& set,
+             std::span<const std::size_t> skip_ranks);
 
-  std::size_t tier_count() const { return members.size(); }
-  std::size_t tier_size(std::size_t t) const { return members[t].size(); }
-  bool empty() const { return members.empty(); }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  // The i-th candidate, i < size().
+  std::size_t operator[](std::size_t i) const;
+
+  // `count` distinct candidates drawn uniformly, in draw order: one
+  // sample_without_replacement(size(), count, rng) call, each draw mapped
+  // through operator[].  Throws std::invalid_argument when count > size().
+  std::vector<std::size_t> draw(std::size_t count, util::Rng& rng) const;
+
+ private:
+  std::span<const std::size_t> list_;
+  const util::SegmentedIdSet* set_ = nullptr;  // null: list-backed
+  std::span<const std::size_t> skip_;
+  std::size_t size_ = 0;
 };
 
 struct SelectionContext {
   // Sync: round index.  Async: current global version (completed tier
   // submissions so far).
   std::size_t round = 0;
-  // Virtual seconds elapsed on the engine's clock/event timeline.
-  double virtual_time = 0.0;
   // Async per-tier cadence: the tier whose round is being dispatched —
   // the policy samples *within* this tier.  -1 on the sync engine, where
   // the policy picks the tier itself.
   int tier = -1;
-  // Async only: the dispatching tier's currently-eligible member ids
-  // (the dynamic path excludes clients already in flight).  Returned
-  // Selection::clients must come from this set.
-  std::span<const std::size_t> candidates;
-  TierView tiers;
+  // Async only: the dispatching tier's selectable members (the dynamic
+  // loop leaves out clients already in flight).  Returned
+  // Selection::clients must come from them.
+  Candidates candidates;
   // The policy's dedicated RNG stream, forked from the run seed (the
   // async engine forks one stream per tier so cadences stay independent).
   // Never null when an engine builds the context.
@@ -214,11 +230,11 @@ class OverProvisionPolicy final : public SelectionPolicy {
   std::size_t selected_per_round_;
 };
 
-// The async engine's default: sample `clients_per_tier_round` members
-// uniformly from the dispatching tier — exactly the uniform self-sampling
-// the engine hard-coded before the policy seam existed (a determinism
-// ctest asserts the replay is bit-for-bit).  Async only: it has no way to
-// pick a tier by itself.
+// The async engine's default: draw `clients_per_tier_round` candidates
+// (all of them when fewer) uniformly from the dispatching tier — exactly
+// the uniform self-sampling the engine hard-coded before the policy seam
+// existed (a determinism ctest asserts the replay is bit-for-bit).  Async
+// only: it has no way to pick a tier by itself.
 class UniformTierPolicy final : public SelectionPolicy {
  public:
   explicit UniformTierPolicy(std::size_t clients_per_tier_round);
@@ -235,7 +251,7 @@ class UniformTierPolicy final : public SelectionPolicy {
 };
 
 // Uniform sample of `count` distinct values from [0, n) — partial
-// Fisher-Yates; shared by every policy implementation.
+// Fisher-Yates; Candidates::draw and the whole-pool baselines call it.
 std::vector<std::size_t> sample_without_replacement(std::size_t n,
                                                     std::size_t count,
                                                     util::Rng& rng);

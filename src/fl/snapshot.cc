@@ -283,9 +283,9 @@ void get_queue(util::ByteSource& source, sim::EventQueue& queue,
   }
   // A CRC-valid section can still hold an actor the loop indexes out of
   // bounds with, a clock that would run backwards, or a NaN the heap
-  // comparator cannot order.  An event at +inf is legitimate: an
-  // unavailable client that joins a churned run is dispatched with an
-  // infinite latency.
+  // comparator cannot order.  An event at +inf is legitimate: a tier
+  // member that never answers (ResourceProfile::unavailable) is
+  // dispatched with an infinite latency.
   std::vector<sim::Event> events(count);
   for (std::size_t i = 0; i < count; ++i) {
     sim::Event& e = events[i];

@@ -152,22 +152,6 @@ void EventQueue::pop_batch(std::vector<Event>& out) {
   metrics.popped.add(out.size());
 }
 
-void EventQueue::pop_until(double horizon, std::vector<Event>& out) {
-  out.clear();
-  while (!heap_.empty() && heap_.front().time <= horizon) {
-    std::pop_heap(heap_.begin(), heap_.end(), after);
-    out.push_back(heap_.back());
-    heap_.pop_back();
-    now_ = out.back().time;
-  }
-  queue_metrics().popped.add(out.size());
-}
-
-void EventQueue::reset() {
-  heap_.clear();
-  now_ = 0.0;
-}
-
 std::vector<Event> EventQueue::pending() const {
   std::vector<Event> out = heap_;
   std::sort(out.begin(), out.end(), [](const Event& a, const Event& b) {

@@ -92,18 +92,6 @@ class EventQueue {
   // Throws std::logic_error when empty.
   void pop_batch(std::vector<Event>& out);
 
-  // Like pop_batch, but drains every event with time <= horizon (possibly
-  // spanning many timestamps); now() advances to the last popped event's
-  // time (untouched when nothing qualifies, leaving `out` empty).  Only
-  // safe for consumers that do not schedule while processing `out` —
-  // a mid-batch schedule_at(now()+d) with d < horizon - now() would pop
-  // *after* events it should precede under one-at-a-time semantics.
-  void pop_until(double horizon, std::vector<Event>& out);
-
-  // Drops all pending events and rewinds the clock to zero.  seq keeps
-  // counting so pre/post-reset events never collide.
-  void reset();
-
   // --- checkpoint/resume surface --------------------------------------------
   // Next seq schedule() would assign; with pending() this captures the
   // queue's full deterministic state.

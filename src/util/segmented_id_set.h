@@ -92,7 +92,7 @@ class SegmentedIdSet {
   }
 
   // Ascending flat copy — the bridge to interfaces that take plain
-  // vectors (selection-policy callbacks, final membership reporting).
+  // vectors (snapshot writing, final membership reporting).
   std::vector<std::size_t> to_vector() const {
     std::vector<std::size_t> out;
     out.reserve(size_);

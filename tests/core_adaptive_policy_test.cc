@@ -237,7 +237,7 @@ fl::SelectionContext tier_context(std::size_t tier,
   fl::SelectionContext context;
   context.round = version;
   context.tier = static_cast<int>(tier);
-  context.candidates = candidates;
+  context.candidates = fl::Candidates(candidates);
   context.rng = &rng;
   return context;
 }

@@ -405,18 +405,6 @@ TEST(AsyncEngine, ConstructorValidation) {
                            &fed.clients, two_tiers(10), &fed.data.test,
                            fed.latency),
                std::invalid_argument);
-
-  // eval_chunk = 0 fails here, not at the first evaluation.
-  EngineConfig zero_chunk = config;
-  zero_chunk.eval_chunk = 0;
-  try {
-    AsyncEngine engine(zero_chunk, async, tiny_factory(), &fed.clients,
-                       two_tiers(10), &fed.data.test, fed.latency);
-    FAIL() << "eval_chunk = 0 was accepted";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("eval_chunk"), std::string::npos)
-        << e.what();
-  }
 }
 
 // --- selection-policy seam ---------------------------------------------------

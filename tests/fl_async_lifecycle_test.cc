@@ -4,8 +4,11 @@
 // replays the static-population engine bit for bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "core/system.h"
 #include "core/tiering.h"
@@ -219,6 +222,30 @@ TEST(AsyncLifecycle, JoinsAreNoOpsWithoutAReserveThenReviveLeavers) {
   EXPECT_LE(out.final_live_clients, 10u);
 }
 
+TEST(AsyncLifecycle, UnavailableClientsNeverJoin) {
+  // Client 9 never answers and sits outside the tiers.  Were it in the
+  // join reserve, a join would dispatch it with an arrival at +inf and
+  // its tier's round could never drain.
+  TinyFederation fed = FederationBuilder().clients(10).build();
+  fed.clients[9].resource().unavailable = true;
+  AsyncConfig async = dyn_config(40);
+  async.churn.join_rate = 0.5;
+  AsyncEngine engine(tiny_engine_config(1), async, tiny_factory(),
+                     &fed.clients, {{0, 1, 2, 3}, {4, 5, 6, 7, 8}},
+                     &fed.data.test, fed.latency);
+  const AsyncRunResult out = engine.run();
+  EXPECT_EQ(out.result.rounds.size(), 40u);
+  for (const RoundRecord& record : out.result.rounds) {
+    EXPECT_EQ(std::count(record.selected_clients.begin(),
+                         record.selected_clients.end(), 9u),
+              0)
+        << "version " << record.round;
+  }
+  for (const std::vector<std::size_t>& members : out.final_members) {
+    EXPECT_EQ(std::count(members.begin(), members.end(), 9u), 0);
+  }
+}
+
 TEST(AsyncLifecycle, SlowdownsStretchObservedLatency) {
   // Same seed with and without slowdowns: the drifted run's mean observed
   // response latency must be strictly larger (multipliers center ~2x).
@@ -367,11 +394,9 @@ TEST(AsyncLifecycle, OnlineRetieringMigratesDriftedClients) {
 
 TEST(AsyncLifecycle,
      DefaultSamplingMatchesExplicitUniformPolicyAcrossRetiering) {
-  // The default policy's fast path skips a tier's in-flight members by
-  // rank, taking them by their current tier.  Re-tiering moves clients
-  // between tiers mid-flight, and churn adds and removes them, so the
-  // fast path must still pick exactly what UniformTierPolicy picks from
-  // the materialized eligible list.
+  // No policy and an installed UniformTierPolicy are one selection path
+  // on the dynamic loop: both draw from the same candidate view.  Pins
+  // that the default stays that policy across re-tiering and churn.
   TinyFederation fed = FederationBuilder().clients(20).jitter(0.02).build();
   core::SystemConfig config;
   config.clients_per_round = 3;
@@ -398,6 +423,126 @@ TEST(AsyncLifecycle,
   EXPECT_GT(fast.reprofile_count, 0u);
   EXPECT_GT(fast.leave_count, 0u);
   expect_identical(fast, listed);
+}
+
+// The dynamic loop's membership as its hooks and selections report it:
+// tier sets and the clients in flight.
+struct ShadowMembership {
+  std::vector<std::set<std::size_t>> tiers;
+  std::set<std::size_t> in_flight;
+  std::size_t dispatches = 0;
+  std::size_t retiers = 0;
+  std::size_t moved_in_flight = 0;  // in-flight clients a retier moved
+};
+
+// At every dispatch, checks that `context.candidates` is the dispatching
+// tier's members minus the clients in flight, ascending; then draws two.
+class CandidateCheckingPolicy final : public SelectionPolicy {
+ public:
+  explicit CandidateCheckingPolicy(ShadowMembership* shadow)
+      : shadow_(shadow) {}
+
+  using SelectionPolicy::select;
+  Selection select(const SelectionContext& context) override {
+    const std::size_t tier = static_cast<std::size_t>(context.tier);
+    std::vector<std::size_t> expected;
+    for (std::size_t id : shadow_->tiers[tier]) {
+      if (!shadow_->in_flight.contains(id)) expected.push_back(id);
+    }
+    std::vector<std::size_t> candidates;
+    for (std::size_t i = 0; i < context.candidates.size(); ++i) {
+      candidates.push_back(context.candidates[i]);
+    }
+    EXPECT_EQ(candidates, expected)
+        << "dispatch " << shadow_->dispatches << ", tier " << tier;
+    ++shadow_->dispatches;
+    const std::size_t count = std::min<std::size_t>(2, expected.size());
+    Selection selection{
+        .clients = context.candidates.draw(count, context.stream()),
+        .tier = context.tier,
+        .aggregate_count = 0};
+    shadow_->in_flight.insert(selection.clients.begin(),
+                              selection.clients.end());
+    return selection;
+  }
+  std::string name() const override { return "candidate-check"; }
+  bool supports(EngineKind kind) const override {
+    return kind == EngineKind::kAsync;
+  }
+
+ private:
+  ShadowMembership* shadow_;
+};
+
+TEST(AsyncLifecycle, CandidatesAreTheTiersLiveMembersMinusInFlight) {
+  // Joiners go to tier id % 3; every re-tiering deals the live clients
+  // round-robin from a rotating offset, so clients change tiers while in
+  // flight.
+  constexpr std::size_t kTiers = 3;
+  TinyFederation fed = FederationBuilder().clients(24).jitter(0.05).build();
+  const std::vector<std::vector<std::size_t>> initial = {
+      {0, 1, 2, 3, 4, 5, 6, 7},
+      {8, 9, 10, 11, 12, 13, 14, 15},
+      {16, 17, 18, 19, 20, 21, 22, 23}};
+  ShadowMembership shadow;
+  for (const std::vector<std::size_t>& members : initial) {
+    shadow.tiers.emplace_back(members.begin(), members.end());
+  }
+
+  LifecycleHooks hooks;
+  hooks.observe = [&](std::size_t client, double) {
+    shadow.in_flight.erase(client);
+  };
+  hooks.joined = [&](std::size_t client, double) {
+    shadow.tiers[client % kTiers].insert(client);
+    return client % kTiers;
+  };
+  hooks.left = [&](std::size_t client) {
+    for (std::set<std::size_t>& members : shadow.tiers) members.erase(client);
+    shadow.in_flight.erase(client);
+  };
+  hooks.retier = [&]() {
+    std::set<std::size_t> live;
+    std::vector<std::size_t> tier_of(fed.clients.size(), kTiers);
+    for (std::size_t t = 0; t < kTiers; ++t) {
+      for (std::size_t id : shadow.tiers[t]) {
+        live.insert(id);
+        tier_of[id] = t;
+      }
+      shadow.tiers[t].clear();
+    }
+    std::vector<std::vector<std::size_t>> members(kTiers);
+    std::size_t i = ++shadow.retiers;
+    for (std::size_t id : live) {
+      const std::size_t t = i++ % kTiers;
+      members[t].push_back(id);
+      shadow.tiers[t].insert(id);
+      if (t != tier_of[id] && shadow.in_flight.contains(id)) {
+        ++shadow.moved_in_flight;
+      }
+    }
+    return members;
+  };
+
+  AsyncConfig async = dyn_config(300);
+  async.reprofile_every = 0.5;
+  async.churn.join_rate = 0.5;
+  async.churn.leave_rate = 0.5;
+  async.churn.slowdown_rate = 0.5;
+  AsyncEngine engine(tiny_engine_config(1), async, tiny_factory(),
+                     &fed.clients, initial, &fed.data.test, fed.latency);
+  engine.set_lifecycle_hooks(std::move(hooks));
+  CandidateCheckingPolicy policy(&shadow);
+  engine.set_policy(&policy);
+  const AsyncRunResult out = engine.run();
+
+  EXPECT_EQ(out.result.rounds.size(), 300u);
+  EXPECT_GT(out.join_count, 0u);
+  EXPECT_GT(out.leave_count, 0u);
+  EXPECT_GT(out.slowdown_count, 0u);
+  EXPECT_GT(shadow.retiers, 0u);
+  EXPECT_GT(shadow.moved_in_flight, 0u);
+  EXPECT_GT(shadow.dispatches, 100u);
 }
 
 TEST(AsyncLifecycle, ConstructorRejectsNegativeLifecycleConfig) {

@@ -485,27 +485,6 @@ TEST(Engine, ZeroEvalEveryThrowsAtConstruction) {
                std::invalid_argument);
 }
 
-TEST(Engine, ZeroEvalChunkThrowsAtConstruction) {
-  // eval_chunk is the eval fold's step; 0 must not wait for the first
-  // evaluation, after set-up and a round of training.
-  TinyFederation fed = tiny_federation();
-  EngineConfig config = tiny_engine_config(3);
-  config.eval_chunk = 0;
-  try {
-    Engine engine(config, tiny_factory(), fed.clients, &fed.data.test,
-                  fed.latency);
-    FAIL() << "eval_chunk = 0 was accepted";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("eval_chunk"), std::string::npos)
-        << e.what();
-  }
-  core::SystemConfig system_config;
-  system_config.engine = config;
-  EXPECT_THROW(core::TiflSystem(system_config, tiny_factory(), &fed.data.test,
-                                fed.clients, fed.latency),
-               std::invalid_argument);
-}
-
 TEST(Engine, RecordsAreThreadPoolSizeInvariant) {
   // Client RNGs are forked per (round, client id) and FedAvg reduces in a
   // fixed order, so every record is bit-identical at pool sizes 1, 2 and

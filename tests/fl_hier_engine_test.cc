@@ -7,7 +7,8 @@
 //  - Regional outages (sim::regional_outages composition) degrade the
 //    affected region gracefully and never break determinism.
 //  - A run crashed mid-tree and resumed from its checkpoint reproduces
-//    the uninterrupted run exactly.
+//    the uninterrupted run exactly, and a resume rejects a snapshot field
+//    the loop would index out of bounds with.
 #include "fl/hier/tree_engine.h"
 
 #include <gtest/gtest.h>
@@ -26,9 +27,12 @@
 
 #include "fl/async_engine.h"
 #include "fl/client_pool.h"
+#include "fl/hier/node.h"
+#include "fl/snapshot.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/churn_model.h"
+#include "sim/event_queue.h"
 #include "sim/fault_model.h"
 #include "test_helpers.h"
 #include "util/thread_pool.h"
@@ -339,26 +343,23 @@ TEST(HierValidation, RejectsWhatAsyncEngineRejects) {
       FederationBuilder().clients(kClients).jitter(0.05).build();
   ClientPool pool(&fed.clients);
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  using Mutation = std::function<void(EngineConfig&, AsyncConfig&)>;
+  using Mutation = std::function<void(AsyncConfig&)>;
   const std::vector<std::pair<const char*, Mutation>> cases = {
-      {"poly_alpha -1",
-       [](EngineConfig&, AsyncConfig& a) { a.poly_alpha = -1.0; }},
-      {"reprofile_every -1",
-       [](EngineConfig&, AsyncConfig& a) { a.reprofile_every = -1.0; }},
+      {"poly_alpha -1", [](AsyncConfig& a) { a.poly_alpha = -1.0; }},
+      {"reprofile_every -1", [](AsyncConfig& a) { a.reprofile_every = -1.0; }},
       {"reprofile_every NaN",
-       [nan](EngineConfig&, AsyncConfig& a) { a.reprofile_every = nan; }},
+       [nan](AsyncConfig& a) { a.reprofile_every = nan; }},
       {"checkpoint_every -1",
-       [](EngineConfig&, AsyncConfig& a) { a.checkpoint_every = -1.0; }},
+       [](AsyncConfig& a) { a.checkpoint_every = -1.0; }},
       {"checkpoint_every NaN",
-       [nan](EngineConfig&, AsyncConfig& a) { a.checkpoint_every = nan; }},
+       [nan](AsyncConfig& a) { a.checkpoint_every = nan; }},
       {"churn.join_rate NaN",
-       [nan](EngineConfig&, AsyncConfig& a) { a.churn.join_rate = nan; }},
-      {"eval_chunk 0", [](EngineConfig& c, AsyncConfig&) { c.eval_chunk = 0; }},
+       [nan](AsyncConfig& a) { a.churn.join_rate = nan; }},
   };
+  const EngineConfig config = tiny_engine_config(1);
   for (const auto& [label, mutate] : cases) {
-    EngineConfig config = tiny_engine_config(1);
     AsyncConfig async = base_async();
-    mutate(config, async);
+    mutate(async);
     EXPECT_THROW(AsyncEngine(config, async, tiny_factory(), &pool,
                              two_tiers(kClients), &fed.data.test, fed.latency),
                  std::invalid_argument)
@@ -438,6 +439,222 @@ TEST(HierResume, SnapshotRefusesADifferentTree) {
   HierConfig other = two_regions();
   other.topology.nodes[1].link.latency_seconds = 0.25;
   EXPECT_THROW(run_tree(other, resuming, 1), std::runtime_error);
+}
+
+// --- malformed snapshots -----------------------------------------------------
+
+// A snapshot payload of run_tree's two-region tree, decoded into the parts
+// the tests edit (nodes, links in flight, queue) and the raw bytes around
+// them, so that encode() writes back exactly what decode() read.
+struct TreePayload {
+  struct Link {
+    std::uint64_t seq = 0;
+    std::uint64_t from = 0;
+    std::uint64_t updates = 0;
+    double send_time = 0.0;
+    std::vector<float> model;
+  };
+  // The queue's event kinds (tree_engine.cc): links, then leaf tiers.
+  static constexpr std::uint64_t kUplink = 1;
+  static constexpr std::uint64_t kOutage = 3;
+  static constexpr std::uint64_t kRetier = 5;
+  static constexpr std::uint64_t kTierBase = 0x100;
+
+  std::string prologue;
+  std::vector<AggregatorNode> nodes;
+  std::string counters;  // dispatch seq, records, tallies, checkpoint due
+  std::vector<Link> links;
+  double now = 0.0;
+  std::uint64_t next_seq = 0;
+  std::vector<sim::Event> events;
+  std::string blobs;  // fault model, hooks, metrics
+
+  static TreePayload decode(const std::string& payload) {
+    TreePayload out;
+    util::ByteSource source(payload);
+    const auto since = [&](std::size_t start) {
+      return payload.substr(start, source.offset() - start);
+    };
+    for (int i = 0; i < 5; ++i) source.get_u64();
+    source.get_string();
+    out.prologue = since(0);
+    // Shaped as TreeEngine shapes them: the root's slot per leaf; per
+    // leaf, a slot per tier plus the parent view.
+    out.nodes.resize(3);
+    for (std::size_t n = 0; n < out.nodes.size(); ++n) {
+      AggregatorNode& node = out.nodes[n];
+      const std::size_t tiers = n == 0 ? 0 : 2;
+      const std::size_t slots = n == 0 ? 2 : tiers + 1;
+      node.slot_models.resize(slots);
+      node.slot_updates.resize(slots);
+      node.slot_last_version.resize(slots);
+      node.tiers.resize(tiers);
+      node.pending.resize(tiers);
+      node.selection_rng.resize(tiers);
+      node.latency_rng.resize(tiers);
+      node.restore_state(source);
+    }
+    const std::size_t counters_start = source.offset();
+    source.get_u64();
+    get_records(source);
+    source.get_bool();
+    for (int i = 0; i < 8; ++i) source.get_u64();
+    source.get_f64();
+    out.counters = since(counters_start);
+    out.links.resize(source.get_u64());
+    for (Link& link : out.links) {
+      link.seq = source.get_u64();
+      link.from = source.get_u64();
+      link.updates = source.get_u64();
+      link.send_time = source.get_f64();
+      link.model = source.get_f32_vec();
+    }
+    out.now = source.get_f64();
+    out.next_seq = source.get_u64();
+    out.events.resize(source.get_u64());
+    for (sim::Event& event : out.events) {
+      event.time = source.get_f64();
+      event.seq = source.get_u64();
+      event.kind = source.get_u64();
+      event.actor = source.get_u64();
+    }
+    out.blobs = payload.substr(source.offset());
+    return out;
+  }
+
+  std::string encode() const {
+    util::ByteSink sink;
+    sink.put_bytes(prologue.data(), prologue.size());
+    for (const AggregatorNode& node : nodes) node.save_state(sink);
+    sink.put_bytes(counters.data(), counters.size());
+    sink.put_u64(links.size());
+    for (const Link& link : links) {
+      sink.put_u64(link.seq);
+      sink.put_u64(link.from);
+      sink.put_u64(link.updates);
+      sink.put_f64(link.send_time);
+      sink.put_f32_vec(link.model);
+    }
+    sink.put_f64(now);
+    sink.put_u64(next_seq);
+    sink.put_u64(events.size());
+    for (const sim::Event& event : events) {
+      sink.put_f64(event.time);
+      sink.put_u64(event.seq);
+      sink.put_u64(event.kind);
+      sink.put_u64(event.actor);
+    }
+    sink.put_bytes(blobs.data(), blobs.size());
+    return sink.take();
+  }
+
+  // The first queued event matching `pred`; fails the test when none does.
+  sim::Event& event_where(const std::function<bool(const sim::Event&)>& pred) {
+    for (sim::Event& event : events) {
+      if (pred(event)) return event;
+    }
+    ADD_FAILURE() << "no such event in the snapshot's queue";
+    return events.front();
+  }
+};
+
+TEST(HierResume, RestoredSnapshotRejectsEachMalformedField) {
+  // The loop indexes per-tier vectors with a tier event's kind, slot and
+  // node models with the weight count and the link counters with a
+  // payload's sender, so a CRC-valid snapshot must be checked field by
+  // field before any event runs.
+  const AsyncConfig async = base_async();
+  const HierConfig hier = two_regions();
+  const HierOutput full = run_tree(hier, async, 1);
+  const double span = full.run.result.rounds.back().virtual_time;
+  const std::string snap = ::testing::TempDir() + "/hier_fields.snap";
+  AsyncConfig crashing = async;
+  crashing.checkpoint_every = 0.3 * span;
+  crashing.checkpoint_path = snap;
+  crashing.fault.crash_at = 0.65 * span;
+  EXPECT_THROW(run_tree(hier, crashing, 1), sim::SimulatedCrash);
+
+  const TreePayload base = TreePayload::decode(load_snapshot(snap));
+  ASSERT_FALSE(base.links.empty()) << "the base needs a link in flight";
+  AsyncConfig resuming = async;
+  resuming.resume_path = snap;
+
+  // The valid base, written back unchanged, resumes to the uninterrupted
+  // result.
+  save_snapshot(snap, base.encode());
+  EXPECT_EQ(run_tree(hier, resuming, 1).run.final_weights,
+            full.run.final_weights);
+
+  const auto is_tier = [](const sim::Event& e) {
+    return e.kind >= TreePayload::kTierBase;
+  };
+  const auto is_link = [&](const sim::Event& e) {
+    return e.seq == base.links.front().seq;
+  };
+  using Edit = std::function<void(TreePayload&)>;
+  const std::vector<std::pair<const char*, Edit>> cases = {
+      {"slot model length",
+       [](TreePayload& p) { p.nodes[1].slot_models[0].pop_back(); }},
+      {"node model length", [](TreePayload& p) { p.nodes[0].model.pop_back(); }},
+      {"tier_lr length", [](TreePayload& p) { p.nodes[1].tier_lr.pop_back(); }},
+      {"staleness_sum length",
+       [](TreePayload& p) { p.nodes[2].staleness_sum.pop_back(); }},
+      {"retry_count length",
+       [](TreePayload& p) { p.nodes[1].retry_count.pop_back(); }},
+      {"tier member", [](TreePayload& p) { p.nodes[2].tiers[1][0] = kClients; }},
+      {"pending member",
+       [](TreePayload& p) { p.nodes[1].pending[0].selected[0] = kClients; }},
+      {"pending update length",
+       [](TreePayload& p) {
+         p.nodes[1].pending[0].updates.front().weights.pop_back();
+       }},
+      {"link payload sender",
+       [](TreePayload& p) { p.links.front().from = p.nodes.size(); }},
+      {"link payload model length",
+       [](TreePayload& p) { p.links.front().model.pop_back(); }},
+      {"tier event",  // a tier its leaf does not have
+       [&](TreePayload& p) { p.event_where(is_tier).kind += 2; }},
+      {"tier event",  // on the root, which has no tiers
+       [&](TreePayload& p) { p.event_where(is_tier).actor = 0; }},
+      {"tier event",  // a round with no trained updates
+       [&](TreePayload& p) {
+         const sim::Event& e = p.event_where(is_tier);
+         p.nodes[e.actor].pending[e.kind - TreePayload::kTierBase]
+             .updates.clear();
+       }},
+      {"link event payload",
+       [](TreePayload& p) { p.links.erase(p.links.begin()); }},
+      {"link event endpoints",
+       [&](TreePayload& p) {
+         sim::Event& e = p.event_where(is_link);
+         e.actor = e.kind == TreePayload::kUplink ? p.links.front().from
+                                                  : 0;
+       }},
+      {"outage, rejoin or retier event",
+       [&](TreePayload& p) {
+         sim::Event& e = p.event_where(is_tier);
+         e.kind = TreePayload::kOutage;
+         e.actor = 0;
+       }},
+      {"outage, rejoin or retier event",  // the run does not re-profile
+       [&](TreePayload& p) {
+         p.event_where(is_tier).kind = TreePayload::kRetier;
+       }},
+      {"outage, rejoin or retier event",  // no such kind
+       [&](TreePayload& p) { p.event_where(is_tier).kind = 6; }},
+  };
+  for (const auto& [field, edit] : cases) {
+    TreePayload edited = base;
+    edit(edited);
+    save_snapshot(snap, edited.encode());
+    try {
+      run_tree(hier, resuming, 1);
+      ADD_FAILURE() << field << ": accepted";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find(field), std::string::npos)
+          << field << ": " << error.what();
+    }
+  }
 }
 
 }  // namespace

@@ -6,11 +6,14 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "fl/async_engine.h"
 #include "fl/engine.h"
 #include "test_helpers.h"
+#include "util/segmented_id_set.h"
 
 namespace tifl::fl {
 namespace {
@@ -206,6 +209,90 @@ TEST(SampleWithoutReplacement, SparseBranchMatchesDenseBranch) {
   }
 }
 
+// --- the candidate view ------------------------------------------------------
+
+// `view` must index like `expected` and draw what one
+// sample_without_replacement call indexed into `expected` draws, leaving
+// the stream where that call leaves it.
+void expect_view_matches(const Candidates& view,
+                         const std::vector<std::size_t>& expected,
+                         const std::string& label) {
+  ASSERT_EQ(view.size(), expected.size()) << label;
+  EXPECT_EQ(view.empty(), expected.empty()) << label;
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(view[i], expected[i]) << label << " index " << i;
+  }
+  for (std::size_t count :
+       {std::size_t{0}, std::size_t{1}, expected.size() / 5, expected.size()}) {
+    if (count > expected.size()) continue;
+    util::Rng via_view(count + 11);
+    util::Rng via_list(count + 11);
+    const std::vector<std::size_t> drawn = view.draw(count, via_view);
+    std::vector<std::size_t> listed =
+        sample_without_replacement(expected.size(), count, via_list);
+    for (std::size_t& pick : listed) pick = expected[pick];
+    EXPECT_EQ(drawn, listed) << label << " count " << count;
+    EXPECT_EQ(via_view.next(), via_list.next()) << label << " count " << count;
+  }
+  util::Rng rng(1);
+  EXPECT_THROW(view.draw(expected.size() + 1, rng), std::invalid_argument)
+      << label;
+}
+
+TEST(Candidates, ListViewIndexesAndDrawsLikeTheList) {
+  const std::vector<std::size_t> list{42, 7, 19, 3, 88, 61};
+  expect_view_matches(Candidates(list), list, "list");
+  expect_view_matches(Candidates(), {}, "default");
+}
+
+TEST(Candidates, SetViewSkipsRanksLikeTheMaterializedList) {
+  // Members spread over three blocks of the set, dense enough that a
+  // small draw takes sample_without_replacement's sparse branch.
+  util::Rng setup(5);
+  const std::size_t universe = 3 * util::SegmentedIdSet::kBlockSpan;
+  util::SegmentedIdSet set(universe);
+  for (std::size_t id = 0; id < universe; ++id) {
+    if (setup.uniform() < 0.4) set.insert(id);
+  }
+  const std::vector<std::size_t> members = set.to_vector();
+  const std::size_t n = members.size();
+  ASSERT_GT(n, 4096u);
+
+  std::vector<std::pair<std::string, std::vector<std::size_t>>> cases = {
+      {"none", {}},
+      {"first", {0}},
+      {"last", {n - 1}},
+      {"first two", {0, 1}},
+      {"last two", {n - 2, n - 1}},
+      {"adjacent inside", {700, 701, 702}},
+      {"block edges", {set.rank(4096), set.rank(8192)}},
+  };
+  std::vector<std::size_t> all_but_one;
+  for (std::size_t r = 0; r < n; ++r) {
+    if (r != 1234) all_but_one.push_back(r);
+  }
+  cases.push_back({"all but one", all_but_one});
+  for (int trial = 0; trial < 4; ++trial) {
+    std::vector<std::size_t> random;
+    for (std::size_t r = 0; r < n; ++r) {
+      if (setup.uniform() < 0.02 * (trial + 1)) random.push_back(r);
+    }
+    cases.push_back({"random " + std::to_string(trial), random});
+  }
+
+  for (const auto& [label, skips] : cases) {
+    std::vector<std::size_t> expected;
+    for (std::size_t r = 0, next = 0; r < n; ++r) {
+      if (next < skips.size() && skips[next] == r) {
+        ++next;
+      } else {
+        expected.push_back(members[r]);
+      }
+    }
+    expect_view_matches(Candidates(set, skips), expected, label);
+  }
+}
+
 TEST(UniformTierPolicy, SamplesWithinDispatchingTier) {
   UniformTierPolicy policy(3);
   const std::vector<std::size_t> candidates{10, 20, 30, 40, 50};
@@ -213,7 +300,7 @@ TEST(UniformTierPolicy, SamplesWithinDispatchingTier) {
   SelectionContext context;
   context.round = 0;
   context.tier = 2;
-  context.candidates = candidates;
+  context.candidates = Candidates(candidates);
   context.rng = &rng;
   const Selection s = policy.select(context);
   EXPECT_EQ(s.tier, 2);
@@ -232,7 +319,7 @@ TEST(UniformTierPolicy, CapsAtCandidateCountAndRejectsUntieredCalls) {
   util::Rng rng(32);
   SelectionContext context;
   context.tier = 0;
-  context.candidates = candidates;
+  context.candidates = Candidates(candidates);
   context.rng = &rng;
   EXPECT_EQ(policy.select(context).clients.size(), 3u);
   EXPECT_THROW(policy.select(0, rng), std::logic_error);
@@ -263,7 +350,7 @@ class RepeatingPolicy final : public SelectionPolicy {
   using SelectionPolicy::select;
   Selection select(const SelectionContext& context) override {
     const std::size_t id =
-        context.candidates.empty() ? 0 : context.candidates.front();
+        context.candidates.empty() ? 0 : context.candidates[0];
     Selection selection;
     selection.clients = {id, id};
     selection.tier = context.tier;

@@ -318,7 +318,7 @@ TEST(FlSnapshot, AdaptivePolicyStateRoundTrips) {
     fl::SelectionContext context_a;
     context_a.round = round;
     context_a.tier = static_cast<int>(round % 2);
-    context_a.candidates = tiers.members[context_a.tier];
+    context_a.candidates = fl::Candidates(tiers.members[context_a.tier]);
     context_a.rng = &rng_a;
     fl::SelectionContext context_b = context_a;
     context_b.rng = &rng_b;

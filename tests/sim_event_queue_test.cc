@@ -106,18 +106,6 @@ TEST(EventQueue, EmptyPeekAndPopThrow) {
   EXPECT_THROW(queue.pop(), std::logic_error);
 }
 
-TEST(EventQueue, ResetClearsEventsAndRewindsClockButNotSeq) {
-  EventQueue queue;
-  const std::uint64_t before = queue.schedule_at(2.0, 0, 0);
-  queue.pop();
-  queue.schedule_at(9.0, 0, 0);
-  queue.reset();
-  EXPECT_TRUE(queue.empty());
-  EXPECT_EQ(queue.now(), 0.0);
-  // seq keeps counting so pre- and post-reset events never collide.
-  EXPECT_GT(queue.schedule_at(1.0, 0, 0), before);
-}
-
 TEST(EventQueue, DeterministicPopSequence) {
   // The pop sequence is a pure function of the push sequence: replaying
   // an interleaved schedule (including pushes between pops) yields the
@@ -287,26 +275,6 @@ TEST(EventQueue, PopBatchReplaysThePerEventPopSequence) {
     EXPECT_EQ(single[i].kind, batched[i].kind) << i;
     EXPECT_EQ(single[i].actor, batched[i].actor) << i;
   }
-}
-
-TEST(EventQueue, PopUntilDrainsHorizonInOrder) {
-  EventQueue queue;
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    queue.schedule_at(static_cast<double>((i * 3) % 7), 0, i);
-  }
-  std::vector<Event> out;
-  queue.pop_until(3.0, out);  // inclusive horizon
-  ASSERT_EQ(out.size(), 6u);  // times 0,0,1,2,3,3
-  for (std::size_t i = 1; i < out.size(); ++i) {
-    const bool ordered =
-        out[i - 1].time < out[i].time ||
-        (out[i - 1].time == out[i].time && out[i - 1].seq < out[i].seq);
-    EXPECT_TRUE(ordered) << i;
-  }
-  EXPECT_DOUBLE_EQ(queue.now(), 3.0);
-  queue.pop_until(2.0, out);  // nothing left at or before 2: no-op
-  EXPECT_TRUE(out.empty());
-  EXPECT_DOUBLE_EQ(queue.now(), 3.0);
 }
 
 TEST(EventQueue, SingleActorAdvancesByCumulativeDelay) {
