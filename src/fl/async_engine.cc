@@ -299,25 +299,22 @@ void open_event_log(sim::EventLogWriter& log, const std::string& path,
   }
 }
 
-// Payload head both loops write after the prologue: stream positions,
+// Payload head both loops declare after the prologue: stream positions,
 // the per-tier server state, the records, the dispatch counter.
-void put_head(util::ByteSink& sink, const ServerState& server,
-              const std::vector<RoundRecord>& records) {
+void io_head(auto& ar, auto& server, auto& records) {
   for (std::size_t t = 0; t < server.tier_models.size(); ++t) {
-    put_rng(sink, server.selection_rng[t]);
-    put_rng(sink, server.latency_rng[t]);
+    io_rng(ar, server.selection_rng[t]);
+    io_rng(ar, server.latency_rng[t]);
   }
-  sink.put_f32_vec(server.global);
-  for (const std::vector<float>& model : server.tier_models) {
-    sink.put_f32_vec(model);
-  }
-  sink.put_size_vec(server.tier_updates);
-  sink.put_size_vec(server.last_submit_version);
-  sink.put_f64_vec(server.tier_lr);
-  sink.put_f64_vec(server.staleness_sum);
-  put_records(sink, records);
-  sink.put_f64_vec(server.current_weights);
-  sink.put_u64(server.dispatch_seq);
+  ar.io(server.global);
+  for (auto& model : server.tier_models) ar.io(model);
+  ar.io(server.tier_updates);
+  ar.io(server.last_submit_version);
+  ar.io(server.tier_lr);
+  ar.io(server.staleness_sum);
+  io_records(ar, records);
+  ar.io(server.current_weights);  // empty before a fold
+  ar.io(server.dispatch_seq);
 }
 
 // A CRC-valid payload can still hold a value this run cannot index with:
@@ -327,26 +324,13 @@ void check_snapshot(bool ok, const char* field) {
                                     field + " is out of range");
 }
 
-void get_head(util::ByteSource& source, ServerState& server,
-              std::vector<RoundRecord>& records) {
+// The checks of a restored head, for a run of `weight_count` weights.
+void check_head(const ServerState& server, std::size_t weight_count) {
   const std::size_t num_tiers = server.tier_models.size();
-  const std::size_t weight_count = server.global.size();
-  for (std::size_t t = 0; t < num_tiers; ++t) {
-    get_rng(source, server.selection_rng[t]);
-    get_rng(source, server.latency_rng[t]);
-  }
-  server.global = source.get_f32_vec();
   check_snapshot(server.global.size() == weight_count, "global model length");
-  for (std::vector<float>& model : server.tier_models) {
-    model = source.get_f32_vec();
+  for (const std::vector<float>& model : server.tier_models) {
     check_snapshot(model.size() == weight_count, "tier model length");
   }
-  server.tier_updates = source.get_size_vec();
-  server.last_submit_version = source.get_size_vec();
-  server.tier_lr = source.get_f64_vec();
-  server.staleness_sum = source.get_f64_vec();
-  records = get_records(source);
-  server.current_weights = source.get_f64_vec();  // empty before a fold
   check_snapshot(server.tier_updates.size() == num_tiers &&
                      server.last_submit_version.size() == num_tiers &&
                      server.tier_lr.size() == num_tiers &&
@@ -355,38 +339,20 @@ void get_head(util::ByteSource& source, ServerState& server,
                       server.current_weights.size() == num_tiers),
                  "per-tier vector (tier_updates, last_submit_version, "
                  "tier_lr, staleness_sum or current_weights) length");
-  server.dispatch_seq = static_cast<std::size_t>(source.get_u64());
 }
 
-// Payload tail both loops write last: event accounting, the checkpoint
-// due point (stored for the record only: a resumed run recomputes it
-// from its own config), the queue, fault and policy state, the metrics.
-void put_tail(util::ByteSink& sink, const AsyncRunResult& out,
-              const Checkpointer& checkpointer,
-              const sim::EventQueue& queue,
-              const sim::FaultModel& fault, const SelectionPolicy& policy) {
-  sink.put_u64(out.processed_events);
-  sink.put_u64(out.max_event_batch);
-  sink.put_f64(checkpointer.next_due());
-  put_queue(sink, queue);
-  put_blob(sink, [&](util::ByteSink& blob) { fault.save_state(blob); });
-  put_blob(sink, [&](util::ByteSink& blob) { policy.save_state(blob); });
-  put_metrics(sink);
-}
-
-void get_tail(util::ByteSource& source, AsyncRunResult& out,
-              Checkpointer& checkpointer, sim::EventQueue& queue,
-              std::size_t actors, sim::FaultModel& fault,
-              SelectionPolicy& policy) {
-  out.processed_events = static_cast<std::size_t>(source.get_u64());
-  out.max_event_batch = static_cast<std::size_t>(source.get_u64());
-  (void)source.get_f64();
-  get_queue(source, queue, actors);
-  checkpointer.resume(queue.now());
-  get_blob(source, [&](util::ByteSource& blob) { fault.restore_state(blob); });
-  get_blob(source,
-           [&](util::ByteSource& blob) { policy.restore_state(blob); });
-  get_metrics(source);
+// Payload tail both loops declare last: event accounting, the checkpoint
+// due point (stored for the record only: a resumed run re-arms from its
+// own cadence), the queue, fault and policy state, the metrics.
+void io_tail(auto& ar, auto& out, double due, auto& queue, std::size_t actors,
+             auto& fault, auto& policy) {
+  ar.io(out.processed_events);
+  ar.io(out.max_event_batch);
+  ar.io(due);
+  io_queue(ar, queue, actors);
+  io_state(ar, fault);
+  io_state(ar, policy);
+  io_metrics(ar);
 }
 
 // Asks `policy` for tier `tier`'s cohort at `version`, drawn from
@@ -622,40 +588,52 @@ AsyncRunResult AsyncEngine::run_static(std::uint64_t seed,
   // --- snapshot payload (static path) ----------------------------------------
   // Between the shared head and tail: the cadence counters and the
   // in-flight rounds (trained at dispatch, so their updates travel with
-  // the snapshot).
+  // the snapshot).  The checkpoint writer and the resume path both run
+  // this one declaration.
+  const std::size_t weight_count = global.size();
   const SnapshotPrologue prologue{
       kSnapStatic,
       config_fingerprint(config_, async_, seed, num_tiers, clients_->size(),
-                         global.size()),
-      num_tiers, clients_->size(), global.size(), policy.name()};
-  const auto save_state = [&](util::ByteSink& sink) {
-    put_prologue(sink, prologue);
-    put_head(sink, server, out.result.rounds);
-    sink.put_u64(scheduled);
-    for (char parked : server.parked) sink.put_bool(parked != 0);
-    sink.put_size_vec(server.parked_at);
-    sink.put_size_vec(retry_count);
-    for (const PendingTierRound& round : pending) put_pending(sink, round);
-    sink.put_bool(recorder.last_evaluated);
-    put_tail(sink, out, checkpointer, queue, fault, policy);
+                         weight_count),
+      num_tiers, clients_->size(), weight_count, policy.name()};
+  const auto io_payload = [&](auto& ar) {
+    io_prologue(ar, prologue, "AsyncEngine");
+    io_head(ar, server, out.result.rounds);
+    ar.io(scheduled);
+    for (char& parked : server.parked) io_as<bool>(ar, parked);
+    ar.io(server.parked_at);
+    ar.io(retry_count);
+    for (PendingTierRound& round : pending) io_pending(ar, round);
+    ar.io(recorder.last_evaluated);
+    io_tail(ar, out, checkpointer.next_due(), queue, num_tiers, fault,
+            policy);
   };
 
   const bool resuming = !async_.resume_path.empty();
   if (resuming) {
     const std::string payload = load_snapshot(async_.resume_path);
     util::ByteSource source(payload);
-    check_prologue(source, prologue, "AsyncEngine");
-    get_head(source, server, out.result.rounds);
-    scheduled = static_cast<std::size_t>(source.get_u64());
-    for (char& parked : server.parked) parked = source.get_bool() ? 1 : 0;
-    server.parked_at = source.get_size_vec();
-    retry_count = source.get_size_vec();
+    io_payload(source);
+    // Everything the event handlers index with or fold, before any event
+    // runs.
+    check_head(server, weight_count);
     check_snapshot(server.parked_at.size() == num_tiers &&
                        retry_count.size() == num_tiers,
                    "parked_at or retry_count length");
-    for (PendingTierRound& round : pending) get_pending(source, round);
-    recorder.last_evaluated = source.get_bool();
-    get_tail(source, out, checkpointer, queue, num_tiers, fault, policy);
+    for (const PendingTierRound& round : pending) {
+      for (std::size_t id : round.selected) {
+        check_snapshot(id < clients_->size(), "pending member");
+      }
+      for (const LocalUpdate& update : round.updates) {
+        check_snapshot(update.weights.size() == weight_count,
+                       "pending update length");
+      }
+    }
+    for (const sim::Event& event : queue.pending()) {
+      check_snapshot(!pending[event.actor].updates.empty(),
+                     "tier event (a round with updates)");
+    }
+    checkpointer.resume(queue.now());
     util::log_info("async: resumed from ", async_.resume_path, " at version ",
                    out.result.rounds.size(), ", t=", queue.now());
   }
@@ -786,7 +764,7 @@ AsyncRunResult AsyncEngine::run_static(std::uint64_t seed,
     }
     if (!budget_exhausted) {
       checkpointer.write_if_due(queue.now(), out.result.rounds.size(),
-                                out.processed_events, save_state);
+                                out.processed_events, io_payload);
     }
   }
 
@@ -1115,165 +1093,133 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
   // --- snapshot payload (dynamic path) ---------------------------------------
   // Between the shared head and tail: the evolved membership, the flights
   // (each with its trained update), the open rounds, and the churn and
-  // re-tierer state.  The deferred-cohort lists and the window end that
-  // follow the rounds are kept for the layout: they are written empty
-  // (and the window end as the batch time) because the loop flushes the
-  // pending cohorts before it writes, and read for snapshots of older
-  // builds, which could defer a cohort's training to the end of a
-  // virtual-time window.
+  // re-tierer state.  The checkpoint writer and the resume path both run
+  // this one declaration.  The deferred-cohort lists and the window end
+  // that follow the rounds are kept for the layout: written empty (and
+  // the window end as the batch time), since the loop flushes the pending
+  // cohorts before it writes, and read for snapshots of older builds,
+  // which could defer a cohort's training to the end of a virtual-time
+  // window.  Only the reader fills `tier_lists`, `deferred` and
+  // `cohort_of`, for the resume below.
   const SnapshotPrologue prologue{
       kSnapDynamic,
       config_fingerprint(config_, async_, seed, num_tiers, num_clients,
                          weight_count),
       num_tiers, num_clients, weight_count, policy.name()};
-  const auto save_state = [&](util::ByteSink& sink) {
-    put_prologue(sink, prologue);
-    put_head(sink, server, out.result.rounds);
-    for (const util::SegmentedIdSet& members : tier_sets) {
-      sink.put_size_vec(members.to_vector());
-    }
-    // Latency multipliers, sparse: only clients a slowdown touched.
-    std::uint64_t scaled = 0;
-    for (double s : latency_scale) scaled += s != 1.0 ? 1 : 0;
-    sink.put_u64(scaled);
-    for (std::size_t c = 0; c < num_clients; ++c) {
-      if (latency_scale[c] != 1.0) {
-        sink.put_u64(c);
-        sink.put_f64(latency_scale[c]);
+  std::vector<std::vector<std::size_t>> tier_lists(num_tiers);
+  std::vector<PendingCohort> deferred;
+  std::map<std::size_t, std::size_t> cohort_of;
+  const auto io_payload = [&]<class Archive>(Archive& ar) {
+    io_prologue(ar, prologue, "AsyncEngine");
+    io_head(ar, server, out.result.rounds);
+    for (std::size_t t = 0; t < num_tiers; ++t) {
+      if constexpr (Archive::reading) {
+        ar.io(tier_lists[t]);
+      } else {
+        ar.io(tier_sets[t].to_vector());
       }
     }
-    sink.put_u64(flights.size());
-    for (const auto& [c, flight] : flights) {
-      sink.put_u64(c);
-      sink.put_u64(flight.tier);
-      sink.put_f64(flight.dispatch_time);
-      sink.put_u64(flight.dispatch_version);
-      sink.put_f64(flight.arrival);
-      sink.put_u64(flight.retries);
-      sink.put_bool(true);  // trained: flushed before the write
-      put_update(sink, flight.update);
+    // Latency multipliers, sparse: (client, multiplier) for the clients a
+    // slowdown touched.  The writer walks `c` to each of them in turn.
+    std::size_t scaled = 0;
+    for (double s : latency_scale) scaled += s != 1.0 ? 1 : 0;
+    ar.io_count(scaled, 16);
+    for (std::size_t i = 0, c = 0; i < scaled; ++i, ++c) {
+      if constexpr (!Archive::reading) {
+        while (latency_scale[c] == 1.0) ++c;
+      }
+      ar.io(c);
+      check_snapshot(c < num_clients, "latency multiplier client");
+      ar.io(latency_scale[c]);
     }
-    for (const DynRound& round : rounds) {
-      sink.put_bool(round.active);
-      sink.put_u64(round.awaiting);
-      sink.put_u64(round.arrivals);
-      sink.put_f64(round.weight_total);
-      sink.put_f64_vec(round.accum);
+    io_map(ar, flights, 8, [&](Flight& flight) {
+      ar.io(flight.tier);
+      ar.io(flight.dispatch_time);
+      ar.io(flight.dispatch_version);
+      ar.io(flight.arrival);
+      ar.io(flight.retries);
+      ar.io(flight.trained);  // true when writing: flushed before the write
+      if (flight.trained) io_update(ar, flight.update);
+    });
+    for (DynRound& round : rounds) {
+      ar.io(round.active);
+      ar.io(round.awaiting);
+      ar.io(round.arrivals);
+      ar.io(round.weight_total);
+      ar.io(round.accum);
     }
-    sink.put_u64(0);  // deferred cohorts
-    sink.put_u64(0);  // member -> deferred cohort pairs
-    sink.put_f64(queue.now());  // window end
-    for (char parked : server.parked) sink.put_bool(parked != 0);
-    sink.put_size_vec(server.parked_at);
-    put_blob(sink, [&](util::ByteSink& blob) { churn.save_state(blob); });
-    sink.put_bool(pending_churn.has_value());
-    if (pending_churn.has_value()) {
-      sink.put_f64(pending_churn->time);
-      sink.put_u64(static_cast<std::uint64_t>(pending_churn->kind));
-      sink.put_u64(pending_churn->pick);
-      sink.put_f64(pending_churn->factor);
+    if constexpr (Archive::reading) {
+      ar.io_size(deferred, 8);
+      for (PendingCohort& cohort : deferred) {
+        ar.io(cohort.members);
+        ar.io(cohort.base);
+        check_snapshot(cohort.base.size() == weight_count,
+                       "deferred cohort model length");
+        ar.io(cohort.lr);
+        ar.io(cohort.seq);
+        bool trained = false;
+        ar.io(trained);
+        if (trained) cohort.members.clear();
+      }
+      io_map(ar, cohort_of, 16, [&](std::size_t& index) {
+        ar.io(index);
+        check_snapshot(index < deferred.size(), "deferred cohort index");
+      });
+    } else {
+      ar.io_count(0, 8);   // deferred cohorts
+      ar.io_count(0, 16);  // member -> deferred cohort pairs
     }
-    put_blob(sink, hooks_.save_state);
-    sink.put_bool(recorder.last_evaluated);
-    sink.put_u64(out.join_count);
-    sink.put_u64(out.leave_count);
-    sink.put_u64(out.slowdown_count);
-    sink.put_u64(out.reprofile_count);
-    put_tail(sink, out, checkpointer, queue, fault, policy);
+    double window_end = queue.now();
+    ar.io(window_end);
+    for (char& parked : server.parked) io_as<bool>(ar, parked);
+    ar.io(server.parked_at);
+    io_state(ar, churn);
+    bool churning = pending_churn.has_value();
+    ar.io(churning);
+    if (churning && !pending_churn.has_value()) pending_churn.emplace();
+    if (churning) {
+      ar.io(pending_churn->time);
+      io_as<std::uint64_t>(ar, pending_churn->kind);
+      ar.io(pending_churn->pick);
+      ar.io(pending_churn->factor);
+    }
+    io_blob(ar, hooks_.save_state, hooks_.restore_state);
+    ar.io(recorder.last_evaluated);
+    ar.io(out.join_count);
+    ar.io(out.leave_count);
+    ar.io(out.slowdown_count);
+    ar.io(out.reprofile_count);
+    io_tail(ar, out, checkpointer.next_due(), queue, num_clients, fault,
+            policy);
   };
 
   if (resuming) {
     const std::string payload = load_snapshot(async_.resume_path);
     util::ByteSource source(payload);
-    check_prologue(source, prologue, "AsyncEngine");
-    get_head(source, server, out.result.rounds);
-    std::vector<std::vector<std::size_t>> members(num_tiers);
+    io_payload(source);
+    // Everything the event handlers index with, before any event runs.
+    check_head(server, weight_count);
+    check_snapshot(server.parked_at.size() == num_tiers, "parked_at length");
     for (std::size_t t = 0; t < num_tiers; ++t) {
-      members[t] = source.get_size_vec();
-      for (std::size_t id : members[t]) {
+      for (std::size_t id : tier_lists[t]) {
         check_snapshot(id < num_clients && tier_of[id] == kNoTier,
                        "tier member (in range, listed once)");
         tier_of[id] = t;
       }
     }
-    set_tiers(members);
-    const std::size_t scaled = source.checked_count(source.get_u64(), 16);
-    for (std::size_t i = 0; i < scaled; ++i) {
-      const std::size_t c = static_cast<std::size_t>(source.get_u64());
-      check_snapshot(c < num_clients, "latency multiplier client");
-      latency_scale[c] = source.get_f64();
-    }
-    const std::size_t flying = source.checked_count(source.get_u64(), 8);
-    for (std::size_t i = 0; i < flying; ++i) {
-      const std::size_t c = static_cast<std::size_t>(source.get_u64());
+    set_tiers(tier_lists);
+    tier_lists = {};  // the tier sets hold the membership now
+    for (const auto& [c, flight] : flights) {
       check_snapshot(c < num_clients && tier_of[c] != kNoTier,
                      "in-flight client (live clients only)");
-      Flight& flight = flights[c];
-      flight.tier = static_cast<std::size_t>(source.get_u64());
       check_snapshot(flight.tier < num_tiers, "in-flight tier");
-      flight.dispatch_time = source.get_f64();
-      flight.dispatch_version = static_cast<std::size_t>(source.get_u64());
-      flight.arrival = source.get_f64();
-      flight.retries = static_cast<std::size_t>(source.get_u64());
-      flight.trained = source.get_bool();
-      if (flight.trained) flight.update = get_update(source);
     }
-    for (DynRound& round : rounds) {
-      round.active = source.get_bool();
-      round.awaiting = static_cast<std::size_t>(source.get_u64());
-      round.arrivals = static_cast<std::size_t>(source.get_u64());
-      round.weight_total = source.get_f64();
-      round.accum = source.get_f64_vec();
-    }
+    checkpointer.resume(queue.now());
     // An older build's deferred cohorts: each one's members that are
-    // still flying under it train in one flush once the whole payload is
-    // read.
-    std::vector<PendingCohort> deferred(
-        source.checked_count(source.get_u64(), 8));
-    for (PendingCohort& cohort : deferred) {
-      cohort.members = source.get_size_vec();
-      cohort.base = source.get_f32_vec();
-      check_snapshot(cohort.base.size() == weight_count,
-                     "deferred cohort model length");
-      cohort.lr = source.get_f64();
-      cohort.seq = source.get_u64();
-      if (source.get_bool()) cohort.members.clear();  // trained already
-    }
-    // Older builds kept a member's pair until the window flushed, so a
-    // pair whose client no longer flies is skipped.
-    std::map<std::size_t, std::size_t> cohort_of;
-    const std::size_t pairs = source.checked_count(source.get_u64(), 16);
-    for (std::size_t i = 0; i < pairs; ++i) {
-      const std::size_t c = static_cast<std::size_t>(source.get_u64());
-      const std::size_t index = static_cast<std::size_t>(source.get_u64());
-      check_snapshot(index < deferred.size(), "deferred cohort index");
-      cohort_of[c] = index;
-    }
-    (void)source.get_f64();  // window end
-    for (char& parked : server.parked) parked = source.get_bool() ? 1 : 0;
-    server.parked_at = source.get_size_vec();
-    check_snapshot(server.parked_at.size() == num_tiers, "parked_at length");
-    get_blob(source,
-             [&](util::ByteSource& blob) { churn.restore_state(blob); });
-    if (source.get_bool()) {
-      sim::LifecycleEvent event;
-      event.time = source.get_f64();
-      event.kind = static_cast<sim::EventKind>(source.get_u64());
-      event.pick = source.get_u64();
-      event.factor = source.get_f64();
-      pending_churn = event;
-    } else {
-      pending_churn.reset();
-    }
-    get_blob(source, hooks_.restore_state);
-    recorder.last_evaluated = source.get_bool();
-    out.join_count = static_cast<std::size_t>(source.get_u64());
-    out.leave_count = static_cast<std::size_t>(source.get_u64());
-    out.slowdown_count = static_cast<std::size_t>(source.get_u64());
-    out.reprofile_count = static_cast<std::size_t>(source.get_u64());
-    get_tail(source, out, checkpointer, queue, num_clients, fault, policy);
-    // Train after get_tail restored the metrics, so the training counts
-    // add to the restored totals.
+    // still flying under it train in one flush, after the payload
+    // restored the metrics, so the training counts add to the restored
+    // totals.  Older builds kept a member's pair until the window
+    // flushed, so a pair whose client no longer flies is skipped.
     for (std::size_t index = 0; index < deferred.size(); ++index) {
       PendingCohort& cohort = deferred[index];
       std::erase_if(cohort.members, [&](std::size_t c) {
@@ -1634,7 +1580,7 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
       // The writer stores every flight trained.
       if (checkpointer.due(queue.now())) flush();
       checkpointer.write_if_due(queue.now(), out.result.rounds.size(),
-                                out.processed_events, save_state);
+                                out.processed_events, io_payload);
     }
   }
   // However the loop ended, every dispatched pair trains: the pool's

@@ -33,9 +33,11 @@
 // (fl::CohortTrainer), the tier-round fold (fl::fold_round), cross-slot
 // aggregation (aggregate_slots below), the version record
 // (fl::VersionRecorder), config validation (validate_async_config below),
-// and the snapshot codec and checkpointer (fl/snapshot).  On the dynamic
-// loop the policy's candidates are a view of the tier's id set with its
-// in-flight clients skipped by rank, so no selection copies a tier.
+// and the snapshot pieces and checkpointer (fl/snapshot): each loop
+// declares its payload once, and its checkpoint writer and resume path
+// both run that declaration.  On the dynamic loop the policy's
+// candidates are a view of the tier's id set with its in-flight clients
+// skipped by rank, so no selection copies a tier.
 // Every cohort trains from the global model of its dispatch: run_static
 // and the tree's leaves train it at dispatch, and run_dynamic keeps a
 // copy of that model and trains it, together with every other waiting

@@ -10,20 +10,22 @@
 // into its subtree with the same mathematics the flat server uses across
 // tiers.
 //
-// Nodes serialize through save_state/restore_state, with the fl/snapshot
-// codec the flat engine uses: models, cadence accumulators, per-tier
-// learning rates, pending tier rounds (fl::PendingTierRound, trained at
-// dispatch, so their updates travel with the snapshot) and every RNG
-// stream position — the complete mid-tree resume state.
+// A node's snapshot section is one declaration, io_node below, built
+// from the fl/snapshot pieces the flat engine uses: models, cadence
+// accumulators, per-tier learning rates, pending tier rounds
+// (fl::PendingTierRound, trained at dispatch, so their updates travel
+// with the snapshot) and every RNG stream position — the complete
+// mid-tree resume state.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "fl/aggregator.h"
+#include "fl/snapshot.h"
 #include "util/rng.h"
-#include "util/serial.h"
 
 namespace tifl::fl::hier {
 
@@ -68,11 +70,48 @@ class AggregatorNode {
   std::size_t slot_count() const { return slot_models.size(); }
   bool has_parent_view() const { return !is_root; }
   std::size_t parent_slot() const { return slot_count() - 1; }
-
-  // Serializes everything above except the identity/shape block, which
-  // the engine rebuilds from the topology before restore_state runs.
-  void save_state(util::ByteSink& sink) const;
-  void restore_state(util::ByteSource& source);
 };
+
+// Everything in `node` but the identity/shape block, which the engine
+// rebuilds from the topology before reading.  Reading throws
+// std::runtime_error when the stored slot or tier count differs from
+// that shape.
+void io_node(auto& ar, auto& node) {
+  std::size_t slots = node.slot_count();
+  ar.io_count(slots, 24);
+  if (slots != node.slot_count()) {
+    throw std::runtime_error(
+        "hier::AggregatorNode: snapshot slot count mismatch");
+  }
+  for (std::size_t s = 0; s < slots; ++s) {
+    ar.io(node.slot_models[s]);
+    ar.io(node.slot_updates[s]);
+    ar.io(node.slot_last_version[s]);
+  }
+  ar.io(node.model);
+  ar.io(node.version);
+  ar.io(node.deliveries);
+  ar.io(node.since_report);
+  ar.io(node.update_mass);
+  ar.io(node.offline);
+
+  std::size_t tiers = node.tiers.size();
+  ar.io_count(tiers, 8);
+  if (tiers != node.tiers.size()) {
+    throw std::runtime_error(
+        "hier::AggregatorNode: snapshot tier count mismatch");
+  }
+  for (auto& members : node.tiers) ar.io(members);
+  ar.io(node.tier_lr);
+  ar.io(node.staleness_sum);
+  for (auto& round : node.pending) {
+    io_pending(ar, round);
+    ar.io(round.active);
+  }
+  ar.io(node.retry_count);
+  for (auto& rng : node.selection_rng) io_rng(ar, rng);
+  for (auto& rng : node.latency_rng) io_rng(ar, rng);
+  io_rng(ar, node.link_rng);
+}
 
 }  // namespace tifl::fl::hier

@@ -430,65 +430,43 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
       hier_fingerprint(config_, async_, hier_, seed, clients_->size(),
                        weight_count),
       num_nodes, clients_->size(), weight_count, out.result.policy_name};
-  const auto save_state = [&](util::ByteSink& sink) {
-    put_prologue(sink, prologue);
-    for (const AggregatorNode& node : nodes) node.save_state(sink);
-    sink.put_u64(dispatch_seq);
-    put_records(sink, out.result.rounds);
-    sink.put_bool(recorder.last_evaluated);
-    sink.put_u64(out.uplinks);
-    sink.put_u64(out.downlinks);
-    sink.put_u64(out.outage_count);
-    sink.put_u64(out.rejoin_count);
-    sink.put_u64(out.reprofile_count);
-    sink.put_u64(out.root_link_bytes);
-    sink.put_u64(out.processed_events);
-    sink.put_u64(out.max_event_batch);
-    sink.put_f64(checkpointer.next_due());
-    sink.put_u64(in_flight.size());
-    for (const auto& [seq, payload] : in_flight) {  // map order: seq asc
-      sink.put_u64(seq);
-      sink.put_u64(payload.from);
-      sink.put_u64(payload.updates);
-      sink.put_f64(payload.send_time);
-      sink.put_f32_vec(payload.model);
-    }
-    put_queue(sink, queue);
-    put_blob(sink, [&](util::ByteSink& blob) { fault.save_state(blob); });
-    put_blob(sink, hooks_.save_state);
-    put_metrics(sink);
+  // The checkpoint writer and the resume path both run this one
+  // declaration.
+  const auto io_payload = [&](auto& ar) {
+    io_prologue(ar, prologue, "TreeEngine");
+    for (AggregatorNode& node : nodes) io_node(ar, node);
+    ar.io(dispatch_seq);
+    io_records(ar, out.result.rounds);
+    ar.io(recorder.last_evaluated);
+    ar.io(out.uplinks);
+    ar.io(out.downlinks);
+    ar.io(out.outage_count);
+    ar.io(out.rejoin_count);
+    ar.io(out.reprofile_count);
+    ar.io(out.root_link_bytes);
+    ar.io(out.processed_events);
+    ar.io(out.max_event_batch);
+    // Stored for the record only: a resumed run re-arms from its own
+    // cadence.
+    double due = checkpointer.next_due();
+    ar.io(due);
+    io_map(ar, in_flight, 40, [&](LinkPayload& link) {
+      ar.io(link.from);
+      ar.io(link.updates);
+      ar.io(link.send_time);
+      ar.io(link.model);
+    });
+    io_queue(ar, queue, num_nodes);
+    io_state(ar, fault);
+    io_blob(ar, hooks_.save_state, hooks_.restore_state);
+    io_metrics(ar);
   };
 
   const bool resuming = !async_.resume_path.empty();
   if (resuming) {
     const std::string payload = load_snapshot(async_.resume_path);
     util::ByteSource source(payload);
-    check_prologue(source, prologue, "TreeEngine");
-    for (AggregatorNode& node : nodes) node.restore_state(source);
-    dispatch_seq = static_cast<std::size_t>(source.get_u64());
-    out.result.rounds = get_records(source);
-    recorder.last_evaluated = source.get_bool();
-    out.uplinks = static_cast<std::size_t>(source.get_u64());
-    out.downlinks = static_cast<std::size_t>(source.get_u64());
-    out.outage_count = static_cast<std::size_t>(source.get_u64());
-    out.rejoin_count = static_cast<std::size_t>(source.get_u64());
-    out.reprofile_count = static_cast<std::size_t>(source.get_u64());
-    out.root_link_bytes = source.get_u64();
-    out.processed_events = static_cast<std::size_t>(source.get_u64());
-    out.max_event_batch = static_cast<std::size_t>(source.get_u64());
-    source.get_f64();  // stored checkpoint due; recomputed below
-    const std::size_t flight_count =
-        source.checked_count(source.get_u64(), 40);
-    for (std::size_t i = 0; i < flight_count; ++i) {
-      const std::uint64_t seq = source.get_u64();
-      LinkPayload flight;
-      flight.from = static_cast<std::size_t>(source.get_u64());
-      flight.updates = source.get_u64();
-      flight.send_time = source.get_f64();
-      flight.model = source.get_f32_vec();
-      in_flight.emplace(seq, std::move(flight));
-    }
-    get_queue(source, queue, num_nodes);
+    io_payload(source);
     // Everything the event handlers index with or look up, before any
     // event runs.
     for (const AggregatorNode& node : nodes) {
@@ -549,10 +527,6 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
       }
     }
     checkpointer.resume(queue.now());
-    get_blob(source,
-             [&](util::ByteSource& blob) { fault.restore_state(blob); });
-    get_blob(source, hooks_.restore_state);
-    get_metrics(source);
     util::log_info("hier: resumed from ", async_.resume_path, " at root v",
                    out.result.rounds.size(), ", t=", queue.now());
   }
@@ -740,7 +714,7 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
     }
     if (!stopping) {
       checkpointer.write_if_due(queue.now(), out.result.rounds.size(),
-                                out.processed_events, save_state);
+                                out.processed_events, io_payload);
     }
   }
 

@@ -139,7 +139,8 @@ std::string load_snapshot(const std::string& path) {
   return payload;
 }
 
-void put_prologue(util::ByteSink& sink, const SnapshotPrologue& prologue) {
+void io_prologue(util::ByteSink& sink, const SnapshotPrologue& prologue,
+                 const char* /*engine*/) {
   sink.put_u64(prologue.tag);
   sink.put_u64(prologue.fingerprint);
   sink.put_u64(prologue.tiers_or_nodes);
@@ -148,8 +149,8 @@ void put_prologue(util::ByteSink& sink, const SnapshotPrologue& prologue) {
   sink.put_string(prologue.policy);
 }
 
-void check_prologue(util::ByteSource& source, const SnapshotPrologue& expected,
-                    const char* engine) {
+void io_prologue(util::ByteSource& source, const SnapshotPrologue& expected,
+                 const char* engine) {
   const auto fail = [engine](const std::string& what) {
     throw std::runtime_error(std::string(engine) + ": snapshot " + what);
   };
@@ -178,86 +179,6 @@ void check_prologue(util::ByteSource& source, const SnapshotPrologue& expected,
     fail("was taken with policy '" + policy + "' but '" + expected.policy +
          "' is installed");
   }
-}
-
-void put_rng(util::ByteSink& sink, const util::Rng& rng) {
-  for (std::uint64_t word : rng.state()) sink.put_u64(word);
-}
-
-void get_rng(util::ByteSource& source, util::Rng& rng) {
-  std::array<std::uint64_t, 4> state;
-  for (std::uint64_t& word : state) word = source.get_u64();
-  rng.set_state(state);
-}
-
-void put_update(util::ByteSink& sink, const LocalUpdate& update) {
-  sink.put_f32_vec(update.weights);
-  sink.put_u64(update.num_samples);
-  sink.put_f64(update.train_loss);
-  sink.put_f64(update.train_accuracy);
-}
-
-LocalUpdate get_update(util::ByteSource& source) {
-  LocalUpdate update;
-  update.weights = source.get_f32_vec();
-  update.num_samples = static_cast<std::size_t>(source.get_u64());
-  update.train_loss = source.get_f64();
-  update.train_accuracy = source.get_f64();
-  return update;
-}
-
-void put_pending(util::ByteSink& sink, const PendingTierRound& round) {
-  sink.put_size_vec(round.selected);
-  sink.put_u64(round.updates.size());
-  for (const LocalUpdate& update : round.updates) put_update(sink, update);
-  sink.put_u64(round.dispatch_version);
-  sink.put_f64(round.latency);
-}
-
-void get_pending(util::ByteSource& source, PendingTierRound& round) {
-  round.selected = source.get_size_vec();
-  const std::size_t count = source.checked_count(source.get_u64(), 24);
-  round.updates.clear();
-  round.updates.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    round.updates.push_back(get_update(source));
-  }
-  round.dispatch_version = static_cast<std::size_t>(source.get_u64());
-  round.latency = source.get_f64();
-}
-
-void put_records(util::ByteSink& sink,
-                 const std::vector<RoundRecord>& records) {
-  sink.put_u64(records.size());
-  for (const RoundRecord& r : records) {
-    sink.put_u64(r.round);
-    sink.put_f64(r.virtual_time);
-    sink.put_f64(r.round_latency);
-    sink.put_f64(r.global_accuracy);
-    sink.put_f64(r.global_loss);
-    sink.put_f64(r.train_loss);
-    sink.put_i64(r.selected_tier);
-    sink.put_size_vec(r.selected_clients);
-  }
-}
-
-std::vector<RoundRecord> get_records(util::ByteSource& source) {
-  const std::size_t count = source.checked_count(source.get_u64(), 8 * 7);
-  std::vector<RoundRecord> records;
-  records.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    RoundRecord r;
-    r.round = static_cast<std::size_t>(source.get_u64());
-    r.virtual_time = source.get_f64();
-    r.round_latency = source.get_f64();
-    r.global_accuracy = source.get_f64();
-    r.global_loss = source.get_f64();
-    r.train_loss = source.get_f64();
-    r.selected_tier = static_cast<int>(source.get_i64());
-    r.selected_clients = source.get_size_vec();
-    records.push_back(std::move(r));
-  }
-  return records;
 }
 
 void put_queue(util::ByteSink& sink, const sim::EventQueue& queue) {
@@ -313,31 +234,27 @@ void get_queue(util::ByteSource& source, sim::EventQueue& queue,
   queue.restore(now, next_seq, events);
 }
 
-void put_blob(util::ByteSink& sink,
-              const std::function<void(util::ByteSink&)>& save) {
+void io_blob(util::ByteSink& sink, const SaveFn& save, const RestoreFn&) {
   util::ByteSink blob;
   if (save) save(blob);
   sink.put_string(blob.bytes());
 }
 
-void get_blob(util::ByteSource& source,
-              const std::function<void(util::ByteSource&)>& restore) {
+void io_blob(util::ByteSource& source, const SaveFn&,
+             const RestoreFn& restore) {
   const std::string blob = source.get_string();
   if (!restore || blob.empty()) return;
   util::ByteSource blob_source(blob);
   restore(blob_source);
 }
 
-void put_metrics(util::ByteSink& sink) {
-  put_blob(sink, [](util::ByteSink& blob) {
-    obs::Registry::global().save(blob);
-  });
+void io_metrics(util::ByteSink& sink) {
+  io_blob(sink, [](util::ByteSink& b) { obs::Registry::global().save(b); }, {});
 }
 
-void get_metrics(util::ByteSource& source) {
-  get_blob(source, [](util::ByteSource& blob) {
-    obs::Registry::global().restore(blob);
-  });
+void io_metrics(util::ByteSource& source) {
+  io_blob(source, {},
+          [](util::ByteSource& b) { obs::Registry::global().restore(b); });
 }
 
 // The counters are registered for every run, checkpointed or not.
@@ -358,7 +275,7 @@ void Checkpointer::resume(double now) {
 
 void Checkpointer::write_if_due(
     double now, std::size_t version, std::size_t events,
-    const std::function<void(util::ByteSink&)>& save) {
+    const SaveFn& save) {
   if (now < next_due_) return;
   const auto start = obs::wall_now();
   util::ByteSink sink;

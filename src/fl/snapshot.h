@@ -21,11 +21,14 @@
 // std::runtime_error.
 //
 // The async loops (AsyncEngine's static and dynamic loops, hier::
-// TreeEngine) build their payloads from the codec below, one writer and
-// one reader per piece, and checkpoint through one Checkpointer.  A
-// layout change made here must bump kSnapshotVersion.
+// TreeEngine) each declare their payload once, as one function template
+// over the archive built from the pieces below, and checkpoint through
+// one Checkpointer.  A layout change made here must bump
+// kSnapshotVersion; the committed tests/data/compat_*.snap files, written
+// by an older build, are what catch one made by mistake.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -81,20 +84,86 @@ struct SnapshotPrologue {
   std::string policy;
 };
 
-void put_prologue(util::ByteSink& sink, const SnapshotPrologue& prologue);
-// Throws std::runtime_error, naming `engine`, at the first mismatch.
-void check_prologue(util::ByteSource& source, const SnapshotPrologue& expected,
-                    const char* engine);
+// Each io_* piece takes the archive first: a util::ByteSink writes the
+// state, a util::ByteSource reads into it.  The pieces whose halves
+// differ on purpose (the prologue check, the validating queue reader,
+// the nested state blobs, the metrics view) still take one call.
 
-void put_rng(util::ByteSink& sink, const util::Rng& rng);
-void get_rng(util::ByteSource& source, util::Rng& rng);
-void put_update(util::ByteSink& sink, const LocalUpdate& update);
-LocalUpdate get_update(util::ByteSource& source);
+// The source throws std::runtime_error, naming `engine`, at the first
+// field that does not match `prologue`.
+void io_prologue(util::ByteSink& sink, const SnapshotPrologue& prologue,
+                 const char* engine);
+void io_prologue(util::ByteSource& source, const SnapshotPrologue& prologue,
+                 const char* engine);
+
+// A field stored as another type: an `int` tier as i64, a `char` flag as
+// a bool, an enum as u64.
+template <class Stored, class Archive, class Field>
+void io_as(Archive& ar, Field& field) {
+  Stored stored = static_cast<Stored>(field);
+  ar.io(stored);
+  if constexpr (Archive::reading) field = static_cast<Field>(stored);
+}
+
+// An RNG stream's position: its four state words.
+template <class Archive, class Rng>
+void io_rng(Archive& ar, Rng& rng) {
+  std::array<std::uint64_t, 4> state = rng.state();
+  for (std::uint64_t& word : state) ar.io(word);
+  if constexpr (Archive::reading) rng.set_state(state);
+}
+
+void io_update(auto& ar, auto& update) {
+  ar.io(update.weights);
+  ar.io(update.num_samples);
+  ar.io(update.train_loss);
+  ar.io(update.train_accuracy);
+}
+
 // All but `active`, which only the tree stores.
-void put_pending(util::ByteSink& sink, const PendingTierRound& round);
-void get_pending(util::ByteSource& source, PendingTierRound& round);
-void put_records(util::ByteSink& sink, const std::vector<RoundRecord>& records);
-std::vector<RoundRecord> get_records(util::ByteSource& source);
+void io_pending(auto& ar, auto& round) {
+  ar.io(round.selected);
+  ar.io_size(round.updates, 24);
+  for (auto& update : round.updates) io_update(ar, update);
+  ar.io(round.dispatch_version);
+  ar.io(round.latency);
+}
+
+void io_records(auto& ar, auto& records) {
+  ar.io_size(records, 8 * 7);
+  for (auto& r : records) {
+    ar.io(r.round);
+    ar.io(r.virtual_time);
+    ar.io(r.round_latency);
+    ar.io(r.global_accuracy);
+    ar.io(r.global_loss);
+    ar.io(r.train_loss);
+    io_as<std::int64_t>(ar, r.selected_tier);
+    ar.io(r.selected_clients);
+  }
+}
+
+// A map as a checked count of entries at least `min_bytes` long, then
+// each entry in key order: its key, then what `value(mapped)` declares.
+// Reading inserts (or, for a repeated key, overwrites) each entry.
+template <class Archive, class Map>
+void io_map(Archive& ar, Map& map, std::size_t min_bytes, const auto& value) {
+  std::size_t count = map.size();
+  ar.io_count(count, min_bytes);
+  if constexpr (Archive::reading) {
+    for (std::size_t i = 0; i < count; ++i) {
+      typename Map::key_type key{};
+      ar.io(key);
+      value(map[key]);
+    }
+  } else {
+    for (auto& [key, mapped] : map) {
+      ar.io(key);
+      value(mapped);
+    }
+  }
+}
+
 // The queue's clock, seq counter and pending events in (time, seq) order.
 void put_queue(util::ByteSink& sink, const sim::EventQueue& queue);
 // Throws std::runtime_error, naming the queue event, unless the clock is
@@ -104,20 +173,33 @@ void put_queue(util::ByteSink& sink, const sim::EventQueue& queue);
 // tier, client or node count, which its handlers index with).
 void get_queue(util::ByteSource& source, sim::EventQueue& queue,
                std::size_t actors);
+template <class Archive, class Queue>
+void io_queue(Archive& ar, Queue& queue, std::size_t actors) {
+  if constexpr (Archive::reading) get_queue(ar, queue, actors);
+  else put_queue(ar, queue);
+}
 
 // A nested state blob (fault model, policy, churn model, lifecycle
-// hooks) as one length-prefixed string; an absent `save` stores it empty.
-// get_blob skips an empty blob and an absent `restore`.
-void put_blob(util::ByteSink& sink,
-              const std::function<void(util::ByteSink&)>& save);
-void get_blob(util::ByteSource& source,
-              const std::function<void(util::ByteSource&)>& restore);
+// hooks) as one length-prefixed string: what `save` writes (nothing when
+// it is absent), handed to `restore` when that is present and the blob
+// is not empty.
+using SaveFn = std::function<void(util::ByteSink&)>;
+using RestoreFn = std::function<void(util::ByteSource&)>;
+void io_blob(util::ByteSink& sink, const SaveFn& save, const RestoreFn&);
+void io_blob(util::ByteSource& source, const SaveFn&, const RestoreFn& restore);
 
-// The global registry; get_metrics restores it into the global registry,
-// so a resumed run's totals equal the uninterrupted run's for every
-// deterministic instrument.
-void put_metrics(util::ByteSink& sink);
-void get_metrics(util::ByteSource& source);
+// An object's save_state/restore_state pair as one blob.
+template <class Archive, class State>
+void io_state(Archive& ar, State& state) {
+  io_blob(ar, [&](util::ByteSink& blob) { state.save_state(blob); },
+          [&](util::ByteSource& blob) { state.restore_state(blob); });
+}
+
+// The global registry as a blob; reading restores it into the global
+// registry, so a resumed run's totals equal the uninterrupted run's for
+// every deterministic instrument.
+void io_metrics(util::ByteSink& sink);
+void io_metrics(util::ByteSource& source);
 
 // --- checkpointing ----------------------------------------------------------
 
@@ -135,7 +217,7 @@ class Checkpointer {
   // Once `now` reaches the due point: writes the payload `save` builds,
   // counts (checkpoint.*) and traces it, and re-arms after `now`.
   void write_if_due(double now, std::size_t version, std::size_t events,
-                    const std::function<void(util::ByteSink&)>& save);
+                    const SaveFn& save);
   // True when write_if_due(now, ...) would write.
   bool due(double now) const { return now >= next_due_; }
   // The injected server crash (sim::FaultConfig::crash_at, 0 = off):

@@ -11,12 +11,19 @@
 //     patterns, which is what makes restored RNG streams, virtual clocks
 //     and EMA state byte-identical to the uninterrupted run.
 //
+// Both classes also spell each field as one overloaded `io(field)`: the
+// sink writes the field, the source reads into it.  A layout written as
+// one function template over the archive is then stated once for both
+// directions, and its reader cannot drift from its writer.  `reading`
+// tells such a template which way it runs.
+//
 // Header-only: the encode/decode loops are tiny and sit on the
 // checkpoint path, where call overhead would dominate.
 #pragma once
 
 #include <array>
 #include <bit>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -55,9 +62,15 @@ inline std::uint32_t crc32(std::string_view bytes, std::uint32_t seed = 0) {
   return crc32(bytes.data(), bytes.size(), seed);
 }
 
+// Any 8-byte unsigned field (std::uint64_t, std::size_t), stored as u64.
+template <class T>
+concept U64Field = std::unsigned_integral<T> && sizeof(T) == 8;
+
 // Append-only little-endian encoder over a std::string buffer.
 class ByteSink {
  public:
+  static constexpr bool reading = false;
+
   const std::string& bytes() const noexcept { return buffer_; }
   std::string take() { return std::move(buffer_); }
   std::size_t size() const noexcept { return buffer_.size(); }
@@ -107,6 +120,23 @@ class ByteSink {
     for (std::size_t x : v) put_u64(static_cast<std::uint64_t>(x));
   }
 
+  void io(U64Field auto v) { put_u64(v); }
+  void io(std::int64_t v) { put_i64(v); }
+  void io(double v) { put_f64(v); }
+  void io(bool v) { put_bool(v); }
+  void io(const std::string& s) { put_string(s); }
+  void io(const std::vector<float>& v) { put_f32_vec(v); }
+  void io(const std::vector<double>& v) { put_f64_vec(v); }
+  void io(const std::vector<std::size_t>& v) { put_size_vec(v); }
+  // A length prefix; ByteSource::io_count checks it on the way back.
+  void io_count(std::size_t count, std::size_t /*min_bytes*/) {
+    put_u64(count);
+  }
+  // A container's length prefix (ByteSource::io_size resizes it).
+  void io_size(const auto& container, std::size_t min_bytes) {
+    io_count(container.size(), min_bytes);
+  }
+
  private:
   std::string buffer_;
 };
@@ -116,6 +146,8 @@ class ByteSink {
 // validated against the remaining bytes before any allocation.
 class ByteSource {
  public:
+  static constexpr bool reading = true;
+
   explicit ByteSource(std::string_view bytes) : bytes_(bytes) {}
 
   std::size_t remaining() const noexcept { return bytes_.size() - offset_; }
@@ -200,6 +232,25 @@ class ByteSource {
           "serial: element count exceeds remaining bytes (corrupt data)");
     }
     return static_cast<std::size_t>(count);
+  }
+
+  void io(U64Field auto& v) { v = get_u64(); }
+  void io(std::int64_t& v) { v = get_i64(); }
+  void io(double& v) { v = get_f64(); }
+  void io(bool& v) { v = get_bool(); }
+  void io(std::string& s) { s = get_string(); }
+  void io(std::vector<float>& v) { v = get_f32_vec(); }
+  void io(std::vector<double>& v) { v = get_f64_vec(); }
+  void io(std::vector<std::size_t>& v) { v = get_size_vec(); }
+  // A length prefix of elements at least `min_bytes` long each, checked
+  // against the bytes left before the caller allocates.
+  void io_count(std::size_t& count, std::size_t min_bytes) {
+    count = checked_count(get_u64(), min_bytes);
+  }
+  void io_size(auto& container, std::size_t min_bytes) {
+    std::size_t count = 0;
+    io_count(count, min_bytes);
+    container.resize(count);
   }
 
  private:

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -443,9 +444,9 @@ TEST(HierResume, SnapshotRefusesADifferentTree) {
 
 // --- malformed snapshots -----------------------------------------------------
 
-// A snapshot payload of run_tree's two-region tree, decoded into the parts
-// the tests edit (nodes, links in flight, queue) and the raw bytes around
-// them, so that encode() writes back exactly what decode() read.
+// A snapshot payload of run_tree's two-region tree, decoded field by field
+// through one declaration (io below) built from the fl/snapshot pieces the
+// engine uses, so that encode() writes back exactly what decode() read.
 struct TreePayload {
   struct Link {
     std::uint64_t seq = 0;
@@ -460,24 +461,52 @@ struct TreePayload {
   static constexpr std::uint64_t kRetier = 5;
   static constexpr std::uint64_t kTierBase = 0x100;
 
-  std::string prologue;
+  std::array<std::uint64_t, 5> prologue{};  // tag, fingerprint, dimensions
+  std::string policy;
   std::vector<AggregatorNode> nodes;
-  std::string counters;  // dispatch seq, records, tallies, checkpoint due
+  std::uint64_t dispatch_seq = 0;
+  std::vector<RoundRecord> records;
+  bool last_evaluated = false;
+  std::array<std::uint64_t, 8> tallies{};  // link, outage, event counts
+  double checkpoint_due = 0.0;
   std::vector<Link> links;
   double now = 0.0;
   std::uint64_t next_seq = 0;
   std::vector<sim::Event> events;
-  std::string blobs;  // fault model, hooks, metrics
+  std::array<std::string, 3> blobs;  // fault model, hooks, metrics
+
+  template <class Archive, class Payload>
+  static void io(Archive& ar, Payload& p) {
+    for (auto& field : p.prologue) ar.io(field);
+    ar.io(p.policy);
+    for (auto& node : p.nodes) io_node(ar, node);
+    ar.io(p.dispatch_seq);
+    io_records(ar, p.records);
+    ar.io(p.last_evaluated);
+    for (auto& tally : p.tallies) ar.io(tally);
+    ar.io(p.checkpoint_due);
+    ar.io_size(p.links, 40);
+    for (auto& link : p.links) {
+      ar.io(link.seq);
+      ar.io(link.from);
+      ar.io(link.updates);
+      ar.io(link.send_time);
+      ar.io(link.model);
+    }
+    ar.io(p.now);
+    ar.io(p.next_seq);
+    ar.io_size(p.events, 32);
+    for (auto& event : p.events) {
+      ar.io(event.time);
+      ar.io(event.seq);
+      ar.io(event.kind);
+      ar.io(event.actor);
+    }
+    for (auto& blob : p.blobs) ar.io(blob);
+  }
 
   static TreePayload decode(const std::string& payload) {
     TreePayload out;
-    util::ByteSource source(payload);
-    const auto since = [&](std::size_t start) {
-      return payload.substr(start, source.offset() - start);
-    };
-    for (int i = 0; i < 5; ++i) source.get_u64();
-    source.get_string();
-    out.prologue = since(0);
     // Shaped as TreeEngine shapes them: the root's slot per leaf; per
     // leaf, a slot per tier plus the parent view.
     out.nodes.resize(3);
@@ -492,59 +521,16 @@ struct TreePayload {
       node.pending.resize(tiers);
       node.selection_rng.resize(tiers);
       node.latency_rng.resize(tiers);
-      node.restore_state(source);
     }
-    const std::size_t counters_start = source.offset();
-    source.get_u64();
-    get_records(source);
-    source.get_bool();
-    for (int i = 0; i < 8; ++i) source.get_u64();
-    source.get_f64();
-    out.counters = since(counters_start);
-    out.links.resize(source.get_u64());
-    for (Link& link : out.links) {
-      link.seq = source.get_u64();
-      link.from = source.get_u64();
-      link.updates = source.get_u64();
-      link.send_time = source.get_f64();
-      link.model = source.get_f32_vec();
-    }
-    out.now = source.get_f64();
-    out.next_seq = source.get_u64();
-    out.events.resize(source.get_u64());
-    for (sim::Event& event : out.events) {
-      event.time = source.get_f64();
-      event.seq = source.get_u64();
-      event.kind = source.get_u64();
-      event.actor = source.get_u64();
-    }
-    out.blobs = payload.substr(source.offset());
+    util::ByteSource source(payload);
+    io(source, out);
+    EXPECT_TRUE(source.exhausted());
     return out;
   }
 
   std::string encode() const {
     util::ByteSink sink;
-    sink.put_bytes(prologue.data(), prologue.size());
-    for (const AggregatorNode& node : nodes) node.save_state(sink);
-    sink.put_bytes(counters.data(), counters.size());
-    sink.put_u64(links.size());
-    for (const Link& link : links) {
-      sink.put_u64(link.seq);
-      sink.put_u64(link.from);
-      sink.put_u64(link.updates);
-      sink.put_f64(link.send_time);
-      sink.put_f32_vec(link.model);
-    }
-    sink.put_f64(now);
-    sink.put_u64(next_seq);
-    sink.put_u64(events.size());
-    for (const sim::Event& event : events) {
-      sink.put_f64(event.time);
-      sink.put_u64(event.seq);
-      sink.put_u64(event.kind);
-      sink.put_u64(event.actor);
-    }
-    sink.put_bytes(blobs.data(), blobs.size());
+    io(sink, *this);
     return sink.take();
   }
 

@@ -8,13 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/adaptive_policy.h"
@@ -22,6 +25,7 @@
 #include "fl/snapshot.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "sim/event_queue.h"
 #include "test_helpers.h"
 #include "util/rng.h"
 #include "util/serial.h"
@@ -177,6 +181,96 @@ AsyncConfig dynamic_config() {
   return async;
 }
 
+// The prologue and shared head of a flat loop's payload over the two-tier
+// federation (async_engine.cc's io_head), decoded through the fl/snapshot
+// pieces the engine uses.
+constexpr std::size_t kTiers = 2;
+struct FlatHead {
+  std::array<std::uint64_t, 5> prologue{};  // tag, fingerprint, dimensions
+  std::string policy;
+  std::array<util::Rng, 2 * kTiers> streams;  // selection, latency per tier
+  std::vector<float> global;
+  std::array<std::vector<float>, kTiers> tier_models;
+  std::vector<std::size_t> tier_updates;
+  std::vector<std::size_t> last_submit_version;
+  std::vector<double> tier_lr;
+  std::vector<double> staleness_sum;
+  std::vector<RoundRecord> records;
+  std::vector<double> current_weights;
+  std::uint64_t dispatch_seq = 0;
+
+  template <class Archive, class Head>
+  static void io(Archive& ar, Head& h) {
+    for (auto& field : h.prologue) ar.io(field);
+    ar.io(h.policy);
+    for (auto& stream : h.streams) io_rng(ar, stream);
+    ar.io(h.global);
+    for (auto& model : h.tier_models) ar.io(model);
+    ar.io(h.tier_updates);
+    ar.io(h.last_submit_version);
+    ar.io(h.tier_lr);
+    ar.io(h.staleness_sum);
+    io_records(ar, h.records);
+    ar.io(h.current_weights);
+    ar.io(h.dispatch_seq);
+  }
+};
+
+// A static-loop payload, decoded field by field through one declaration
+// (io below) so that encode() writes back exactly what decode() read.
+struct StaticPayload {
+  FlatHead head;
+  std::uint64_t scheduled = 0;
+  std::array<bool, kTiers> parked{};
+  std::vector<std::size_t> parked_at;
+  std::vector<std::size_t> retry_count;
+  std::array<PendingTierRound, kTiers> pending;
+  bool last_evaluated = false;
+  std::array<std::uint64_t, 2> tallies{};  // processed events, max batch
+  double checkpoint_due = 0.0;
+  double now = 0.0;
+  std::uint64_t next_seq = 0;
+  std::vector<sim::Event> events;
+  std::array<std::string, 3> blobs;  // fault model, policy, metrics
+
+  template <class Archive, class Payload>
+  static void io(Archive& ar, Payload& p) {
+    FlatHead::io(ar, p.head);
+    ar.io(p.scheduled);
+    for (auto& parked : p.parked) ar.io(parked);
+    ar.io(p.parked_at);
+    ar.io(p.retry_count);
+    for (auto& round : p.pending) io_pending(ar, round);
+    ar.io(p.last_evaluated);
+    for (auto& tally : p.tallies) ar.io(tally);
+    ar.io(p.checkpoint_due);
+    ar.io(p.now);
+    ar.io(p.next_seq);
+    ar.io_size(p.events, 32);
+    for (auto& event : p.events) {
+      ar.io(event.time);
+      ar.io(event.seq);
+      ar.io(event.kind);
+      ar.io(event.actor);
+    }
+    for (auto& blob : p.blobs) ar.io(blob);
+  }
+
+  static StaticPayload decode(const std::string& payload) {
+    StaticPayload out;
+    util::ByteSource source(payload);
+    io(source, out);
+    EXPECT_TRUE(source.exhausted());
+    return out;
+  }
+
+  std::string encode() const {
+    util::ByteSink sink;
+    io(sink, *this);
+    return sink.take();
+  }
+};
+
 TEST(FlResume, StaticPathCrashResumeIsThreadPoolSizeInvariant) {
   const AsyncConfig async = static_config();
   const RunOutput full = run_once(async, /*threads=*/1);
@@ -255,6 +349,21 @@ TEST(FlResume, DynamicPathWithLossAndAdaptivePolicyCrashResume) {
   const RunOutput full = run_once(async, /*threads=*/2, /*adaptive=*/true);
   for (std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
     const std::string tag = "dyn_adaptive_t" + std::to_string(threads);
+    const RunOutput resumed =
+        crash_and_resume(async, full, /*every_frac=*/0.2, /*crash_frac=*/0.6,
+                         threads, tag, /*adaptive=*/true);
+    expect_identical(full, resumed, tag);
+  }
+}
+
+TEST(FlResume, StaticPathWithAdaptivePolicyCrashResume) {
+  // The static twin of the test above: update loss and a stateful policy
+  // whose credits and probabilities must ride the snapshot.
+  AsyncConfig async = static_config();
+  async.fault.loss_prob = 0.15;
+  const RunOutput full = run_once(async, /*threads=*/2, /*adaptive=*/true);
+  for (std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+    const std::string tag = "static_adaptive_t" + std::to_string(threads);
     const RunOutput resumed =
         crash_and_resume(async, full, /*every_frac=*/0.2, /*crash_frac=*/0.6,
                          threads, tag, /*adaptive=*/true);
@@ -373,19 +482,8 @@ TEST(FlResume, DynamicSnapshotWithBadInFlightEntryIsRejected) {
   // shared head, the tier lists and the latency multipliers precede it.
   const std::string payload = load_snapshot(snap);
   util::ByteSource source(payload);
-  for (int field = 0; field < 5; ++field) source.get_u64();
-  source.get_string();  // policy name
-  constexpr std::size_t kTiers = 2;
-  util::Rng rng(0);
-  for (std::size_t t = 0; t < 2 * kTiers; ++t) get_rng(source, rng);
-  for (std::size_t m = 0; m < 1 + kTiers; ++m) source.get_f32_vec();
-  source.get_size_vec();  // tier_updates
-  source.get_size_vec();  // last_submit_version
-  source.get_f64_vec();   // tier_lr
-  source.get_f64_vec();   // staleness_sum
-  get_records(source);
-  source.get_f64_vec();  // current_weights
-  source.get_u64();      // dispatch_seq
+  FlatHead head;
+  FlatHead::io(source, head);
   std::vector<bool> tiered(10, false);
   for (std::size_t t = 0; t < kTiers; ++t) {
     for (std::size_t id : source.get_size_vec()) tiered.at(id) = true;
@@ -423,6 +521,61 @@ TEST(FlResume, DynamicSnapshotWithBadInFlightEntryIsRejected) {
   expect_rejected(tier_at, kTiers, "in-flight tier");
   expect_rejected(client_at, static_cast<std::uint64_t>(reserve),
                   "in-flight client");
+}
+
+TEST(FlResume, StaticSnapshotRejectsEachMalformedPendingField) {
+  // The static loop folds a completed tier's pending updates into its
+  // tier model and averages that over every weight, so a CRC-valid
+  // snapshot's pending rounds must be checked field by field before any
+  // event runs.
+  const AsyncConfig async = static_config();
+  const RunOutput full = run_once(async, /*threads=*/2);
+  const double span = full.result.result.rounds.back().virtual_time;
+  const std::string snap = ::testing::TempDir() + "/resume_static_fields.snap";
+  AsyncConfig crashing = async;
+  crashing.checkpoint_every = 0.15 * span;
+  crashing.checkpoint_path = snap;
+  crashing.fault.crash_at = 0.55 * span;
+  EXPECT_THROW(run_once(crashing, 2), sim::SimulatedCrash);
+
+  const StaticPayload base = StaticPayload::decode(load_snapshot(snap));
+  ASSERT_FALSE(base.events.empty()) << "the base needs a tier round queued";
+  const std::size_t tier = base.events.front().actor;
+  ASSERT_LT(tier, kTiers);
+  AsyncConfig resuming = async;
+  resuming.resume_path = snap;
+
+  // The valid base, written back unchanged, resumes to the uninterrupted
+  // result.
+  save_snapshot(snap, base.encode());
+  EXPECT_EQ(run_once(resuming, 2).result.final_weights,
+            full.result.final_weights);
+
+  using Edit = std::function<void(StaticPayload&)>;
+  const std::vector<std::pair<const char*, Edit>> cases = {
+      {"pending update length",  // every update one weight short
+       [&](StaticPayload& p) {
+         for (LocalUpdate& update : p.pending[tier].updates) {
+           update.weights.pop_back();
+         }
+       }},
+      {"pending member",
+       [&](StaticPayload& p) { p.pending[tier].selected.front() = 10; }},
+      {"tier event",  // a queued round with no update to fold
+       [&](StaticPayload& p) { p.pending[tier].updates.clear(); }},
+  };
+  for (const auto& [field, edit] : cases) {
+    StaticPayload edited = base;
+    edit(edited);
+    save_snapshot(snap, edited.encode());
+    try {
+      run_once(resuming, 2);
+      ADD_FAILURE() << field << ": accepted";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find(field), std::string::npos)
+          << field << ": " << error.what();
+    }
+  }
 }
 
 TEST(FlResume, CheckpointConfigIsValidated) {

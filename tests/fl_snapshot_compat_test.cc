@@ -105,6 +105,8 @@ struct Outcome {
   std::vector<float> final_weights;
   std::vector<RoundRecord> rounds;
   std::size_t processed_events = 0;
+  // Submissions per tier (flat) or aggregations per node (tree).
+  std::vector<std::size_t> counts;
 };
 
 Outcome run_flat(const AsyncConfig& async) {
@@ -117,7 +119,7 @@ Outcome run_flat(const AsyncConfig& async) {
   engine.set_thread_pool(&pool);
   AsyncRunResult out = engine.run();
   return {std::move(out.final_weights), std::move(out.result.rounds),
-          out.processed_events};
+          out.processed_events, std::move(out.tier_updates)};
 }
 
 Outcome run_tree(const AsyncConfig& async) {
@@ -132,22 +134,17 @@ Outcome run_tree(const AsyncConfig& async) {
   engine.set_thread_pool(&workers);
   hier::HierRunResult out = engine.run();
   return {std::move(out.final_weights), std::move(out.result.rounds),
-          out.processed_events};
+          out.processed_events, std::move(out.node_rounds)};
 }
 
 using Runner = Outcome (*)(const AsyncConfig&);
 
-// Resumes tests/data/`file` under `async` and compares it with the
-// uninterrupted run.
-void expect_resumes(Runner run, const AsyncConfig& async,
-                    const std::string& file) {
-  const Outcome full = run(async);
-  AsyncConfig resuming = async;
-  resuming.resume_path = data_path(file);
-  const Outcome resumed = run(resuming);
-
+// `resumed` against the uninterrupted run `full`.
+void expect_same_run(const Outcome& full, const Outcome& resumed,
+                     const std::string& file) {
   ASSERT_EQ(full.rounds.size(), resumed.rounds.size()) << file;
   EXPECT_EQ(full.processed_events, resumed.processed_events) << file;
+  EXPECT_EQ(full.counts, resumed.counts) << file;
   for (std::size_t i = 0; i < full.rounds.size(); ++i) {
     const RoundRecord& a = full.rounds[i];
     const RoundRecord& b = resumed.rounds[i];
@@ -172,6 +169,16 @@ void expect_resumes(Runner run, const AsyncConfig& async,
   }
 }
 
+// Resumes tests/data/`file` under `async` and compares it with the
+// uninterrupted run.
+void expect_resumes(Runner run, const AsyncConfig& async,
+                    const std::string& file) {
+  const Outcome full = run(async);
+  AsyncConfig resuming = async;
+  resuming.resume_path = data_path(file);
+  expect_same_run(full, run(resuming), file);
+}
+
 TEST(SnapshotCompat, StaticLoopWithFaultLossResumes) {
   expect_resumes(run_flat, static_config(), "compat_static.snap");
 }
@@ -182,6 +189,26 @@ TEST(SnapshotCompat, DynamicLoopWithChurnResumes) {
 
 TEST(SnapshotCompat, TwoRegionTreeWithOutageResumes) {
   expect_resumes(run_tree, tree_config(), "compat_tree.snap");
+}
+
+TEST(SnapshotCompat, DynamicLoopResumesCheckpointsAndResumesAgain) {
+  // The older build's deferred cohorts train at load.  The checkpoints the
+  // resumed run writes must hold this build's state only, so a second
+  // resume from them reproduces the uninterrupted run too.
+  const AsyncConfig async = dynamic_config();
+  const Outcome full = run_flat(async);
+  const double span = full.rounds.back().virtual_time;
+  const std::string snap = ::testing::TempDir() + "/compat_dynamic_again.snap";
+  AsyncConfig first = async;
+  first.resume_path = data_path("compat_dynamic.snap");
+  first.checkpoint_every = 0.1 * span;
+  first.checkpoint_path = snap;
+  first.fault.crash_at = 0.85 * span;
+  EXPECT_THROW(run_flat(first), sim::SimulatedCrash);
+
+  AsyncConfig second = async;
+  second.resume_path = snap;
+  expect_same_run(full, run_flat(second), "compat_dynamic.snap, resumed twice");
 }
 
 // Rewrites tests/data/ (see the header): checkpoints every 20% of the

@@ -2,8 +2,10 @@
 // truncation of a golden snapshot must surface as a clean
 // std::runtime_error — never a crash, hang, giant allocation or silently
 // wrong payload.  Plus round-trip equality for the serialized substates
-// the engine snapshot is built from: RNG streams, event-queue horizon,
-// churn streams, fault streams and stateful policy state.
+// the engine snapshot is built from: the shared payload pieces (RNG
+// streams, local updates, pending rounds, records, aggregator nodes), the
+// event-queue horizon, churn streams, fault streams and stateful policy
+// state.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -17,6 +19,7 @@
 #include <vector>
 
 #include "core/adaptive_policy.h"
+#include "fl/hier/node.h"
 #include "fl/snapshot.h"
 #include "sim/churn_model.h"
 #include "sim/event_queue.h"
@@ -123,6 +126,177 @@ TEST(FlSnapshot, RngStreamRoundTripsThroughStateWords) {
   for (int i = 0; i < 100; ++i) {
     EXPECT_EQ(rng.next(), restored.next());
   }
+}
+
+// The shared payload pieces (fl/snapshot's io_*, hier::io_node) state
+// each layout once for both directions.  Each must read back what it
+// wrote, and writing what it read must reproduce the bytes it read.
+// Returns the value read back into `restored`.
+template <class T>
+T expect_piece_round_trips(const T& value, T restored, const auto& io) {
+  util::ByteSink sink;
+  io(sink, value);
+  util::ByteSource source(sink.bytes());
+  io(source, restored);
+  EXPECT_TRUE(source.exhausted());
+  util::ByteSink again;
+  io(again, restored);
+  EXPECT_EQ(again.bytes(), sink.bytes());
+  return restored;
+}
+
+fl::LocalUpdate sample_update(float base) {
+  return {.weights = {base, -base, 0.5f * base},
+          .num_samples = 17,
+          .train_loss = 0.25 + base,
+          .train_accuracy = 0.75};
+}
+
+void expect_same_update(const fl::LocalUpdate& a, const fl::LocalUpdate& b) {
+  EXPECT_EQ(a.weights, b.weights);
+  EXPECT_EQ(a.num_samples, b.num_samples);
+  EXPECT_EQ(a.train_loss, b.train_loss);
+  EXPECT_EQ(a.train_accuracy, b.train_accuracy);
+}
+
+TEST(FlSnapshot, RngStreamPieceRoundTrips) {
+  util::Rng rng(util::mix_seed(42, 7));
+  for (int i = 0; i < 100; ++i) rng.next();
+  util::Rng restored = expect_piece_round_trips(
+      rng, util::Rng(1), [](auto& ar, auto& r) { fl::io_rng(ar, r); });
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.next(), restored.next());
+}
+
+TEST(FlSnapshot, LocalUpdatePieceRoundTrips) {
+  const fl::LocalUpdate update = sample_update(1.5f);
+  expect_same_update(
+      update, expect_piece_round_trips(update, fl::LocalUpdate{},
+                                       [](auto& ar, auto& u) {
+                                         fl::io_update(ar, u);
+                                       }));
+}
+
+TEST(FlSnapshot, PendingRoundPieceRoundTrips) {
+  fl::PendingTierRound round;
+  round.selected = {4, 1, 9};
+  round.updates = {sample_update(1.0f), sample_update(2.0f),
+                   sample_update(3.0f)};
+  round.dispatch_version = 12;
+  round.latency = 3.75;
+  // A reused round with more updates than the stored one is cut down.
+  fl::PendingTierRound stale;
+  stale.updates.assign(5, sample_update(9.0f));
+  const fl::PendingTierRound restored = expect_piece_round_trips(
+      round, stale, [](auto& ar, auto& r) { fl::io_pending(ar, r); });
+  EXPECT_EQ(restored.selected, round.selected);
+  ASSERT_EQ(restored.updates.size(), round.updates.size());
+  for (std::size_t i = 0; i < round.updates.size(); ++i) {
+    expect_same_update(restored.updates[i], round.updates[i]);
+  }
+  EXPECT_EQ(restored.dispatch_version, round.dispatch_version);
+  EXPECT_EQ(restored.latency, round.latency);
+}
+
+TEST(FlSnapshot, RecordsPieceRoundTrips) {
+  std::vector<fl::RoundRecord> records(2);
+  records[0] = {.round = 0,
+                .virtual_time = 1.5,
+                .round_latency = 1.5,
+                .global_accuracy = 0.25,
+                .global_loss = 2.0,
+                .train_loss = 2.5,
+                .selected_tier = -1,  // stored as i64
+                .selected_clients = {3, 0}};
+  records[1] = {.round = 1,
+                .virtual_time = 4.0,
+                .round_latency = 2.5,
+                .global_accuracy = 0.5,
+                .global_loss = 1.0,
+                .train_loss = 1.25,
+                .selected_tier = 2,
+                .selected_clients = {}};
+  const std::vector<fl::RoundRecord> restored = expect_piece_round_trips(
+      records, std::vector<fl::RoundRecord>{},
+      [](auto& ar, auto& r) { fl::io_records(ar, r); });
+  ASSERT_EQ(restored.size(), records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(restored[i].round, records[i].round);
+    EXPECT_EQ(restored[i].virtual_time, records[i].virtual_time);
+    EXPECT_EQ(restored[i].round_latency, records[i].round_latency);
+    EXPECT_EQ(restored[i].global_accuracy, records[i].global_accuracy);
+    EXPECT_EQ(restored[i].global_loss, records[i].global_loss);
+    EXPECT_EQ(restored[i].train_loss, records[i].train_loss);
+    EXPECT_EQ(restored[i].selected_tier, records[i].selected_tier);
+    EXPECT_EQ(restored[i].selected_clients, records[i].selected_clients);
+  }
+}
+
+TEST(FlSnapshot, RecordCountPrefixIsCheckedBeforeAllocating) {
+  // 56 bytes is the least a record takes; a count the bytes left cannot
+  // hold must throw before the vector grows.
+  util::ByteSink sink;
+  sink.put_u64(3);
+  sink.put_bytes(std::string(2 * 56, '\0').data(), 2 * 56);
+  util::ByteSource source(sink.bytes());
+  std::vector<fl::RoundRecord> records;
+  EXPECT_THROW(fl::io_records(source, records), std::runtime_error);
+  EXPECT_TRUE(records.empty());
+}
+
+TEST(FlSnapshot, AggregatorNodePieceRoundTrips) {
+  // A leaf of two tiers: a slot per tier plus the parent view.
+  const auto shaped = [] {
+    fl::hier::AggregatorNode node;
+    node.slot_models.resize(3);
+    node.slot_updates.resize(3);
+    node.slot_last_version.resize(3);
+    node.tiers.resize(2);
+    node.pending.resize(2);
+    node.selection_rng.resize(2);
+    node.latency_rng.resize(2);
+    return node;
+  };
+  fl::hier::AggregatorNode node = shaped();
+  node.slot_models = {{1.0f, 2.0f}, {3.0f, 4.0f}, {5.0f, 6.0f}};
+  node.slot_updates = {4, 0, 7};
+  node.slot_last_version = {2, 0, 5};
+  node.model = {0.5f, 1.5f};
+  node.version = 9;
+  node.deliveries = 1;
+  node.since_report = 2;
+  node.update_mass = 11;
+  node.offline = true;
+  node.tiers = {{0, 2}, {1, 3}};
+  node.tier_lr = {0.1, 0.05};
+  node.staleness_sum = {3.0, 1.0};
+  node.pending[1].selected = {3};
+  node.pending[1].updates = {sample_update(4.0f)};
+  node.pending[1].active = true;
+  node.retry_count = {0, 2};
+  node.selection_rng = {util::Rng(11), util::Rng(12)};
+  node.latency_rng = {util::Rng(13), util::Rng(14)};
+  node.link_rng = util::Rng(15);
+  const fl::hier::AggregatorNode restored = expect_piece_round_trips(
+      node, shaped(),
+      [](auto& ar, auto& n) { fl::hier::io_node(ar, n); });
+  EXPECT_EQ(restored.slot_models, node.slot_models);
+  EXPECT_EQ(restored.slot_updates, node.slot_updates);
+  EXPECT_EQ(restored.model, node.model);
+  EXPECT_EQ(restored.update_mass, node.update_mass);
+  EXPECT_TRUE(restored.offline);
+  EXPECT_EQ(restored.tiers, node.tiers);
+  EXPECT_TRUE(restored.pending[1].active);
+  EXPECT_FALSE(restored.pending[0].active);
+  EXPECT_EQ(restored.retry_count, node.retry_count);
+  EXPECT_EQ(restored.link_rng.state(), node.link_rng.state());
+
+  // A node shaped for another tree refuses the section.
+  util::ByteSink sink;
+  fl::hier::io_node(sink, node);
+  fl::hier::AggregatorNode other = shaped();
+  other.slot_models.resize(2);
+  util::ByteSource source(sink.bytes());
+  EXPECT_THROW(fl::hier::io_node(source, other), std::runtime_error);
 }
 
 TEST(FlSnapshot, EventQueueHorizonRoundTrips) {
