@@ -14,10 +14,12 @@
 //     with freshly allocated column buffers, scalar GEMMs, separate
 //     bias/ReLU passes.
 //
-// The numbers depend on the ISA the library was built for, so the JSON
+// The numbers depend on the vector ISA the kernels run, so the JSON
 // records it: the compiler id in bench_tifl's format (version plus
-// optimisation and ISA macros), the microkernel's kNR and vector width,
-// the CPU model and the pool's thread count.
+// optimisation and ISA macros: the flags the library was built with), the
+// leaf kernels this process selected at run time (tensor::gemm_kernel_isa:
+// their ISA, kNR and vector width), the CPU model and the pool's thread
+// count.
 //
 // Flags: --smoke (CI-sized reps), --reps N, --json PATH, --batch N.
 #include <algorithm>
@@ -42,7 +44,6 @@
 #include "tensor/im2col.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
-#include "tensor/pack.h"
 #include "tifl_bench/env.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -419,10 +420,12 @@ int main(int argc, char** argv) {
   const std::string compiler = tifl_bench::compiler_id();
   const std::string cpu = tifl_bench::cpu_model();
   const std::size_t threads = tifl_bench::pool_threads();
-  std::printf("# %s, kNR %lld, %lld-byte vectors, %s, %zu pool threads\n",
-              compiler.c_str(), static_cast<long long>(tensor::kNR),
-              static_cast<long long>(tensor::kVecBytes), cpu.c_str(),
-              threads);
+  const tensor::GemmIsa isa = tensor::gemm_kernel_isa();
+  std::printf(
+      "# %s, %s kernels, kNR %lld, %lld-byte vectors, %s, %zu pool "
+      "threads\n",
+      compiler.c_str(), isa.name, static_cast<long long>(isa.nr),
+      static_cast<long long>(isa.vec_bytes), cpu.c_str(), threads);
 
   util::Rng rng(42);
   std::vector<ShapeResult> results;
@@ -451,8 +454,9 @@ int main(int argc, char** argv) {
   std::ofstream json(json_path);
   json << "{\n  \"bench\": \"gemm\",\n  \"smoke\": " << (smoke ? "true" : "false")
        << ",\n  \"compiler\": " << quoted(compiler)
-       << ",\n  \"knr\": " << tensor::kNR
-       << ",\n  \"vec_bytes\": " << tensor::kVecBytes
+       << ",\n  \"kernel_isa\": " << quoted(isa.name)
+       << ",\n  \"knr\": " << isa.nr
+       << ",\n  \"vec_bytes\": " << isa.vec_bytes
        << ",\n  \"cpu\": " << quoted(cpu)
        << ",\n  \"pool_threads\": " << threads << ",\n  \"gemm\": [\n";
   for (std::size_t i = 0; i < results.size(); ++i) {

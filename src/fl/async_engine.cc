@@ -1209,10 +1209,21 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
     }
     set_tiers(tier_lists);
     tier_lists = {};  // the tier sets hold the membership now
+    std::vector<std::size_t> flying(num_tiers, 0);
     for (const auto& [c, flight] : flights) {
       check_snapshot(c < num_clients && tier_of[c] != kNoTier,
                      "in-flight client (live clients only)");
       check_snapshot(flight.tier < num_tiers, "in-flight tier");
+      ++flying[flight.tier];
+    }
+    // Each tier's open round awaits exactly the flights it dispatched,
+    // and is active while it awaits any.  A count below that would wrap
+    // at the next arrival; one above it would never drain.
+    for (std::size_t t = 0; t < num_tiers; ++t) {
+      check_snapshot(rounds[t].awaiting == flying[t],
+                     "open round awaiting count");
+      check_snapshot(rounds[t].active || rounds[t].awaiting == 0,
+                     "open round active flag");
     }
     checkpointer.resume(queue.now());
     // An older build's deferred cohorts: each one's members that are

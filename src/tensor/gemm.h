@@ -28,6 +28,11 @@
 //
 // Epilogue fusion: forward paths can fold the bias add and a ReLU into the
 // final K-block's writeback instead of making separate passes over C.
+//
+// Vector ISA: the leaf kernels under the three paths exist once per
+// vector ISA the build carries, and a process runs the widest one its CPU
+// supports, picked once from CPUID; every one computes the same bytes
+// (see gemm_kernels.h).  gemm_kernel_isa() names the one that runs.
 #pragma once
 
 #include <cstdint>
@@ -56,6 +61,14 @@ void gemm_nt(const Tensor& a, const Tensor& b_t, Tensor& c,
              bool accumulate = false, const Epilogue& epilogue = {});
 void gemm_tn(const Tensor& a_t, const Tensor& b, Tensor& c,
              bool accumulate = false, const Epilogue& epilogue = {});
+
+// The leaf kernels this process runs.
+struct GemmIsa {
+  const char* name;        // "sse2", "avx2", "avx512", ...
+  std::int64_t nr;         // microtile width kNR
+  std::int64_t vec_bytes;  // vector register width
+};
+GemmIsa gemm_kernel_isa();
 
 // Raw-pointer cores used by conv2d's batch im2col path (matrices that are
 // views into workspace slabs rather than Tensors).

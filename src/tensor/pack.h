@@ -1,4 +1,5 @@
-// Blocking geometry and panel packing for the blocked GEMM core.
+// Blocking geometry and panel layout of the blocked GEMM core (the
+// packing and the kernels themselves are in gemm_leaf.inc).
 //
 // The kernel follows the classic three-level blocking scheme (Goto/BLIS):
 // C is computed in NC-wide column slabs; each slab accumulates KC-deep rank
@@ -24,37 +25,39 @@
 namespace tifl::tensor {
 
 // Register microtile: each microkernel call produces kMR x kNR elements of
-// C (or kMR x 2*kNR from two adjacent panels, where that fits).  The
+// C (or kMR x 2*kNR from two adjacent panels, where that fits).  kMR is
+// the same everywhere; kNR comes with the vector ISA a build of the leaf
+// kernels targets (gemm_leaf.inc), one row of this table each.  The
 // microkernel's vector type is one register, kVecBytes wide, and kNR is
-// picked per ISA so that a tile's accumulators, one B vector per register
-// of a tile row and the A broadcast fit the kVecRegs registers the ISA
-// has (gemm.cc static_asserts this budget):
+// picked so that a tile's accumulators, one B vector per register of a
+// tile row and the A broadcast fit the kVecRegs registers the ISA has
+// (gemm_leaf.inc static_asserts this budget):
 //
-//   ISA          register  kNR   one-panel tile        two-panel tile
-//   SSE2         16 x xmm    8   2 xmm/row, 15 regs    no (29 > 16)
-//   AVX, AVX2    16 x ymm   16   2 ymm/row, 15 regs    no (29 > 16)
-//   AVX-512      32 x zmm   16   1 zmm/row,  8 regs    yes (15 regs)
+//   row       ISA         register  kNR  one-panel tile       two-panel tile
+//   kXmmTile  SSE2        16 x xmm    8  2 xmm/row, 15 regs   no (29 > 16)
+//   kYmmTile  AVX, AVX2   16 x ymm   16  2 ymm/row, 15 regs   no (29 > 16)
+//   kZmmTile  AVX-512     32 x zmm   16  1 zmm/row,  8 regs   yes (15 regs)
+//
+// Nothing below this table depends on the row: a variant changes how
+// wide a tile is, never which path a shape takes or how an element's sum
+// is ordered.
 inline constexpr std::int64_t kMR = 6;
-#if defined(__AVX512F__)
-inline constexpr std::int64_t kNR = 16;
-inline constexpr std::int64_t kVecBytes = 64;
-inline constexpr std::int64_t kVecRegs = 32;
-#elif defined(__AVX__)
-inline constexpr std::int64_t kNR = 16;
-inline constexpr std::int64_t kVecBytes = 32;
-inline constexpr std::int64_t kVecRegs = 16;
-#else
-inline constexpr std::int64_t kNR = 8;
-inline constexpr std::int64_t kVecBytes = 16;
-inline constexpr std::int64_t kVecRegs = 16;
-#endif
+
+struct IsaTile {
+  std::int64_t nr;         // kNR: columns per packed B panel
+  std::int64_t vec_bytes;  // kVecBytes: one vector register
+  std::int64_t vec_regs;   // kVecRegs: vector registers the ISA has
+};
+inline constexpr IsaTile kXmmTile{8, 16, 16};
+inline constexpr IsaTile kYmmTile{16, 32, 16};
+inline constexpr IsaTile kZmmTile{16, 64, 32};
 
 // Cache blocking: a kMC x kKC A block (~96 KiB) lives in L2 while its
 // panels stream through L1; a kKC x kNC B slab (~2 MiB) is packed once per
 // rank update and reused by every A block, i.e. across the whole M loop.
 inline constexpr std::int64_t kMC = 96;    // multiple of kMR
 inline constexpr std::int64_t kKC = 256;
-inline constexpr std::int64_t kNC = 2048;  // multiple of kNR
+inline constexpr std::int64_t kNC = 2048;  // multiple of every kNR
 
 // Problems below this flop-count skip packing entirely (gemm_small): the
 // panel setup would cost more than it saves on tiny layer shapes, which
@@ -87,18 +90,6 @@ struct ConstView {
   const float* data;
   std::int64_t rs;
   std::int64_t cs;
-
-  const float* row(std::int64_t i) const { return data + i * rs; }
 };
-
-// Packs the [mc, kc] block of `a` starting at (row0, col0) into kMR-row
-// panels (zero-padded to a multiple of kMR rows).
-void pack_a(const ConstView& a, std::int64_t row0, std::int64_t col0,
-            std::int64_t mc, std::int64_t kc, float* apack);
-
-// Packs the [kc, nc] block of `b` starting at (row0, col0) into kNR-column
-// panels (zero-padded to a multiple of kNR columns).
-void pack_b(const ConstView& b, std::int64_t row0, std::int64_t col0,
-            std::int64_t kc, std::int64_t nc, float* bpack);
 
 }  // namespace tifl::tensor

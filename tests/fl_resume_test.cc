@@ -523,6 +523,109 @@ TEST(FlResume, DynamicSnapshotWithBadInFlightEntryIsRejected) {
                   "in-flight client");
 }
 
+TEST(FlResume, DynamicSnapshotWithBadOpenRoundIsRejected) {
+  // Each tier's open round awaits exactly the restored flights it
+  // dispatched, is active while it awaits any, and holds one accumulator
+  // entry per weight.  A CRC-valid snapshot whose count is off would wrap
+  // it at the next arrival (0) or never drain the round (1000), and one
+  // entry short the next arrival would write past the accumulator: the
+  // resume must refuse each before any event.
+  const AsyncConfig async = dynamic_config();
+  const RunOutput full = run_once(async, /*threads=*/2);
+  const double span = full.result.result.rounds.back().virtual_time;
+  const std::string snap = ::testing::TempDir() + "/resume_bad_round.snap";
+  AsyncConfig crashing = async;
+  crashing.checkpoint_every = 0.15 * span;
+  crashing.checkpoint_path = snap;
+  crashing.fault.crash_at = 0.55 * span;
+  EXPECT_THROW(run_once(crashing, 2), sim::SimulatedCrash);
+
+  // Walk the payload to the open rounds: the prologue, the shared head,
+  // the tier lists, the latency multipliers and the flights precede them.
+  const std::string payload = load_snapshot(snap);
+  util::ByteSource source(payload);
+  FlatHead head;
+  FlatHead::io(source, head);
+  for (std::size_t t = 0; t < kTiers; ++t) source.get_size_vec();
+  const std::uint64_t scaled = source.get_u64();
+  for (std::uint64_t i = 0; i < scaled; ++i) {
+    source.get_u64();
+    source.get_f64();
+  }
+  std::array<std::size_t, kTiers> flying{};
+  const std::uint64_t flights = source.get_u64();
+  for (std::uint64_t i = 0; i < flights; ++i) {
+    source.get_u64();               // client
+    ++flying.at(source.get_u64());  // dispatching tier
+    source.get_f64();               // dispatch time
+    source.get_u64();               // dispatch version
+    source.get_f64();               // arrival
+    source.get_u64();               // retries
+    if (source.get_bool()) {
+      LocalUpdate update;
+      io_update(source, update);
+    }
+  }
+  std::array<std::size_t, kTiers> active_at{}, awaiting_at{}, accum_at{};
+  std::array<std::size_t, kTiers> accum_len{};
+  for (std::size_t t = 0; t < kTiers; ++t) {
+    active_at[t] = source.offset();
+    const bool active = source.get_bool();
+    awaiting_at[t] = source.offset();
+    EXPECT_EQ(source.get_u64(), flying[t]) << "tier " << t;
+    EXPECT_TRUE(active || flying[t] == 0) << "tier " << t;
+    source.get_u64();  // arrivals
+    source.get_f64();  // weight total
+    accum_at[t] = source.offset();
+    accum_len[t] = source.get_f64_vec().size();
+  }
+  const auto open = std::find_if(flying.begin(), flying.end(),
+                                 [](std::size_t n) { return n > 0; });
+  ASSERT_NE(open, flying.end()) << "no round open at the snapshot";
+  const std::size_t tier = static_cast<std::size_t>(open - flying.begin());
+
+  const std::string path = ::testing::TempDir() + "/resume_round.snap";
+  AsyncConfig resuming = async;
+  resuming.resume_path = path;
+  // The unpatched payload, re-wrapped, resumes to the uninterrupted run.
+  save_snapshot(path, payload);
+  EXPECT_EQ(run_once(resuming, 2).result.final_weights,
+            full.result.final_weights);
+
+  const auto expect_rejected = [&](const std::string& patched,
+                                   const std::string& field) {
+    save_snapshot(path, patched);
+    try {
+      run_once(resuming, 2);
+      ADD_FAILURE() << field << ": the patched snapshot resumed";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+    }
+  };
+  const auto put_u64_at = [](std::string& bytes, std::size_t at,
+                             std::uint64_t value) {
+    for (std::size_t i = 0; i < 8; ++i) {
+      bytes[at + i] = static_cast<char>((value >> (8 * i)) & 0xFF);
+    }
+  };
+  for (const std::uint64_t awaiting : {std::uint64_t{0}, std::uint64_t{1000}}) {
+    std::string patched = payload;
+    put_u64_at(patched, awaiting_at[tier], awaiting);
+    expect_rejected(patched, "open round awaiting count");
+  }
+  std::string inactive = payload;
+  inactive[active_at[tier]] = 0;
+  expect_rejected(inactive, "open round active flag");
+  // One accumulator entry short: the length prefix and the last entry
+  // both go.
+  std::string shortened = payload;
+  ASSERT_GT(accum_len[tier], 0u);
+  put_u64_at(shortened, accum_at[tier], accum_len[tier] - 1);
+  shortened.erase(accum_at[tier] + 8 * accum_len[tier], 8);
+  expect_rejected(shortened, "round model length");
+}
+
 TEST(FlResume, StaticSnapshotRejectsEachMalformedPendingField) {
   // The static loop folds a completed tier's pending updates into its
   // tier model and averages that over every weight, so a CRC-valid

@@ -1,6 +1,9 @@
 // GEMM kernels checked against a naive triple-loop reference across a
 // parameterized sweep of shapes, including the degenerate and prime-sized
-// cases that trip blocking/parallel-split bugs.
+// cases that trip blocking/parallel-split bugs.  The bit-pinning tests run
+// once per leaf-kernel variant this CPU can run (detail::gemm_variants):
+// on an AVX-512 machine, a default build checks its SSE2 and AVX2
+// fallbacks too.
 #include "tensor/gemm.h"
 
 #include <gtest/gtest.h>
@@ -11,10 +14,12 @@
 #include <future>
 #include <iterator>
 #include <limits>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "obs/metrics.h"
+#include "tensor/gemm_kernels.h"
 #include "tensor/ops.h"
 #include "tensor/pack.h"
 #include "util/rng.h"
@@ -39,6 +44,32 @@ Tensor reference_nn(const Tensor& a, const Tensor& b) {
     }
   }
   return c;
+}
+
+using detail::GemmKernels;
+using detail::gemm_variants;
+
+// The variant the public entry points run.
+const GemmKernels& selected() { return *gemm_variants().back(); }
+
+enum class GemmKind { kNN, kNT, kTN };
+
+struct GemmCase {
+  GemmKind kind;
+  std::int64_t m, k, n;
+};
+
+// One GEMM through `kernels`, with operands as the public entry points
+// take them: A is [m,k] for nn/nt and stored [k,m] for tn; B is [k,n] for
+// nn/tn and stored [n,k] for nt.
+void run_case(const GemmKernels& kernels, const GemmCase& gc, const float* a,
+              const float* b, float* c, bool accumulate, const Epilogue& ep) {
+  const std::int64_t m = gc.m, k = gc.k, n = gc.n;
+  const ConstView av = gc.kind == GemmKind::kTN ? ConstView{a, 1, m}
+                                                : ConstView{a, k, 1};
+  const ConstView bv = gc.kind == GemmKind::kNT ? ConstView{b, 1, k}
+                                                : ConstView{b, n, 1};
+  detail::gemm_with(kernels, av, bv, c, m, k, n, accumulate, ep);
 }
 
 using GemmShape = std::tuple<int, int, int>;  // M, K, N
@@ -134,10 +165,11 @@ TEST(Gemm, ParallelResultIsDeterministic) {
 }
 
 // --- blocked-vs-naive equivalence over odd/edge shapes ----------------------
-// M, K, N sweep {1, 3, 17, 64, 257} x accumulate on/off: exercises the
-// small, stream and packed dispatch paths, ragged microtiles (257 = 42*6+5
-// rows, 16*16+1 columns) and multi-KC reductions (257 > KC is false here,
-// but 257 columns span multiple NR panels and the x2 tile pairing).
+// M, K, N sweep {1, 3, 17, 64, 257} x accumulate on/off, through every
+// variant: exercises the small, stream and packed dispatch paths, ragged
+// microtiles (257 = 42*6+5 rows, 16*16+1 columns) and multi-KC reductions
+// (257 > KC is false here, but 257 columns span multiple NR panels and
+// the x2 tile pairing).
 using EdgeCase = std::tuple<int, int, int, bool>;  // M, K, N, accumulate
 
 class GemmEdgeSweep : public ::testing::TestWithParam<EdgeCase> {
@@ -149,13 +181,17 @@ TEST_P(GemmEdgeSweep, NnMatchesReference) {
   const auto [m, k, n, accumulate] = GetParam();
   const Tensor a = random_matrix(m, k, 21);
   const Tensor b = random_matrix(k, n, 22);
-  Tensor c = random_matrix(m, n, 23);
+  const Tensor c0 = random_matrix(m, n, 23);
   Tensor expected = reference_nn(a, b);
   if (accumulate) {
-    for (std::int64_t i = 0; i < expected.numel(); ++i) expected[i] += c[i];
+    for (std::int64_t i = 0; i < expected.numel(); ++i) expected[i] += c0[i];
   }
-  gemm_nn(a, b, c, accumulate);
-  EXPECT_LE(max_abs_diff(c, expected), kEdgeTol);
+  for (const GemmKernels* kernels : gemm_variants()) {
+    Tensor c = c0;
+    run_case(*kernels, {GemmKind::kNN, m, k, n}, a.data(), b.data(), c.data(),
+             accumulate, {});
+    EXPECT_LE(max_abs_diff(c, expected), kEdgeTol) << kernels->isa.name;
+  }
 }
 
 TEST_P(GemmEdgeSweep, NtMatchesReference) {
@@ -166,13 +202,17 @@ TEST_P(GemmEdgeSweep, NtMatchesReference) {
   for (std::int64_t i = 0; i < n; ++i) {
     for (std::int64_t j = 0; j < k; ++j) b.at(j, i) = b_t.at(i, j);
   }
-  Tensor c = random_matrix(m, n, 26);
+  const Tensor c0 = random_matrix(m, n, 26);
   Tensor expected = reference_nn(a, b);
   if (accumulate) {
-    for (std::int64_t i = 0; i < expected.numel(); ++i) expected[i] += c[i];
+    for (std::int64_t i = 0; i < expected.numel(); ++i) expected[i] += c0[i];
   }
-  gemm_nt(a, b_t, c, accumulate);
-  EXPECT_LE(max_abs_diff(c, expected), kEdgeTol);
+  for (const GemmKernels* kernels : gemm_variants()) {
+    Tensor c = c0;
+    run_case(*kernels, {GemmKind::kNT, m, k, n}, a.data(), b_t.data(),
+             c.data(), accumulate, {});
+    EXPECT_LE(max_abs_diff(c, expected), kEdgeTol) << kernels->isa.name;
+  }
 }
 
 TEST_P(GemmEdgeSweep, TnMatchesReference) {
@@ -183,13 +223,17 @@ TEST_P(GemmEdgeSweep, TnMatchesReference) {
   for (std::int64_t i = 0; i < k; ++i) {
     for (std::int64_t j = 0; j < m; ++j) a.at(j, i) = a_t.at(i, j);
   }
-  Tensor c = random_matrix(m, n, 29);
+  const Tensor c0 = random_matrix(m, n, 29);
   Tensor expected = reference_nn(a, b);
   if (accumulate) {
-    for (std::int64_t i = 0; i < expected.numel(); ++i) expected[i] += c[i];
+    for (std::int64_t i = 0; i < expected.numel(); ++i) expected[i] += c0[i];
   }
-  gemm_tn(a_t, b, c, accumulate);
-  EXPECT_LE(max_abs_diff(c, expected), kEdgeTol);
+  for (const GemmKernels* kernels : gemm_variants()) {
+    Tensor c = c0;
+    run_case(*kernels, {GemmKind::kTN, m, k, n}, a_t.data(), b.data(),
+             c.data(), accumulate, {});
+    EXPECT_LE(max_abs_diff(c, expected), kEdgeTol) << kernels->isa.name;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -292,19 +336,13 @@ TEST(Gemm, NtNnConsistency) {
 // bias_n and ReLU.  Training trajectories, goldens and final-weight hashes
 // all rest on that sequence.
 
-enum class GemmKind { kNN, kNT, kTN };
-
-struct GemmCase {
-  GemmKind kind;
-  std::int64_t m, k, n;
-};
-
-// gemm.cc is compiled with -ffp-contract=fast, so whether each a*b+acc
-// step rounds once (FMA) or twice depends on the target ISA and the
-// optimizer.  This file does not contract; the reference learns the
-// kernel's mode from a two-term sum whose fused and unfused results
+// The baseline kernels are compiled with -ffp-contract=fast, so whether
+// each a*b+acc step rounds once (FMA) or twice depends on the target ISA
+// and the optimizer.  This file does not contract; the reference learns
+// the baseline's mode from a two-term sum whose fused and unfused results
 // differ: -1 + (1 + 2^-12)^2 is 2^-11 + 2^-24 exactly, but 2^-11 once the
-// square is rounded to float first.
+// square is rounded to float first.  Every other variant must match the
+// same reference: the variants compute the same bytes.
 bool probe_fused(float c) {
   const float fused = 0x1p-11f + 0x1p-24f;
   EXPECT_TRUE(c == fused || c == 0x1p-11f) << c;
@@ -315,7 +353,8 @@ bool small_kernel_fuses() {
   const float a[2] = {-1.0f, 1.0f + 0x1p-12f};
   const float b[2] = {1.0f, 1.0f + 0x1p-12f};
   float c = 0.0f;
-  gemm_nn_raw(a, b, &c, 1, 2, 1, /*accumulate=*/false);
+  run_case(*gemm_variants().front(), {GemmKind::kNN, 1, 2, 1}, a, b, &c,
+           /*accumulate=*/false, {});
   return probe_fused(c);
 }
 
@@ -347,21 +386,6 @@ void reference_small(const GemmCase& sc, const float* a, const float* b,
       if (ep.relu && v < 0.0f) v = 0.0f;
       c[i * n + j] = v;
     }
-  }
-}
-
-void run_case(const GemmCase& gc, const float* a, const float* b, float* c,
-              bool accumulate, const Epilogue& ep) {
-  switch (gc.kind) {
-    case GemmKind::kNN:
-      gemm_nn_raw(a, b, c, gc.m, gc.k, gc.n, accumulate, ep);
-      break;
-    case GemmKind::kNT:
-      gemm_nt_raw(a, b, c, gc.m, gc.k, gc.n, accumulate, ep);
-      break;
-    case GemmKind::kTN:
-      gemm_tn_raw(a, b, c, gc.m, gc.k, gc.n, accumulate, ep);
-      break;
   }
 }
 
@@ -424,9 +448,10 @@ std::vector<GemmCase> small_cases() {
   return cases;
 }
 
-// Runs every case x accumulate x epilogue x input variant through the
-// kernel and the reference; returns the number of calls made.
-std::uint64_t check_small_cases(bool fused) {
+// Runs every case x accumulate x epilogue x input variant through each of
+// `kernels` and the reference; returns the number of calls made.
+std::uint64_t check_small_cases(const std::vector<const GemmKernels*>& kernels,
+                                bool fused) {
   std::uint64_t calls = 0;
   for (const GemmCase& sc : small_cases()) {
     EXPECT_LT(sc.m * sc.k * sc.n, kSmallGemmLimit);
@@ -442,15 +467,20 @@ std::uint64_t check_small_cases(bool fused) {
       eps[3].relu = true;
       for (const bool accumulate : {false, true}) {
         for (int e = 0; e < 4; ++e) {
-          std::vector<float> got = c0, want = c0;
-          run_case(sc, a.data(), b.data(), got.data(), accumulate, eps[e]);
+          std::vector<float> want = c0;
           reference_small(sc, a.data(), b.data(), want.data(), accumulate,
                           eps[e], fused);
-          ++calls;
-          EXPECT_TRUE(same_bits(got, want))
-              << "kind " << static_cast<int>(sc.kind) << " " << sc.m << "x"
-              << sc.k << "x" << sc.n << " accumulate " << accumulate
-              << " epilogue " << e << " special_every " << every;
+          for (const GemmKernels* kernel : kernels) {
+            std::vector<float> got = c0;
+            run_case(*kernel, sc, a.data(), b.data(), got.data(), accumulate,
+                     eps[e]);
+            ++calls;
+            EXPECT_TRUE(same_bits(got, want))
+                << kernel->isa.name << " kind " << static_cast<int>(sc.kind)
+                << " " << sc.m << "x" << sc.k << "x" << sc.n << " accumulate "
+                << accumulate << " epilogue " << e << " special_every "
+                << every;
+          }
         }
       }
     }
@@ -462,8 +492,8 @@ TEST(GemmSmall, BitIdenticalToScalarDotProduct) {
   const bool fused = small_kernel_fuses();
   obs::Counter& small = obs::Registry::global().counter("gemm.small");
   const std::uint64_t before = small.value();
-  const std::uint64_t calls = check_small_cases(fused);
-  // Every call above took the small path (plus the probe's own call).
+  const std::uint64_t calls = check_small_cases(gemm_variants(), fused);
+  // Every call above took the small path.
   EXPECT_EQ(small.value() - before, calls);
 }
 
@@ -471,9 +501,9 @@ TEST(GemmSmall, PoolWorkerAlongsideTopLevelCall) {
   // Scratch is per thread: a worker and the top level running small GEMMs
   // at the same time must each still match the reference.
   const bool fused = small_kernel_fuses();
-  std::future<void> worker =
-      util::global_pool().submit([fused] { check_small_cases(fused); });
-  check_small_cases(fused);
+  std::future<void> worker = util::global_pool().submit(
+      [fused] { check_small_cases({&selected()}, fused); });
+  check_small_cases({&selected()}, fused);
   worker.get();
 }
 
@@ -497,7 +527,8 @@ bool blocked_kernel_fuses() {
   a[1] = 1.0f + 0x1p-12f;
   b[0] = 1.0f;
   b[n] = 1.0f + 0x1p-12f;
-  gemm_nn_raw(a.data(), b.data(), c.data(), n, n, n, /*accumulate=*/false);
+  run_case(*gemm_variants().front(), {GemmKind::kNN, n, n, n}, a.data(),
+           b.data(), c.data(), /*accumulate=*/false, {});
   return probe_fused(c[0]);
 }
 
@@ -546,15 +577,28 @@ void reference_blocked(const std::vector<std::vector<float>>& partials,
 }
 
 std::vector<GemmCase> blocked_cases() {
+  // n: ragged single and paired column panels of every tile width in
+  // pack.h's table (kNR 8 and 16), each one column either side of one and
+  // of two panels.
+  std::vector<std::int64_t> widths;
+  for (const IsaTile& tile : {kXmmTile, kYmmTile, kZmmTile}) {
+    for (const std::int64_t n : {tile.nr - 1, tile.nr + 1, 2 * tile.nr - 1,
+                                 2 * tile.nr + 1}) {
+      if (std::find(widths.begin(), widths.end(), n) == widths.end()) {
+        widths.push_back(n);
+      }
+    }
+  }
   std::vector<GemmCase> cases;
   for (const GemmKind kind : kAllKinds) {
     // m: ragged row tiles on the column-panel path, and past 2*kMC rows
-    // on the M-parallel one.  n: ragged single and paired column panels.
-    // k: one kKC block plus a single-term block, and three blocks.
+    // on the M-parallel one.  k: one kKC block plus a single-term block,
+    // and three blocks.
     for (const std::int64_t m : {3 * kMR - 1, std::int64_t{64}, 2 * kMC + 5}) {
       for (const std::int64_t k : {kKC + 1, std::int64_t{600}}) {
-        for (const std::int64_t n : {kNR + 1, 2 * kNR - 1, 2 * kNR + 1}) {
-          cases.push_back({kind, m, k, n});
+        for (const std::int64_t n : widths) {
+          // The narrowest shapes fall below kSmallGemmLimit, off this path.
+          if (m * k * n >= kSmallGemmLimit) cases.push_back({kind, m, k, n});
         }
       }
     }
@@ -573,9 +617,10 @@ std::vector<GemmCase> blocked_cases() {
   return cases;
 }
 
-// Runs every case x accumulate x epilogue x input variant through the
-// kernel and the reference; returns the number of calls made.
-std::uint64_t check_blocked_cases(bool fused) {
+// Runs every case x accumulate x epilogue x input variant through each of
+// `kernels` and the reference; returns the number of calls made.
+std::uint64_t check_blocked_cases(
+    const std::vector<const GemmKernels*>& kernels, bool fused) {
   std::uint64_t calls = 0;
   for (const GemmCase& gc : blocked_cases()) {
     EXPECT_GE(gc.m * gc.k * gc.n, kSmallGemmLimit);
@@ -599,14 +644,19 @@ std::uint64_t check_blocked_cases(bool fused) {
       eps[3] = {bias_m.data(), bias_n.data(), true};
       for (const bool accumulate : {false, true}) {
         for (int e = 0; e < 4; ++e) {
-          std::vector<float> got = c0, want = c0;
-          run_case(gc, a.data(), b.data(), got.data(), accumulate, eps[e]);
+          std::vector<float> want = c0;
           reference_blocked(partials, gc.n, want.data(), accumulate, eps[e]);
-          ++calls;
-          EXPECT_TRUE(same_bits(got, want))
-              << "kind " << static_cast<int>(gc.kind) << " " << gc.m << "x"
-              << gc.k << "x" << gc.n << " accumulate " << accumulate
-              << " epilogue " << e << " special_every " << every;
+          for (const GemmKernels* kernel : kernels) {
+            std::vector<float> got = c0;
+            run_case(*kernel, gc, a.data(), b.data(), got.data(), accumulate,
+                     eps[e]);
+            ++calls;
+            EXPECT_TRUE(same_bits(got, want))
+                << kernel->isa.name << " kind " << static_cast<int>(gc.kind)
+                << " " << gc.m << "x" << gc.k << "x" << gc.n << " accumulate "
+                << accumulate << " epilogue " << e << " special_every "
+                << every;
+          }
         }
       }
     }
@@ -618,7 +668,7 @@ TEST(GemmBlocked, BitIdenticalToBlockedScalarSums) {
   const bool fused = blocked_kernel_fuses();
   obs::Counter& blocked = obs::Registry::global().counter("gemm.blocked");
   const std::uint64_t before = blocked.value();
-  const std::uint64_t calls = check_blocked_cases(fused);
+  const std::uint64_t calls = check_blocked_cases(gemm_variants(), fused);
   EXPECT_EQ(blocked.value() - before, calls);
 }
 
@@ -629,9 +679,11 @@ TEST(GemmBlocked, PoolWorkerAlongsideTopLevelCall) {
   obs::Counter& blocked = obs::Registry::global().counter("gemm.blocked");
   const std::uint64_t before = blocked.value();
   std::uint64_t worker_calls = 0;
-  std::future<void> worker = util::global_pool().submit(
-      [fused, &worker_calls] { worker_calls = check_blocked_cases(fused); });
-  const std::uint64_t calls = check_blocked_cases(fused);
+  std::future<void> worker =
+      util::global_pool().submit([fused, &worker_calls] {
+        worker_calls = check_blocked_cases({&selected()}, fused);
+      });
+  const std::uint64_t calls = check_blocked_cases({&selected()}, fused);
   worker.get();
   EXPECT_EQ(blocked.value() - before, calls + worker_calls);
 }
@@ -663,26 +715,63 @@ TEST(GemmRowIndependence, RowOfCIsTheSameAtAnyRowCount) {
     dense.bias_n = bias.data();
     dense.relu = true;
     for (const Epilogue& ep : {Epilogue{}, dense}) {
+      // The baseline's full call is the want of every variant's rows.
       std::vector<float> full(static_cast<std::size_t>(kMaxRows * n));
-      gemm_nn_raw(a.data(), b.data(), full.data(), kMaxRows, k, n,
-                  /*accumulate=*/false, ep);
-      for (const std::int64_t m : kRowCounts) {
-        // A's first and last m rows: each row sits at another offset of
-        // its 4-row group, register tile and parallel chunk than it does
-        // in the full call.
-        for (const std::int64_t m0 : {std::int64_t{0}, kMaxRows - m}) {
-          std::vector<float> part(static_cast<std::size_t>(m * n));
-          gemm_nn_raw(a.data() + m0 * k, b.data(), part.data(), m, k, n,
-                      /*accumulate=*/false, ep);
-          const std::vector<float> want(full.begin() + m0 * n,
-                                        full.begin() + (m0 + m) * n);
-          EXPECT_TRUE(same_bits(part, want))
-              << k << "x" << n << " rows [" << m0 << ", " << m0 + m
-              << ") epilogue " << ep.active();
+      run_case(*gemm_variants().front(), {GemmKind::kNN, kMaxRows, k, n},
+               a.data(), b.data(), full.data(), /*accumulate=*/false, ep);
+      for (const GemmKernels* kernels : gemm_variants()) {
+        for (const std::int64_t m : kRowCounts) {
+          // A's first and last m rows: each row sits at another offset of
+          // its 4-row group, register tile and parallel chunk than it does
+          // in the full call.
+          for (const std::int64_t m0 : {std::int64_t{0}, kMaxRows - m}) {
+            std::vector<float> part(static_cast<std::size_t>(m * n));
+            run_case(*kernels, {GemmKind::kNN, m, k, n}, a.data() + m0 * k,
+                     b.data(), part.data(), /*accumulate=*/false, ep);
+            const std::vector<float> want(full.begin() + m0 * n,
+                                          full.begin() + (m0 + m) * n);
+            EXPECT_TRUE(same_bits(part, want))
+                << kernels->isa.name << " " << k << "x" << n << " rows [" << m0
+                << ", " << m0 + m << ") epilogue " << ep.active();
+          }
         }
       }
     }
   }
+}
+
+// --- variant selection -------------------------------------------------------
+// The build carries AVX2 and AVX-512 builds of the leaf kernels exactly
+// when it targets x86-64 without AVX2, and a process runs the widest
+// variant its CPU supports.
+TEST(GemmVariants, SelectedIsTheWidestTheCpuSupports) {
+  const GemmIsa isa = gemm_kernel_isa();
+  EXPECT_STREQ(isa.name, selected().isa.name);
+  EXPECT_EQ(isa.nr, selected().isa.nr);
+  EXPECT_EQ(isa.vec_bytes, selected().isa.vec_bytes);
+  for (const GemmKernels* kernels : gemm_variants()) {
+    EXPECT_LE(kernels->isa.vec_bytes, isa.vec_bytes) << kernels->isa.name;
+  }
+#if defined(__x86_64__) && !defined(__AVX2__)
+  __builtin_cpu_init();
+  std::vector<std::string> want{gemm_variants().front()->isa.name};
+  if (__builtin_cpu_supports("avx2")) want.push_back("avx2");
+  if (__builtin_cpu_supports("avx512f")) want.push_back("avx512");
+  std::vector<std::string> got;
+  for (const GemmKernels* kernels : gemm_variants()) {
+    got.push_back(kernels->isa.name);
+    const std::string name = kernels->isa.name;
+    if (name == "avx2" || name == "avx512") {
+      const IsaTile tile = name == "avx2" ? kYmmTile : kZmmTile;
+      EXPECT_EQ(kernels->isa.nr, tile.nr) << name;
+      EXPECT_EQ(kernels->isa.vec_bytes, tile.vec_bytes) << name;
+    }
+  }
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(isa.name, want.back());
+#else
+  EXPECT_EQ(gemm_variants().size(), 1u);
+#endif
 }
 
 }  // namespace

@@ -26,6 +26,11 @@ a verdict against the metric's bound:
                   base median);
     within bound  it is worse by no more than the bound.
 
+Beside the verdict, which reads the two samples as two samples, the tool
+reads the runs as pairs: `p` is the exact two-sided sign-test p-value of
+the pairs won, with tied pairs dropped.  It is the chance of a split at
+least this lopsided if either side were as likely to win each pair.
+
 The same goes to --json FILE, with every run's metrics, fail_frac and
 golden status.  --trace N adds N alternating pairs of `--trace 1` runs at
 seed 1 and prints each per-layer metric's median per side: one traced
@@ -43,9 +48,21 @@ The verdict rule, checked with `python3 -m doctest tools/bench_ab.py`:
 'unresolved'
 >>> verdict([1.0, 1.1, 1.2], [0.5, 0.55, 0.6], "lower", 0.25)
 'better'
+
+and the sign test:
+
+>>> round(sign_test_p(10, 10), 4)
+0.002
+>>> round(sign_test_p(9, 10), 4)
+0.0215
+>>> sign_test_p(5, 10)
+1.0
+>>> sign_test_p(0, 0)
+1.0
 """
 import argparse
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -85,6 +102,13 @@ def verdict(base, change, better, bound):
     if gain > 0:
         return "better"
     return "worse" if -gain > bound * abs(b) else "within bound"
+
+
+def sign_test_p(wins, pairs):
+    """Exact two-sided sign-test p-value of `wins` out of `pairs` untied
+    pairs: twice the binomial(pairs, 1/2) tail beyond the smaller side."""
+    tail = sum(math.comb(pairs, i) for i in range(min(wins, pairs - wins) + 1))
+    return min(1.0, 2.0 * tail / 2.0 ** pairs)
 
 
 def run(cmd, cwd=None, **kwargs):
@@ -206,6 +230,8 @@ def main():
             c = [value(r, m["name"]) for r in runs["change"]]
             sign = 1 if m["better"] == "higher" else -1
             median_b = quantile(b, 0.5)
+            won = sum(1 for x, y in zip(b, c) if sign * (y - x) > 0)
+            untied = sum(1 for x, y in zip(b, c) if x != y)
             entry["metrics"][m["name"]] = {
                 "unit": m["unit"], "better": m["better"], "bound": m["bound"],
                 "base": {"median": median_b, "q1": quantile(b, 0.25),
@@ -215,8 +241,8 @@ def main():
                            "values": c},
                 "change_pct": (100.0 * (quantile(c, 0.5) - median_b) /
                                median_b if median_b else 0.0),
-                "pairs_won": sum(1 for x, y in zip(b, c)
-                                 if sign * (y - x) > 0),
+                "pairs_won": won,
+                "sign_p": sign_test_p(won, untied),
                 "verdict": verdict(b, c, m["better"], m["bound"]),
             }
         if args.trace:
@@ -247,17 +273,17 @@ def print_workload(workload, entry, pairs):
            entry["change_failed_runs"], entry["base_max_fail_frac"],
            entry["change_max_fail_frac"], entry["base_golden_compared"],
            entry["change_golden_compared"]))
-    print("%-14s %-26s %-26s %8s %5s  %s" %
+    print("%-14s %-26s %-26s %8s %5s %6s  %s" %
           ("metric", "base median [q1-q3]", "change median [q1-q3]",
-           "change", "won", "verdict (bound)"))
+           "change", "won", "p", "verdict (bound)"))
     for name, m in entry["metrics"].items():
         b, c = m["base"], m["change"]
-        print("%-14s %-26s %-26s %+7.1f%% %2d/%-2d  %s (%g%%)" %
+        print("%-14s %-26s %-26s %+7.1f%% %2d/%-2d %6.3g  %s (%g%%)" %
               (name, "%s [%s-%s]" % (fmt(b["median"]), fmt(b["q1"]),
                                      fmt(b["q3"])),
                "%s [%s-%s]" % (fmt(c["median"]), fmt(c["q1"]), fmt(c["q3"])),
-               m["change_pct"], m["pairs_won"], pairs, m["verdict"],
-               100 * m["bound"]))
+               m["change_pct"], m["pairs_won"], pairs, m["sign_p"],
+               m["verdict"], 100 * m["bound"]))
     traced = entry.get("traced")
     if traced:
         print("traced, seed 1, medians of %d runs per side:" %
