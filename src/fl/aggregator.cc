@@ -31,21 +31,4 @@ std::vector<float> fedavg(std::span<const WeightedUpdate> updates) {
   return out;
 }
 
-std::vector<float> fold_round(const PendingTierRound& round,
-                              double* train_loss) {
-  std::vector<WeightedUpdate> weighted;
-  weighted.reserve(round.updates.size());
-  double loss = 0.0;
-  for (const LocalUpdate& update : round.updates) {
-    weighted.push_back(WeightedUpdate{
-        .weights = update.weights,
-        .sample_count = static_cast<double>(update.num_samples)});
-    loss += update.train_loss;
-  }
-  if (train_loss != nullptr) {
-    *train_loss = loss / static_cast<double>(round.updates.size());
-  }
-  return fedavg(weighted);
-}
-
 }  // namespace tifl::fl

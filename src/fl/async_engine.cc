@@ -11,6 +11,7 @@
 #include "fl/evaluation.h"
 #include "fl/policy.h"
 #include "fl/snapshot.h"
+#include "fl/tier_rounds.h"
 #include "obs/metrics.h"
 #include "obs/phase.h"
 #include "obs/trace.h"
@@ -86,99 +87,6 @@ std::vector<double> cross_tier_weights(
   return weights;
 }
 
-namespace {
-
-// Per-tier server state both run paths keep (FedAT keeps one model per
-// tier).  Both fork the same selection and latency streams, so a
-// zero-churn dynamic configuration consumes the exact streams of a
-// static run; tier 0 reuses the sync engine's fork tags (0xF01, 0xF02),
-// so a single-tier async run consumes those of a sync VanillaPolicy run.
-struct ServerState {
-  ServerState(std::uint64_t seed, std::size_t num_tiers,
-              std::vector<float> initial, double lr)
-      : global(std::move(initial)),
-        tier_models(num_tiers, global),
-        tier_updates(num_tiers, 0),
-        last_submit_version(num_tiers, 0),
-        tier_lr(num_tiers, lr),
-        staleness_sum(num_tiers, 0.0),
-        parked(num_tiers, 0),
-        parked_at(num_tiers, 0) {
-    util::Rng root(seed);
-    for (std::size_t t = 0; t < num_tiers; ++t) {
-      selection_rng.push_back(
-          root.fork(t == 0 ? 0xF01 : util::mix_seed(0xA51C, t)));
-      latency_rng.push_back(
-          root.fork(t == 0 ? 0xF02 : util::mix_seed(0xA51D, t)));
-    }
-  }
-
-  std::vector<util::Rng> selection_rng;
-  std::vector<util::Rng> latency_rng;
-  std::vector<float> global;
-  std::vector<std::vector<float>> tier_models;
-  std::vector<std::size_t> tier_updates;
-  std::vector<std::size_t> last_submit_version;
-  // Iterated per-tier lr decay (multiplicative, like the sync engine, so
-  // a single-tier run reproduces the sync lr sequence bit for bit).
-  std::vector<double> tier_lr;
-  std::vector<double> staleness_sum;
-  std::vector<double> current_weights;  // cross-tier weights in effect
-  std::size_t dispatch_seq = 0;         // event-order dispatch counter
-  // Tiers whose last selection came back empty, retried once per *later*
-  // version (`parked_at` blocks a same-version re-ask).  The default
-  // uniform policy never parks.
-  std::vector<char> parked;
-  std::vector<std::size_t> parked_at;
-  std::vector<double> accum;  // aggregate_global scratch
-};
-
-// End-of-run accounting shared by both run paths (final_members and
-// final_live_clients stay path-specific).
-void finalize_result(AsyncRunResult& out, ServerState& server,
-                     const obs::PhaseTimer& phases) {
-  const std::size_t num_tiers = server.tier_updates.size();
-  out.final_weights = std::move(server.global);
-  out.tier_updates = server.tier_updates;
-  out.mean_staleness.assign(num_tiers, 0.0);
-  for (std::size_t t = 0; t < num_tiers; ++t) {
-    if (server.tier_updates[t] > 0) {
-      out.mean_staleness[t] = server.staleness_sum[t] /
-                              static_cast<double>(server.tier_updates[t]);
-    }
-  }
-  out.final_tier_weights = std::move(server.current_weights);
-  if (out.final_tier_weights.empty()) {
-    out.final_tier_weights.assign(num_tiers, 0.0);
-  }
-  out.result.phases = phases.stats();
-}
-
-}  // namespace
-
-// Recompute the global model as the staleness-weighted cross-tier average
-// (double-precision reduction in tier order, shared by both run paths and
-// the fl/hier aggregator tree).  `accum` is caller-owned scratch, hoisted
-// out of the event loops: the dynamic path aggregates once per client
-// update.
-void aggregate_global(const std::vector<std::vector<float>>& tier_models,
-                      const std::vector<double>& weights,
-                      std::vector<float>& global, std::vector<double>& accum) {
-  const std::size_t weight_count = global.size();
-  accum.assign(weight_count, 0.0);
-  for (std::size_t t = 0; t < tier_models.size(); ++t) {
-    if (weights[t] == 0.0) continue;
-    const double w = weights[t];
-    const std::vector<float>& model = tier_models[t];
-    for (std::size_t i = 0; i < weight_count; ++i) {
-      accum[i] += w * static_cast<double>(model[i]);
-    }
-  }
-  for (std::size_t i = 0; i < weight_count; ++i) {
-    global[i] = static_cast<float>(accum[i]);
-  }
-}
-
 std::vector<double> aggregate_slots(
     StalenessFn fn, double alpha, std::span<const std::size_t> update_counts,
     std::span<const std::size_t> last_version, std::size_t version,
@@ -190,7 +98,19 @@ std::vector<double> aggregate_slots(
   }
   std::vector<double> weights =
       cross_tier_weights(fn, alpha, update_counts, age);
-  aggregate_global(models, weights, global, accum);
+  const std::size_t weight_count = global.size();
+  accum.assign(weight_count, 0.0);
+  for (std::size_t s = 0; s < models.size(); ++s) {
+    if (weights[s] == 0.0) continue;
+    const double w = weights[s];
+    const std::vector<float>& model = models[s];
+    for (std::size_t i = 0; i < weight_count; ++i) {
+      accum[i] += w * static_cast<double>(model[i]);
+    }
+  }
+  for (std::size_t i = 0; i < weight_count; ++i) {
+    global[i] = static_cast<float>(accum[i]);
+  }
   return weights;
 }
 
@@ -214,9 +134,6 @@ struct AsyncMetrics {
   // separately from the O(population) bookends.
   obs::Counter& setup_ns;
   obs::Counter& finalize_ns;
-  // The fault model's lost-then-retried vs permanently-dropped updates.
-  obs::Counter& lost_updates;
-  obs::Counter& dropped_updates;
   // Cross-cohort flushes of the dynamic loop and the cohorts each trained.
   obs::Counter& flushes;
   obs::Histo& flush_cohorts;
@@ -238,8 +155,6 @@ AsyncMetrics& async_metrics() {
       reg.counter("async.reprofiles"),
       reg.counter("async.setup_ns"),
       reg.counter("async.finalize_ns"),
-      reg.counter("fault.lost_updates"),
-      reg.counter("fault.dropped_updates"),
       reg.counter("async.flushes"),
       reg.histogram("async.flush_cohorts"),
       reg.histogram("async.staleness"),
@@ -258,141 +173,258 @@ std::uint64_t config_fingerprint(const EngineConfig& config,
                                  std::size_t num_clients,
                                  std::size_t weight_count) {
   const auto f = [](double v) { return std::bit_cast<std::uint64_t>(v); };
-  std::uint64_t h = util::mix_seed(0xD0C5, seed);
-  h = util::mix_seed(h, static_cast<std::uint64_t>(async.staleness),
-                     f(async.poly_alpha));
-  h = util::mix_seed(h, async.total_updates, async.clients_per_tier_round);
-  h = util::mix_seed(h, f(async.time_budget_seconds), async.eval_every);
-  h = util::mix_seed(h, f(async.churn.join_rate), f(async.churn.leave_rate));
-  h = util::mix_seed(h, f(async.churn.slowdown_rate),
-                     f(async.churn.slowdown_log_mu));
-  h = util::mix_seed(h, f(async.churn.slowdown_log_sigma), async.churn.seed);
-  h = util::mix_seed(h, f(async.reprofile_every),
-                     async.dynamic_lifecycle ? 1 : 0);
-  h = util::mix_seed(h, f(async.fault.loss_prob), async.fault.max_retries);
-  h = util::mix_seed(h, f(async.fault.backoff_base),
-                     f(async.fault.backoff_factor));
-  h = util::mix_seed(h, f(async.fault.backoff_max), async.fault.seed);
-  h = util::mix_seed(h, config.local.epochs, config.local.batch_size);
-  h = util::mix_seed(h, f(config.local.optimizer.lr),
-                     f(config.lr_decay_per_round));
-  h = util::mix_seed(h, static_cast<std::uint64_t>(config.local.optimizer.kind),
-                     kEvalChunk);
-  h = util::mix_seed(h, f(config.local.dp_clip_norm),
-                     f(config.local.dp_noise_sigma));
-  h = util::mix_seed(h, num_tiers, num_clients);
-  h = util::mix_seed(h, weight_count);
-  return h;
+  const auto lifecycle = [&](std::uint64_t h) {
+    h = util::mix_seed(h, f(async.churn.join_rate), f(async.churn.leave_rate));
+    h = util::mix_seed(h, f(async.churn.slowdown_rate),
+                       f(async.churn.slowdown_log_mu));
+    h = util::mix_seed(h, f(async.churn.slowdown_log_sigma), async.churn.seed);
+    return util::mix_seed(h, f(async.reprofile_every),
+                          async.dynamic_lifecycle ? 1 : 0);
+  };
+  const std::uint64_t h = mix_shared_knobs(util::mix_seed(0xD0C5, seed),
+                                           config, async, lifecycle);
+  return util::mix_seed(util::mix_seed(h, num_tiers, num_clients),
+                        weight_count);
 }
 
-// Opens (or, on resume, truncates to the snapshot's processed-event
-// horizon) the append-only event log.  A fresh run clobbers any stale log
-// under the same name, mirroring how metrics/trace outputs behave.
-void open_event_log(sim::EventLogWriter& log, const std::string& path,
-                    bool resuming, std::uint64_t processed_events) {
-  if (path.empty()) return;
-  if (resuming) {
-    log.truncate_to(path, processed_events);
-  } else {
-    std::remove(path.c_str());
-    log.open(path);
-  }
-}
-
-// Payload head both loops declare after the prologue: stream positions,
-// the per-tier server state, the records, the dispatch counter.
-void io_head(auto& ar, auto& server, auto& records) {
-  for (std::size_t t = 0; t < server.tier_models.size(); ++t) {
-    io_rng(ar, server.selection_rng[t]);
-    io_rng(ar, server.latency_rng[t]);
-  }
-  ar.io(server.global);
-  for (auto& model : server.tier_models) ar.io(model);
-  ar.io(server.tier_updates);
-  ar.io(server.last_submit_version);
-  ar.io(server.tier_lr);
-  ar.io(server.staleness_sum);
-  io_records(ar, records);
-  ar.io(server.current_weights);  // empty before a fold
-  ar.io(server.dispatch_seq);
-}
-
-// A CRC-valid payload can still hold a value this run cannot index with:
-// throws std::runtime_error naming the field unless `ok`.
-void check_snapshot(bool ok, const char* field) {
-  if (!ok) throw std::runtime_error(std::string("AsyncEngine: snapshot ") +
-                                    field + " is out of range");
-}
-
-// The checks of a restored head, for a run of `weight_count` weights.
-void check_head(const ServerState& server, std::size_t weight_count) {
-  const std::size_t num_tiers = server.tier_models.size();
-  check_snapshot(server.global.size() == weight_count, "global model length");
-  for (const std::vector<float>& model : server.tier_models) {
-    check_snapshot(model.size() == weight_count, "tier model length");
-  }
-  check_snapshot(server.tier_updates.size() == num_tiers &&
-                     server.last_submit_version.size() == num_tiers &&
-                     server.tier_lr.size() == num_tiers &&
-                     server.staleness_sum.size() == num_tiers &&
-                     (server.current_weights.empty() ||
-                      server.current_weights.size() == num_tiers),
-                 "per-tier vector (tier_updates, last_submit_version, "
-                 "tier_lr, staleness_sum or current_weights) length");
-}
-
-// Payload tail both loops declare last: event accounting, the checkpoint
-// due point (stored for the record only: a resumed run re-arms from its
-// own cadence), the queue, fault and policy state, the metrics.
-void io_tail(auto& ar, auto& out, double due, auto& queue, std::size_t actors,
-             auto& fault, auto& policy) {
-  ar.io(out.processed_events);
-  ar.io(out.max_event_batch);
-  ar.io(due);
-  io_queue(ar, queue, actors);
-  io_state(ar, fault);
-  io_state(ar, policy);
-  io_metrics(ar);
-}
-
-// Asks `policy` for tier `tier`'s cohort at `version`, drawn from
-// `candidates`; an empty answer parks the tier.  Throws std::logic_error
-// on an id at or past `population` or a repeated one.
-Selection select_cohort(SelectionPolicy& policy, ServerState& server,
-                        obs::PhaseTimer& phases, std::size_t tier,
-                        std::size_t version, double now,
-                        const Candidates& candidates,
-                        std::size_t population) {
-  SelectionContext context;
-  context.round = version;
-  context.tier = static_cast<int>(tier);
-  context.candidates = candidates;
-  context.rng = &server.selection_rng[tier];
-  Selection selection;
-  {
-    obs::ScopedPhase phase(&phases, obs::Phase::kSelect);
-    selection = policy.select(context);
-  }
-  if (selection.clients.empty()) {
-    server.parked[tier] = 1;
-    server.parked_at[tier] = version;
-    async_metrics().parks.add();
-    if (obs::Tracer* t = obs::tracer()) {
-      t->instant(now, "async", "park", static_cast<std::int64_t>(tier),
-                 {obs::field("version", version)});
-    }
-  }
-  for (std::size_t id : selection.clients) {
-    if (id >= population) {
-      throw std::logic_error(
-          "AsyncEngine: policy selected a client outside the population");
-    }
-  }
-  check_distinct_clients("AsyncEngine", selection.clients);
-  return selection;
-}
+constexpr SnapshotCheck check_snapshot{"AsyncEngine"};
 
 }  // namespace
+
+// One run of either flat loop: the per-tier server state both keep
+// (FedAT keeps one model per tier), the queue, the fault model and
+// durability state, the result and its version recorder, and the steps
+// both loops take on them.  Both fork the same selection and latency
+// streams, so a zero-churn dynamic configuration consumes the exact
+// streams of a static run; tier 0 reuses the sync engine's fork tags
+// (0xF01, 0xF02), so a single-tier async run consumes those of a sync
+// VanillaPolicy run.
+struct AsyncEngine::FlatRun {
+  FlatRun(AsyncEngine& engine, std::uint64_t seed, const std::string& loop)
+      : async(engine.async_),
+        rounds(engine.tier_count(), engine.config_.local.optimizer.lr),
+        global(engine.factory_(seed).weights()),
+        tier_models(engine.tier_count(), global),
+        tier_updates(engine.tier_count(), 0),
+        last_submit_version(engine.tier_count(), 0),
+        parked(engine.tier_count(), 0),
+        parked_at(engine.tier_count(), 0),
+        fault(async.fault, seed),
+        checkpointer(async.checkpoint_every, async.checkpoint_path,
+                     &event_log),
+        // One pass over the test set; subset_accuracies holds the tier
+        // accuracies (empty without tier eval index lists).
+        recorder{&out.result.rounds, async.eval_every, async.total_updates,
+                 "async",
+                 [&engine](std::span<const float> w) {
+                   return engine.trainer_.evaluate(w, *engine.test_,
+                                                   kEvalChunk,
+                                                   engine.tier_eval_indices_);
+                 },
+                 &phases} {
+    util::Rng root(seed);
+    for (std::size_t t = 0; t < engine.tier_count(); ++t) {
+      rounds.selection_rng.push_back(
+          root.fork(t == 0 ? 0xF01 : util::mix_seed(0xA51C, t)));
+      rounds.latency_rng.push_back(
+          root.fork(t == 0 ? 0xF02 : util::mix_seed(0xA51D, t)));
+    }
+    const SelectionPolicy* policy = engine.policy_;
+    out.result.policy_name = loop + "/" +
+                             (policy != nullptr ? policy->name() + "/" : "") +
+                             staleness_name(async.staleness);
+    out.result.rounds.reserve(async.total_updates);
+  }
+
+  // Payload head both loops declare after the prologue: stream positions,
+  // the per-tier server state, the records, the dispatch counter.
+  void io_head(auto& ar) {
+    for (std::size_t t = 0; t < tier_models.size(); ++t) {
+      io_rng(ar, rounds.selection_rng[t]);
+      io_rng(ar, rounds.latency_rng[t]);
+    }
+    ar.io(global);
+    for (auto& model : tier_models) ar.io(model);
+    ar.io(tier_updates);
+    ar.io(last_submit_version);
+    ar.io(rounds.tier_lr);
+    ar.io(rounds.staleness_sum);
+    io_records(ar, out.result.rounds);
+    ar.io(current_weights);  // empty before a fold
+    ar.io(dispatch_seq);
+  }
+
+  // Payload tail both loops declare last: event accounting, the
+  // checkpoint due point (stored for the record only: a resumed run
+  // re-arms from its own cadence), the queue of `actors` actors, the
+  // fault and policy state, the metrics.
+  void io_tail(auto& ar, std::size_t actors, SelectionPolicy& policy) {
+    ar.io(out.processed_events);
+    ar.io(out.max_event_batch);
+    double due = checkpointer.next_due();
+    ar.io(due);
+    io_queue(ar, queue, actors);
+    io_state(ar, fault);
+    io_state(ar, policy);
+    io_metrics(ar);
+  }
+
+  // The checks of a restored head, for a run of `population` clients and
+  // `weight_count` weights.
+  void check_head(std::size_t population, std::size_t weight_count) const {
+    const std::size_t num_tiers = tier_models.size();
+    check_snapshot(global.size() == weight_count, "global model length");
+    for (const std::vector<float>& model : tier_models) {
+      check_snapshot(model.size() == weight_count, "tier model length");
+    }
+    check_snapshot(tier_updates.size() == num_tiers &&
+                       last_submit_version.size() == num_tiers &&
+                       parked_at.size() == num_tiers &&
+                       (current_weights.empty() ||
+                        current_weights.size() == num_tiers),
+                   "per-tier vector (tier_updates, last_submit_version, "
+                   "parked_at or current_weights) length");
+    rounds.check(check_snapshot, num_tiers, population, weight_count);
+  }
+
+  // Opens the append-only event log, or on resume truncates it to the
+  // restored processed-event horizon.  A fresh run clobbers any stale log
+  // under the same name, as the metrics and trace outputs do.
+  void open_log(bool resuming) {
+    const std::string& path = async.event_log_path;
+    if (path.empty()) return;
+    if (resuming) {
+      event_log.truncate_to(path, out.processed_events);
+    } else {
+      std::remove(path.c_str());
+      event_log.open(path);
+    }
+  }
+
+  // Asks `policy` for tier `tier`'s cohort at the current version, drawn
+  // from `candidates`; an empty answer parks the tier.  Throws
+  // std::logic_error on an id at or past `population` or a repeated one.
+  Selection select(SelectionPolicy& policy, std::size_t tier,
+                   const Candidates& candidates, std::size_t population) {
+    const std::size_t version = out.result.rounds.size();
+    SelectionContext context;
+    context.round = version;
+    context.tier = static_cast<int>(tier);
+    context.candidates = candidates;
+    context.rng = &rounds.selection_rng[tier];
+    Selection selection;
+    {
+      obs::ScopedPhase phase(&phases, obs::Phase::kSelect);
+      selection = policy.select(context);
+    }
+    if (selection.clients.empty()) {
+      parked[tier] = 1;
+      parked_at[tier] = version;
+      metrics.parks.add();
+      if (obs::Tracer* t = obs::tracer()) {
+        t->instant(queue.now(), "async", "park",
+                   static_cast<std::int64_t>(tier),
+                   {obs::field("version", version)});
+      }
+    }
+    for (std::size_t id : selection.clients) {
+      if (id >= population) {
+        throw std::logic_error(
+            "AsyncEngine: policy selected a client outside the population");
+      }
+    }
+    check_distinct_clients("AsyncEngine", selection.clients);
+    return selection;
+  }
+
+  // Tier `tier`'s model moved at `version` with an update `staleness`
+  // versions old: counts the submission and recomputes the global model
+  // as the staleness-weighted cross-tier average.
+  void submit(std::size_t tier, std::size_t version, std::size_t staleness) {
+    ++tier_updates[tier];
+    last_submit_version[tier] = version;
+    metrics.staleness.record(static_cast<double>(staleness));
+    current_weights = aggregate_slots(async.staleness, async.poly_alpha,
+                                      tier_updates, last_submit_version,
+                                      version, tier_models, global, accum);
+  }
+
+  // True, and logged, once virtual time has crossed the time budget.
+  bool over_budget() const {
+    if (async.time_budget_seconds <= 0.0 ||
+        queue.now() < async.time_budget_seconds) {
+      return false;
+    }
+    util::log_info("async time budget of ", async.time_budget_seconds,
+                   "s exhausted after ", out.result.rounds.size(),
+                   " updates");
+    return true;
+  }
+
+  // Policy-parked tiers get another chance at a later version (a tier
+  // parked at this very version waits): `dispatch` each one `idle` allows.
+  void retry_parked(const auto& idle, const auto& dispatch) {
+    for (std::size_t t = 0; t < parked.size(); ++t) {
+      if (parked[t] && parked_at[t] < out.result.rounds.size() && idle(t)) {
+        metrics.park_retries.add();
+        dispatch(t);
+      }
+    }
+  }
+
+  // The end of either loop: the last record's evaluation, the lease
+  // check, then the end-of-run accounting, timed as finalize_ns, with
+  // `members` filling in the final membership.
+  AsyncRunResult finish(ClientPool& clients,
+                        const std::function<void(AsyncRunResult&)>& members) {
+    recorder.finish(global, recorder.last_tier());
+    clients.check_leases_returned("AsyncEngine");
+    const auto finalize_start = obs::wall_now();
+    members(out);
+    const std::size_t num_tiers = tier_updates.size();
+    out.final_weights = std::move(global);
+    out.tier_updates = tier_updates;
+    out.mean_staleness.assign(num_tiers, 0.0);
+    for (std::size_t t = 0; t < num_tiers; ++t) {
+      if (tier_updates[t] > 0) {
+        out.mean_staleness[t] = rounds.staleness_sum[t] /
+                                static_cast<double>(tier_updates[t]);
+      }
+    }
+    out.final_tier_weights = std::move(current_weights);
+    if (out.final_tier_weights.empty()) {
+      out.final_tier_weights.assign(num_tiers, 0.0);
+    }
+    out.result.phases = phases.stats();
+    metrics.finalize_ns.add(obs::wall_ns_count_since(finalize_start));
+    return std::move(out);
+  }
+
+  const AsyncConfig& async;
+  AsyncMetrics& metrics = async_metrics();
+  const obs::WallTime setup_start = obs::wall_now();
+  obs::PhaseTimer phases;
+  TierRounds rounds;  // the dynamic loop runs no whole-tier round
+  std::vector<float> global;
+  std::vector<std::vector<float>> tier_models;
+  std::vector<std::size_t> tier_updates;
+  std::vector<std::size_t> last_submit_version;
+  std::vector<double> current_weights;  // cross-tier weights in effect
+  std::size_t dispatch_seq = 0;         // event-order dispatch counter
+  // Tiers whose last selection came back empty, retried once per *later*
+  // version (`parked_at` blocks a same-version re-ask).  The default
+  // uniform policy never parks.
+  std::vector<char> parked;
+  std::vector<std::size_t> parked_at;
+  std::vector<double> accum;  // aggregate_slots scratch
+  sim::EventQueue queue;
+  AsyncRunResult out;
+  sim::FaultModel fault;
+  Redelivery deliver{fault, queue};
+  sim::EventLogWriter event_log;
+  Checkpointer checkpointer;
+  VersionRecorder recorder;
+};
 
 AsyncEngine::AsyncEngine(EngineConfig config, AsyncConfig async,
                          nn::ModelFactory factory, ClientPool* pool,
@@ -437,7 +469,8 @@ void validate_async_config(const AsyncConfig& async, const ClientPool* clients,
       {async.total_updates == 0, "total_updates must be > 0"},
       {async.clients_per_tier_round == 0,
        "clients_per_tier_round must be > 0"},
-      {async.poly_alpha < 0.0, "negative poly_alpha"},
+      {bad(async.poly_alpha), "negative or NaN poly_alpha"},
+      {bad(async.time_budget_seconds), "negative or NaN time_budget_seconds"},
       {async.eval_every == 0, "eval_every must be > 0"},
       {bad(async.reprofile_every), "negative reprofile_every"},
       {bad(async.checkpoint_every), "negative or NaN checkpoint_every"},
@@ -452,18 +485,37 @@ void validate_async_config(const AsyncConfig& async, const ClientPool* clients,
   }
 }
 
+std::uint64_t mix_shared_knobs(
+    std::uint64_t h, const EngineConfig& config, const AsyncConfig& async,
+    const std::function<std::uint64_t(std::uint64_t)>& lifecycle) {
+  const auto f = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  h = util::mix_seed(h, static_cast<std::uint64_t>(async.staleness),
+                     f(async.poly_alpha));
+  h = util::mix_seed(h, async.total_updates, async.clients_per_tier_round);
+  h = util::mix_seed(h, f(async.time_budget_seconds), async.eval_every);
+  h = lifecycle(h);
+  h = util::mix_seed(h, f(async.fault.loss_prob), async.fault.max_retries);
+  h = util::mix_seed(h, f(async.fault.backoff_base),
+                     f(async.fault.backoff_factor));
+  h = util::mix_seed(h, f(async.fault.backoff_max), async.fault.seed);
+  h = util::mix_seed(h, config.local.epochs, config.local.batch_size);
+  h = util::mix_seed(h, f(config.local.optimizer.lr),
+                     f(config.lr_decay_per_round));
+  h = util::mix_seed(h, static_cast<std::uint64_t>(config.local.optimizer.kind),
+                     kEvalChunk);
+  return util::mix_seed(h, f(config.local.dp_clip_norm),
+                        f(config.local.dp_noise_sigma));
+}
+
 void AsyncEngine::validate() const {
   validate_async_config(async_, clients_, test_, "AsyncEngine");
-  bool any_members = false;
-  for (const std::vector<std::size_t>& members : tier_members_) {
-    any_members = any_members || !members.empty();
-    for (std::size_t id : members) {
-      if (id >= clients_->size()) {
-        throw std::invalid_argument("AsyncEngine: tier member out of range");
-      }
-    }
+  if (const char* wrong = membership_fault(
+          tier_members_, tier_members_.size(), clients_->size())) {
+    throw std::invalid_argument(
+        std::string("AsyncEngine: tier membership has ") + wrong);
   }
-  if (!any_members) {
+  const auto empty = [](const auto& members) { return members.empty(); };
+  if (std::ranges::all_of(tier_members_, empty)) {
     throw std::invalid_argument("AsyncEngine: every tier is empty");
   }
 }
@@ -491,10 +543,6 @@ void AsyncEngine::set_tier_eval_indices(
   tier_eval_indices_ = std::move(indices);
 }
 
-Evaluation AsyncEngine::evaluate(std::span<const float> weights) {
-  return trainer_.evaluate(weights, *test_, kEvalChunk, tier_eval_indices_);
-}
-
 AsyncRunResult AsyncEngine::run(std::optional<std::uint64_t> seed_override) {
   const std::uint64_t seed = seed_override.value_or(config_.seed);
   // Default policy: uniform self-sampling — an explicit instance of the
@@ -511,86 +559,43 @@ AsyncRunResult AsyncEngine::run(std::optional<std::uint64_t> seed_override) {
 AsyncRunResult AsyncEngine::run_static(std::uint64_t seed,
                                        SelectionPolicy& policy) {
   const std::size_t num_tiers = tier_members_.size();
-  AsyncMetrics& metrics = async_metrics();
-  const auto setup_start = obs::wall_now();
-  obs::PhaseTimer phases;
-
-  ServerState server(seed, num_tiers, factory_(seed).weights(),
-                     config_.local.optimizer.lr);
-  std::vector<float>& global = server.global;
-  std::vector<PendingTierRound> pending(num_tiers);
-
   // Tier-round completions are the only scheduled events here, so tiers
-  // are the actor space.
-  sim::EventQueue queue;
-  AsyncRunResult out;
-  out.result.policy_name =
-      policy_ != nullptr
-          ? "async/" + policy.name() + "/" + staleness_name(async_.staleness)
-          : "async/" + staleness_name(async_.staleness);
-  out.result.rounds.reserve(async_.total_updates);
-  VersionRecorder recorder{
-      &out.result.rounds, async_.eval_every, async_.total_updates, "async",
-      [this](std::span<const float> w) { return evaluate(w); }, &phases};
-
-  std::size_t scheduled = 0;      // dispatched tier rounds (in flight + done)
-
-  // --- durability state ------------------------------------------------------
-  sim::FaultModel fault(async_.fault, seed);
-  // Redelivery attempts for the tier's lost completion (the static path's
-  // unit of delivery is the whole tier round).
-  std::vector<std::size_t> retry_count(num_tiers, 0);
-  sim::EventLogWriter event_log;
-  Checkpointer checkpointer(async_.checkpoint_every, async_.checkpoint_path,
-                            &event_log);
-  bool budget_exhausted = false;
+  // are the actor space; the unit of delivery is the whole tier round.
+  FlatRun run(*this, seed, "async");
+  sim::EventQueue& queue = run.queue;
+  AsyncRunResult& out = run.out;
+  TierRounds& rounds = run.rounds;
+  const RoundInputs round_inputs{trainer_, *clients_, latency_model_,
+                                 config_.local.epochs, seed, run.phases};
+  std::size_t scheduled = 0;  // dispatched tier rounds (in flight + done)
 
   const auto dispatch = [&](std::size_t tier) {
-    server.parked[tier] = 0;
+    run.parked[tier] = 0;
     const std::size_t version = out.result.rounds.size();
-    Selection selection = select_cohort(
-        policy, server, phases, tier, version, queue.now(),
-        Candidates(tier_members_[tier]), clients_->size());
+    Selection selection = run.select(
+        policy, tier, Candidates(tier_members_[tier]), clients_->size());
     if (selection.clients.empty()) return;
     const std::size_t count = selection.clients.size();
-
-    PendingTierRound& round = pending[tier];
-    round.selected = std::move(selection.clients);
-    round.dispatch_version = version;
-
-    trainer_.train(*clients_, round.selected, global, server.tier_lr[tier],
-                   seed, server.dispatch_seq, round.updates, phases);
-    ++server.dispatch_seq;
-
-    // A tier round is internally synchronous: it completes when its
-    // slowest sampled member responds.  Latency needs only pool-level
-    // state (profile + shard size), never a materialized client.
-    round.latency = 0.0;
-    for (std::size_t id : round.selected) {
-      round.latency = std::max(
-          round.latency,
-          latency_model_.sample_latency(clients_->resource(id),
-                                        clients_->train_size(id),
-                                        config_.local.epochs,
-                                        server.latency_rng[tier]));
-    }
-    queue.schedule(round.latency, /*kind=*/0, /*actor=*/tier);
+    const double latency =
+        rounds.launch(round_inputs, tier, std::move(selection.clients),
+                      version, run.global, run.dispatch_seq);
+    queue.schedule(latency, /*kind=*/0, /*actor=*/tier);
     ++scheduled;
     if (obs::Tracer* t = obs::tracer()) {
-      t->span(queue.now(), round.latency, "async", "tier_round",
+      t->span(queue.now(), latency, "async", "tier_round",
               static_cast<std::int64_t>(tier),
               {obs::field("version", version), obs::field("clients", count)});
     }
   };
 
-  metrics.setup_ns.add(obs::wall_ns_count_since(setup_start));
+  run.metrics.setup_ns.add(obs::wall_ns_count_since(run.setup_start));
 
   // --- snapshot payload (static path) ----------------------------------------
   // Between the shared head and tail: the cadence counters and the
   // in-flight rounds (trained at dispatch, so their updates travel with
   // the snapshot).  The checkpoint writer and the resume path both run
   // this one declaration.
-  const std::size_t weight_count = global.size();
+  const std::size_t weight_count = run.global.size();
   const SnapshotPrologue prologue{
       kSnapStatic,
       config_fingerprint(config_, async_, seed, num_tiers, clients_->size(),
@@ -598,15 +603,14 @@ AsyncRunResult AsyncEngine::run_static(std::uint64_t seed,
       num_tiers, clients_->size(), weight_count, policy.name()};
   const auto io_payload = [&](auto& ar) {
     io_prologue(ar, prologue, "AsyncEngine");
-    io_head(ar, server, out.result.rounds);
+    run.io_head(ar);
     ar.io(scheduled);
-    for (char& parked : server.parked) io_as<bool>(ar, parked);
-    ar.io(server.parked_at);
-    ar.io(retry_count);
-    for (PendingTierRound& round : pending) io_pending(ar, round);
-    ar.io(recorder.last_evaluated);
-    io_tail(ar, out, checkpointer.next_due(), queue, num_tiers, fault,
-            policy);
+    for (char& parked : run.parked) io_as<bool>(ar, parked);
+    ar.io(run.parked_at);
+    ar.io(rounds.retry_count);
+    for (PendingTierRound& round : rounds.pending) io_pending(ar, round);
+    ar.io(run.recorder.last_evaluated);
+    run.io_tail(ar, num_tiers, policy);
   };
 
   const bool resuming = !async_.resume_path.empty();
@@ -616,30 +620,16 @@ AsyncRunResult AsyncEngine::run_static(std::uint64_t seed,
     io_payload(source);
     // Everything the event handlers index with or fold, before any event
     // runs.
-    check_head(server, weight_count);
-    check_snapshot(server.parked_at.size() == num_tiers &&
-                       retry_count.size() == num_tiers,
-                   "parked_at or retry_count length");
-    for (const PendingTierRound& round : pending) {
-      for (std::size_t id : round.selected) {
-        check_snapshot(id < clients_->size(), "pending member");
-      }
-      for (const LocalUpdate& update : round.updates) {
-        check_snapshot(update.weights.size() == weight_count,
-                       "pending update length");
-      }
-    }
+    run.check_head(clients_->size(), weight_count);
     for (const sim::Event& event : queue.pending()) {
-      check_snapshot(!pending[event.actor].updates.empty(),
+      check_snapshot(rounds.trained(event.actor),
                      "tier event (a round with updates)");
     }
-    checkpointer.resume(queue.now());
+    run.checkpointer.resume(queue.now());
     util::log_info("async: resumed from ", async_.resume_path, " at version ",
                    out.result.rounds.size(), ", t=", queue.now());
   }
-
-  open_event_log(event_log, async_.event_log_path, resuming,
-                 out.processed_events);
+  run.open_log(resuming);
 
   if (!resuming) {
     for (std::size_t t = 0; t < num_tiers; ++t) {
@@ -649,136 +639,70 @@ AsyncRunResult AsyncEngine::run_static(std::uint64_t seed,
     }
   }
 
-  std::vector<sim::Event> batch;  // reused across pop_batch calls
-  while (!queue.empty() && !budget_exhausted) {
-    checkpointer.crash_if_due(fault.crash_at(), queue.peek().time);
-    // Drain simultaneous completions in one heap pass.  Events scheduled
-    // by the handlers below land at strictly later (time, seq) keys, so
-    // per-event handling in batch order replays the one-pop-at-a-time
-    // sequence byte for byte (see EventQueue::pop_batch).
-    queue.pop_batch(batch);
-    out.max_event_batch = std::max(out.max_event_batch, batch.size());
-    metrics.event_batch.record(static_cast<double>(batch.size()));
-    for (const sim::Event& event : batch) {
-      ++out.processed_events;
-      metrics.events.add();
-      if (event_log.is_open()) event_log.append(event);
-      const std::size_t tier = static_cast<std::size_t>(event.actor);
-      if (fault.active()) {
-        if (fault.lose_update()) {
-          metrics.lost_updates.add();
-          if (retry_count[tier] < async_.fault.max_retries) {
-            // Lost in transit: park the round and retry the delivery after
-            // a deterministic backoff (no RNG draw — the rescheduled event
-            // flows through the queue in (time, seq) order).
-            ++retry_count[tier];
-            queue.schedule(fault.backoff(retry_count[tier]), /*kind=*/0,
-                           /*actor=*/tier);
-            if (obs::Tracer* t = obs::tracer()) {
-              t->instant(queue.now(), "fault", "lost",
-                         static_cast<std::int64_t>(tier),
-                         {obs::field("attempt", retry_count[tier])});
-            }
-            continue;
-          }
-          // Retries exhausted: the round's updates are gone for good (the
-          // timeout case).  Un-count the dispatch and restart the tier so
-          // the run still converges to total_updates versions.
-          metrics.dropped_updates.add();
-          retry_count[tier] = 0;
-          --scheduled;
-          if (obs::Tracer* t = obs::tracer()) {
-            t->instant(queue.now(), "fault", "dropped",
-                       static_cast<std::int64_t>(tier),
-                       {obs::field("retries", async_.fault.max_retries)});
-          }
-          if (scheduled < async_.total_updates) dispatch(tier);
-          continue;
-        }
-        retry_count[tier] = 0;
-      }
-      PendingTierRound& round = pending[tier];
-
-      obs::ScopedPhase agg_phase(&phases, obs::Phase::kAggregate);
-      // --- tier-level FedAvg, then the staleness-weighted cross-tier
-      // aggregation ------------------------------------------------------
-      double train_loss = 0.0;
-      server.tier_models[tier] = fold_round(round, &train_loss);
-
-      const std::size_t version = out.result.rounds.size();
-      const std::size_t staleness = version - round.dispatch_version;
-      server.staleness_sum[tier] += static_cast<double>(staleness);
-      ++server.tier_updates[tier];
-      server.last_submit_version[tier] = version;
-      server.tier_lr[tier] *= config_.lr_decay_per_round;
-      metrics.tier_rounds.add();
-      metrics.staleness.record(static_cast<double>(staleness));
-
-      server.current_weights = aggregate_slots(
-          async_.staleness, async_.poly_alpha, server.tier_updates,
-          server.last_submit_version, version, server.tier_models, global,
-          server.accum);
-      agg_phase.stop();
-      if (obs::Tracer* t = obs::tracer()) {
-        t->instant(queue.now(), "async", "aggregate",
-                   static_cast<std::int64_t>(tier),
-                   {obs::field("version", version),
-                    obs::field("staleness", staleness),
-                    obs::field("weight", server.current_weights[tier])});
-      }
-
-      recorder.record({.virtual_time = queue.now(),
-                       .round_latency = round.latency,
-                       .train_loss = train_loss,
-                       .selected_tier = static_cast<int>(tier),
-                       .selected_clients = round.selected},
-                      global, static_cast<std::int64_t>(tier), &policy,
-                      staleness);
-
-      if (version % 50 == 0) {
-        util::log_debug("async v", version, " tier=", tier,
-                        " acc=", out.result.rounds.back().global_accuracy,
-                        " t=", queue.now());
-      }
-
-      if (async_.time_budget_seconds > 0.0 &&
-          queue.now() >= async_.time_budget_seconds) {
-        util::log_info("async time budget of ", async_.time_budget_seconds,
-                       "s exhausted after ", version + 1, " updates");
-        budget_exhausted = true;
-        break;
-      }
-      // Total dispatches are capped at total_updates, so draining the queue
-      // records exactly that many versions (fewer on a time-budget break).
-      if (scheduled < async_.total_updates) dispatch(tier);
-      // Policy-parked tiers get another chance at the new global version
-      // (skipping any tier parked at this very version just above).
-      for (std::size_t t = 0; t < num_tiers; ++t) {
-        if (server.parked[t] &&
-            server.parked_at[t] < out.result.rounds.size() &&
-            scheduled < async_.total_updates) {
-          metrics.park_retries.add();
-          dispatch(t);
-        }
-      }
+  const auto handle = [&](const sim::Event& event) {
+    const std::size_t tier = static_cast<std::size_t>(event.actor);
+    const Delivery delivery = run.deliver(event, rounds.retry_count[tier]);
+    // A dropped round's updates are gone for good: un-count its dispatch
+    // and restart the tier, so the run still records total_updates
+    // versions.
+    if (delivery == Delivery::kDropped) {
+      --scheduled;
+      dispatch(tier);
     }
-    if (!budget_exhausted) {
-      checkpointer.write_if_due(queue.now(), out.result.rounds.size(),
-                                out.processed_events, io_payload);
+    if (delivery != Delivery::kArrived) return true;
+    const PendingTierRound& round = rounds.pending[tier];
+
+    // --- tier-level FedAvg, then the staleness-weighted cross-tier
+    // aggregation --------------------------------------------------------
+    obs::ScopedPhase agg_phase(&run.phases, obs::Phase::kAggregate);
+    double train_loss = 0.0;
+    const std::size_t version = out.result.rounds.size();
+    const std::size_t staleness =
+        rounds.fold(tier, version, config_.lr_decay_per_round,
+                    run.tier_models[tier], &train_loss);
+    run.metrics.tier_rounds.add();
+    run.submit(tier, version, staleness);
+    agg_phase.stop();
+    if (obs::Tracer* t = obs::tracer()) {
+      t->instant(queue.now(), "async", "aggregate",
+                 static_cast<std::int64_t>(tier),
+                 {obs::field("version", version),
+                  obs::field("staleness", staleness),
+                  obs::field("weight", run.current_weights[tier])});
     }
-  }
 
-  recorder.finish(global, recorder.last_tier());
-  clients_->check_leases_returned("AsyncEngine");
+    run.recorder.record({.virtual_time = queue.now(),
+                         .round_latency = round.latency,
+                         .train_loss = train_loss,
+                         .selected_tier = static_cast<int>(tier),
+                         .selected_clients = round.selected},
+                        run.global, static_cast<std::int64_t>(tier), &policy,
+                        staleness);
 
-  const auto finalize_start = obs::wall_now();
-  out.final_members = tier_members_;
-  for (const std::vector<std::size_t>& members : tier_members_) {
-    out.final_live_clients += members.size();
-  }
-  finalize_result(out, server, phases);
-  metrics.finalize_ns.add(obs::wall_ns_count_since(finalize_start));
-  return out;
+    if (version % 50 == 0) {
+      util::log_debug("async v", version, " tier=", tier,
+                      " acc=", out.result.rounds.back().global_accuracy,
+                      " t=", queue.now());
+    }
+    if (run.over_budget()) return false;
+    // Total dispatches are capped at total_updates, so draining the queue
+    // records exactly that many versions (fewer on a time-budget stop).
+    const auto below_cap = [&](std::size_t) {
+      return scheduled < async_.total_updates;
+    };
+    if (below_cap(tier)) dispatch(tier);
+    run.retry_parked(below_cap, dispatch);
+    return true;
+  };
+  run_batches(queue, run.checkpointer, run.fault, &run.event_log, run.metrics,
+              out, io_payload, handle, [] { return true; });
+
+  return run.finish(*clients_, [&](AsyncRunResult& result) {
+    result.final_members = tier_members_;
+    for (const std::vector<std::size_t>& members : tier_members_) {
+      result.final_live_clients += members.size();
+    }
+  });
 }
 
 // Dynamic client lifecycle: joins, leaves, mid-round slowdowns and online
@@ -800,9 +724,6 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
                                         SelectionPolicy& policy) {
   const std::size_t num_tiers = tier_members_.size();
   const std::size_t num_clients = clients_->size();
-  AsyncMetrics& metrics = async_metrics();
-  const auto setup_start = obs::wall_now();
-  obs::PhaseTimer phases;
   if (async_.reprofile_every > 0.0 && !hooks_.retier) {
     throw std::invalid_argument(
         "AsyncEngine: reprofile_every > 0 requires a retier hook");
@@ -818,11 +739,13 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
 
   // Same stream layout as the static path; churn draws come from the
   // ChurnModel's own forked streams, so enabling re-profiling alone does
-  // not perturb selection or latency sequences.
-  ServerState server(seed, num_tiers, factory_(seed).weights(),
-                     config_.local.optimizer.lr);
-  std::vector<float>& global = server.global;
-  const std::size_t weight_count = global.size();
+  // not perturb selection or latency sequences.  Clients are the actor
+  // space (lifecycle and reprofile events ride on actor 0).
+  FlatRun run(*this, seed, "async-dyn");
+  AsyncMetrics& metrics = run.metrics;
+  sim::EventQueue& queue = run.queue;
+  AsyncRunResult& out = run.out;
+  const std::size_t weight_count = run.global.size();
 
   // One open round per tier, folded into incrementally as members arrive.
   struct DynRound {
@@ -893,19 +816,6 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
   };
   std::vector<PendingCohort> pending;
 
-  // Clients are the actor space (lifecycle/reprofile events ride on
-  // actor 0).
-  sim::EventQueue queue;
-  AsyncRunResult out;
-  out.result.policy_name =
-      policy_ != nullptr ? "async-dyn/" + policy.name() + "/" +
-                               staleness_name(async_.staleness)
-                         : "async-dyn/" + staleness_name(async_.staleness);
-  out.result.rounds.reserve(async_.total_updates);
-  VersionRecorder recorder{
-      &out.result.rounds, async_.eval_every, async_.total_updates, "async",
-      [this](std::span<const float> w) { return evaluate(w); }, &phases};
-
   const auto expected_latency = [&](std::size_t c) {
     return latency_model_.expected_latency(clients_->resource(c),
                                            clients_->train_size(c),
@@ -934,11 +844,6 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
     return best;
   };
 
-  // --- durability state ------------------------------------------------------
-  sim::FaultModel fault(async_.fault, seed);
-  sim::EventLogWriter event_log;
-  Checkpointer checkpointer(async_.checkpoint_every, async_.checkpoint_path,
-                            &event_log);
   const bool resuming = !async_.resume_path.empty();
 
   // Trains every pending cohort in one call and hands each update to its
@@ -956,7 +861,7 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
                          .seq = cohort.seq,
                          .updates = &cohort.updates});
     }
-    trainer_.train(*clients_, cohorts, seed, phases);
+    trainer_.train(*clients_, cohorts, seed, run.phases);
     metrics.flushes.add();
     metrics.flush_cohorts.record(static_cast<double>(pending.size()));
     for (PendingCohort& cohort : pending) {
@@ -974,7 +879,7 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
   const auto dispatch = [&](std::size_t tier) {
     DynRound& round = rounds[tier];
     round.active = false;
-    server.parked[tier] = 0;
+    run.parked[tier] = 0;
     if (out.result.rounds.size() >= async_.total_updates) return;
     const std::size_t version = out.result.rounds.size();
 
@@ -987,9 +892,7 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
     }
     const Candidates candidates(tier_sets[tier], in_flight);
     if (candidates.empty()) return;
-    Selection selection =
-        select_cohort(policy, server, phases, tier, version, queue.now(),
-                      candidates, num_clients);
+    Selection selection = run.select(policy, tier, candidates, num_clients);
     if (selection.clients.empty()) return;
     for (std::size_t id : selection.clients) {
       if (tier_of[id] == kNoTier || flights.contains(id)) {
@@ -1005,7 +908,7 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
     round.accum.assign(weight_count, 0.0);
     round.weight_total = 0.0;
 
-    const std::uint64_t seq = server.dispatch_seq++;
+    const std::uint64_t seq = run.dispatch_seq++;
 
     // One bulk insert for the whole cohort: same (time, seq) keys as the
     // per-client schedule_at calls this replaces, one heap rebuild.
@@ -1017,7 +920,7 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
           latency_model_.sample_latency(clients_->resource(c),
                                         clients_->train_size(c),
                                         config_.local.epochs,
-                                        server.latency_rng[tier]) *
+                                        run.rounds.latency_rng[tier]) *
           latency_scale[c];
       flights[c] = Flight{.tier = tier,
                           .dispatch_time = queue.now(),
@@ -1033,8 +936,8 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
     }
     queue.schedule_bulk(cohort);
     pending.push_back({.members = std::move(selection.clients),
-                       .base = global,
-                       .lr = server.tier_lr[tier],
+                       .base = run.global,
+                       .lr = run.rounds.tier_lr[tier],
                        .seq = seq,
                        .updates = {}});
     if (obs::Tracer* t = obs::tracer()) {
@@ -1051,7 +954,7 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
   const auto complete_if_drained = [&](std::size_t tier) {
     if (rounds[tier].awaiting > 0) return;
     if (rounds[tier].arrivals > 0) {
-      server.tier_lr[tier] *= config_.lr_decay_per_round;
+      run.rounds.tier_lr[tier] *= config_.lr_decay_per_round;
       metrics.tier_rounds.add();
     }
     dispatch(tier);
@@ -1088,8 +991,6 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
     }
   }
 
-  bool stopped = false;
-
   // --- snapshot payload (dynamic path) ---------------------------------------
   // Between the shared head and tail: the evolved membership, the flights
   // (each with its trained update), the open rounds, and the churn and
@@ -1111,7 +1012,7 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
   std::map<std::size_t, std::size_t> cohort_of;
   const auto io_payload = [&]<class Archive>(Archive& ar) {
     io_prologue(ar, prologue, "AsyncEngine");
-    io_head(ar, server, out.result.rounds);
+    run.io_head(ar);
     for (std::size_t t = 0; t < num_tiers; ++t) {
       if constexpr (Archive::reading) {
         ar.io(tier_lists[t]);
@@ -1171,8 +1072,8 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
     }
     double window_end = queue.now();
     ar.io(window_end);
-    for (char& parked : server.parked) io_as<bool>(ar, parked);
-    ar.io(server.parked_at);
+    for (char& parked : run.parked) io_as<bool>(ar, parked);
+    ar.io(run.parked_at);
     io_state(ar, churn);
     bool churning = pending_churn.has_value();
     ar.io(churning);
@@ -1184,13 +1085,12 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
       ar.io(pending_churn->factor);
     }
     io_blob(ar, hooks_.save_state, hooks_.restore_state);
-    ar.io(recorder.last_evaluated);
+    ar.io(run.recorder.last_evaluated);
     ar.io(out.join_count);
     ar.io(out.leave_count);
     ar.io(out.slowdown_count);
     ar.io(out.reprofile_count);
-    io_tail(ar, out, checkpointer.next_due(), queue, num_clients, fault,
-            policy);
+    run.io_tail(ar, num_clients, policy);
   };
 
   if (resuming) {
@@ -1198,15 +1098,9 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
     util::ByteSource source(payload);
     io_payload(source);
     // Everything the event handlers index with, before any event runs.
-    check_head(server, weight_count);
-    check_snapshot(server.parked_at.size() == num_tiers, "parked_at length");
-    for (std::size_t t = 0; t < num_tiers; ++t) {
-      for (std::size_t id : tier_lists[t]) {
-        check_snapshot(id < num_clients && tier_of[id] == kNoTier,
-                       "tier member (in range, listed once)");
-        tier_of[id] = t;
-      }
-    }
+    run.check_head(num_clients, weight_count);
+    check_snapshot(!membership_fault(tier_lists, num_tiers, num_clients),
+                   "tier member (in range, listed once)");
     set_tiers(tier_lists);
     tier_lists = {};  // the tier sets hold the membership now
     std::vector<std::size_t> flying(num_tiers, 0);
@@ -1225,7 +1119,7 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
       check_snapshot(rounds[t].active || rounds[t].awaiting == 0,
                      "open round active flag");
     }
-    checkpointer.resume(queue.now());
+    run.checkpointer.resume(queue.now());
     // An older build's deferred cohorts: each one's members that are
     // still flying under it train in one flush, after the payload
     // restored the metrics, so the training counts add to the restored
@@ -1262,10 +1156,8 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
     }
   }
 
-  metrics.setup_ns.add(obs::wall_ns_count_since(setup_start));
-
-  open_event_log(event_log, async_.event_log_path, resuming,
-                 out.processed_events);
+  metrics.setup_ns.add(obs::wall_ns_count_since(run.setup_start));
+  run.open_log(resuming);
 
   if (!resuming) {
     for (std::size_t t = 0; t < num_tiers; ++t) {
@@ -1273,342 +1165,262 @@ AsyncRunResult AsyncEngine::run_dynamic(std::uint64_t seed,
     }
   }
 
-  std::vector<sim::Event> batch;  // reused across pop_batch calls
-  while (!queue.empty() && !stopped) {
-    // Injected server crash: fires strictly between batches, so the last
-    // checkpoint is a consistent prefix.
-    checkpointer.crash_if_due(fault.crash_at(), queue.peek().time);
-    // Same-timestamp batch drain as the static loop: in-batch order is
-    // the exact (time, seq) pop order, and anything the handlers schedule
-    // sorts after the whole batch, so the replay sequence is unchanged.
-    queue.pop_batch(batch);
-    out.max_event_batch = std::max(out.max_event_batch, batch.size());
-    metrics.event_batch.record(static_cast<double>(batch.size()));
-    for (const sim::Event& event : batch) {
-      ++out.processed_events;
-      metrics.events.add();
-      if (event_log.is_open()) event_log.append(event);
-      // Budget crossings must be caught on *any* event kind: the churn and
-      // reprofile streams re-arm forever, so an update-starved run (e.g.
-      // heavy leave rates) would otherwise spin on lifecycle events
-      // arbitrarily far past the budget.  A client update crossing the
-      // budget still falls through and is recorded before the post-record
-      // check below stops the run.
-      if (async_.time_budget_seconds > 0.0 &&
-          queue.now() >= async_.time_budget_seconds &&
-          static_cast<sim::EventKind>(event.kind) !=
-              sim::EventKind::kClientUpdate) {
-        util::log_info("async time budget of ", async_.time_budget_seconds,
-                       "s exhausted after ", out.result.rounds.size(),
-                       " updates");
-        stopped = true;
+  const auto handle = [&](const sim::Event& event) {
+    // Budget crossings must be caught on *any* event kind: the churn and
+    // reprofile streams re-arm forever, so an update-starved run (e.g.
+    // heavy leave rates) would otherwise spin on lifecycle events
+    // arbitrarily far past the budget.  A client update crossing the
+    // budget still falls through and is recorded before the post-record
+    // check below stops the run.
+    const auto kind = static_cast<sim::EventKind>(event.kind);
+    if (kind != sim::EventKind::kClientUpdate && run.over_budget()) {
+      return false;
+    }
+    switch (kind) {
+      case sim::EventKind::kClientUpdate: {
+        const std::size_t c = static_cast<std::size_t>(event.actor);
+        const auto it = flights.find(c);
+        // A leave or slowdown invalidated this arrival: the client either
+        // departed or now lands at a different (rescheduled) time.
+        if (it == flights.end() || event.time != it->second.arrival) {
+          metrics.stale_events.add();
+          break;
+        }
+        Flight& arriving = it->second;
+        const Delivery delivery = run.deliver(event, arriving.retries);
+        if (delivery == Delivery::kRetrying) {
+          arriving.arrival = queue.now() + run.fault.backoff(arriving.retries);
+          break;
+        }
+        // A dropped update is gone for good.  The client stays live and
+        // eligible for its tier's next cohort.
+        if (delivery == Delivery::kDropped) {
+          complete_if_drained(end_flight(it).tier);
+          break;
+        }
+        if (!it->second.trained) flush();
+        const Flight flight = end_flight(it);
+        const std::size_t tier = flight.tier;
+        DynRound& round = rounds[tier];
+        ++round.arrivals;
+
+        const std::size_t version = out.result.rounds.size();
+        const std::size_t age = version - flight.dispatch_version;
+        const double observed = queue.now() - flight.dispatch_time;
+        if (hooks_.observe) hooks_.observe(c, observed);
+
+        obs::ScopedPhase agg_phase(&run.phases, obs::Phase::kAggregate);
+        // Fold this client into the tier's running FedAvg, discounted by
+        // the update's *own* staleness (constant/invfreq leave the
+        // factor at 1 and weigh by update counts instead).
+        const LocalUpdate& update = flight.update;
+        const double w =
+            static_cast<double>(update.num_samples) *
+            staleness_factor(async_.staleness, async_.poly_alpha, age);
+        if (w > 0.0) {
+          for (std::size_t i = 0; i < weight_count; ++i) {
+            round.accum[i] += w * static_cast<double>(update.weights[i]);
+          }
+          round.weight_total += w;
+        }
+        if (round.weight_total > 0.0) {
+          for (std::size_t i = 0; i < weight_count; ++i) {
+            run.tier_models[tier][i] = static_cast<float>(
+                round.accum[i] / round.weight_total);
+          }
+        }
+
+        run.rounds.staleness_sum[tier] += static_cast<double>(age);
+        run.submit(tier, version, age);
+        agg_phase.stop();
+        if (obs::Tracer* t = obs::tracer()) {
+          t->instant(queue.now(), "async", "update",
+                     static_cast<std::int64_t>(c),
+                     {obs::field("version", version),
+                      obs::field("tier", tier),
+                      obs::field("staleness", age)});
+        }
+
+        run.recorder.record({.virtual_time = queue.now(),
+                             .round_latency = observed,
+                             .train_loss = update.train_loss,
+                             .selected_tier = static_cast<int>(tier),
+                             .selected_clients = {c}},
+                            run.global, static_cast<std::int64_t>(tier),
+                            &policy, age);
+
+        if (version + 1 >= async_.total_updates || run.over_budget()) {
+          return false;
+        }
+
+        complete_if_drained(tier);
+        // A re-tiering may have parked this client's new tier with no
+        // eligible members while it was in flight; revive it now.
+        if (!rounds[tier_of[c]].active) dispatch(tier_of[c]);
+        run.retry_parked([&](std::size_t t) { return !rounds[t].active; },
+                         dispatch);
         break;
       }
-      switch (static_cast<sim::EventKind>(event.kind)) {
-        case sim::EventKind::kClientUpdate: {
-          const std::size_t c = static_cast<std::size_t>(event.actor);
-          const auto it = flights.find(c);
-          // A leave or slowdown invalidated this arrival: the client either
-          // departed or now lands at a different (rescheduled) time.
-          if (it == flights.end() || event.time != it->second.arrival) {
-            metrics.stale_events.add();
-            break;
-          }
-          // Injected network loss: one Bernoulli draw per delivery attempt,
-          // in pop order.
-          if (fault.active() && fault.lose_update()) {
-            metrics.lost_updates.add();
-            Flight& lost = it->second;
-            if (lost.retries < async_.fault.max_retries) {
-              ++lost.retries;
-              lost.arrival = queue.now() + fault.backoff(lost.retries);
-              queue.schedule_at(
-                  lost.arrival,
-                  static_cast<std::uint64_t>(sim::EventKind::kClientUpdate),
-                  event.actor);
-              if (obs::Tracer* t = obs::tracer()) {
-                t->instant(queue.now(), "fault", "lost",
-                           static_cast<std::int64_t>(c),
-                           {obs::field("attempt", lost.retries)});
-              }
-              break;
-            }
-            // Retries exhausted: the update is gone for good.  The client
-            // stays live and eligible for its tier's next cohort.
-            metrics.dropped_updates.add();
-            if (obs::Tracer* t = obs::tracer()) {
-              t->instant(queue.now(), "fault", "dropped",
-                         static_cast<std::int64_t>(c),
-                         {obs::field("retries", lost.retries)});
-            }
-            complete_if_drained(end_flight(it).tier);
-            break;
-          }
-          if (!it->second.trained) flush();
-          const Flight flight = end_flight(it);
-          const std::size_t tier = flight.tier;
-          DynRound& round = rounds[tier];
-          ++round.arrivals;
 
-          const std::size_t version = out.result.rounds.size();
-          const std::size_t age = version - flight.dispatch_version;
-          const double observed = queue.now() - flight.dispatch_time;
-          if (hooks_.observe) hooks_.observe(c, observed);
-
-          obs::ScopedPhase agg_phase(&phases, obs::Phase::kAggregate);
-          // Fold this client into the tier's running FedAvg, discounted by
-          // the update's *own* staleness (constant/invfreq leave the
-          // factor at 1 and weigh by update counts instead).
-          const LocalUpdate& update = flight.update;
-          const double w =
-              static_cast<double>(update.num_samples) *
-              staleness_factor(async_.staleness, async_.poly_alpha, age);
-          if (w > 0.0) {
-            for (std::size_t i = 0; i < weight_count; ++i) {
-              round.accum[i] += w * static_cast<double>(update.weights[i]);
-            }
-            round.weight_total += w;
-          }
-          if (round.weight_total > 0.0) {
-            for (std::size_t i = 0; i < weight_count; ++i) {
-              server.tier_models[tier][i] = static_cast<float>(
-                  round.accum[i] / round.weight_total);
-            }
-          }
-
-          server.staleness_sum[tier] += static_cast<double>(age);
-          ++server.tier_updates[tier];
-          server.last_submit_version[tier] = version;
-          server.current_weights = aggregate_slots(
-              async_.staleness, async_.poly_alpha, server.tier_updates,
-              server.last_submit_version, version, server.tier_models, global,
-              server.accum);
-          agg_phase.stop();
-          metrics.staleness.record(static_cast<double>(age));
-          if (obs::Tracer* t = obs::tracer()) {
-            t->instant(queue.now(), "async", "update",
-                       static_cast<std::int64_t>(c),
-                       {obs::field("version", version),
-                        obs::field("tier", tier),
-                        obs::field("staleness", age)});
-          }
-
-          recorder.record({.virtual_time = queue.now(),
-                           .round_latency = observed,
-                           .train_loss = update.train_loss,
-                           .selected_tier = static_cast<int>(tier),
-                           .selected_clients = {c}},
-                          global, static_cast<std::int64_t>(tier), &policy,
-                          age);
-
-          if (version + 1 >= async_.total_updates) {
-            stopped = true;
-            break;
-          }
-          if (async_.time_budget_seconds > 0.0 &&
-              queue.now() >= async_.time_budget_seconds) {
-            util::log_info("async time budget of ", async_.time_budget_seconds,
-                           "s exhausted after ", version + 1, " updates");
-            stopped = true;
-            break;
-          }
-
-          complete_if_drained(tier);
-          // A re-tiering may have parked this client's new tier with no
-          // eligible members while it was in flight; revive it now.
-          if (!rounds[tier_of[c]].active) dispatch(tier_of[c]);
-          // Policy-parked tiers get another chance at the new version
-          // (skipping any tier parked at this very version just above).
-          for (std::size_t t = 0; t < num_tiers; ++t) {
-            if (server.parked[t] &&
-                server.parked_at[t] < out.result.rounds.size() &&
-                !rounds[t].active) {
-              metrics.park_retries.add();
-              dispatch(t);
-            }
-          }
-          break;
+      case sim::EventKind::kClientLeave: {
+        const sim::LifecycleEvent churn_event = *pending_churn;
+        schedule_next_churn();
+        if (live_set.empty()) break;
+        const std::size_t c =
+            live_set.kth(churn_event.pick % live_set.size());
+        const auto flight = flights.find(c);
+        const bool flying = flight != flights.end();
+        ++out.leave_count;
+        metrics.leaves.add();
+        if (obs::Tracer* t = obs::tracer()) {
+          t->instant(queue.now(), "churn", "leave",
+                     static_cast<std::int64_t>(c),
+                     {obs::field("in_flight",
+                                 static_cast<std::int64_t>(flying))});
         }
+        live_set.erase(c);
+        reserve(c);
+        tier_sets[tier_of[c]].erase(c);
+        tier_of[c] = kNoTier;
+        if (hooks_.left) hooks_.left(c);
+        policy.on_leave(c);
+        // Mid-round departure: its pending update is lost; the cohort
+        // no longer waits for it.
+        if (flying) complete_if_drained(end_flight(flight).tier);
+        break;
+      }
 
-        case sim::EventKind::kClientLeave: {
-          const sim::LifecycleEvent churn_event = *pending_churn;
-          schedule_next_churn();
-          if (live_set.empty()) break;
-          const std::size_t c =
-              live_set.kth(churn_event.pick % live_set.size());
-          const auto flight = flights.find(c);
-          const bool flying = flight != flights.end();
-          ++out.leave_count;
-          metrics.leaves.add();
-          if (obs::Tracer* t = obs::tracer()) {
-            t->instant(queue.now(), "churn", "leave",
-                       static_cast<std::int64_t>(c),
-                       {obs::field("in_flight",
-                                   static_cast<std::int64_t>(flying))});
-          }
-          live_set.erase(c);
-          reserve(c);
-          tier_sets[tier_of[c]].erase(c);
-          tier_of[c] = kNoTier;
-          if (hooks_.left) hooks_.left(c);
-          policy.on_leave(c);
-          // Mid-round departure: its pending update is lost; the cohort
-          // no longer waits for it.
-          if (flying) complete_if_drained(end_flight(flight).tier);
-          break;
+      case sim::EventKind::kClientJoin: {
+        const sim::LifecycleEvent churn_event = *pending_churn;
+        schedule_next_churn();
+        if (inactive_set.empty()) break;  // nobody waiting to (re)join
+        const std::size_t c =
+            inactive_set.kth(churn_event.pick % inactive_set.size());
+        ++out.join_count;
+        inactive_set.erase(c);
+        live_set.insert(c);
+        const std::size_t tier = hooks_.joined
+                                     ? hooks_.joined(c, expected_latency(c))
+                                     : place_fallback(c);
+        if (tier >= num_tiers) {
+          throw std::runtime_error(
+              "AsyncEngine: joined hook returned tier out of range");
         }
-
-        case sim::EventKind::kClientJoin: {
-          const sim::LifecycleEvent churn_event = *pending_churn;
-          schedule_next_churn();
-          if (inactive_set.empty()) break;  // nobody waiting to (re)join
-          const std::size_t c =
-              inactive_set.kth(churn_event.pick % inactive_set.size());
-          ++out.join_count;
-          inactive_set.erase(c);
-          live_set.insert(c);
-          const std::size_t tier = hooks_.joined
-                                       ? hooks_.joined(c, expected_latency(c))
-                                       : place_fallback(c);
-          if (tier >= num_tiers) {
-            throw std::runtime_error(
-                "AsyncEngine: joined hook returned tier out of range");
-          }
-          tier_sets[tier].insert(c);
-          tier_of[c] = tier;
-          metrics.joins.add();
-          if (obs::Tracer* t = obs::tracer()) {
-            t->instant(queue.now(), "churn", "join",
-                       static_cast<std::int64_t>(c),
-                       {obs::field("tier", tier)});
-          }
-          policy.on_join(c, tier);
-          if (!rounds[tier].active) dispatch(tier);
-          break;
+        tier_sets[tier].insert(c);
+        tier_of[c] = tier;
+        metrics.joins.add();
+        if (obs::Tracer* t = obs::tracer()) {
+          t->instant(queue.now(), "churn", "join",
+                     static_cast<std::int64_t>(c),
+                     {obs::field("tier", tier)});
         }
+        policy.on_join(c, tier);
+        if (!rounds[tier].active) dispatch(tier);
+        break;
+      }
 
-        case sim::EventKind::kClientSlowdown: {
-          const sim::LifecycleEvent churn_event = *pending_churn;
-          schedule_next_churn();
-          if (live_set.empty()) break;
-          const std::size_t c =
-              live_set.kth(churn_event.pick % live_set.size());
-          ++out.slowdown_count;
-          // The event *sets* the multiplier relative to the client's
-          // profiled baseline rather than compounding it: compounded
-          // multipliers (mean ~2x) drift exponentially, and an in-flight
-          // client hit repeatedly would see its arrival recede faster than
-          // virtual time advances — a round that never completes.
-          const double previous = latency_scale[c];
-          latency_scale[c] = churn_event.factor;
-          metrics.slowdowns.add();
-          if (obs::Tracer* t = obs::tracer()) {
-            t->instant(queue.now(), "churn", "slowdown",
-                       static_cast<std::int64_t>(c),
-                       {obs::field("factor", churn_event.factor)});
-          }
-          if (const auto it = flights.find(c); it != flights.end()) {
-            // Mid-round straggler: the remaining flight time rescales from
-            // the old multiplier to the new one; the stale arrival event is
-            // left in the queue and ignored by the time check above.
-            Flight& flight = it->second;
-            const double remaining = flight.arrival - queue.now();
-            flight.arrival =
-                queue.now() + remaining * (churn_event.factor / previous);
-            queue.schedule_at(flight.arrival,
-                              static_cast<std::uint64_t>(
-                                  sim::EventKind::kClientUpdate),
-                              c);
-          }
-          break;
+      case sim::EventKind::kClientSlowdown: {
+        const sim::LifecycleEvent churn_event = *pending_churn;
+        schedule_next_churn();
+        if (live_set.empty()) break;
+        const std::size_t c =
+            live_set.kth(churn_event.pick % live_set.size());
+        ++out.slowdown_count;
+        // The event *sets* the multiplier relative to the client's
+        // profiled baseline rather than compounding it: compounded
+        // multipliers (mean ~2x) drift exponentially, and an in-flight
+        // client hit repeatedly would see its arrival recede faster than
+        // virtual time advances — a round that never completes.
+        const double previous = latency_scale[c];
+        latency_scale[c] = churn_event.factor;
+        metrics.slowdowns.add();
+        if (obs::Tracer* t = obs::tracer()) {
+          t->instant(queue.now(), "churn", "slowdown",
+                     static_cast<std::int64_t>(c),
+                     {obs::field("factor", churn_event.factor)});
         }
-
-        case sim::EventKind::kReProfile: {
-          queue.schedule_at(queue.now() + async_.reprofile_every,
+        if (const auto it = flights.find(c); it != flights.end()) {
+          // Mid-round straggler: the remaining flight time rescales from
+          // the old multiplier to the new one; the stale arrival event is
+          // left in the queue and ignored by the time check above.
+          Flight& flight = it->second;
+          const double remaining = flight.arrival - queue.now();
+          flight.arrival =
+              queue.now() + remaining * (churn_event.factor / previous);
+          queue.schedule_at(flight.arrival,
                             static_cast<std::uint64_t>(
-                                sim::EventKind::kReProfile),
-                            /*actor=*/0);
-          if (live_set.empty()) break;  // nobody to tier until a join lands
-          ++out.reprofile_count;
-          metrics.reprofiles.add();
-          if (obs::Tracer* t = obs::tracer()) {
-            t->instant(queue.now(), "churn", "reprofile", /*actor=*/0,
-                       {obs::field("live",
-                                   static_cast<std::int64_t>(
-                                       live_set.size()))});
-          }
-          std::vector<std::vector<std::size_t>> members = hooks_.retier();
-          if (members.size() != num_tiers) {
-            throw std::runtime_error(
-                "AsyncEngine: retier hook returned wrong tier count");
-          }
-          std::vector<char> seen(num_clients, 0);
-          std::size_t total = 0;
-          for (const std::vector<std::size_t>& tier : members) {
-            for (std::size_t id : tier) {
-              if (id >= num_clients || tier_of[id] == kNoTier || seen[id]) {
-                throw std::runtime_error(
-                    "AsyncEngine: retier hook returned invalid membership");
-              }
-              seen[id] = 1;
-              ++total;
-            }
-          }
-          if (total != live_set.size()) {
-            throw std::runtime_error(
-                "AsyncEngine: retier hook dropped live clients");
-          }
-          set_tiers(members);
-          policy.on_retier(members);
-          // Pending cohorts keep running under their dispatching tier; the
-          // migrated membership only shapes future sampling.  Tiers that
-          // gained their first members start their cadence now.
-          for (std::size_t t = 0; t < num_tiers; ++t) {
-            if (!rounds[t].active && !tier_sets[t].empty()) dispatch(t);
-          }
-          break;
+                                sim::EventKind::kClientUpdate),
+                            c);
         }
-
-        default:
-          throw std::logic_error("AsyncEngine: unexpected event kind");
+        break;
       }
-      if (stopped) break;
 
-      // Training can die out entirely (every client left mid-run).  Churn
-      // streams never end, so stop unless a join could revive the run.
-      if (flights.empty() && async_.churn.join_rate <= 0.0) {
-        bool any_active = false;
-        for (const DynRound& round : rounds) any_active |= round.active;
-        if (!any_active) {
-          util::log_info("async-dyn: population died out after ",
-                         out.result.rounds.size(), " updates");
-          stopped = true;
-          break;
+      case sim::EventKind::kReProfile: {
+        queue.schedule_at(queue.now() + async_.reprofile_every,
+                          static_cast<std::uint64_t>(
+                              sim::EventKind::kReProfile),
+                          /*actor=*/0);
+        if (live_set.empty()) break;  // nobody to tier until a join lands
+        ++out.reprofile_count;
+        metrics.reprofiles.add();
+        if (obs::Tracer* t = obs::tracer()) {
+          t->instant(queue.now(), "churn", "reprofile", /*actor=*/0,
+                     {obs::field("live",
+                                 static_cast<std::int64_t>(
+                                     live_set.size()))});
         }
+        std::vector<std::vector<std::size_t>> members = hooks_.retier();
+        if (const char* wrong = membership_fault(
+                members, num_tiers, num_clients,
+                [&](std::size_t id) { return tier_of[id] != kNoTier; },
+                live_set.size())) {
+          throw std::runtime_error(
+              std::string("AsyncEngine: retier hook returned ") + wrong);
+        }
+        set_tiers(members);
+        policy.on_retier(members);
+        // Pending cohorts keep running under their dispatching tier; the
+        // migrated membership only shapes future sampling.  Tiers that
+        // gained their first members start their cadence now.
+        for (std::size_t t = 0; t < num_tiers; ++t) {
+          if (!rounds[t].active && !tier_sets[t].empty()) dispatch(t);
+        }
+        break;
+      }
+
+      default:
+        throw std::logic_error("AsyncEngine: unexpected event kind");
+    }
+
+    // Training can die out entirely (every client left mid-run).  Churn
+    // streams never end, so stop unless a join could revive the run.
+    if (flights.empty() && async_.churn.join_rate <= 0.0) {
+      bool any_active = false;
+      for (const DynRound& round : rounds) any_active |= round.active;
+      if (!any_active) {
+        util::log_info("async-dyn: population died out after ",
+                       out.result.rounds.size(), " updates");
+        return false;
       }
     }
-    if (!stopped) {
-      // The writer stores every flight trained.
-      if (checkpointer.due(queue.now())) flush();
-      checkpointer.write_if_due(queue.now(), out.result.rounds.size(),
-                                out.processed_events, io_payload);
-    }
-  }
+    return true;
+  };
+  // The writer stores every flight trained.
+  const auto end_batch = [&] {
+    if (run.checkpointer.due(queue.now())) flush();
+    return true;
+  };
+  run_batches(queue, run.checkpointer, run.fault, &run.event_log, metrics,
+              out, io_payload, handle, end_batch);
   // However the loop ended, every dispatched pair trains: the pool's
   // lease count is the run's count of trained updates.
   flush();
-
-  recorder.finish(global, recorder.last_tier());
-  clients_->check_leases_returned("AsyncEngine");
-
-  const auto finalize_start = obs::wall_now();
-  for (const util::SegmentedIdSet& members : tier_sets) {
-    out.final_members.push_back(members.to_vector());
-  }
-  out.final_live_clients = live_set.size();
-  finalize_result(out, server, phases);
-  metrics.finalize_ns.add(obs::wall_ns_count_since(finalize_start));
-  return out;
+  return run.finish(*clients_, [&](AsyncRunResult& result) {
+    for (const util::SegmentedIdSet& members : tier_sets) {
+      result.final_members.push_back(members.to_vector());
+    }
+    result.final_live_clients = live_set.size();
+  });
 }
 
 }  // namespace tifl::fl

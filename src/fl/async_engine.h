@@ -27,21 +27,22 @@
 // (a ctest asserts bitwise-equal weights).
 //
 // Both run paths (run_static, run_dynamic) and hier::TreeEngine share one
-// copy of the plumbing: the cohort draw (fl::Candidates::draw, which both
-// loops reach through the policy, the default UniformTierPolicy included,
-// and the tree's leaves call directly), cohort training
-// (fl::CohortTrainer), the tier-round fold (fl::fold_round), cross-slot
-// aggregation (aggregate_slots below), the version record
-// (fl::VersionRecorder), config validation (validate_async_config below),
-// and the snapshot pieces and checkpointer (fl/snapshot): each loop
-// declares its payload once, and its checkpoint writer and resume path
-// both run that declaration.  On the dynamic loop the policy's
-// candidates are a view of the tier's id set with its in-flight clients
-// skipped by rank, so no selection copies a tier.
-// Every cohort trains from the global model of its dispatch: run_static
-// and the tree's leaves train it at dispatch, and run_dynamic keeps a
-// copy of that model and trains it, together with every other waiting
-// cohort, when the first of their updates is needed.
+// copy of the plumbing: the whole-tier round, the redelivery rule, the
+// batch loop and the tier-membership check (fl/tier_rounds), the cohort
+// draw (fl::Candidates::draw, which both loops reach through the policy,
+// the default UniformTierPolicy included, and the tree's leaves call
+// directly), cohort training (fl::CohortTrainer), cross-slot aggregation,
+// config validation and the fingerprint mixes (below), the version record
+// (fl::VersionRecorder), and the snapshot pieces, range check and
+// checkpointer (fl/snapshot), from which each loop declares its payload
+// once.  The flat loops' run state and common steps are one
+// AsyncEngine::FlatRun (async_engine.cc).  On the dynamic loop the
+// policy's candidates are a view of the tier's id set with its in-flight
+// clients skipped by rank, so no selection copies a tier.  Every cohort
+// trains from the global model of its dispatch: run_static and the tree's
+// leaves train it at dispatch, and run_dynamic keeps a copy of that model
+// and trains it, together with every other waiting cohort, when the first
+// of their updates is needed.
 #pragma once
 
 #include <cstdint>
@@ -97,18 +98,12 @@ std::vector<double> cross_tier_weights(StalenessFn fn, double alpha,
                                        std::span<const std::size_t> update_counts,
                                        std::span<const std::size_t> staleness);
 
-// Recompute `global` as the weighted average of `tier_models`
-// (double-precision reduction in slot order; zero-weight slots skipped).
-// `accum` is caller-owned scratch, hoisted out of event loops.  Shared
-// with the fl/hier aggregator tree, where a node's child (or tier) slots
-// play the role the flat engine's tiers play.
-void aggregate_global(const std::vector<std::vector<float>>& tier_models,
-                      const std::vector<double>& weights,
-                      std::vector<float>& global, std::vector<double>& accum);
-
-// Slot ages at `version` (0 for never-submitted slots) ->
-// cross_tier_weights -> aggregate_global into `global`; returns the
-// weights.  Slots are the flat loops' tiers or a fl/hier node's inputs.
+// The cross-slot aggregation of every async loop: slot ages at `version`
+// (0 for never-submitted slots) -> cross_tier_weights -> `global` as the
+// weighted average of `models` (double-precision reduction in slot order
+// into the caller-owned scratch `accum`; zero-weight slots skipped).
+// Returns the weights.  Slots are the flat loops' tiers or a fl/hier
+// node's inputs.
 std::vector<double> aggregate_slots(
     StalenessFn fn, double alpha, std::span<const std::size_t> update_counts,
     std::span<const std::size_t> last_version, std::size_t version,
@@ -174,6 +169,13 @@ struct AsyncConfig {
 // std::invalid_argument, naming `engine`, on the first bad one.
 void validate_async_config(const AsyncConfig& async, const ClientPool* clients,
                            const data::Dataset* test, const char* engine);
+
+// The run-fingerprint mixes both async engines share, into `h` in their
+// order: the staleness, cadence and budget knobs, then what `lifecycle`
+// mixes in (each engine's own), then the fault and local-training knobs.
+std::uint64_t mix_shared_knobs(
+    std::uint64_t h, const EngineConfig& config, const AsyncConfig& async,
+    const std::function<std::uint64_t(std::uint64_t)>& lifecycle);
 
 // Callbacks the dynamic lifecycle path raises toward the tiering layer
 // (core::TiflSystem wires these to an OnlineReTierer; the engine itself
@@ -292,12 +294,9 @@ class AsyncEngine {
  private:
   void validate() const;
 
+  struct FlatRun;  // what both loops run on (async_engine.cc)
   AsyncRunResult run_static(std::uint64_t seed, SelectionPolicy& policy);
   AsyncRunResult run_dynamic(std::uint64_t seed, SelectionPolicy& policy);
-  // One pass over the test set through trainer_.evaluate;
-  // subset_accuracies holds the tier accuracies (empty without tier eval
-  // index lists).
-  Evaluation evaluate(std::span<const float> weights);
 
   EngineConfig config_;
   AsyncConfig async_;

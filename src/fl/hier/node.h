@@ -4,27 +4,25 @@
 // leaf's slots are its region's tiers, an inner node's slots are its
 // children — plus, for every non-root node, one extra *parent-view* slot
 // holding the last model its parent pushed down.  The node's own model is
-// the staleness-weighted cross-slot average computed by the exact
-// fl::cross_tier_weights / fl::aggregate_global operators of the flat
-// engine (slots play the tiers' role), so a node folds global knowledge
-// into its subtree with the same mathematics the flat server uses across
-// tiers.
+// the staleness-weighted cross-slot average computed by the flat engine's
+// fl::aggregate_slots (slots play the tiers' role), so a node folds global
+// knowledge into its subtree with the same mathematics the flat server
+// uses across tiers.
 //
-// A node's snapshot section is one declaration, io_node below, built
-// from the fl/snapshot pieces the flat engine uses: models, cadence
-// accumulators, per-tier learning rates, pending tier rounds
-// (fl::PendingTierRound, trained at dispatch, so their updates travel
-// with the snapshot) and every RNG stream position — the complete
-// mid-tree resume state.
+// A leaf's per-tier state is an fl::TierRounds, as the flat static
+// loop's is.  A node's snapshot section is one declaration, io_node
+// below, built from the fl/snapshot pieces the flat engine uses: models,
+// cadence accumulators, the tier rounds (trained at dispatch, so their
+// updates travel with the snapshot) and every RNG stream position — the
+// complete mid-tree resume state.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <stdexcept>
 #include <vector>
 
-#include "fl/aggregator.h"
 #include "fl/snapshot.h"
+#include "fl/tier_rounds.h"
 #include "util/rng.h"
 
 namespace tifl::fl::hier {
@@ -57,12 +55,7 @@ class AggregatorNode {
 
   // --- leaf training state --------------------------------------------------
   std::vector<std::vector<std::size_t>> tiers;  // member ids per tier
-  std::vector<double> tier_lr;
-  std::vector<double> staleness_sum;      // per tier, for reporting
-  std::vector<PendingTierRound> pending;  // per tier
-  std::vector<std::size_t> retry_count;   // per tier (fault redelivery)
-  std::vector<util::Rng> selection_rng;   // per tier
-  std::vector<util::Rng> latency_rng;     // per tier
+  TierRounds rounds;
 
   // --- link state (non-root) ------------------------------------------------
   util::Rng link_rng{0};  // delay stream of the link to the parent
@@ -77,12 +70,10 @@ class AggregatorNode {
 // std::runtime_error when the stored slot or tier count differs from
 // that shape.
 void io_node(auto& ar, auto& node) {
+  constexpr SnapshotCheck check{"hier::AggregatorNode"};
   std::size_t slots = node.slot_count();
   ar.io_count(slots, 24);
-  if (slots != node.slot_count()) {
-    throw std::runtime_error(
-        "hier::AggregatorNode: snapshot slot count mismatch");
-  }
+  check(slots == node.slot_count(), "slot count");
   for (std::size_t s = 0; s < slots; ++s) {
     ar.io(node.slot_models[s]);
     ar.io(node.slot_updates[s]);
@@ -97,20 +88,17 @@ void io_node(auto& ar, auto& node) {
 
   std::size_t tiers = node.tiers.size();
   ar.io_count(tiers, 8);
-  if (tiers != node.tiers.size()) {
-    throw std::runtime_error(
-        "hier::AggregatorNode: snapshot tier count mismatch");
-  }
+  check(tiers == node.tiers.size(), "tier count");
   for (auto& members : node.tiers) ar.io(members);
-  ar.io(node.tier_lr);
-  ar.io(node.staleness_sum);
-  for (auto& round : node.pending) {
+  ar.io(node.rounds.tier_lr);
+  ar.io(node.rounds.staleness_sum);
+  for (auto& round : node.rounds.pending) {
     io_pending(ar, round);
     ar.io(round.active);
   }
-  ar.io(node.retry_count);
-  for (auto& rng : node.selection_rng) io_rng(ar, rng);
-  for (auto& rng : node.latency_rng) io_rng(ar, rng);
+  ar.io(node.rounds.retry_count);
+  for (auto& rng : node.rounds.selection_rng) io_rng(ar, rng);
+  for (auto& rng : node.rounds.latency_rng) io_rng(ar, rng);
   io_rng(ar, node.link_rng);
 }
 

@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/parse.h"
 #include "util/rng.h"
 
 namespace tifl::fl::hier {
@@ -24,16 +25,7 @@ std::pair<std::string, std::string> split_kv(const std::string& token) {
 }
 
 double parse_double(const std::string& key, const std::string& value) {
-  try {
-    std::size_t used = 0;
-    const double parsed = std::stod(value, &used);
-    if (used != value.size()) fail(key + ": trailing junk in '" + value + "'");
-    return parsed;
-  } catch (const std::invalid_argument&) {
-    fail(key + ": expected a number, got '" + value + "'");
-  } catch (const std::out_of_range&) {
-    fail(key + ": out of range: '" + value + "'");
-  }
+  return util::parse_number<double>(value, "hier::Topology: " + key);
 }
 
 std::size_t parse_count(const std::string& key, const std::string& value) {

@@ -11,9 +11,11 @@
 #include "fl/evaluation.h"
 #include "fl/policy.h"
 #include "fl/snapshot.h"
+#include "fl/tier_rounds.h"
 #include "obs/metrics.h"
 #include "obs/phase.h"
 #include "obs/trace.h"
+#include "sim/event_log.h"
 #include "sim/event_queue.h"
 #include "sim/fault_model.h"
 #include "util/log.h"
@@ -50,8 +52,6 @@ struct HierMetrics {
   obs::Counter& rejoins;
   obs::Counter& reprofiles;
   obs::Counter& root_link_bytes;
-  obs::Counter& lost_updates;
-  obs::Counter& dropped_updates;
   obs::Histo& link_delay;
   obs::Histo& link_bytes;
   obs::Histo& event_batch;
@@ -68,8 +68,6 @@ HierMetrics& hier_metrics() {
       reg.counter("hier.rejoins"),
       reg.counter("hier.reprofiles"),
       reg.counter("hier.root_link_bytes"),
-      reg.counter("fault.lost_updates"),
-      reg.counter("fault.dropped_updates"),
       reg.histogram("hier.link_delay"),
       reg.histogram("hier.link_bytes"),
       reg.histogram("hier.event_batch"),
@@ -86,42 +84,19 @@ std::uint64_t hier_fingerprint(const EngineConfig& config,
                                std::size_t num_clients,
                                std::size_t weight_count) {
   const auto f = [](double v) { return std::bit_cast<std::uint64_t>(v); };
-  std::uint64_t h = util::mix_seed(0x481E4, seed);
-  h = util::mix_seed(h, static_cast<std::uint64_t>(async.staleness),
-                     f(async.poly_alpha));
-  h = util::mix_seed(h, async.total_updates, async.clients_per_tier_round);
-  h = util::mix_seed(h, f(async.time_budget_seconds), async.eval_every);
-  h = util::mix_seed(h, f(async.reprofile_every));
-  h = util::mix_seed(h, f(async.fault.loss_prob), async.fault.max_retries);
-  h = util::mix_seed(h, f(async.fault.backoff_base),
-                     f(async.fault.backoff_factor));
-  h = util::mix_seed(h, f(async.fault.backoff_max), async.fault.seed);
-  h = util::mix_seed(h, config.local.epochs, config.local.batch_size);
-  h = util::mix_seed(h, f(config.local.optimizer.lr),
-                     f(config.lr_decay_per_round));
-  h = util::mix_seed(h,
-                     static_cast<std::uint64_t>(config.local.optimizer.kind),
-                     kEvalChunk);
-  h = util::mix_seed(h, f(config.local.dp_clip_norm),
-                     f(config.local.dp_noise_sigma));
+  std::uint64_t h = mix_shared_knobs(
+      util::mix_seed(0x481E4, seed), config, async, [&](std::uint64_t k) {
+        return util::mix_seed(k, f(async.reprofile_every));
+      });
   h = util::mix_seed(h, hier.topology.fingerprint(), hier.tiers_per_region);
   for (const sim::RegionalOutage& outage : hier.outages) {
     h = util::mix_seed(h, outage.region, f(outage.start));
     h = util::mix_seed(h, f(outage.duration));
   }
-  h = util::mix_seed(h, num_clients, weight_count);
-  return h;
+  return util::mix_seed(h, num_clients, weight_count);
 }
 
-// A CRC-valid payload can still hold a value the loop would index out of
-// bounds with, or an event it cannot handle: throws std::runtime_error
-// naming the field unless `ok`.
-void check_snapshot(bool ok, const char* field) {
-  if (!ok) {
-    throw std::runtime_error(std::string("TreeEngine: snapshot ") + field +
-                             " does not fit the tree");
-  }
-}
+constexpr SnapshotCheck check_snapshot{"TreeEngine"};
 
 }  // namespace
 
@@ -167,19 +142,16 @@ void TreeEngine::validate() const {
         "TreeEngine: leaf_tiers does not match the topology's leaf count");
   }
   bool any_members = false;
-  for (const auto& tiers : leaf_tiers_) {
-    if (tiers.empty()) {
-      throw std::invalid_argument("TreeEngine: leaf with zero tiers");
+  for (std::size_t leaf = 0; leaf < leaf_tiers_.size(); ++leaf) {
+    const auto& tiers = leaf_tiers_[leaf];
+    const char* wrong = tiers.empty() ? "no tier"
+                                      : membership_fault(tiers, tiers.size(),
+                                                         clients_->size());
+    if (wrong != nullptr) {
+      throw std::invalid_argument("TreeEngine: leaf " + std::to_string(leaf) +
+                                  " has " + wrong);
     }
-    for (const auto& members : tiers) {
-      any_members = any_members || !members.empty();
-      for (std::size_t id : members) {
-        if (id >= clients_->size()) {
-          throw std::invalid_argument(
-              "TreeEngine: leaf tier member out of range");
-        }
-      }
-    }
+    for (const auto& members : tiers) any_members |= !members.empty();
   }
   if (!any_members) {
     throw std::invalid_argument("TreeEngine: every leaf tier is empty");
@@ -204,10 +176,7 @@ HierRunResult TreeEngine::run(std::optional<std::uint64_t> seed_override) {
         "TreeEngine: reprofile_every > 0 requires lifecycle hooks with a "
         "retier callback");
   }
-  return run_tree(seed_override.value_or(config_.seed));
-}
-
-HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
+  const std::uint64_t seed = seed_override.value_or(config_.seed);
   const Topology& topo = hier_.topology;
   const std::size_t num_nodes = topo.nodes.size();
   const std::vector<std::size_t> leaf_nodes = topo.leaves();
@@ -249,16 +218,11 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
     node.model = global;
     if (node.is_leaf) {
       node.tiers = leaf_tiers_[ordinal_of[n]];
-      node.tier_lr.assign(inputs, config_.local.optimizer.lr);
-      node.staleness_sum.assign(inputs, 0.0);
-      node.pending.assign(inputs, PendingTierRound{});
-      node.retry_count.assign(inputs, 0);
-      node.selection_rng.reserve(inputs);
-      node.latency_rng.reserve(inputs);
+      node.rounds = TierRounds(inputs, config_.local.optimizer.lr);
       for (std::size_t t = 0; t < inputs; ++t) {
-        node.selection_rng.push_back(
+        node.rounds.selection_rng.push_back(
             util::Rng(util::mix_seed(util::mix_seed(seed, 0x41E0, n), t)));
-        node.latency_rng.push_back(
+        node.rounds.latency_rng.push_back(
             util::Rng(util::mix_seed(util::mix_seed(seed, 0x41E1, n), t)));
       }
     }
@@ -267,7 +231,10 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
 
   sim::EventQueue queue;
   sim::FaultModel fault(async_.fault, seed);
+  Redelivery deliver(fault, queue);
   std::map<std::uint64_t, LinkPayload> in_flight;
+  const RoundInputs round_inputs{trainer_, *clients_, latency_model_,
+                                 config_.local.epochs, seed, phases};
 
   HierRunResult out;
   out.result.policy_name = "hier/" + std::to_string(num_nodes) + "n/" +
@@ -275,7 +242,6 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
   out.result.rounds.reserve(async_.total_updates);
 
   std::size_t dispatch_seq = 0;
-  bool stopping = false;
   Checkpointer checkpointer(async_.checkpoint_every, async_.checkpoint_path);
   std::vector<double> accum_scratch;
 
@@ -307,40 +273,32 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
   };
 
   const auto dispatch_tier = [&](AggregatorNode& node, std::size_t tier) {
-    PendingTierRound& round = node.pending[tier];
-    round.active = false;
+    node.rounds.pending[tier].active = false;
     const std::vector<std::size_t>& members = node.tiers[tier];
     if (members.empty()) return;
 
     const std::size_t count =
         std::min(async_.clients_per_tier_round, members.size());
-    {
-      obs::ScopedPhase phase(&phases, obs::Phase::kSelect);
-      round.selected =
-          Candidates(members).draw(count, node.selection_rng[tier]);
-    }
-    round.dispatch_version = node.version;
-
-    trainer_.train(*clients_, round.selected, node.model, node.tier_lr[tier],
-                   seed, dispatch_seq, round.updates, phases);
-    ++dispatch_seq;
-
-    round.latency = 0.0;
-    for (std::size_t id : round.selected) {
-      round.latency = std::max(
-          round.latency,
-          latency_model_.sample_latency(clients_->resource(id),
-                                        clients_->train_size(id),
-                                        config_.local.epochs,
-                                        node.latency_rng[tier]));
-    }
-    queue.schedule(round.latency, kTierBase + tier, node.id);
-    round.active = true;
+    obs::ScopedPhase select_phase(&phases, obs::Phase::kSelect);
+    std::vector<std::size_t> selected =
+        Candidates(members).draw(count, node.rounds.selection_rng[tier]);
+    select_phase.stop();
+    const double latency =
+        node.rounds.launch(round_inputs, tier, std::move(selected),
+                           node.version, node.model, dispatch_seq);
+    queue.schedule(latency, kTierBase + tier, node.id);
     if (obs::Tracer* t = obs::tracer()) {
-      t->span(queue.now(), round.latency, "hier", "tier_round",
+      t->span(queue.now(), latency, "hier", "tier_round",
               static_cast<std::int64_t>(node.id),
               {obs::field("tier", tier), obs::field("version", node.version),
                obs::field("clients", count)});
+    }
+  };
+
+  // Starts every tier of `node` with no round in flight.
+  const auto dispatch_idle = [&](AggregatorNode& node) {
+    for (std::size_t t = 0; t < node.tiers.size(); ++t) {
+      if (!node.rounds.pending[t].active) dispatch_tier(node, t);
     }
   };
 
@@ -402,7 +360,7 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
     return payload;
   };
 
-  // The root aggregated: one global round.
+  // The root aggregated: one global round.  False once the run is over.
   const auto record_root_round = [&](std::size_t child_slot, double delay) {
     recorder.record({.virtual_time = queue.now(),
                      .round_latency = delay,
@@ -414,14 +372,15 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
                       " acc=", out.result.rounds.back().global_accuracy,
                       " t=", queue.now());
     }
-    if (out.result.rounds.size() >= async_.total_updates) stopping = true;
+    bool more = out.result.rounds.size() < async_.total_updates;
     if (async_.time_budget_seconds > 0.0 &&
         queue.now() >= async_.time_budget_seconds) {
       util::log_info("hier time budget of ", async_.time_budget_seconds,
                      "s exhausted after ", out.result.rounds.size(),
                      " root rounds");
-      stopping = true;
+      more = false;
     }
+    return more;
   };
 
   // --- snapshot payload ------------------------------------------------------
@@ -474,25 +433,13 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
         check_snapshot(model.size() == weight_count, "slot model length");
       }
       check_snapshot(node.model.size() == weight_count, "node model length");
-      const std::size_t tiers = node.tiers.size();
-      check_snapshot(node.tier_lr.size() == tiers, "tier_lr length");
-      check_snapshot(node.staleness_sum.size() == tiers,
-                     "staleness_sum length");
-      check_snapshot(node.retry_count.size() == tiers, "retry_count length");
       for (const std::vector<std::size_t>& members : node.tiers) {
         for (std::size_t id : members) {
           check_snapshot(id < clients_->size(), "tier member");
         }
       }
-      for (const PendingTierRound& round : node.pending) {
-        for (std::size_t id : round.selected) {
-          check_snapshot(id < clients_->size(), "pending member");
-        }
-        for (const LocalUpdate& update : round.updates) {
-          check_snapshot(update.weights.size() == weight_count,
-                         "pending update length");
-        }
-      }
+      node.rounds.check(check_snapshot, node.tiers.size(), clients_->size(),
+                        weight_count);
     }
     for (const auto& [seq, link] : in_flight) {
       check_snapshot(link.from < num_nodes, "link payload sender");
@@ -502,10 +449,7 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
     for (const sim::Event& event : queue.pending()) {
       const AggregatorNode& node = nodes[event.actor];
       if (event.kind >= kTierBase) {
-        const std::size_t tier =
-            static_cast<std::size_t>(event.kind - kTierBase);
-        check_snapshot(tier < node.pending.size() &&
-                           !node.pending[tier].updates.empty(),
+        check_snapshot(node.rounds.trained(event.kind - kTierBase),
                        "tier event (a trained round of a leaf tier)");
       } else if (event.kind == kUplink || event.kind == kDownlink) {
         const auto link = in_flight.find(event.seq);
@@ -532,12 +476,7 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
   }
 
   if (!resuming) {
-    for (std::size_t leaf : leaf_nodes) {
-      AggregatorNode& node = nodes[leaf];
-      for (std::size_t t = 0; t < node.tiers.size(); ++t) {
-        dispatch_tier(node, t);
-      }
-    }
+    for (std::size_t leaf : leaf_nodes) dispatch_idle(nodes[leaf]);
     // Outage windows are coalesced per region (sim::regional_outages), so
     // start/rejoin events strictly alternate per leaf.
     for (const sim::RegionalOutage& outage : hier_.outages) {
@@ -553,170 +492,125 @@ HierRunResult TreeEngine::run_tree(std::uint64_t seed) {
   }
 
   // --- event loop ------------------------------------------------------------
-  std::vector<sim::Event> batch;
-  while (!queue.empty() && !stopping) {
-    checkpointer.crash_if_due(fault.crash_at(), queue.peek().time);
-    queue.pop_batch(batch);
-    out.max_event_batch = std::max(out.max_event_batch, batch.size());
-    metrics.event_batch.record(static_cast<double>(batch.size()));
-    for (const sim::Event& event : batch) {
-      ++out.processed_events;
-      metrics.events.add();
-      AggregatorNode& node = nodes[event.actor];
+  const auto handle = [&](const sim::Event& event) {
+    AggregatorNode& node = nodes[event.actor];
 
-      if (event.kind >= kTierBase) {
-        const std::size_t tier =
-            static_cast<std::size_t>(event.kind - kTierBase);
-        PendingTierRound& round = node.pending[tier];
-        if (node.offline) {
-          // Regional outage: the round's updates are lost with the
-          // region; the tier re-dispatches at rejoin.
-          round.active = false;
-          round.selected.clear();
-          round.updates.clear();
-          node.retry_count[tier] = 0;
-          continue;
-        }
-        if (fault.active()) {
-          if (fault.lose_update()) {
-            metrics.lost_updates.add();
-            if (node.retry_count[tier] < async_.fault.max_retries) {
-              ++node.retry_count[tier];
-              queue.schedule(fault.backoff(node.retry_count[tier]),
-                             event.kind, node.id);
-              if (obs::Tracer* t = obs::tracer()) {
-                t->instant(queue.now(), "fault", "lost",
-                           static_cast<std::int64_t>(node.id),
-                           {obs::field("tier", tier),
-                            obs::field("attempt", node.retry_count[tier])});
-              }
-              continue;
-            }
-            metrics.dropped_updates.add();
-            node.retry_count[tier] = 0;
-            round.active = false;
-            round.selected.clear();
-            round.updates.clear();
-            if (obs::Tracer* t = obs::tracer()) {
-              t->instant(queue.now(), "fault", "dropped",
-                         static_cast<std::int64_t>(node.id),
-                         {obs::field("tier", tier)});
-            }
-            dispatch_tier(node, tier);
-            continue;
-          }
-          node.retry_count[tier] = 0;
-        }
+    if (event.kind >= kTierBase) {
+      const std::size_t tier =
+          static_cast<std::size_t>(event.kind - kTierBase);
+      TierRounds& rounds = node.rounds;
+      // Regional outage: the round's updates are lost with the region;
+      // the tier re-dispatches at rejoin.
+      if (node.offline) {
+        rounds.abandon(tier);
+        return true;
+      }
+      const Delivery delivery = deliver(event, rounds.retry_count[tier], tier);
+      if (delivery == Delivery::kDropped) {
+        rounds.abandon(tier);
+        dispatch_tier(node, tier);
+      }
+      if (delivery != Delivery::kArrived) return true;
 
-        // --- tier-level FedAvg into the tier's slot ----------------------
-        round.active = false;
+      // --- tier-level FedAvg into the tier's slot ------------------------
+      const PendingTierRound& round = rounds.pending[tier];
+      obs::ScopedPhase agg_phase(&phases, obs::Phase::kAggregate);
+      rounds.fold(tier, node.version, config_.lr_decay_per_round,
+                  node.slot_models[tier]);
+      node.slot_updates[tier] += round.selected.size();
+      node.slot_last_version[tier] = node.version;
+      recompute_node(node);
+      agg_phase.stop();
+      if (hooks_.observe) {
+        for (std::size_t id : round.selected) {
+          hooks_.observe(ordinal_of[node.id], id, round.latency);
+        }
+      }
+      ++node.since_report;
+      if (node.since_report >= topo.nodes[node.id].report_every) {
+        send_uplink(node);
+      }
+      dispatch_tier(node, tier);
+    } else if (event.kind == kUplink) {
+      LinkPayload payload =
+          receive(event, "uplink", metrics.uplinks, out.uplinks);
+      const double delay = queue.now() - payload.send_time;
+      const std::size_t bytes = payload.model.size() * sizeof(float);
+      if (node.is_root) {
+        out.root_link_bytes += bytes;
+        metrics.root_link_bytes.add(bytes);
+      }
+      const auto child_it = std::find(node.children.begin(),
+                                      node.children.end(), payload.from);
+      if (child_it == node.children.end()) {
+        throw std::logic_error("TreeEngine: uplink from a non-child");
+      }
+      const std::size_t slot =
+          static_cast<std::size_t>(child_it - node.children.begin());
+      node.slot_models[slot] = std::move(payload.model);
+      node.slot_updates[slot] = static_cast<std::size_t>(payload.updates);
+      node.slot_last_version[slot] = node.version;
+      ++node.deliveries;
+      if (node.deliveries >= topo.nodes[node.id].agg_every) {
+        node.deliveries = 0;
         obs::ScopedPhase agg_phase(&phases, obs::Phase::kAggregate);
-        node.slot_models[tier] = fold_round(round);
-        node.slot_updates[tier] += round.selected.size();
-        node.slot_last_version[tier] = node.version;
-        node.staleness_sum[tier] +=
-            static_cast<double>(node.version - round.dispatch_version);
-        node.tier_lr[tier] *= config_.lr_decay_per_round;
         recompute_node(node);
         agg_phase.stop();
-        if (hooks_.observe) {
-          for (std::size_t id : round.selected) {
-            hooks_.observe(ordinal_of[node.id], id, round.latency);
-          }
-        }
-        ++node.since_report;
-        if (node.since_report >= topo.nodes[node.id].report_every) {
-          send_uplink(node);
-        }
-        dispatch_tier(node, tier);
-      } else if (event.kind == kUplink) {
-        LinkPayload payload =
-            receive(event, "uplink", metrics.uplinks, out.uplinks);
-        const double delay = queue.now() - payload.send_time;
-        const std::size_t bytes = payload.model.size() * sizeof(float);
         if (node.is_root) {
-          out.root_link_bytes += bytes;
-          metrics.root_link_bytes.add(bytes);
-        }
-        const auto child_it = std::find(node.children.begin(),
-                                        node.children.end(), payload.from);
-        if (child_it == node.children.end()) {
-          throw std::logic_error("TreeEngine: uplink from a non-child");
-        }
-        const std::size_t slot =
-            static_cast<std::size_t>(child_it - node.children.begin());
-        node.slot_models[slot] = std::move(payload.model);
-        node.slot_updates[slot] = static_cast<std::size_t>(payload.updates);
-        node.slot_last_version[slot] = node.version;
-        ++node.deliveries;
-        if (node.deliveries >= topo.nodes[node.id].agg_every) {
-          node.deliveries = 0;
-          obs::ScopedPhase agg_phase(&phases, obs::Phase::kAggregate);
-          recompute_node(node);
-          agg_phase.stop();
-          if (node.is_root) {
-            record_root_round(slot, delay);
-            if (stopping) break;
-          } else {
-            ++node.since_report;
-            if (node.since_report >= topo.nodes[node.id].report_every) {
-              send_uplink(node);
-            }
-          }
-          send_downlinks(node);
-        }
-      } else if (event.kind == kDownlink) {
-        LinkPayload payload =
-            receive(event, "downlink", metrics.downlinks, out.downlinks);
-        const std::size_t slot = node.parent_slot();
-        node.slot_models[slot] = std::move(payload.model);
-        node.slot_updates[slot] = static_cast<std::size_t>(payload.updates);
-        node.slot_last_version[slot] = node.version;
-        // A leaf folds the fresh global view into its training base right
-        // away; an inner node folds it at its next cadence-triggered
-        // aggregation.
-        if (node.is_leaf) {
-          obs::ScopedPhase agg_phase(&phases, obs::Phase::kAggregate);
-          recompute_node(node);
-        }
-      } else if (event.kind == kOutage) {
-        node.offline = true;
-        count_node_event(node, "outage", metrics.outages, out.outage_count);
-      } else if (event.kind == kRejoin) {
-        node.offline = false;
-        count_node_event(node, "rejoin", metrics.rejoins, out.rejoin_count);
-        for (std::size_t t = 0; t < node.tiers.size(); ++t) {
-          if (!node.pending[t].active) dispatch_tier(node, t);
-        }
-      } else if (event.kind == kRetier) {
-        std::vector<std::vector<std::size_t>> new_tiers =
-            hooks_.retier(ordinal_of[node.id]);
-        if (new_tiers.size() != node.tiers.size()) {
-          throw std::logic_error(
-              "TreeEngine: retier hook changed the leaf's tier count");
-        }
-        node.tiers = std::move(new_tiers);
-        count_node_event(node, "retier", metrics.reprofiles,
-                         out.reprofile_count);
-        if (!node.offline) {
-          for (std::size_t t = 0; t < node.tiers.size(); ++t) {
-            if (!node.pending[t].active) dispatch_tier(node, t);
+          if (!record_root_round(slot, delay)) return false;
+        } else {
+          ++node.since_report;
+          if (node.since_report >= topo.nodes[node.id].report_every) {
+            send_uplink(node);
           }
         }
-        queue.schedule(async_.reprofile_every, kRetier, node.id);
-      } else {
-        throw std::logic_error("TreeEngine: unknown event kind");
+        send_downlinks(node);
       }
+    } else if (event.kind == kDownlink) {
+      LinkPayload payload =
+          receive(event, "downlink", metrics.downlinks, out.downlinks);
+      const std::size_t slot = node.parent_slot();
+      node.slot_models[slot] = std::move(payload.model);
+      node.slot_updates[slot] = static_cast<std::size_t>(payload.updates);
+      node.slot_last_version[slot] = node.version;
+      // A leaf folds the fresh global view into its training base right
+      // away; an inner node folds it at its next cadence-triggered
+      // aggregation.
+      if (node.is_leaf) {
+        obs::ScopedPhase agg_phase(&phases, obs::Phase::kAggregate);
+        recompute_node(node);
+      }
+    } else if (event.kind == kOutage) {
+      node.offline = true;
+      count_node_event(node, "outage", metrics.outages, out.outage_count);
+    } else if (event.kind == kRejoin) {
+      node.offline = false;
+      count_node_event(node, "rejoin", metrics.rejoins, out.rejoin_count);
+      dispatch_idle(node);
+    } else if (event.kind == kRetier) {
+      const std::size_t leaf = ordinal_of[node.id];
+      std::vector<std::vector<std::size_t>> new_tiers = hooks_.retier(leaf);
+      if (const char* wrong = membership_fault(new_tiers, node.tiers.size(),
+                                               clients_->size())) {
+        throw std::runtime_error("TreeEngine: retier hook for leaf " +
+                                 std::to_string(leaf) + " returned " + wrong);
+      }
+      node.tiers = std::move(new_tiers);
+      count_node_event(node, "retier", metrics.reprofiles,
+                       out.reprofile_count);
+      if (!node.offline) dispatch_idle(node);
+      queue.schedule(async_.reprofile_every, kRetier, node.id);
+    } else {
+      throw std::logic_error("TreeEngine: unknown event kind");
     }
-    if (async_.time_budget_seconds > 0.0 &&
-        queue.now() >= async_.time_budget_seconds) {
-      stopping = true;
-    }
-    if (!stopping) {
-      checkpointer.write_if_due(queue.now(), out.result.rounds.size(),
-                                out.processed_events, io_payload);
-    }
-  }
+    return true;
+  };
+  const auto end_batch = [&] {
+    return async_.time_budget_seconds <= 0.0 ||
+           queue.now() < async_.time_budget_seconds;
+  };
+  run_batches(queue, checkpointer, fault, /*log=*/nullptr, metrics, out,
+              io_payload, handle, end_batch);
 
   recorder.finish(nodes[0].model, /*actor=*/0);
   clients_->check_leases_returned("TreeEngine");

@@ -2,15 +2,15 @@
 // aggregator tree (FedDCT-style cross-tier hierarchy composed with the
 // paper's tiering).
 //
-// Each *leaf* node runs the flat engine's per-tier cadence over its own
-// region's clients: sample a cohort per tier, train from the node's
-// current model, complete after the slowest member, FedAvg into the
-// tier's slot, recompute the node model as the staleness-weighted
-// cross-slot average.  Each *inner* node aggregates the models its
-// children ship up (every `agg_every` deliveries) with the same operator
-// — child slots play the tiers' role — and pushes its aggregate back down
-// so subtrees fold global knowledge into their training base (the
-// parent-view slot).  Parent↔child links cost virtual time through
+// Each *leaf* node runs the flat static loop's per-tier cadence over its
+// own region's clients with the same steps (fl/tier_rounds): sample a
+// cohort per tier, train it from the node's current model, complete
+// after the slowest member, FedAvg into the tier's slot, recompute the
+// node model as the staleness-weighted cross-slot average.  Each *inner*
+// node aggregates the models its children ship up (every `agg_every`
+// deliveries) with the same operator — child slots play the tiers' role
+// — and pushes its aggregate back down so subtrees fold global knowledge
+// into their training base (the parent-view slot).  Parent↔child links cost virtual time through
 // sim::LatencyModel link profiles (propagation floor + bandwidth-scaled
 // transfer + optional lognormal jitter from a dedicated mix_seed-per-link
 // stream), so a regional round-trip is never free.
@@ -70,8 +70,8 @@ struct HierLifecycleHooks {
   // One observed tier-round latency for a completed member.
   std::function<void(std::size_t leaf, std::size_t client, double latency)>
       observe;
-  // Rebuild leaf `leaf`'s tier membership (same tier count, live clients
-  // of that region only).
+  // Rebuild leaf `leaf`'s tier membership: the same tier count, each
+  // client of that region at most once.
   std::function<std::vector<std::vector<std::size_t>>(std::size_t leaf)>
       retier;
   std::function<void(util::ByteSink&)> save_state;
@@ -121,7 +121,6 @@ class TreeEngine {
 
  private:
   void validate() const;
-  HierRunResult run_tree(std::uint64_t seed);
 
   EngineConfig config_;
   AsyncConfig async_;

@@ -33,11 +33,11 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "fl/aggregator.h"
 #include "fl/client.h"
 #include "fl/metrics.h"
 #include "util/rng.h"
@@ -200,6 +200,19 @@ void io_state(Archive& ar, State& state) {
 // every deterministic instrument.
 void io_metrics(util::ByteSink& sink);
 void io_metrics(util::ByteSource& source);
+
+// A restored payload's range checks: a CRC-valid payload can still hold
+// a value its loop would index out of bounds with.  Throws
+// std::runtime_error naming `engine` and `field` unless `ok`.
+struct SnapshotCheck {
+  const char* engine;
+  void operator()(bool ok, const char* field) const {
+    if (!ok) {
+      throw std::runtime_error(std::string(engine) + ": snapshot " + field +
+                               " is out of range");
+    }
+  }
+};
 
 // --- checkpointing ----------------------------------------------------------
 

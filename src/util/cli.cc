@@ -1,6 +1,8 @@
 #include "util/cli.h"
 
-#include <cstdlib>
+#include <cctype>
+
+#include "util/parse.h"
 
 namespace tifl::util {
 
@@ -58,14 +60,15 @@ std::string Cli::get(const std::string& key,
 std::int64_t Cli::get_int(const std::string& key,
                           std::int64_t fallback) const {
   const auto it = options_.find(key);
-  if (it == options_.end()) return fallback;
-  return std::strtoll(it->second.c_str(), nullptr, 10);
+  return it == options_.end()
+             ? fallback
+             : parse_number<std::int64_t>(it->second, "--" + key);
 }
 
 double Cli::get_double(const std::string& key, double fallback) const {
   const auto it = options_.find(key);
-  if (it == options_.end()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  return it == options_.end() ? fallback
+                              : parse_number<double>(it->second, "--" + key);
 }
 
 bool Cli::get_bool(const std::string& key, bool fallback) const {

@@ -16,6 +16,8 @@ class Cli {
 
   bool has(const std::string& key) const;
   std::string get(const std::string& key, const std::string& fallback) const;
+  // The value through util::parse_number: a malformed one throws
+  // std::invalid_argument naming the flag and the value.
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const;
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback = false) const;

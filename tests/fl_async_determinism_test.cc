@@ -20,6 +20,7 @@
 #include "core/adaptive_policy.h"
 #include "fl/async_engine.h"
 #include "nn/activations.h"
+#include "nn/checkpoint.h"
 #include "nn/conv2d.h"
 #include "nn/dense.h"
 #include "obs/metrics.h"
@@ -401,6 +402,101 @@ TEST(AsyncDeterminism, ChurnedVirtualPathRunArtifactsArePoolSizeInvariant) {
   async.churn.leave_rate = 0.05;
   async.churn.slowdown_rate = 0.1;
   expect_run_artifacts_invariance(async, /*virtual_pool=*/true);
+}
+
+// --- golden trajectories -----------------------------------------------------
+//
+// The tests above compare runs of one build with each other.  These pin
+// absolute bytes of the paths no bench golden covers: the static loop
+// under the adaptive policy with dropped updates, and a churned,
+// re-profiled dynamic loop with update loss, both through
+// core::TiflSystem as tifl_run drives them.  Each asserts that its path
+// was taken.  Under the writer arithmetic (testing::kWriterArithmetic)
+// it compares the final weights' nn::weights_fnv1a and the schedule
+// hash; elsewhere only the schedule hash, and only where no model value
+// steers the schedule (the adaptive policy's feedback does).  To
+// re-record after a change that moves bytes on purpose, run
+//   fl_async_determinism_test --gtest_filter='AsyncGolden.*'
+// in a default Release build and copy the values its failures print.
+
+struct Golden {
+  std::uint64_t weights = 0;   // nn::weights_fnv1a of the final weights
+  std::uint64_t schedule = 0;  // testing::schedule_hash of the records
+  // The per-tier mean staleness, as floats through nn::weights_fnv1a.
+  std::uint64_t staleness = 0;
+};
+
+void expect_golden(const AsyncRunResult& out, const Golden& golden,
+                   bool schedule_reads_model) {
+  if (testing::kWriterArithmetic) {
+    EXPECT_EQ(nn::weights_fnv1a(out.final_weights), golden.weights);
+  }
+  if (testing::kWriterArithmetic || !schedule_reads_model) {
+    EXPECT_EQ(testing::schedule_hash(out.result.rounds), golden.schedule);
+    const std::vector<float> staleness(out.mean_staleness.begin(),
+                                       out.mean_staleness.end());
+    EXPECT_EQ(nn::weights_fnv1a(staleness), golden.staleness);
+  }
+}
+
+std::uint64_t counter(const char* name) {
+  return obs::Registry::global().counter(name).value();
+}
+
+core::TiflSystem golden_system(const TinyFederation& fed) {
+  core::SystemConfig config;
+  config.num_tiers = 3;
+  config.clients_per_round = 3;
+  config.engine = tiny_engine_config(1);
+  config.profiler.tmax = 1e6;
+  return core::TiflSystem(config, tiny_factory(), &fed.data.test, fed.clients,
+                          fed.latency);
+}
+
+TEST(AsyncGolden, StaticLoopAdaptiveInvfreqDropsUpdates) {
+  obs::Registry::global().reset();
+  TinyFederation fed = FederationBuilder().clients(20).jitter(0.05).build();
+  core::TiflSystem system = golden_system(fed);
+  AsyncConfig async;
+  async.total_updates = 120;
+  async.clients_per_tier_round = 3;
+  async.staleness = StalenessFn::kInverseFrequency;
+  async.fault.loss_prob = 0.3;
+  async.fault.max_retries = 1;
+  const std::unique_ptr<SelectionPolicy> policy =
+      system.make_policy("adaptive");
+  const AsyncRunResult out = system.run_async(async, {}, policy.get());
+  EXPECT_EQ(out.result.rounds.size(), async.total_updates);
+  EXPECT_GT(counter("fault.lost_updates"), 0u);
+  EXPECT_GT(counter("fault.dropped_updates"), 0u);
+  expect_golden(out, {0x5c83659ac0de9a47, 0xc17e625155ab65cb,
+                 0xce9cfa657b234469},
+                /*schedule_reads_model=*/true);
+}
+
+TEST(AsyncGolden, ChurnedReprofiledDynamicLoopLosesUpdates) {
+  obs::Registry::global().reset();
+  TinyFederation fed = FederationBuilder().clients(20).jitter(0.05).build();
+  core::TiflSystem system = golden_system(fed);
+  AsyncConfig async;
+  async.total_updates = 150;
+  async.clients_per_tier_round = 3;
+  async.staleness = StalenessFn::kPolynomial;
+  async.churn.join_rate = 0.3;
+  async.churn.leave_rate = 0.3;
+  async.churn.slowdown_rate = 0.5;
+  async.reprofile_every = 2.0;
+  async.fault.loss_prob = 0.2;
+  async.fault.max_retries = 1;
+  const AsyncRunResult out = system.run_async(async);
+  EXPECT_GT(out.join_count, 0u);
+  EXPECT_GT(out.leave_count, 0u);
+  EXPECT_GT(out.reprofile_count, 0u);
+  EXPECT_GT(counter("fault.lost_updates"), 0u);
+  EXPECT_GT(counter("fault.dropped_updates"), 0u);
+  expect_golden(out, {0x949aff1b71645b16, 0xd188a1b89b917a17,
+                 0x99227c324d34c621},
+                /*schedule_reads_model=*/false);
 }
 
 }  // namespace

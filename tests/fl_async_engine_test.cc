@@ -405,6 +405,23 @@ TEST(AsyncEngine, ConstructorValidation) {
                            &fed.clients, two_tiers(10), &fed.data.test,
                            fed.latency),
                std::invalid_argument);
+  // A NaN alpha would run to NaN tier weights, a NaN budget with none.
+  AsyncConfig nan_alpha = async;
+  nan_alpha.poly_alpha = std::nan("");
+  EXPECT_THROW(AsyncEngine(config, nan_alpha, tiny_factory(), &fed.clients,
+                           two_tiers(10), &fed.data.test, fed.latency),
+               std::invalid_argument);
+  for (const double budget : {std::nan(""), -1.0}) {
+    AsyncConfig bad_budget = async;
+    bad_budget.time_budget_seconds = budget;
+    EXPECT_THROW(AsyncEngine(config, bad_budget, tiny_factory(), &fed.clients,
+                             two_tiers(10), &fed.data.test, fed.latency),
+                 std::invalid_argument);
+  }
+  // A client in two tiers would be drawn into one cohort twice.
+  EXPECT_THROW(AsyncEngine(config, async, tiny_factory(), &fed.clients,
+                           {{0, 1, 2}, {2, 3}}, &fed.data.test, fed.latency),
+               std::invalid_argument);
 }
 
 // --- selection-policy seam ---------------------------------------------------

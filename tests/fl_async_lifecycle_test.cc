@@ -7,7 +7,9 @@
 #include <algorithm>
 #include <numeric>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/system.h"
@@ -543,6 +545,42 @@ TEST(AsyncLifecycle, CandidatesAreTheTiersLiveMembersMinusInFlight) {
   EXPECT_GT(shadow.retiers, 0u);
   EXPECT_GT(shadow.moved_in_flight, 0u);
   EXPECT_GT(shadow.dispatches, 100u);
+}
+
+TEST(AsyncLifecycle, RetierHookMembershipIsChecked) {
+  // The re-tiering must list every live client once, in range: a repeated
+  // client would be drawn into one cohort twice, and a dropped one would
+  // stay live outside every tier.
+  TinyFederation fed = FederationBuilder().clients(10).build();
+  AsyncConfig async = dyn_config(40);
+  async.reprofile_every = 0.5;
+  const std::vector<std::pair<std::vector<std::vector<std::size_t>>,
+                              std::string>>
+      cases = {
+          {{{0, 1, 2, 3, 4}, {4, 5, 6, 7, 8, 9}}, "a client listed twice"},
+          {{{0, 1, 2, 3, 4}, {5, 6, 7, 8, 9, 10}}, "a client id out of range"},
+          {{{0, 1, 2, 3, 4}, {5, 6, 7, 8}}, "too few clients"},
+          {{{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}}, "the wrong tier count"},
+      };
+  for (const auto& test_case : cases) {
+    // Plain references the hook can capture (older compilers reject
+    // capturing a structured binding).
+    const std::vector<std::vector<std::size_t>>& members = test_case.first;
+    const std::string& fault = test_case.second;
+    AsyncEngine engine(tiny_engine_config(1), async, tiny_factory(),
+                       &fed.clients, two_tiers(10), &fed.data.test,
+                       fed.latency);
+    LifecycleHooks hooks;
+    hooks.retier = [&members] { return members; };
+    engine.set_lifecycle_hooks(std::move(hooks));
+    try {
+      engine.run();
+      ADD_FAILURE() << fault << ": accepted";
+    } catch (const std::runtime_error& error) {
+      EXPECT_EQ(std::string(error.what()),
+                "AsyncEngine: retier hook returned " + fault);
+    }
+  }
 }
 
 TEST(AsyncLifecycle, ConstructorRejectsNegativeLifecycleConfig) {

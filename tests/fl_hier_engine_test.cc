@@ -26,10 +26,12 @@
 #include <utility>
 #include <vector>
 
+#include "core/system.h"
 #include "fl/async_engine.h"
 #include "fl/client_pool.h"
 #include "fl/hier/node.h"
 #include "fl/snapshot.h"
+#include "nn/checkpoint.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/churn_model.h"
@@ -280,6 +282,37 @@ TEST(HierRetier, PerLeafHooksFireAndStayDeterministic) {
                    "retier threads=8");
 }
 
+TEST(HierRetier, RetierHookMembershipIsChecked) {
+  // A leaf's re-tiering must keep its tier count and list each client
+  // once, in range: a repeated client would train twice in one cohort.
+  AsyncConfig async = base_async();
+  async.reprofile_every = 3.0;
+  const std::vector<std::pair<std::vector<std::vector<std::size_t>>,
+                              std::string>>
+      cases = {
+          {{{0, 1, 2}, {2, 3, 4, 5}}, "a client listed twice"},
+          {{{0, 1, 2}, {3, 4, kClients}}, "a client id out of range"},
+          {{{0, 1, 2, 3, 4, 5}}, "the wrong tier count"},
+      };
+  for (const auto& test_case : cases) {
+    // Plain references the hook can capture (older compilers reject
+    // capturing a structured binding).
+    const std::vector<std::vector<std::size_t>>& members = test_case.first;
+    const std::string& fault = test_case.second;
+    HierLifecycleHooks hooks;
+    hooks.retier = [&members](std::size_t leaf) {
+      return leaf == 0 ? members : two_region_tiers()[leaf];
+    };
+    try {
+      run_tree(two_regions(), async, 1, hooks);
+      ADD_FAILURE() << fault << ": accepted";
+    } catch (const std::runtime_error& error) {
+      EXPECT_EQ(std::string(error.what()),
+                "TreeEngine: retier hook for leaf 0 returned " + fault);
+    }
+  }
+}
+
 TEST(HierRetier, ReprofileWithoutHooksThrows) {
   AsyncConfig async = base_async();
   async.reprofile_every = 3.0;
@@ -291,6 +324,51 @@ TEST(HierRetier, ReprofileWithoutHooksThrows) {
                     tiny_factory(), &pool, two_region_tiers(), &fed.data.test,
                     fed.latency);
   EXPECT_THROW(engine.run(), std::invalid_argument);
+}
+
+// --- golden trajectory -------------------------------------------------------
+//
+// Pins absolute bytes of a two-region tree with outages, update loss and
+// per-leaf re-tiering, run through core::TiflSystem::run_hier as tifl_run
+// drives it, and asserts that each path was taken.  Under the writer
+// arithmetic (testing::kWriterArithmetic) it compares the root model's
+// nn::weights_fnv1a and the schedule hash, elsewhere the schedule hash
+// alone, which reads no model value.  To re-record after a change that
+// moves bytes on purpose, run
+//   fl_hier_engine_test --gtest_filter='HierGolden.*'
+// in a default Release build and copy the values its failures print.
+
+TEST(HierGolden, TwoRegionTreeWithOutagesLossAndRetiering) {
+  obs::Registry::global().reset();
+  TinyFederation fed =
+      FederationBuilder().clients(kClients).jitter(0.05).build();
+  core::SystemConfig config;
+  config.clients_per_round = 3;
+  config.engine = tiny_engine_config(1);
+  config.profiler.tmax = 1e6;
+  core::TiflSystem system(config, tiny_factory(), &fed.data.test,
+                          fed.clients, fed.latency);
+  AsyncConfig async = base_async();
+  async.total_updates = 30;
+  async.reprofile_every = 1.0;
+  async.fault.loss_prob = 0.3;
+  async.fault.max_retries = 1;
+  const HierRunResult out = system.run_hier(
+      two_regions({sim::RegionalOutage{/*region=*/0, /*start=*/0.5,
+                                       /*duration=*/1.0},
+                   sim::RegionalOutage{/*region=*/1, /*start=*/2.0,
+                                       /*duration=*/1.0}}),
+      async);
+  EXPECT_EQ(out.result.rounds.size(), async.total_updates);
+  EXPECT_EQ(out.outage_count, 2u);
+  EXPECT_GT(out.reprofile_count, 0u);
+  obs::Registry& reg = obs::Registry::global();
+  EXPECT_GT(reg.counter("fault.lost_updates").value(), 0u);
+  EXPECT_GT(reg.counter("fault.dropped_updates").value(), 0u);
+  if (testing::kWriterArithmetic) {
+    EXPECT_EQ(nn::weights_fnv1a(out.final_weights), 0x3f007a13076b8e0dULL);
+  }
+  EXPECT_EQ(testing::schedule_hash(out.result.rounds), 0x567fea61f2560598ULL);
 }
 
 // --- config validation -------------------------------------------------------
@@ -315,6 +393,14 @@ TEST(HierValidation, RejectsUnsupportedFlatEngineFacilities) {
   AsyncConfig zero = base_async();
   zero.total_updates = 0;
   EXPECT_THROW(make(zero), std::invalid_argument);
+
+  // A leaf's tiers list each client once.
+  EXPECT_THROW(
+      TreeEngine(tiny_engine_config(1), base_async(), two_regions(),
+                 tiny_factory(), &pool,
+                 {{{0, 1, 2}, {2, 4, 5}}, {{6, 7, 8}, {9, 10, 11}}},
+                 &fed.data.test, fed.latency),
+      std::invalid_argument);
 
   // Outage regions must exist.
   AsyncConfig ok = base_async();
@@ -347,6 +433,11 @@ TEST(HierValidation, RejectsWhatAsyncEngineRejects) {
   using Mutation = std::function<void(AsyncConfig&)>;
   const std::vector<std::pair<const char*, Mutation>> cases = {
       {"poly_alpha -1", [](AsyncConfig& a) { a.poly_alpha = -1.0; }},
+      {"poly_alpha NaN", [nan](AsyncConfig& a) { a.poly_alpha = nan; }},
+      {"time_budget_seconds -1",
+       [](AsyncConfig& a) { a.time_budget_seconds = -1.0; }},
+      {"time_budget_seconds NaN",
+       [nan](AsyncConfig& a) { a.time_budget_seconds = nan; }},
       {"reprofile_every -1", [](AsyncConfig& a) { a.reprofile_every = -1.0; }},
       {"reprofile_every NaN",
        [nan](AsyncConfig& a) { a.reprofile_every = nan; }},
@@ -518,9 +609,9 @@ struct TreePayload {
       node.slot_updates.resize(slots);
       node.slot_last_version.resize(slots);
       node.tiers.resize(tiers);
-      node.pending.resize(tiers);
-      node.selection_rng.resize(tiers);
-      node.latency_rng.resize(tiers);
+      node.rounds.pending.resize(tiers);
+      node.rounds.selection_rng.resize(tiers);
+      node.rounds.latency_rng.resize(tiers);
     }
     util::ByteSource source(payload);
     io(source, out);
@@ -582,17 +673,20 @@ TEST(HierResume, RestoredSnapshotRejectsEachMalformedField) {
       {"slot model length",
        [](TreePayload& p) { p.nodes[1].slot_models[0].pop_back(); }},
       {"node model length", [](TreePayload& p) { p.nodes[0].model.pop_back(); }},
-      {"tier_lr length", [](TreePayload& p) { p.nodes[1].tier_lr.pop_back(); }},
+      {"tier_lr length",
+       [](TreePayload& p) { p.nodes[1].rounds.tier_lr.pop_back(); }},
       {"staleness_sum length",
-       [](TreePayload& p) { p.nodes[2].staleness_sum.pop_back(); }},
+       [](TreePayload& p) { p.nodes[2].rounds.staleness_sum.pop_back(); }},
       {"retry_count length",
-       [](TreePayload& p) { p.nodes[1].retry_count.pop_back(); }},
+       [](TreePayload& p) { p.nodes[1].rounds.retry_count.pop_back(); }},
       {"tier member", [](TreePayload& p) { p.nodes[2].tiers[1][0] = kClients; }},
       {"pending member",
-       [](TreePayload& p) { p.nodes[1].pending[0].selected[0] = kClients; }},
+       [](TreePayload& p) {
+         p.nodes[1].rounds.pending[0].selected[0] = kClients;
+       }},
       {"pending update length",
        [](TreePayload& p) {
-         p.nodes[1].pending[0].updates.front().weights.pop_back();
+         p.nodes[1].rounds.pending[0].updates.front().weights.pop_back();
        }},
       {"link payload sender",
        [](TreePayload& p) { p.links.front().from = p.nodes.size(); }},
@@ -605,7 +699,7 @@ TEST(HierResume, RestoredSnapshotRejectsEachMalformedField) {
       {"tier event",  // a round with no trained updates
        [&](TreePayload& p) {
          const sim::Event& e = p.event_where(is_tier);
-         p.nodes[e.actor].pending[e.kind - TreePayload::kTierBase]
+         p.nodes[e.actor].rounds.pending[e.kind - TreePayload::kTierBase]
              .updates.clear();
        }},
       {"link event payload",

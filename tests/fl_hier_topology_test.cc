@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -129,6 +130,26 @@ TEST(HierTopology, RejectsBadLinkAndCadenceParameters) {
       std::invalid_argument);
   // Fewer clients than leaf regions cannot be split.
   EXPECT_THROW(Topology::regions(3).validate(2), std::invalid_argument);
+}
+
+TEST(HierTopology, NamesTheKeyAndTheMalformedValue) {
+  const auto message = [](const char* text) {
+    try {
+      Topology::parse(text);
+    } catch (const std::invalid_argument& error) {
+      return std::string(error.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_EQ(message("node a -\nnode b a latency=0.5ms\n"),
+            "hier::Topology: latency: trailing junk in '0.5ms'");
+  EXPECT_EQ(message("node a -\nnode b a bandwidth=fast\n"),
+            "hier::Topology: bandwidth: expected a number, got 'fast'");
+  EXPECT_EQ(message("node a -\nnode b a jitter=nan\n"),
+            "hier::Topology: jitter: expected a finite number, got 'nan'");
+  EXPECT_EQ(message("node a -\nnode b a tiers=2.5\n"),
+            "hier::Topology: tiers: expected a non-negative integer, got "
+            "'2.5'");
 }
 
 TEST(HierTopology, FingerprintCoversStructureAndLinks) {

@@ -23,6 +23,7 @@
 #include "core/adaptive_policy.h"
 #include "fl/async_engine.h"
 #include "fl/snapshot.h"
+#include "fl/tier_rounds.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/event_queue.h"

@@ -41,16 +41,9 @@ using testing::tiny_factory;
 using testing::two_tiers;
 using testing::TinyFederation;
 
-// The files hold model state computed by a default x86-64 build (SSE2,
-// no FMA).  A build whose GEMM kernels round differently (FMA or AVX on
-// x86-64, or another ISA) continues from that state along a different
-// float trajectory, so there only the schedule must match: versions,
-// virtual times, tiers, selected clients and event counts.
-#if defined(__x86_64__) && !defined(__FMA__) && !defined(__AVX__)
-constexpr bool kWriterArithmetic = true;
-#else
-constexpr bool kWriterArithmetic = false;
-#endif
+// The files hold model state computed by a default x86-64 build
+// (testing::kWriterArithmetic): elsewhere only the schedule must match.
+using testing::kWriterArithmetic;
 
 std::string data_path(const std::string& name) {
   return std::string(TIFL_SOURCE_DIR) + "/tests/data/" + name;

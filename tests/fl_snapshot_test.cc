@@ -21,6 +21,7 @@
 #include "core/adaptive_policy.h"
 #include "fl/hier/node.h"
 #include "fl/snapshot.h"
+#include "fl/tier_rounds.h"
 #include "sim/churn_model.h"
 #include "sim/event_queue.h"
 #include "sim/fault_model.h"
@@ -251,9 +252,9 @@ TEST(FlSnapshot, AggregatorNodePieceRoundTrips) {
     node.slot_updates.resize(3);
     node.slot_last_version.resize(3);
     node.tiers.resize(2);
-    node.pending.resize(2);
-    node.selection_rng.resize(2);
-    node.latency_rng.resize(2);
+    node.rounds.pending.resize(2);
+    node.rounds.selection_rng.resize(2);
+    node.rounds.latency_rng.resize(2);
     return node;
   };
   fl::hier::AggregatorNode node = shaped();
@@ -267,14 +268,14 @@ TEST(FlSnapshot, AggregatorNodePieceRoundTrips) {
   node.update_mass = 11;
   node.offline = true;
   node.tiers = {{0, 2}, {1, 3}};
-  node.tier_lr = {0.1, 0.05};
-  node.staleness_sum = {3.0, 1.0};
-  node.pending[1].selected = {3};
-  node.pending[1].updates = {sample_update(4.0f)};
-  node.pending[1].active = true;
-  node.retry_count = {0, 2};
-  node.selection_rng = {util::Rng(11), util::Rng(12)};
-  node.latency_rng = {util::Rng(13), util::Rng(14)};
+  node.rounds.tier_lr = {0.1, 0.05};
+  node.rounds.staleness_sum = {3.0, 1.0};
+  node.rounds.pending[1].selected = {3};
+  node.rounds.pending[1].updates = {sample_update(4.0f)};
+  node.rounds.pending[1].active = true;
+  node.rounds.retry_count = {0, 2};
+  node.rounds.selection_rng = {util::Rng(11), util::Rng(12)};
+  node.rounds.latency_rng = {util::Rng(13), util::Rng(14)};
   node.link_rng = util::Rng(15);
   const fl::hier::AggregatorNode restored = expect_piece_round_trips(
       node, shaped(),
@@ -285,9 +286,9 @@ TEST(FlSnapshot, AggregatorNodePieceRoundTrips) {
   EXPECT_EQ(restored.update_mass, node.update_mass);
   EXPECT_TRUE(restored.offline);
   EXPECT_EQ(restored.tiers, node.tiers);
-  EXPECT_TRUE(restored.pending[1].active);
-  EXPECT_FALSE(restored.pending[0].active);
-  EXPECT_EQ(restored.retry_count, node.retry_count);
+  EXPECT_TRUE(restored.rounds.pending[1].active);
+  EXPECT_FALSE(restored.rounds.pending[0].active);
+  EXPECT_EQ(restored.rounds.retry_count, node.rounds.retry_count);
   EXPECT_EQ(restored.link_rng.state(), node.link_rng.state());
 
   // A node shaped for another tree refuses the section.

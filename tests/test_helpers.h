@@ -2,6 +2,7 @@
 // in milliseconds while exercising the full production code paths.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -15,6 +16,18 @@
 #include "sim/latency_model.h"
 
 namespace tifl::testing {
+
+// The arithmetic of a default x86-64 build (SSE2, no FMA), which wrote
+// the snapshots under tests/data/ and recorded the golden hashes.  A
+// build whose GEMM kernels round differently (FMA or AVX on x86-64, or
+// another ISA) follows a different float trajectory from the same state,
+// so there only the schedule must match: versions, virtual times, tiers,
+// selected clients and event counts.
+#if defined(__x86_64__) && !defined(__FMA__) && !defined(__AVX__)
+inline constexpr bool kWriterArithmetic = true;
+#else
+inline constexpr bool kWriterArithmetic = false;
+#endif
 
 // Small, well-separated 4-class dataset an MLP learns in a few rounds.
 inline data::SyntheticData tiny_data(std::uint64_t seed = 7,
@@ -124,6 +137,27 @@ inline std::vector<std::vector<std::size_t>> two_tiers(std::size_t n) {
   std::vector<std::vector<std::size_t>> tiers(2);
   for (std::size_t c = 0; c < n; ++c) tiers[c < n / 2 ? 0 : 1].push_back(c);
   return tiers;
+}
+
+// FNV-1a over a run's schedule: each version's number, virtual time
+// (its bits), submitting tier and selected clients.  It reads no model
+// value, so where the schedule does not either, every build agrees on it.
+inline std::uint64_t schedule_hash(const std::vector<fl::RoundRecord>& rounds) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  const auto mix = [&hash](std::uint64_t value) {
+    for (int shift = 0; shift < 64; shift += 8) {
+      hash ^= (value >> shift) & 0xFF;
+      hash *= 0x100000001b3ULL;
+    }
+  };
+  for (const fl::RoundRecord& record : rounds) {
+    mix(record.round);
+    mix(std::bit_cast<std::uint64_t>(record.virtual_time));
+    mix(static_cast<std::uint64_t>(record.selected_tier));
+    mix(record.selected_clients.size());
+    for (std::size_t id : record.selected_clients) mix(id);
+  }
+  return hash;
 }
 
 inline fl::EngineConfig tiny_engine_config(std::size_t rounds = 10) {

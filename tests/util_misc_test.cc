@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -123,6 +124,36 @@ TEST(Cli, KeysListsEveryParsedFlagSorted) {
                                                   "round", "virtual"}));
   const char* none[] = {"prog"};
   EXPECT_TRUE(Cli(1, none).keys().empty());
+}
+
+TEST(Cli, RejectsMalformedNumbersNamingFlagAndValue) {
+  const char* argv[] = {"prog",     "--alpha",  "abc",          "--rounds",
+                        "7x",       "--empty=", "--budget=nan", "--big=inf",
+                        "--neg",    "-3",       "--half",       "-0.5"};
+  Cli cli(12, argv);
+  const auto message = [&](auto get) {
+    try {
+      get();
+    } catch (const std::invalid_argument& error) {
+      return std::string(error.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_EQ(message([&] { cli.get_double("alpha", 0.0); }),
+            "--alpha: expected a number, got 'abc'");
+  EXPECT_EQ(message([&] { cli.get_int("rounds", 0); }),
+            "--rounds: trailing junk in '7x'");
+  EXPECT_EQ(message([&] { cli.get_int("empty", 0); }),
+            "--empty: expected a number, got ''");
+  EXPECT_EQ(message([&] { cli.get_double("budget", 0.0); }),
+            "--budget: expected a finite number, got 'nan'");
+  EXPECT_EQ(message([&] { cli.get_double("big", 0.0); }),
+            "--big: expected a finite number, got 'inf'");
+  EXPECT_EQ(message([&] { cli.get_int("half", 0); }),
+            "--half: trailing junk in '-0.5'");
+  EXPECT_EQ(cli.get_int("neg", 0), -3);
+  EXPECT_DOUBLE_EQ(cli.get_double("neg", 0.0), -3.0);
+  EXPECT_DOUBLE_EQ(cli.get_double("half", 0.0), -0.5);
 }
 
 // --- Log ---------------------------------------------------------------------

@@ -325,9 +325,9 @@ int main(int argc, char** argv) {
     std::cerr << "tifl_run: " << *bad << " (see --help)\n";
     return 2;
   }
-  BenchOptions options = BenchOptions::from_cli(argc, argv);
-
   try {
+    // Inside the try: a malformed number (--rounds 7x) stops the run.
+    BenchOptions options = BenchOptions::from_cli(argc, argv);
     const std::string level_name = cli.get("log-level", "warn");
     const std::optional<util::LogLevel> level =
         util::parse_log_level(level_name);
